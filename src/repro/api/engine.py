@@ -43,7 +43,17 @@ import warnings
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    Mapping,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -426,19 +436,40 @@ class CertificationEngine:
         """Run the learners over ``rows`` in order (no cache consultation).
 
         This is the compute primitive under :meth:`certify_stream` and the
-        runtime layer.  With ``n_jobs > 1`` the rows are certified on a
-        process pool whose workers receive ``shared_handle`` (attaching the
-        dataset zero-copy) when one is given, and the pickled dataset
-        otherwise; pool failures fall back to serial certification.
+        runtime layer: each row is one :meth:`_certify_one` call against the
+        (dataset, model) plan, mapped through :meth:`_map_rows`.
+        """
+        yield from self._map_rows(
+            dataset, rows, _CertifyRows(model), n_jobs=n_jobs, shared_handle=shared_handle
+        )
+
+    def _map_rows(
+        self,
+        dataset: Dataset,
+        rows: Sequence[np.ndarray],
+        task: "_RowTask",
+        *,
+        n_jobs: int = 1,
+        shared_handle: Optional[SharedDatasetHandle] = None,
+    ) -> Iterator:
+        """Apply a per-row ``task`` to ``rows``, yielding its outputs in order.
+
+        The engine's one process pool.  ``task.bind(engine, dataset)`` builds
+        the per-row function once per process: in the parent for serial
+        runs, in each worker's initializer otherwise.  With ``n_jobs > 1``
+        the workers receive ``shared_handle`` (attaching the dataset
+        zero-copy) when one is given, and the pickled dataset otherwise;
+        pool failures fall back to serial execution of the remaining rows.
         """
         workers = min(int(n_jobs), len(rows))
         if workers <= 1:
-            plan = self._plan_for(dataset, model)
+            run = task.bind(self, dataset)
             for row in rows:
-                yield self._certify_one(dataset, row, model, plan)
+                yield run(row)
             return
         # Workers rebuild the dataset (from shared memory when possible) and
-        # their own plan in the pool initializer, so the parent ships neither.
+        # bind the task in the pool initializer, so the parent ships neither
+        # plans nor per-row state.
         payload: Union[Dataset, SharedDatasetHandle] = (
             shared_handle if shared_handle is not None else dataset
         )
@@ -470,9 +501,9 @@ class CertificationEngine:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_initializer,
-                initargs=(self, payload, model),
+                initargs=(self, payload, task),
             ) as executor:
-                for envelope in executor.map(_pool_certify, tasks):
+                for envelope in executor.map(_pool_run, tasks):
                     merge_started = time.perf_counter()
                     if envelope.metrics_delta:
                         registry.merge_snapshot(
@@ -502,9 +533,9 @@ class CertificationEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        plan = self._plan_for(dataset, model)
+        run = task.bind(self, dataset)
         for row in rows[yielded:]:
-            yield self._certify_one(dataset, row, model, plan)
+            yield run(row)
 
     def certify_point(
         self, dataset: Dataset, x: Sequence[float], model: ModelLike
@@ -577,7 +608,10 @@ class CertificationEngine:
         model: Optional[PerturbationModel] = None,
         n_jobs: int = 1,
     ):
-        """Per-point Pareto frontiers for a batch of test points."""
+        """Per-point Pareto frontiers for a batch of test points.
+
+        ``n_jobs > 1`` spreads the points over this engine's process pool.
+        """
         from repro.verify.search import pareto_sweep
 
         return pareto_sweep(
@@ -839,13 +873,40 @@ class _DomainOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing.  Workers receive the engine/model once via the pool
-# initializer together with either a SharedDatasetHandle (attached zero-copy
-# from shared memory) or, as a fallback, the pickled dataset; afterwards only
-# the (small) test points travel through the task queue — and each result
-# travels back inside a `_WorkerEnvelope` that also carries the worker's
-# metric delta for that task, so `n_jobs > 1` batches lose no attribution.
+# Process-pool plumbing.  Workers receive the engine and the row task once via
+# the pool initializer together with either a SharedDatasetHandle (attached
+# zero-copy from shared memory) or, as a fallback, the pickled dataset;
+# afterwards only the (small) test points travel through the task queue — and
+# each chunk's outputs travel back inside a `_WorkerEnvelope` that also
+# carries the worker's metric delta for that task, so `n_jobs > 1` runs lose
+# no attribution.
 # ---------------------------------------------------------------------------
+
+
+class _RowTask(Protocol):
+    """A picklable per-row job for :meth:`CertificationEngine._map_rows`."""
+
+    def bind(self, engine: CertificationEngine, dataset: Dataset) -> Callable:
+        """Build the per-row function (once per process)."""
+
+    def status(self, output) -> Optional[str]:
+        """The verdict label of one output for ``worker.task`` events."""
+
+
+@dataclass(frozen=True)
+class _CertifyRows:
+    """Certify each row against ``model`` on the shared (dataset, model) plan."""
+
+    model: PerturbationModel
+
+    def bind(self, engine: CertificationEngine, dataset: Dataset) -> Callable:
+        plan = engine._plan_for(dataset, self.model)
+        return lambda row: engine._certify_one(dataset, row, self.model, plan)
+
+    @staticmethod
+    def status(output: VerificationResult) -> Optional[str]:
+        return output.status.value
+
 
 _POOL_STATE: dict = {}
 
@@ -865,10 +926,10 @@ class _WorkerTask:
 
 @dataclass(frozen=True)
 class _WorkerEnvelope:
-    """A worker's reply: the chunk's verdicts plus the telemetry to merge
+    """A worker's reply: the chunk's outputs plus the telemetry to merge
     parent-side."""
 
-    results: Sequence[VerificationResult]
+    results: Sequence
     task_id: str
     worker: str
     task_seconds: float
@@ -879,7 +940,7 @@ class _WorkerEnvelope:
 def _pool_initializer(
     engine: CertificationEngine,
     dataset: Union[Dataset, SharedDatasetHandle],
-    model: PerturbationModel,
+    task: _RowTask,
 ) -> None:
     # Snapshot *before* any work: under the fork start method the worker's
     # registry inherits the parent's series wholesale, and everything in this
@@ -891,24 +952,18 @@ def _pool_initializer(
     attach_started = time.perf_counter()
     if isinstance(dataset, SharedDatasetHandle):
         dataset = dataset.attach()
-    _POOL_STATE["engine"] = engine
-    _POOL_STATE["dataset"] = dataset
-    _POOL_STATE["model"] = model
-    _POOL_STATE["plan"] = engine._plan_for(dataset, model)
+    _POOL_STATE["task"] = task
+    _POOL_STATE["run"] = task.bind(engine, dataset)
     _POOL_ATTACH_SECONDS.observe(time.perf_counter() - attach_started)
 
 
-def _pool_certify(task: _WorkerTask) -> _WorkerEnvelope:
+def _pool_run(task: _WorkerTask) -> _WorkerEnvelope:
     state = _POOL_STATE
     started = time.time()
     dispatch_seconds = max(0.0, started - task.submitted_at)
     task_started = time.perf_counter()
-    results = [
-        state["engine"]._certify_one(
-            state["dataset"], row, state["model"], state["plan"]
-        )
-        for row in task.rows
-    ]
+    run = state["run"]
+    results = [run(row) for row in task.rows]
     task_seconds = time.perf_counter() - task_started
     worker = str(os.getpid())
     state["task_counter"] += 1
@@ -916,7 +971,7 @@ def _pool_certify(task: _WorkerTask) -> _WorkerEnvelope:
     after = metrics.get_registry().snapshot()
     delta = metrics.diff_snapshots(state["baseline"], after)
     state["baseline"] = after
-    statuses = {r.status.value for r in results}
+    statuses = {state["task"].status(result) for result in results}
     events.emit(
         "worker.task",
         rid=task.request_id,

@@ -27,15 +27,13 @@ The CLI exposes the main workflows without writing any Python:
 * ``repro-antidote serve SOCKET --cache-dir DIR`` — run the certification
   daemon: one warm runtime (published datasets, warm request plans, open
   verdict cache) serving the versioned JSON-lines protocol over a
-  Unix-domain socket — or over TCP with ``--tcp HOST:PORT`` — with optional
-  micro-batching of concurrent single-point frames (``--batch-window``);
-  point ``verify``/``certify``/``sweep`` at it with ``--connect ADDRESS``
+  Unix-domain socket — or over TCP with ``--tcp HOST:PORT``; point
+  ``verify``/``certify``/``sweep`` at it with ``--connect ADDRESS``
   (socket path or ``host:port``) to certify against the warm remote runtime
   instead of a cold local engine;
 * ``repro-antidote route --tcp HOST:PORT --backend ADDR ...`` — run the
   fleet router: shards requests across backends by dataset fingerprint
-  (consistent hashing), health-checks them, fails over mid-request, and
-  replicates derivable verdict rows between their caches
+  (consistent hashing), health-checks them, and fails over mid-request
   (:mod:`repro.fleet`);
 * ``repro-antidote metrics [--connect SOCKET] [--format prometheus]`` — dump
   the telemetry registry (:mod:`repro.telemetry`) of this process or of a
@@ -316,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind a TCP listener instead of a Unix socket "
                        "(fleet mode: reachable by `repro-antidote route` "
                        "backends on other hosts)")
-    serve.add_argument("--batch-window", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="coalesce concurrent single-point certify frames "
-                       "for the same (dataset, model, engine) into pooled "
-                       "scheduler batches, holding each window open this long "
-                       "(default: 0, batching off)")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent verdict cache served to every client "
                        "(default: an ephemeral cache living as long as the "
@@ -352,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="ADDRESS", dest="backends",
                        help="backend server address (host:port or Unix "
                        "socket path); repeat once per backend",)
-    route.add_argument("--no-replicate", action="store_true",
-                       help="disable cross-server replication of derivable "
-                       "verdict rows")
     route.add_argument("--health-interval", type=float, default=2.0,
                        metavar="SECONDS",
                        help="seconds between backend health probes")
@@ -977,7 +966,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         shared_memory=not args.no_shared_memory,
         max_engines=args.max_engines,
-        batch_window=args.batch_window,
     )
     cache = "ephemeral" if args.cache_dir is None else args.cache_dir
     print(f"serving certifications on {server.address} (cache: {cache})")
@@ -1001,7 +989,6 @@ def _command_route(args: argparse.Namespace) -> int:
         args.backends,
         tcp=args.tcp,
         socket_path=args.socket,
-        replicate=not args.no_replicate,
         health_interval=args.health_interval,
         request_timeout=args.request_timeout,
     )

@@ -52,7 +52,7 @@ from __future__ import annotations
 import io
 import json
 from pathlib import Path
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,10 +71,10 @@ PROTOCOL_VERSION = 1
 
 #: Additive revision within the major version: 1 added the optional ``rid``
 #: request-frame field and the ``trace`` op; 2 added the TCP transport,
-#: backend identity (``backend_id`` in the ``hello`` result) and the cache
-#: replication ops (``cache_probe`` / ``cache_fetch`` / ``cache_ingest``).
-#: Informational — peers never reject on a minor mismatch.
-PROTOCOL_MINOR = 2
+#: backend identity (``backend_id`` in the ``hello`` result) and three cache
+#: replication ops; 3 removed the three replication ops.  Informational —
+#: peers never reject on a minor mismatch.
+PROTOCOL_MINOR = 3
 
 #: Version of the ``metrics`` op's snapshot schema (see module docstring).
 METRICS_VERSION = 1
@@ -302,24 +302,6 @@ def model_from_wire(payload: Optional[Mapping]) -> Optional[PerturbationModel]:
             n_classes=None if classes is None else int(classes),
         )
     raise ProtocolError(f"unknown threat-model family {family!r}")
-
-
-# ------------------------------------------------------------------ budgets
-def budget_to_wire(budget: Union[int, Tuple[int, int]]) -> List[int]:
-    """Wire form of a cache budget key: always a ``[removals, flips]`` pair."""
-    if isinstance(budget, int):
-        return [budget, 0]
-    removals, flips = budget
-    return [int(removals), int(flips)]
-
-
-def budget_from_wire(payload: Sequence) -> Tuple[int, int]:
-    """Decode a ``[removals, flips]`` budget pair."""
-    if not isinstance(payload, Sequence) or isinstance(payload, (str, bytes)):
-        raise ProtocolError(f"budget must be a [removals, flips] pair, got {payload!r}")
-    if len(payload) != 2:
-        raise ProtocolError(f"budget must have exactly 2 entries, got {len(payload)}")
-    return (int(payload[0]), int(payload[1]))
 
 
 # ------------------------------------------------------------ engine config

@@ -21,15 +21,9 @@ Each client connection is served by its own thread
 (:class:`socketserver.ThreadingMixIn`); ``SIGTERM``/``SIGINT`` shut the
 server down cleanly (socket file removed, cache committed and closed).
 
-Two fleet-serving extensions (protocol minor 2, see :mod:`repro.fleet`):
-
-* ``batch_window > 0`` coalesces concurrent single-point ``certify`` frames
-  for the same (dataset, model, engine) into pooled execution windows
-  through the engine's scheduler — a storm of tiny requests certifies as
-  one batch;
-* the ``cache_probe`` / ``cache_fetch`` / ``cache_ingest`` ops expose the
-  verdict cache's content-addressed rows so a router can replicate
-  dominance-derivable verdicts between shard servers.
+For fleet serving (see :mod:`repro.fleet`) the server binds TCP instead and
+reports its bound address as ``backend_id`` in ``hello``, the name a router
+places on its hash ring.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Mapping, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,22 +48,13 @@ from repro.api.engine import CertificationEngine
 from repro.api.report import SCHEMA_VERSION
 from repro.api.request import CertificationRequest
 from repro.core.dataset import Dataset
-from repro.poisoning.models import resolve_model_classes
-from repro.runtime.fingerprint import (
-    engine_cache_key,
-    fingerprint_dataset,
-    model_cache_key,
-    monotone_in_budget,
-    point_digest,
-)
+from repro.runtime.fingerprint import fingerprint_dataset
 from repro.runtime.runtime import CertificationRuntime
 from repro.service.protocol import (
     METRICS_VERSION,
     PROTOCOL_MINOR,
     PROTOCOL_VERSION,
     ProtocolError,
-    budget_from_wire,
-    budget_to_wire,
     dataset_from_wire,
     encode_frame,
     engine_config_from_wire,
@@ -80,7 +65,6 @@ from repro.service.protocol import (
 )
 from repro.telemetry import events, metrics, tracing
 from repro.utils.validation import ValidationError
-from repro.verify.result import VerificationResult
 
 _OP_REQUESTS = metrics.counter(
     "server_requests_total", "Protocol operations served.", labelnames=("op",)
@@ -210,11 +194,6 @@ class CertificationServer:
         Whether pool workers attach datasets from shared memory.
     max_engines / max_datasets:
         Bounds of the engine-configuration and decoded-dataset LRUs.
-    batch_window:
-        Seconds to hold a concurrent single-point ``certify`` frame open for
-        coalescing with others of the same (dataset, model, engine) before
-        flushing the pooled window through the scheduler.  ``0`` (default)
-        disables micro-batching.
     """
 
     def __init__(
@@ -226,7 +205,6 @@ class CertificationServer:
         shared_memory: bool = True,
         max_engines: int = 8,
         max_datasets: int = 16,
-        batch_window: float = 0.0,
     ) -> None:
         if (socket_path is None) == (tcp is None):
             raise ValidationError(
@@ -250,13 +228,6 @@ class CertificationServer:
         self.backend_id: Optional[str] = (
             None if self.socket_path is None else str(self.socket_path)
         )
-        self.batch_window = float(batch_window)
-        self._batcher = None
-        if self.batch_window > 0:
-            # Deferred import: repro.fleet is layered above repro.service.
-            from repro.fleet.batching import MicroBatcher
-
-            self._batcher = MicroBatcher(window_seconds=self.batch_window)
         self._ephemeral_cache: Optional[tempfile.TemporaryDirectory] = None
         if cache_dir is None:
             self._ephemeral_cache = tempfile.TemporaryDirectory(prefix="repro-serve-")
@@ -470,12 +441,6 @@ class CertificationServer:
 
     def _op_certify(self, params: dict) -> dict:
         engine, request, n_jobs = self._decode_certify(params)
-        # Single-point frames can coalesce into a pooled window when
-        # micro-batching is enabled; the window leader runs them through the
-        # scheduler as one batch.
-        if self._batcher is not None and len(request.points) == 1:
-            report = self._batcher.certify_one(engine, request)
-            return {"report": report.to_dict()}
         # engine.verify assembles the report exactly as the in-process API
         # does; runtime batch counters are thread-local, so this handler
         # thread's stream cannot pick up a concurrent request's stats.
@@ -564,111 +529,6 @@ class CertificationServer:
             ),
         )
 
-    # ------------------------------------------------------- cache replication
-    # Minor-2 ops: expose the verdict cache's content-addressed rows so a
-    # router can replicate dominance-derivable verdicts across shard servers
-    # (`repro route --replicate`).  Rows travel *raw* — the verdict exactly as
-    # stored, at the budget that produced the proof — and the receiving server
-    # re-derives locally through the same budget-monotone lookup it applies to
-    # its own rows, so replication can never widen what the cache would claim.
-
-    def _op_cache_probe(self, params: dict) -> dict:
-        """The cache identity of a certify-shaped request, plus hit flags.
-
-        The router calls this on the primary shard to learn which points
-        would miss, and with which ``(dataset_fp, family, engine_key,
-        budget)`` coordinates to ask siblings about.
-        """
-        engine = self.engine_for(engine_config_from_wire(params.get("engine")))
-        dataset = self.dataset_for(params["dataset"])
-        model = model_from_wire(params.get("model"))
-        if model is None:
-            raise ProtocolError("cache_probe requests must carry a threat model")
-        model = resolve_model_classes(model, dataset.n_classes)
-        family, budget = model_cache_key(model, len(dataset))
-        dataset_fp = fingerprint_dataset(dataset)
-        engine_key = engine_cache_key(engine)
-        monotone = monotone_in_budget(model)
-        points = np.asarray(params["points"], dtype=float)
-        if points.ndim == 1:
-            points = points.reshape(1, -1)
-        cache = self.runtime.cache
-        entries = []
-        for row in points:
-            digest = point_digest(row)
-            hit = None
-            if cache is not None:
-                hit = cache.lookup(
-                    dataset_fp, digest, family, engine_key, budget, monotone=monotone
-                )
-            entries.append({"digest": digest, "cached": hit is not None})
-        return {
-            "dataset_fp": dataset_fp,
-            "engine_key": engine_key,
-            "family": family,
-            "budget": budget_to_wire(budget),
-            "monotone": monotone,
-            "points": entries,
-        }
-
-    def _op_cache_fetch(self, params: dict) -> dict:
-        """Ship stored verdict rows answering the queried budget (or null).
-
-        Each row carries the verdict *as stored* plus its ``stored_budget``;
-        the requester ingests it at that budget and derives locally.
-        """
-        cache = self.runtime.cache
-        if cache is None:  # pragma: no cover - servers always hold a cache
-            raise ValidationError("this server has no verdict cache to fetch from")
-        dataset_fp = str(params["dataset_fp"])
-        family = str(params["family"])
-        engine_key = str(params["engine_key"])
-        budget = budget_from_wire(params["budget"])
-        monotone = bool(params.get("monotone", True))
-        rows = []
-        for digest in params.get("digests") or ():
-            hit = cache.lookup(
-                dataset_fp, str(digest), family, engine_key, budget, monotone=monotone
-            )
-            if hit is None:
-                rows.append(None)
-            else:
-                rows.append(
-                    {
-                        "digest": str(digest),
-                        "kind": hit.kind,
-                        "stored_budget": budget_to_wire(hit.stored_budget),
-                        "status": hit.result.status.value,
-                        "result": hit.result.to_dict(),
-                    }
-                )
-        return {"rows": rows}
-
-    def _op_cache_ingest(self, params: dict) -> dict:
-        """Store replicated verdict rows (at their original stored budget)."""
-        cache = self.runtime.cache
-        if cache is None:  # pragma: no cover - servers always hold a cache
-            raise ValidationError("this server has no verdict cache to ingest into")
-        dataset_fp = str(params["dataset_fp"])
-        family = str(params["family"])
-        engine_key = str(params["engine_key"])
-        ingested = 0
-        for row in params.get("rows") or ():
-            if not isinstance(row, Mapping):
-                raise ProtocolError("cache_ingest rows must be objects")
-            result = VerificationResult.from_dict(dict(row["result"]))
-            stored = cache.store(
-                dataset_fp,
-                str(row["digest"]),
-                family,
-                engine_key,
-                budget_from_wire(row["budget"]),
-                result,
-            )
-            if stored:
-                ingested += 1
-        return {"ingested": ingested}
-
     def _op_stats(self, params: dict) -> dict:
         del params
         with self._lock:
@@ -744,9 +604,6 @@ class CertificationServer:
         "pareto_sweep": _op_pareto_sweep,
         "cache_stats": _op_cache_stats,
         "cache_gc": _op_cache_gc,
-        "cache_probe": _op_cache_probe,
-        "cache_fetch": _op_cache_fetch,
-        "cache_ingest": _op_cache_ingest,
         "stats": _op_stats,
         "metrics": _op_metrics,
         "trace": _op_trace,

@@ -22,8 +22,8 @@ for *every* :class:`~repro.poisoning.models.PerturbationModel` family, via the
   componentwise dominance, found by staircase descent (alternating
   largest-certified-flip and largest-certified-removal searches), with local
   pair-dominance derivation so no probe is ever recomputed;
-* :func:`pareto_sweep` — the batch frontier over many points, optionally on a
-  process pool (``n_jobs``).
+* :func:`pareto_sweep` — the batch frontier over many points, optionally on
+  the engine's process pool (``n_jobs``).
 
 All entry points run on the unified :class:`repro.api.CertificationEngine`;
 a legacy :class:`~repro.verify.robustness.PoisoningVerifier` is still
@@ -36,8 +36,6 @@ so repeated or overlapping searches reuse prior verdicts.
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -488,49 +486,19 @@ def pareto_sweep(
 ) -> List[ParetoFrontierResult]:
     """Per-point Pareto frontiers for every row of ``points`` (order preserved).
 
-    With ``n_jobs > 1`` the points are distributed over a process pool; each
-    worker runs the staircase descent for its points against a private engine
-    copy (pool workers have no runtime attached, so cross-point cache sharing
-    only happens in the serial path — exactly as for batch certification).
-    Pool failures fall back to serial computation.
+    With ``n_jobs > 1`` the points are distributed over the engine's process
+    pool (chunked dispatch, merged worker metrics, request-id-stamped
+    ``worker.task`` events); each worker runs the staircase descent for its
+    points against a private engine copy and ships back the frontier summary
+    only.  Pool workers have no runtime attached, so cross-point cache sharing
+    only happens in the serial path — exactly as for batch certification.
     """
     engine = _as_engine(verifier)
     template = _pair_template(model)
     rows = [np.asarray(row, dtype=float) for row in np.asarray(points, dtype=float)]
-    workers = min(int(n_jobs), len(rows))
-    if workers > 1:
-        yielded = 0
-        outcomes: List[ParetoFrontierResult] = []
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_pareto_pool_initializer,
-                initargs=(engine, dataset, template, max_remove, max_flip),
-            ) as executor:
-                for outcome in executor.map(_pareto_pool_frontier, rows):
-                    yielded += 1
-                    outcomes.append(outcome)
-            return outcomes
-        except (OSError, BrokenExecutor) as error:
-            warnings.warn(
-                f"process pool unavailable ({error}); falling back to serial "
-                "frontier computation",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            rows = rows[yielded:]
-            outcomes.extend(
-                pareto_frontier(
-                    engine,
-                    dataset,
-                    row,
-                    max_remove=max_remove,
-                    max_flip=max_flip,
-                    model=template,
-                )
-                for row in rows
-            )
-            return outcomes
+    if min(int(n_jobs), len(rows)) > 1:
+        task = _FrontierRows(template, max_remove, max_flip)
+        return list(engine._map_rows(dataset, rows, task, n_jobs=n_jobs))
     return [
         pareto_frontier(
             engine,
@@ -544,41 +512,35 @@ def pareto_sweep(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Process-pool plumbing for pareto_sweep (mirrors the engine's batch pool).
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class _FrontierRows:
+    """The engine-pool row task of :func:`pareto_sweep`: one frontier per row."""
 
-_PARETO_POOL_STATE: dict = {}
+    template: PerturbationModel
+    max_remove: Optional[int]
+    max_flip: Optional[int]
 
+    def bind(self, engine: "CertificationEngine", dataset: Dataset) -> Callable:
+        def frontier(row: np.ndarray) -> ParetoFrontierResult:
+            outcome = pareto_frontier(
+                engine,
+                dataset,
+                row,
+                max_remove=self.max_remove,
+                max_flip=self.max_flip,
+                model=self.template,
+            )
+            # Full per-pair results are heavy (interval tuples per probe) and
+            # irrelevant to batch consumers; ship the frontier summary only.
+            return ParetoFrontierResult(
+                frontier=outcome.frontier,
+                attempts=outcome.attempts,
+                probes=outcome.probes,
+            )
 
-def _pareto_pool_initializer(
-    engine: "CertificationEngine",
-    dataset: Dataset,
-    template: PerturbationModel,
-    max_remove: Optional[int],
-    max_flip: Optional[int],
-) -> None:
-    _PARETO_POOL_STATE["engine"] = engine
-    _PARETO_POOL_STATE["dataset"] = dataset
-    _PARETO_POOL_STATE["template"] = template
-    _PARETO_POOL_STATE["max_remove"] = max_remove
-    _PARETO_POOL_STATE["max_flip"] = max_flip
+        return frontier
 
-
-def _pareto_pool_frontier(row: np.ndarray) -> ParetoFrontierResult:
-    state = _PARETO_POOL_STATE
-    outcome = pareto_frontier(
-        state["engine"],
-        state["dataset"],
-        row,
-        max_remove=state["max_remove"],
-        max_flip=state["max_flip"],
-        model=state["template"],
-    )
-    # Full per-pair results are heavy (interval tuples per probe) and
-    # irrelevant to batch consumers; ship the frontier summary only.
-    return ParetoFrontierResult(
-        frontier=outcome.frontier,
-        attempts=outcome.attempts,
-        probes=outcome.probes,
-    )
+    @staticmethod
+    def status(output: ParetoFrontierResult) -> Optional[str]:
+        del output
+        return None

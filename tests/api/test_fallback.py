@@ -4,7 +4,8 @@ Sandboxed hosts can forbid fork/spawn entirely (the pool constructor raises
 ``OSError``) or kill workers mid-batch (``map`` raises ``BrokenExecutor``
 after yielding some results).  Either way ``certify_stream`` must warn,
 fall back to in-process certification, and still deliver every result in
-input order.
+input order.  Pooled ``pareto_sweep`` runs on the same pool and shares that
+fallback.
 """
 
 from concurrent.futures import BrokenExecutor
@@ -15,6 +16,7 @@ import pytest
 import repro.api.engine as engine_module
 from repro.api import CertificationEngine, CertificationRequest
 from repro.poisoning.models import RemovalPoisoningModel
+from repro.verify.search import pareto_sweep
 from tests.conftest import well_separated_dataset
 
 POINTS = np.array([[0.5], [11.0], [0.8], [10.2]])
@@ -99,3 +101,16 @@ class TestSerialFallback:
             report = engine.verify(_request(), n_jobs=2)
         assert [r.predicted_class for r in report.results] == EXPECTED_CLASSES
         assert report.runtime_stats["learner_invocations"] == len(POINTS)
+
+    @pytest.mark.parametrize(
+        "pool", [_UnspawnablePool, _MidwayBrokenPool], ids=["unspawnable", "midway"]
+    )
+    def test_pooled_pareto_sweep_falls_back_to_serial(self, engine, monkeypatch, pool):
+        dataset = well_separated_dataset()
+        serial = pareto_sweep(engine, dataset, POINTS, max_remove=2, max_flip=2)
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", pool)
+        with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+            pooled = pareto_sweep(
+                engine, dataset, POINTS, max_remove=2, max_flip=2, n_jobs=2
+            )
+        assert [o.frontier for o in pooled] == [o.frontier for o in serial]

@@ -1,4 +1,4 @@
-"""Router tests: shard locality, failover, replication, fan-out, error relay.
+"""Router tests: shard locality, failover, fan-out, error relay.
 
 These run real :class:`CertificationServer` backends over loopback TCP plus a
 :class:`CertificationRouter`, the exact topology of the CI fleet smoke — and
@@ -26,6 +26,8 @@ from repro.service import (
     wait_for_server,
 )
 from repro.service.protocol import dataset_to_wire, encode_frame, read_frame
+from repro.telemetry import metrics
+from repro.telemetry.metrics import series_value
 from tests.conftest import well_separated_dataset
 
 POINTS = np.array([[0.5], [11.0]])
@@ -87,10 +89,29 @@ class TestRouting:
         with CertificationClient(router.address, max_depth=1, domain="box") as client:
             client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
         # The predicted owner's cache holds the verdicts; the sibling's is
-        # empty (replication only fills the *owner* from siblings).
+        # empty (the router forwards each request to one backend only).
         owner_server = s1 if owner == s1.address else s2
         assert owner_server.runtime.cache.stats()["verdicts"] == len(POINTS)
         assert sibling.runtime.cache.stats()["verdicts"] == 0
+
+    def test_certify_is_forwarded_once(self, fleet):
+        """One routed certify costs the backends one certify and nothing else."""
+        router, _, _ = fleet
+        dataset = well_separated_dataset()
+        registry = metrics.get_registry()
+
+        def served(snapshot):
+            return {
+                op: series_value(snapshot, "server_requests_total", op=op)
+                for op in ("certify", "cache_probe")
+            }
+
+        with CertificationClient(router.address, max_depth=1, domain="box") as client:
+            before = served(registry.snapshot())
+            client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
+            after = served(registry.snapshot())
+        assert after["certify"] - before["certify"] == 1
+        assert after["cache_probe"] == before["cache_probe"]
 
     def test_stream_through_router(self, fleet):
         router, _, _ = fleet
@@ -132,44 +153,6 @@ class TestRouting:
         with CertificationClient(router.address) as client:
             stats = client.call("stats", {})
         assert stats["backends"] == {s1.address: True, s2.address: True}
-
-
-class TestReplication:
-    def test_owner_filled_from_sibling_cache(self, tmp_path):
-        """Acceptance: verdicts certified on one server answer on another."""
-        s1 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c1")
-        s2 = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "c2")
-        s1.start()
-        s2.start()
-        router = None
-        try:
-            backends = [s1.address, s2.address]
-            dataset = well_separated_dataset()
-            owner = HashRing(backends).primary(shard_key(dataset_to_wire(dataset)))
-            sibling = next(b for b in backends if b != owner)
-            # Warm the *sibling* — the backend the router will NOT pick.
-            with CertificationClient(sibling, max_depth=1, domain="box") as direct:
-                direct.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
-            router = CertificationRouter(
-                backends, tcp="127.0.0.1:0", request_timeout=120.0
-            )
-            router.start()
-            wait_for_server(router.address, timeout=30)
-            with CertificationClient(
-                router.address, max_depth=1, domain="box"
-            ) as client:
-                report = client.certify_batch(
-                    dataset, POINTS, RemovalPoisoningModel(1)
-                )
-            # The owner answered entirely from rows replicated off the
-            # sibling: no learner ran anywhere for this request.
-            assert report.runtime_stats["learner_invocations"] == 0
-            assert report.runtime_stats["cache_hits"] == len(POINTS)
-        finally:
-            if router is not None:
-                router.close()
-            s1.close()
-            s2.close()
 
 
 class FlakyBackend:
@@ -287,7 +270,6 @@ class TestFailover:
         router = CertificationRouter(
             [flaky.address, real.address],
             tcp="127.0.0.1:0",
-            replicate=False,  # the imposter has no cache ops
             request_timeout=120.0,
         )
         router.start()
@@ -337,7 +319,6 @@ class TestFailover:
         router = CertificationRouter(
             [dead_address, real.address],
             tcp="127.0.0.1:0",
-            replicate=False,
             request_timeout=120.0,
         )
         router.start()

@@ -140,7 +140,9 @@ class TestMalformedFrames:
             assert frame["ok"] is False
             assert frame["error"]["type"] == "ProtocolError"
 
-    def test_error_frame_keeps_connection_for_bad_op(self, tcp_server):
+    # ``cache_probe`` was a replication op until protocol minor 3 removed it.
+    @pytest.mark.parametrize("op", ["frobnicate", "cache_probe"])
+    def test_error_frame_keeps_connection_for_bad_op(self, tcp_server, op):
         # Frame-level errors (valid JSON, bad op) are recoverable: the
         # connection survives and serves the next request.
         with self._raw_connection(tcp_server) as sock:
@@ -148,9 +150,10 @@ class TestMalformedFrames:
             sock.sendall(encode_frame({"id": 1, "op": "hello",
                                        "params": {"protocol": PROTOCOL_VERSION}}))
             assert read_frame(reader)["ok"] is True
-            sock.sendall(encode_frame({"id": 2, "op": "frobnicate"}))
+            sock.sendall(encode_frame({"id": 2, "op": op}))
             frame = read_frame(reader)
             assert frame["ok"] is False
+            assert f"unknown operation {op!r}" in frame["error"]["message"]
             sock.sendall(encode_frame({"id": 3, "op": "ping"}))
             assert read_frame(reader)["result"]["pong"] is True
 

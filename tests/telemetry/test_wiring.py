@@ -1,5 +1,6 @@
 """Integration tests: the engine/runtime/service actually move the metrics."""
 
+import numpy as np
 import pytest
 
 from repro.api import CertificationEngine, CertificationRequest
@@ -112,24 +113,40 @@ class TestRuntimeWiring:
         assert _delta(before_cold, after_cold, "cache_sqlite_seconds", op="store") >= 2
 
 
+def _pooled_verify(engine, dataset, points):
+    report = engine.verify(CertificationRequest(dataset, points, 1), n_jobs=2)
+    assert report.total == len(points)
+    return report.total
+
+
+def _pooled_sweep(engine, dataset, points):
+    outcomes = engine.pareto_sweep(
+        dataset, np.asarray(points), max_remove=2, max_flip=2, n_jobs=2
+    )
+    assert len(outcomes) == len(points)
+    return sum(outcome.probes for outcome in outcomes)
+
+
+@pytest.mark.parametrize(
+    "pooled_run", [_pooled_verify, _pooled_sweep], ids=["verify", "pareto_sweep"]
+)
 class TestWorkerShipping:
     """Pool workers ship metric deltas home; the parent merges them."""
 
-    def _pooled_report(self, registry, log_path=None):
+    def _pooled_report(self, registry, pooled_run):
+        """Run one pooled job; returns the registry around it and the
+        number of learner invocations it made."""
         from tests.conftest import well_separated_dataset
 
         engine = CertificationEngine(max_depth=1, domain="box")
         dataset = well_separated_dataset()
         points = [[0.5], [11.0], [5.0], [1.2]]
         before = registry.snapshot()
-        report = engine.verify(
-            CertificationRequest(dataset, points, 1), n_jobs=2
-        )
-        return before, registry.snapshot(), report
+        invocations = pooled_run(engine, dataset, points)
+        return before, registry.snapshot(), invocations
 
-    def test_pooled_verify_merges_worker_series(self, registry):
-        before, after, report = self._pooled_report(registry)
-        assert report.total == 4
+    def test_pooled_verify_merges_worker_series(self, registry, pooled_run):
+        before, after, invocations = self._pooled_report(registry, pooled_run)
         # learner_phase_seconds is recorded inside the workers; seeing it
         # move in the parent proves the delta shipping + merge round trip.
         phase_moved = sum(
@@ -140,10 +157,10 @@ class TestWorkerShipping:
             for series in before.get("learner_phase_seconds", {}).get("series", [])
         )
         assert phase_moved > 0
-        assert _delta(before, after, "learner_invocations_total") == 4
+        assert _delta(before, after, "learner_invocations_total") == invocations
 
-    def test_pooled_verify_records_dispatch_and_task_series(self, registry):
-        before, after, report = self._pooled_report(registry)
+    def test_pooled_verify_records_dispatch_and_task_series(self, registry, pooled_run):
+        before, after, _ = self._pooled_report(registry, pooled_run)
         dispatch = after.get("dispatch_overhead_seconds", {}).get("series", [])
         assert dispatch and dispatch[0]["count"] >= 4
         workers = after.get("worker_task_seconds", {}).get("series", [])
@@ -152,7 +169,9 @@ class TestWorkerShipping:
         assert utilization
         assert all(0.0 <= series["value"] <= 1.0 for series in utilization)
 
-    def test_worker_task_events_carry_the_bound_request_id(self, registry, tmp_path):
+    def test_worker_task_events_carry_the_bound_request_id(
+        self, registry, tmp_path, pooled_run
+    ):
         from repro.telemetry import events
 
         log = tmp_path / "events.jsonl"
@@ -160,7 +179,7 @@ class TestWorkerShipping:
         events.configure(str(log))
         try:
             with events.bind_request("cafe0123cafe0123"):
-                self._pooled_report(registry)
+                self._pooled_report(registry, pooled_run)
         finally:
             events.configure(None)
             events._reset_for_tests()
