@@ -38,10 +38,12 @@ import os
 import pickle
 import threading
 import time
+import tracemalloc
 import uuid
 import warnings
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -717,7 +719,14 @@ class CertificationEngine:
                 else TimeBudget.unlimited()
             )
             last_result: Optional[VerificationResult] = None
-            with MemoryTracker() as memory:
+            # Peak memory only while the caller traces allocations
+            # (tracemalloc.start(), -X tracemalloc): starting tracemalloc
+            # here would hook every allocation of every point.  Unentered,
+            # the tracker reports 0 = not measured.
+            memory = MemoryTracker()
+            with ExitStack() as scope:
+                if tracemalloc.is_tracing():
+                    scope.enter_context(memory)
                 for domain in domains:
                     outcome = self._run_domain(
                         domain, trainset, x, budget, trace_key=trace_key

@@ -1,6 +1,6 @@
 """Utility substrate: timing, memory tracking, validation, and reporting helpers."""
 
-from repro.utils.memory import MemoryTracker, peak_memory_bytes
+from repro.utils.memory import MemoryTracker
 from repro.utils.tables import TextTable, format_float
 from repro.utils.timing import Stopwatch, TimeBudget, TimeoutExceeded
 from repro.utils.validation import (
@@ -12,7 +12,6 @@ from repro.utils.validation import (
 
 __all__ = [
     "MemoryTracker",
-    "peak_memory_bytes",
     "TextTable",
     "format_float",
     "Stopwatch",

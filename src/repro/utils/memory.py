@@ -6,21 +6,18 @@ allocation observed while a verification instance runs, measured with
 ``tracemalloc``.  Absolute numbers are not comparable with the paper's MB
 figures, but the qualitative trends (the disjunctive domain's memory grows
 quickly with the poisoning amount and tree depth) are preserved.
+
+Peak memory is measured only while ``tracemalloc`` is tracing: the
+certification engine enters a tracker per point only when its caller
+already traces (``tracemalloc.start()``, ``python -X tracemalloc`` or
+``PYTHONTRACEMALLOC``), and otherwise reports 0, meaning "not measured".
+The paper-figure experiments trace around each grid cell.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Optional
-
-
-def peak_memory_bytes() -> int:
-    """Return the current tracemalloc peak, or 0 when tracing is disabled."""
-    if not tracemalloc.is_tracing():
-        return 0
-    _, peak = tracemalloc.get_traced_memory()
-    return int(peak)
 
 
 @dataclass
@@ -53,22 +50,3 @@ class MemoryTracker:
     @property
     def peak_megabytes(self) -> float:
         return self.peak_bytes / (1024.0 * 1024.0)
-
-
-@dataclass
-class MemoryBudget:
-    """A cooperative memory budget expressed in bytes.
-
-    The disjunctive learner checks the budget as its set of disjuncts grows
-    and aborts with :class:`MemoryError` when the configured limit would be
-    exceeded, mirroring the out-of-memory failures reported in the paper.
-    """
-
-    limit_bytes: Optional[int] = None
-
-    def check(self, currently_held: int) -> None:
-        if self.limit_bytes is not None and currently_held > self.limit_bytes:
-            raise MemoryError(
-                f"memory budget of {self.limit_bytes} bytes exceeded "
-                f"(holding ~{currently_held} bytes)"
-            )

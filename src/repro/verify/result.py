@@ -70,6 +70,9 @@ class VerificationResult:
         models.
     elapsed_seconds / peak_memory_bytes:
         Wall-clock time and peak Python-heap allocation of the attempt.
+        Peak memory is measured only while ``tracemalloc`` is tracing (the
+        caller ran ``tracemalloc.start()`` or ``python -X tracemalloc``);
+        otherwise it is 0, meaning "not measured".
     log10_num_datasets:
         ``log10 |Δ(T)|`` — the size of the space a naïve enumeration baseline
         would need to explore.

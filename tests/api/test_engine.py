@@ -1,9 +1,12 @@
 """Tests for the unified CertificationEngine: dispatch, reuse, and budgets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.api import CertificationEngine, CertificationRequest, as_perturbation_model
+from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.datasets.toy import figure2_dataset
 from repro.poisoning.models import (
@@ -12,6 +15,7 @@ from repro.poisoning.models import (
     LabelFlipModel,
     RemovalPoisoningModel,
 )
+from repro.utils.memory import MemoryTracker
 from repro.verify.result import VerificationResult, VerificationStatus
 from tests.conftest import well_separated_dataset
 
@@ -20,6 +24,26 @@ def three_class_dataset():
     """A well-separated 3-class dataset (2-D gaussian blobs)."""
     centers = np.array([[0.0, 0.0], [8.0, 0.0], [4.0, 8.0]])
     return make_gaussian_classes(90, centers, 0.5, rng=0)
+
+
+def iris_batch(model, n_jobs=1, points=3):
+    """Certify a few iris points at depth 2 with a fresh ``either`` engine."""
+    split = load_dataset("iris", scale=0.5, seed=0)
+    engine = CertificationEngine(max_depth=2, domain="either")
+    return engine.certify_batch(
+        split.train, split.test.X[:points], model, n_jobs=n_jobs
+    ).results
+
+
+#: Every result field that must not depend on whether memory was measured.
+VERDICT_FIELDS = (
+    "status",
+    "certified_class",
+    "class_intervals",
+    "domain",
+    "exit_count",
+    "max_disjuncts",
+)
 
 
 class TestConfiguration:
@@ -334,6 +358,39 @@ class TestResourceHandling:
         assert result.elapsed_seconds >= 0.0
         assert result.peak_memory_bytes >= 0
         assert isinstance(result, VerificationResult)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "caller-traced"])
+    def test_peak_memory_measured_only_under_caller_tracing(self, traced, monkeypatch):
+        assert not tracemalloc.is_tracing()
+        if traced:
+            with MemoryTracker():
+                results = iris_batch(RemovalPoisoningModel(2))
+                assert tracemalloc.is_tracing()
+            assert all(result.peak_memory_bytes > 0 for result in results)
+        else:
+
+            def refuse() -> None:
+                raise AssertionError("the engine started tracemalloc")
+
+            monkeypatch.setattr(tracemalloc, "start", refuse)
+            results = iris_batch(RemovalPoisoningModel(2))
+            assert [result.peak_memory_bytes for result in results] == [0, 0, 0]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "model",
+        [RemovalPoisoningModel(2), CompositePoisoningModel(1, 1)],
+        ids=["removal", "composite"],
+    )
+    def test_tracing_changes_no_verdict_field(self, model, n_jobs):
+        untraced = iris_batch(model, n_jobs=n_jobs)
+        with MemoryTracker():
+            traced = iris_batch(model, n_jobs=n_jobs)
+        assert all(result.peak_memory_bytes > 0 for result in traced)
+        for field_name in VERDICT_FIELDS:
+            assert [getattr(r, field_name) for r in traced] == [
+                getattr(r, field_name) for r in untraced
+            ], field_name
 
 
 class TestEmptyBatch:

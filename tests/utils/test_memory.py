@@ -3,9 +3,8 @@
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from repro.utils.memory import MemoryBudget, MemoryTracker, peak_memory_bytes
+from repro.utils.memory import MemoryTracker
 
 
 class TestMemoryTracker:
@@ -29,26 +28,3 @@ class TestMemoryTracker:
                 assert buffer is not None
         assert inner.peak_bytes > 0
         assert outer.peak_bytes >= 0
-
-
-class TestPeakMemoryBytes:
-    def test_zero_when_not_tracing(self):
-        assert not tracemalloc.is_tracing()
-        assert peak_memory_bytes() == 0
-
-    def test_positive_when_tracing(self):
-        with MemoryTracker():
-            _ = np.zeros(50_000)
-            assert peak_memory_bytes() > 0
-
-
-class TestMemoryBudget:
-    def test_unlimited_accepts_anything(self):
-        MemoryBudget(None).check(10**12)
-
-    def test_raises_when_exceeded(self):
-        with pytest.raises(MemoryError):
-            MemoryBudget(limit_bytes=100).check(200)
-
-    def test_passes_under_limit(self):
-        MemoryBudget(limit_bytes=1000).check(200)
