@@ -13,7 +13,7 @@ before the batch interval kernels and the split-table plane landed):
    engine (identical verdicts required), plus a removal-budget ladder per
    point, report ``trace_reuse_fraction``: the share of ``filter#`` steps
    served by replaying a prior probe's trace instead of re-running the
-   split/join kernels.
+   closed-form ``filter#``.
 
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_cold_core.py``);
 exits non-zero — the CI smoke gate — if the cold speedup falls below 5× or

@@ -88,6 +88,12 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(
+        "repro/verify/transformers.py",
+        "filter_closed_form",
+        "filter_abstract",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
         "repro/poisoning/label_flip.py",
         "_flip_split_score_bounds",
         "_flip_split_score_bounds_reference",

@@ -166,13 +166,13 @@ _WORKER_MERGE_SECONDS = metrics.histogram(
 )
 #: Filter steps of Box-domain runs, by how they were served: ``reused`` steps
 #: replayed a warm trace from a prior budget probe of the same (point,
-#: family) by pure budget arithmetic; ``replayed`` steps ran the real
-#: split/join kernels (first probe, or a step whose abstract decisions
-#: changed with the budget).
+#: family) by pure budget arithmetic; ``replayed`` steps ran the closed-form
+#: ``filter#`` (first probe, or a step whose abstract decisions changed with
+#: the budget).
 _TRACE_WARMSTART = metrics.counter(
     "trace_warmstart_total",
     "Box-learner filter steps served from a warm ladder trace (result=reused) "
-    "versus computed by the split/join kernels (result=replayed).",
+    "versus computed by the closed-form filter# (result=replayed).",
     labelnames=("result",),
 )
 _TRACE_REUSED = _TRACE_WARMSTART.labels(result="reused")

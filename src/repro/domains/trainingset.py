@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -188,6 +188,10 @@ class AbstractTrainingSet:
         """The join of Definition 4.1.
 
         ``⟨T1, n1⟩ ⊔ ⟨T2, n2⟩ = ⟨T1 ∪ T2, max(|T1 \\ T2| + n2, |T2 \\ T1| + n1)⟩``
+
+        Equivalently ``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``: a fold
+        of joins does not depend on its order, which is what lets
+        :func:`repro.verify.transformers.filter_closed_form` skip the fold.
         """
         self._require_same_base(other)
         # One boolean mask over the base dataset replaces union1d/intersect1d:
@@ -253,24 +257,11 @@ class AbstractTrainingSet:
         the loose side and the budget follows from Definition 4.1 with
         ``|tight \\ loose| = 0`` — pure integer arithmetic, no set operations.
         """
-        piece, _, _ = self._split_down_symbolic_counts(predicate, branch)
-        return piece
-
-    def _split_down_symbolic_counts(
-        self, predicate: SymbolicThresholdPredicate, branch: bool
-    ) -> Tuple["AbstractTrainingSet", int, int]:
-        """Symbolic split plus its ``(tight, loose)`` sizes (for filter traces).
-
-        The budget formula below is exactly the tight⊔loose join the docstring
-        of :meth:`split_down_symbolic` describes, specialized to tight ⊆ loose:
-        ``n' = min(l, max(min(n, l), (l - t) + min(n, t)))``.
-        """
         loose_indices, t, l = split_plan.plan_for(self.dataset).symbolic_split(
             self.indices, predicate.feature, predicate.low, predicate.high, branch
         )
         budget = max(min(self.n, l), (l - t) + min(self.n, t))
-        piece = AbstractTrainingSet._trusted(self.dataset, loose_indices, budget)
-        return piece, t, l
+        return AbstractTrainingSet._trusted(self.dataset, loose_indices, budget)
 
     def restrict_pure(self, class_index: int) -> Optional["AbstractTrainingSet"]:
         """``pure(⟨T, n⟩, i)`` of §4.7; ``None`` when the restriction is ⊥."""

@@ -38,7 +38,6 @@ from repro.core.predicates import (
     Predicate,
     SymbolicThresholdPredicate,
     ThresholdPredicate,
-    point_satisfies,
 )
 from repro.core import split_plan
 from repro.core.trace_learner import TraceLearner
@@ -113,7 +112,11 @@ class FlipAbstractTrainingSet:
             raise ValidationError("flip abstract sets must share the same base dataset")
 
     def join(self, other: "FlipAbstractTrainingSet") -> "FlipAbstractTrainingSet":
-        """Sound join: rows follow Definition 4.1, flip budgets take the max."""
+        """Sound join: rows follow Definition 4.1, flip budgets take the max.
+
+        As for removal elements, ``|T1 ∪ T2| − r' = min(|T1| − r1, |T2| − r2)``,
+        so a fold of joins does not depend on its order.
+        """
         self._require_same_base(other)
         # Mask-based set arithmetic, mirroring AbstractTrainingSet.join: one
         # O(N) pass instead of union1d/intersect1d sorts.
@@ -133,8 +136,17 @@ class FlipAbstractTrainingSet:
     def split_down(self, predicate: Predicate, branch: bool) -> "FlipAbstractTrainingSet":
         """Filter by a predicate; label flips never move elements across the split."""
         if isinstance(predicate, SymbolicThresholdPredicate):
-            piece, _, _ = self._split_down_symbolic_counts(predicate, branch)
-            return piece
+            # The tight side (x <= a resp. x >= b) is a subset of the loose
+            # side (x < b resp. x > a) because a < b, so the tight⊔loose join
+            # keeps the loose rows with r' = max(min(r, l), (l - t) + min(r, t))
+            # and f' = min(f, l) — no set operations needed.
+            loose_indices, t, l = split_plan.plan_for(self.dataset).symbolic_split(
+                self.indices, predicate.feature, predicate.low, predicate.high, branch
+            )
+            removals = max(min(self.removals, l), (l - t) + min(self.removals, t))
+            return FlipAbstractTrainingSet._trusted(
+                self.dataset, loose_indices, removals, self.flips
+            )
         if isinstance(predicate, ThresholdPredicate):
             kept = split_plan.plan_for(self.dataset).threshold_split(
                 self.indices, predicate.feature, predicate.threshold, branch
@@ -146,29 +158,6 @@ class FlipAbstractTrainingSet:
             kept = self.indices[mask]
         return FlipAbstractTrainingSet._trusted(
             self.dataset, kept, self.removals, self.flips
-        )
-
-    def _split_down_symbolic_counts(
-        self, predicate: SymbolicThresholdPredicate, branch: bool
-    ) -> Tuple["FlipAbstractTrainingSet", int, int]:
-        """Symbolic split plus its ``(tight, loose)`` sizes (for filter traces).
-
-        The tight side (``x <= a`` resp. ``x >= b``) is a subset of the loose
-        side (``x < b`` resp. ``x > a``) because ``a < b``, so the tight⊔loose
-        join degenerates to the loose row set with
-        ``r' = min(l, max(min(r, l), (l - t) + min(r, t)))`` and
-        ``f' = min(f, l)`` — no set operations needed.
-        """
-        loose_indices, t, l = split_plan.plan_for(self.dataset).symbolic_split(
-            self.indices, predicate.feature, predicate.low, predicate.high, branch
-        )
-        removals = max(min(self.removals, l), (l - t) + min(self.removals, t))
-        return (
-            FlipAbstractTrainingSet._trusted(
-                self.dataset, loose_indices, removals, self.flips
-            ),
-            t,
-            l,
         )
 
     def class_probability_intervals(self, method: str = "optimal") -> Tuple[Interval, ...]:
@@ -515,28 +504,6 @@ def flip_best_split_abstract(
             selected.extend(materialize(feature, kind, table, positions))
         result = (selected, False)
     plan.store_best_split(cache_key, result)
-    return result
-
-
-def flip_filter_abstract(
-    trainset: FlipAbstractTrainingSet,
-    predicates: Sequence[Predicate],
-    x: Sequence[float],
-) -> Optional[FlipAbstractTrainingSet]:
-    """``filter#`` under the combined model (same join structure as §4.5)."""
-    pieces: List[FlipAbstractTrainingSet] = []
-    for predicate in predicates:
-        verdict = point_satisfies(predicate, x)
-        if verdict.possibly_true:
-            pieces.append(trainset.split_down(predicate, True))
-        if verdict.possibly_false:
-            pieces.append(trainset.split_down(predicate, False))
-    pieces = [piece for piece in pieces if piece.size > 0]
-    if not pieces:
-        return None
-    result = pieces[0]
-    for piece in pieces[1:]:
-        result = result.join(piece)
     return result
 
 

@@ -146,7 +146,7 @@ class BudgetSweepOutcome:
 
     ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps of
     this point's probes and how many were warm-started from a prior probe's
-    ladder trace instead of re-running the split/join kernels.
+    ladder trace instead of re-running the closed-form ``filter#``.
     """
 
     max_certified_n: int

@@ -61,7 +61,7 @@ class AbstractRunResult:
         probe of the same (point, family).
     trace_steps / trace_reused:
         How many filter steps the run executed, and how many of those were
-        served by replaying a warm trace instead of the split/join kernels.
+        served by replaying a warm trace instead of the closed-form filter#.
     """
 
     class_intervals: Tuple[Interval, ...]
@@ -122,7 +122,7 @@ class BoxAbstractLearner:
         prior run on the same (dataset, point, family) at a different budget.
         Each filter step whose abstract decisions are unchanged — same entry
         row set, same ``bestSplit#`` outcome — is replayed from the trace by
-        pure budget arithmetic instead of re-running the split/join kernels;
+        pure budget arithmetic instead of re-running the closed-form filter#;
         the first divergent step falls back to the real ``filter#`` (and
         every exit/score computation always runs at the current budget), so
         the result is identical to a cold run by construction.

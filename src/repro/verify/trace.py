@@ -6,124 +6,57 @@ dataset at a sequence of nearby budgets.  The abstract learner's per-step row
 sets are budget-independent — ``split_down`` keeps indices that depend only
 on the predicate path, and the filter join unions them — so when two probes
 make the same abstract decisions (same node row set, same ``bestSplit#``
-outcome), their filtered states differ **only in the budget component**, and
-that component is pure integer arithmetic over sizes recorded the first time.
+outcome), their filtered states differ **only in the budget component**.
 
-This module captures exactly that: :func:`filter_abstract_traced` performs a
-normal ``filter#`` while recording one :class:`TraceStep` — the entry row
-set, the predicate set, the resulting row set, and a :class:`FilterReplay`
-holding the piece/join sizes.  A later probe whose state matches the step
-(:meth:`TraceStep.matches`) skips the split/join array work entirely and
-rebuilds the filtered element via :meth:`TraceStep.apply`, replaying the
-budget formulas of ``split_down`` / ``join`` on the stored sizes.  The
-formulas below are transcriptions of (and must stay in lockstep with):
+That component is fixed by three sizes.  Definition 4.1's join keeps
+``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``, and a split piece's
+``|Ti| − ni`` is ``max(0, si − n)`` for its tight count ``si``, so
+``filter#`` yields ``n' = |U| − max(0, s_min − n)`` for the union ``U`` of
+the non-empty pieces (``r'`` alike for flip elements, with
+``f' = min(f, largest piece size)``); see
+:func:`repro.verify.transformers.filter_closed_form`.
 
-* ``AbstractTrainingSet._split_down_symbolic_counts`` / ``split_down`` /
-  ``join`` for removal elements ``⟨T, n⟩``;
-* ``FlipAbstractTrainingSet._split_down_symbolic_counts`` / ``split_down`` /
-  ``join`` for flip/composite elements ``⟨T, r, f⟩``
-
-so a warm-started probe is behavior-identical to a cold one by construction
-(asserted by the staircase property tests in
+:func:`filter_abstract_traced` runs that closed form and records one
+:class:`TraceStep` — the entry row set, the predicate set, ``U`` and a
+:class:`FilterReplay` of the three sizes.  A later probe whose state matches
+the step (:meth:`TraceStep.matches`) rebuilds the filtered element with
+:meth:`TraceStep.apply`; the cold path builds its element through the same
+method, so a warm-started probe is behavior-identical to a cold one by
+construction (asserted against the sequential fold by the tests in
 ``tests/verify/test_vectorized_kernels.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predicates import Predicate, SymbolicThresholdPredicate
+from repro.core.predicates import Predicate
 from repro.telemetry import profiling
-
-
-@dataclass(frozen=True)
-class ReplayPiece:
-    """One ``split_down`` piece of a filter: its sizes, not its rows.
-
-    ``kind`` is ``"s"`` for a symbolic split (``size`` is the loose count
-    ``l``, ``tight`` the tight count ``t``) and ``"c"`` for a concrete one
-    (``size`` is the surviving row count; ``tight`` is unused).
-    """
-
-    kind: str
-    size: int
-    tight: int = 0
-
-    def removal_budget(self, n: int) -> int:
-        if self.kind == "c":
-            return n if n <= self.size else self.size
-        t, l = self.tight, self.size
-        return max(min(n, l), (l - t) + min(n, t))
-
-    def flip_budgets(self, removals: int, flips: int) -> Tuple[int, int]:
-        if self.kind == "c":
-            s = self.size
-            return (min(removals, s), min(flips, s))
-        t, l = self.tight, self.size
-        r = max(min(removals, l), (l - t) + min(removals, t))
-        return (min(r, l), min(flips, l))
-
-
-@dataclass(frozen=True)
-class JoinStat:
-    """Sizes of one fold step of the filter join (Definition 4.1).
-
-    ``common`` is recoverable as ``prev + piece - union``, so only the three
-    sizes are stored.
-    """
-
-    prev_size: int
-    piece_size: int
-    union_size: int
+from repro.verify.transformers import filter_closed_form
 
 
 @dataclass(frozen=True)
 class FilterReplay:
-    """Budget replay data of one ``filter#`` application.
+    """The sizes that fix one ``filter#`` application's budgets.
 
-    ``pieces`` are the non-empty split pieces in fold order; ``joins`` has one
-    entry per fold step (``len(pieces) - 1``).  Replaying runs the exact
-    budget arithmetic the real transformers ran, on the stored sizes.
+    ``size`` is ``|U|``, ``tight`` the smallest tight count over the
+    non-empty pieces and ``largest`` the largest piece size.
     """
 
-    pieces: Tuple[ReplayPiece, ...]
-    joins: Tuple[JoinStat, ...]
+    size: int
+    tight: int
+    largest: int
 
     def replay_removal(self, n: int) -> int:
         """The filtered element's budget for an incoming budget ``n``."""
-        pieces = self.pieces
-        budget = pieces[0].removal_budget(n)
-        size = pieces[0].size
-        for piece, stat in zip(pieces[1:], self.joins):
-            other = piece.removal_budget(n)
-            common = stat.prev_size + stat.piece_size - stat.union_size
-            raw = max(
-                (stat.prev_size - common) + other,
-                (stat.piece_size - common) + budget,
-            )
-            budget = raw if raw <= stat.union_size else stat.union_size
-            size = stat.union_size
-        return budget if budget <= size else size
+        return self.size - max(0, self.tight - n)
 
     def replay_flip(self, removals: int, flips: int) -> Tuple[int, int]:
         """The filtered element's ``(r, f)`` for incoming budgets."""
-        pieces = self.pieces
-        r, f = pieces[0].flip_budgets(removals, flips)
-        size = pieces[0].size
-        for piece, stat in zip(pieces[1:], self.joins):
-            pr, pf = piece.flip_budgets(removals, flips)
-            common = stat.prev_size + stat.piece_size - stat.union_size
-            raw = max(
-                (stat.prev_size - common) + pr,
-                (stat.piece_size - common) + r,
-            )
-            r = min(stat.union_size, raw)
-            f = min(stat.union_size, max(f, pf))
-            size = stat.union_size
-        return (min(r, size), min(f, size))
+        return (self.replay_removal(removals), min(flips, self.largest))
 
 
 @dataclass(frozen=True)
@@ -173,47 +106,22 @@ class LadderTrace:
 
 
 def filter_abstract_traced(trainset, predicates, x: Sequence[float]):
-    """``filter#`` exactly as :func:`repro.verify.transformers.filter_abstract`,
-    additionally recording the :class:`TraceStep` that lets a later probe
-    replay this application at a different budget.
+    """``filter#`` as :func:`repro.verify.transformers.filter_abstract`
+    computes it, additionally recording the :class:`TraceStep` that lets a
+    later probe replay this application at a different budget.
 
     Returns ``(filtered_state_or_None, TraceStep)``.
     """
     with profiling.phase("filter"):
-        satisfied, falsified = predicates.partition_for_point(x)
-        pieces: List = []
-        replay_pieces: List[ReplayPiece] = []
-
-        def split(predicate: Predicate, branch: bool) -> None:
-            if isinstance(predicate, SymbolicThresholdPredicate):
-                piece, t, l = trainset._split_down_symbolic_counts(predicate, branch)
-                if piece.size > 0:
-                    pieces.append(piece)
-                    replay_pieces.append(ReplayPiece("s", l, t))
-            else:
-                piece = trainset.split_down(predicate, branch)
-                if piece.size > 0:
-                    pieces.append(piece)
-                    replay_pieces.append(ReplayPiece("c", piece.size))
-
-        for predicate in satisfied:
-            split(predicate, True)
-        for predicate in falsified:
-            split(predicate, False)
-
+        closed = filter_closed_form(trainset, predicates, x)
         indices_key = trainset.indices.tobytes()
-        if not pieces:
+        if closed is None:
             return None, TraceStep(indices_key, predicates.predicates, None, None)
-        result = pieces[0]
-        joins: List[JoinStat] = []
-        for piece in pieces[1:]:
-            prev_size = result.size
-            result = result.join(piece)
-            joins.append(JoinStat(prev_size, piece.size, result.size))
+        rows, tight, largest = closed
         step = TraceStep(
             indices_key,
             predicates.predicates,
-            result.indices,
-            FilterReplay(tuple(replay_pieces), tuple(joins)),
+            rows,
+            FilterReplay(int(rows.size), tight, largest),
         )
-        return result, step
+        return step.apply(trainset), step

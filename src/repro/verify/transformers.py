@@ -17,9 +17,13 @@ Two variants of ``cprob#`` are provided:
 threshold of a feature at once using the same per-feature split tables as the
 concrete learner, plus a generic slow path over an explicit predicate pool.
 
+``filter#`` has a closed form (:func:`filter_closed_form`), which the Box
+learner runs through :mod:`repro.verify.trace`; the sequential fold of split
+pieces (:func:`filter_abstract`) is kept as its scalar oracle.
+
 The entry points the abstract learners call (``cprob_intervals``,
-``pure_exit_vector``, ``best_split_abstract``, ``filter_abstract``) dispatch
-structurally on the abstract element: an element exposing the flip protocol
+``pure_exit_vector``, ``best_split_abstract``) dispatch structurally on the
+abstract element: an element exposing the flip protocol
 (``class_probability_intervals`` / ``pure_exit_intervals`` /
 ``abstract_best_split`` — i.e.
 :class:`repro.poisoning.label_flip.FlipAbstractTrainingSet` for the
@@ -31,6 +35,7 @@ importing the flip domain here would cycle through ``repro.poisoning``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,6 +45,8 @@ from repro.core.dataset import FeatureKind
 from repro.core.predicates import (
     EqualityPredicate,
     Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
 )
 from repro.core import split_plan
 from repro.core.splitter import FeatureSplitTable
@@ -186,8 +193,11 @@ def filter_abstract(
 ) -> Optional[AbstractTrainingSet]:
     """``filter#(⟨T, n⟩, Ψ, x)`` of §4.5 (and its symbolic variant of App. B).
 
-    Returns ``None`` (bottom) when no predicate applies, which can only happen
-    when ``Ψ`` contains no concrete choices.
+    The join of every split piece, folded one piece at a time.  The learners
+    run :func:`filter_closed_form` instead; this fold is its scalar oracle.
+
+    Returns ``None`` (bottom) when no piece survives: ``Ψ`` has no concrete
+    choices, or every piece the point can take is empty.
     """
     with profiling.phase("filter"):
         satisfied, falsified = predicates.partition_for_point(x)
@@ -206,6 +216,125 @@ def filter_abstract(
         for piece in pieces[1:]:
             result = result.join(piece)
         return result
+
+
+def _predicate_table(predicates: Sequence[Predicate]) -> np.ndarray:
+    """Ψ as rows ``(feature, low, high, is_equality)``.
+
+    A threshold ``x <= τ`` is stored as the symbolic ``x <= [τ, τ⁺)``, where
+    ``τ⁺`` is the next float above ``τ``: no value lies strictly between the
+    two, so both give the same pieces, tight counts and branch tests.  An
+    equality ``x == v`` is stored as ``[v, v]``.
+    """
+    values: List[float] = []
+    for predicate in predicates:
+        if isinstance(predicate, SymbolicThresholdPredicate):
+            values += (predicate.feature, predicate.low, predicate.high, 0.0)
+        elif isinstance(predicate, ThresholdPredicate):
+            threshold = predicate.threshold
+            upper = math.nextafter(threshold, math.inf)
+            values += (predicate.feature, threshold, upper, 0.0)
+        elif isinstance(predicate, EqualityPredicate):
+            values += (predicate.feature, predicate.value, predicate.value, 1.0)
+        else:
+            raise TypeError(f"filter# cannot split on {type(predicate).__name__}")
+    table = np.fromiter(values, dtype=np.float64, count=len(values))
+    return table.reshape(-1, 4)
+
+
+def filter_closed_form(
+    trainset, predicates: AbstractPredicateSet, x: Sequence[float]
+) -> Optional[Tuple[np.ndarray, int, int]]:
+    """The join :func:`filter_abstract` folds, computed from piece counts.
+
+    Definition 4.1's join keeps ``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``,
+    so a fold of joins does not depend on its order.  A split piece of
+    ``⟨T, n⟩`` has ``|Ti| − ni = max(0, si − n)``, where the *tight* count
+    ``si`` is the size of a concrete piece and ``t`` of a symbolic one.  The
+    fold is therefore ``⟨U, |U| − max(0, s_min − n)⟩`` for the union ``U``
+    of the non-empty pieces and their smallest tight count ``s_min``.  A flip
+    element ``⟨T, r, f⟩`` keeps ``r`` by the same formula and gets
+    ``f' = min(f, largest piece size)``.
+
+    On one feature the threshold pieces (concrete or symbolic) of the
+    satisfied side are nested prefixes of the node's sorted values, and those
+    of the falsified side nested suffixes, so ``U`` needs only the widest
+    piece of each side; equality pieces add their own rows.
+
+    Works on any element with ``dataset`` and ``indices`` (removal and flip
+    alike).  Returns ``(U, s_min, largest piece size)``, or ``None`` (bottom)
+    when no piece survives.
+    """
+    table = _predicate_table(predicates.predicates)
+    if table.shape[0] == 0:
+        return None
+    # Rows of one feature form one run; the join does not depend on order.
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    feature = table[:, 0].astype(np.int64)
+    low, high, equality = table[:, 1], table[:, 2], table[:, 3] > 0
+    bounds = [0, *(np.flatnonzero(feature[1:] != feature[:-1]) + 1).tolist()]
+    runs = [slice(a, b) for a, b in zip(bounds, [*bounds[1:], feature.size])]
+    indices = trainset.indices
+    size = int(indices.size)
+    X = trainset.dataset.X
+
+    # Node rows with value <= low and < high: one sort per feature, then a
+    # binary search per bound.
+    le_low = np.empty(feature.size, dtype=np.int64)
+    lt_high = np.empty(feature.size, dtype=np.int64)
+    nodes = []
+    for run in runs:
+        node = X[indices, feature[run.start]]
+        ordered = np.sort(node)
+        le_low[run] = np.searchsorted(ordered, low[run], side="right")
+        lt_high[run] = np.searchsorted(ordered, high[run], side="left")
+        nodes.append((node, ordered))
+
+    # Piece sizes and tight counts of both branches; a branch the point
+    # cannot take (three-valued for a symbolic ρ) gets size 0.
+    value = np.asarray(x, dtype=np.float64)[feature]
+    matches = le_low - lt_high  # rows equal to an equality predicate's value
+    true_size = np.where(
+        np.where(equality, value == low, value < high),
+        np.where(equality, matches, lt_high),
+        0,
+    )
+    false_size = np.where(
+        np.where(equality, value != low, value > low),
+        size - np.where(equality, matches, le_low),
+        0,
+    )
+    largest = int(max(true_size.max(), false_size.max()))
+    if largest == 0:
+        return None
+    true_tight = np.where(equality, matches, le_low)
+    false_tight = size - np.where(equality, matches, lt_high)
+    tight = int(
+        min(
+            true_tight[true_size > 0].min(initial=size),
+            false_tight[false_size > 0].min(initial=size),
+        )
+    )
+
+    # U: per feature, the widest satisfied prefix and falsified suffix, plus
+    # the rows of every equality piece.
+    widest_true = np.maximum.reduceat(np.where(equality, 0, true_size), bounds)
+    widest_false = np.maximum.reduceat(np.where(equality, 0, false_size), bounds)
+    has_equality = np.logical_or.reduceat(equality, bounds)
+    keep = np.zeros(size, dtype=bool)
+    for j, (run, (node, ordered)) in enumerate(zip(runs, nodes)):
+        if widest_true[j]:
+            keep |= node <= ordered[widest_true[j] - 1]
+        if widest_false[j]:
+            keep |= node >= ordered[size - widest_false[j]]
+        if has_equality[j]:
+            taken = equality[run] & (true_size[run] > 0)
+            keep |= (node[:, None] == low[run][taken]).any(axis=1)
+            taken = equality[run] & (false_size[run] > 0)
+            keep |= (node[:, None] != low[run][taken]).any(axis=1)
+    rows = indices[keep]
+    rows.setflags(write=False)
+    return rows, tight, largest
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.core.dataset import Dataset
 from repro.core.predicates import ThresholdPredicate
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
 from repro.domains.interval import dominating_component
+from repro.domains.predicate_set import AbstractPredicateSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
     LabelFlipVerifier,
@@ -15,11 +16,11 @@ from repro.poisoning.label_flip import (
     enumerate_composite_poisonings,
     enumerate_label_flips,
     flip_best_split_abstract,
-    flip_filter_abstract,
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
+from repro.verify.transformers import filter_abstract
 from tests.conftest import random_small_dataset, random_test_point, well_separated_dataset
 
 
@@ -99,14 +100,15 @@ class TestFlipTransformers:
     def test_filter_returns_side_containing_point(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 1)
-        filtered = flip_filter_abstract(trainset, [ThresholdPredicate(0, 10.5)], [4.0])
+        predicates = AbstractPredicateSet.of([ThresholdPredicate(0, 10.5)])
+        filtered = filter_abstract(trainset, predicates, [4.0])
         assert filtered is not None
         assert filtered.size == 9
 
     def test_filter_bottom_without_predicates(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 1)
-        assert flip_filter_abstract(trainset, [], [4.0]) is None
+        assert filter_abstract(trainset, AbstractPredicateSet.of(()), [4.0]) is None
 
 
 class TestLabelFlipVerifier:

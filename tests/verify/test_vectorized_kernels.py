@@ -9,11 +9,14 @@ bitwise-tolerant agreement, so any future vectorization change that drifts
 from the defined transformer semantics fails here before it can weaken a
 soundness bound.
 
-The warm-start layer gets the same treatment: a replayed
-:class:`~repro.verify.trace.TraceStep` must reproduce the real ``filter#``
-kernel exactly at *every* budget (the replay is pure budget arithmetic over
-the recorded piece/join structure), and an engine that warm-starts across a
-budget ladder must report verdicts identical to fresh cold runs.
+The closed-form ``filter#`` (`filter_closed_form`) is pinned to the
+sequential fold of split pieces it replaces (`filter_abstract`): same rows,
+same budgets, on random nodes and predicate sets and on every filter step of
+Box runs over the UCI-like datasets.  The warm-start layer gets the same
+treatment: a replayed :class:`~repro.verify.trace.TraceStep` must reproduce
+``filter#`` exactly at *every* budget (the replay is pure budget arithmetic
+over three recorded sizes), and an engine that warm-starts across a budget
+ladder must report verdicts identical to fresh cold runs.
 """
 
 import numpy as np
@@ -21,6 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import CertificationEngine
+from repro.core.dataset import Dataset, FeatureKind
+from repro.core.predicates import (
+    EqualityPredicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
+from repro.datasets.registry import load_dataset
+from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
@@ -28,11 +39,15 @@ from repro.poisoning.label_flip import (
     _flip_split_score_bounds_reference,
 )
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
-from repro.verify.trace import filter_abstract_traced
+from repro.verify import abstract_learner
+from repro.verify.abstract_learner import BoxAbstractLearner
+from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
     _side_score_bounds,
     _side_score_bounds_reference,
     best_split_abstract,
+    filter_abstract,
+    filter_closed_form,
 )
 from tests.conftest import random_small_dataset, random_test_point
 
@@ -112,6 +127,172 @@ class TestFlipSplitScoreBounds:
         np.testing.assert_allclose(upper, ref_upper, atol=TOL)
 
 
+#: Grid the random filter cases draw feature values and predicate bounds
+#: from: coarse enough for ties, with bounds between and on the values.
+_GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def filter_cases(draw):
+    """A node ``⟨T, ·⟩``, a test point and a random Ψ over its features.
+
+    Columns are real, boolean or categorical; Ψ mixes concrete thresholds,
+    symbolic thresholds (which the point may evaluate to *maybe*) and
+    equality predicates, so pieces can be empty, nested or overlapping.
+    """
+    kinds = draw(
+        st.lists(
+            st.sampled_from(
+                [FeatureKind.REAL, FeatureKind.BOOLEAN, FeatureKind.CATEGORICAL]
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    n_rows = draw(st.integers(min_value=1, max_value=10))
+    columns = []
+    point = []
+    for kind in kinds:
+        if kind is FeatureKind.REAL:
+            values = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+            point.append(draw(_GRID))
+        elif kind is FeatureKind.BOOLEAN:
+            values = st.sampled_from([0.0, 1.0])
+            point.append(draw(values))
+        else:
+            values = st.sampled_from([0.0, 1.0, 2.0])
+            point.append(draw(values))
+        columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    dataset = Dataset(
+        X=np.asarray(columns, dtype=np.float64).T,
+        y=np.asarray(labels, dtype=np.int64),
+        n_classes=2,
+        feature_kinds=tuple(kinds),
+    )
+    keep = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    indices = np.flatnonzero(keep)
+
+    predicates = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        feature = draw(st.integers(0, len(kinds) - 1))
+        kind = kinds[feature]
+        if kind is FeatureKind.BOOLEAN:
+            predicates.append(ThresholdPredicate(feature, 0.5))
+        elif kind is FeatureKind.CATEGORICAL:
+            value = draw(st.sampled_from([0.0, 1.0, 2.0]))
+            predicates.append(EqualityPredicate(feature, value))
+        elif draw(st.booleans()):
+            predicates.append(ThresholdPredicate(feature, draw(_GRID)))
+        else:
+            bounds = draw(st.lists(_GRID, min_size=2, max_size=2, unique=True))
+            low, high = sorted(bounds)
+            predicates.append(SymbolicThresholdPredicate(feature, low, high))
+
+    family = draw(st.sampled_from(["removal", "flip", "composite"]))
+    if family == "removal":
+        state = AbstractTrainingSet(dataset, indices, draw(st.integers(0, 4)))
+    else:
+        removals = 0 if family == "flip" else draw(st.integers(0, 3))
+        flips = draw(st.integers(0, 3))
+        state = FlipAbstractTrainingSet(dataset, indices, removals, flips)
+    return state, predicates, np.asarray(point)
+
+
+def _budgets(state):
+    if isinstance(state, FlipAbstractTrainingSet):
+        return (state.removals, state.flips)
+    return (state.n,)
+
+
+def _fold(state, predicates, x):
+    """``filter#`` by the sequential fold: ``(rows, budgets)`` or ``None``."""
+    result = filter_abstract(state, AbstractPredicateSet.of(predicates), x)
+    return None if result is None else (tuple(result.indices), _budgets(result))
+
+
+def _closed(state, predicates, x):
+    """``filter#`` by the closed form: ``(rows, budgets)`` or ``None``."""
+    closed = filter_closed_form(state, AbstractPredicateSet.of(predicates), x)
+    if closed is None:
+        return None
+    rows, tight, largest = closed
+    replay = FilterReplay(int(rows.size), tight, largest)
+    if isinstance(state, FlipAbstractTrainingSet):
+        budgets = replay.replay_flip(state.removals, state.flips)
+    else:
+        budgets = (replay.replay_removal(state.n),)
+    return tuple(rows), budgets
+
+
+class TestClosedFormFilter:
+    """``filter_closed_form`` against the sequential fold it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(filter_cases())
+    def test_matches_fold(self, case):
+        state, predicates, x = case
+        assert _closed(state, predicates, x) == _fold(state, predicates, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(filter_cases(), st.randoms(use_true_random=False))
+    def test_fold_is_order_independent(self, case, random):
+        # The identity the closed form rests on: Definition 4.1's join keeps
+        # |T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2), so any fold order agrees.
+        state, predicates, x = case
+        shuffled = list(predicates)
+        random.shuffle(shuffled)
+        assert _fold(state, shuffled, x) == _fold(state, predicates, x)
+
+    @pytest.mark.parametrize("family", ["removal", "flip", "composite"])
+    def test_all_pieces_empty_is_bottom(self, family):
+        # The point takes only the empty side of every predicate: bottom,
+        # although Ψ has concrete choices.
+        dataset = Dataset(
+            X=np.array([[1.0], [2.0], [3.0]]), y=np.array([0, 1, 0]), n_classes=2
+        )
+        if family == "removal":
+            state = AbstractTrainingSet.full(dataset, 1)
+        else:
+            state = FlipAbstractTrainingSet.full(dataset, int(family == "composite"), 1)
+        predicates = [
+            ThresholdPredicate(0, 0.5),
+            SymbolicThresholdPredicate(0, 0.0, 0.5),
+        ]
+        x = np.array([0.0])
+        assert _fold(state, predicates, x) is None
+        assert _closed(state, predicates, x) is None
+
+    @pytest.mark.parametrize(
+        "name, points", [("iris", 10), ("mammography", 6), ("wdbc", 2)]
+    )
+    def test_box_runs_match_fold(self, monkeypatch, name, points):
+        split = load_dataset(name)
+        checked = []
+
+        def traced(state, predicates, x):
+            result, step = filter_abstract_traced(state, predicates, x)
+            expected = filter_abstract(state, predicates, x)
+            got = None if result is None else (tuple(result.indices), _budgets(result))
+            want = None if expected is None else (
+                tuple(expected.indices), _budgets(expected)
+            )
+            checked.append(got == want)
+            return result, step
+
+        monkeypatch.setattr(abstract_learner, "filter_abstract_traced", traced)
+        learner = BoxAbstractLearner(max_depth=2)
+        for x in split.test.X[:points]:
+            for state in (
+                AbstractTrainingSet.full(split.train, 1),
+                AbstractTrainingSet.full(split.train, 2),
+                FlipAbstractTrainingSet.full(split.train, 0, 1),
+                FlipAbstractTrainingSet.full(split.train, 1, 1),
+            ):
+                learner.run(state, x)
+        assert checked and all(checked)
+
+
 def _removal_state(dataset, budget):
     return AbstractTrainingSet.from_indices(
         dataset, np.arange(len(dataset)), budget
@@ -127,9 +308,9 @@ def _flip_state(dataset, removals, flips):
 class TestTraceReplayMatchesFilter:
     """A recorded TraceStep replays ``filter#`` exactly at every other budget.
 
-    The replay never re-runs the split/join kernels — it is pure budget
-    arithmetic over the recorded piece structure — so agreement here is the
-    soundness argument for warm-started probes.
+    The replay never re-runs ``filter#`` — it is pure budget arithmetic over
+    three recorded sizes — so agreement here is the soundness argument for
+    warm-started probes.
     """
 
     @pytest.mark.parametrize("seed", range(12))
