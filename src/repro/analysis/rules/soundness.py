@@ -94,9 +94,27 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(
-        "repro/poisoning/label_flip.py",
+        "repro/verify/transformers.py",
         "_flip_split_score_bounds",
         "_flip_split_score_bounds_reference",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "exit_bounds",
+        "cprob_optimal",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "exit_bounds",
+        "cprob_box",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/domains/interval.py",
+        "dominating_components",
+        "dominating_component",
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(

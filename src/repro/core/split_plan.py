@@ -1,14 +1,16 @@
-"""Per-dataset split-table plans: presorted feature orders, per-node tables.
+"""Per-dataset split-table plans: presorted feature orders, per-node candidates.
 
 ``feature_split_table`` re-argsorts each feature column at every tree node of
 every probe.  A :class:`SplitTablePlan` amortizes that work per *dataset*: one
-global stable sort per feature when the plan is built, after which the table
-for any node (an index subset along a predicate path) is derived by filtering
-the presorted order with a boolean mask — O(N) per feature instead of
-O(N log N), and byte-identical to the direct construction because a stable
-global sort restricted to a subset *is* the stable sort of that subset
-(node index arrays are ascending, and candidate boundaries only sit between
-distinct values anyway).
+global stable sort per feature when the plan is built, after which the split
+tables of any node (an index subset along a predicate path) are derived by
+filtering the presorted orders with a boolean mask — O(N) per feature instead
+of O(N log N), and equal to the direct construction because a stable global
+sort restricted to a subset *is* the stable sort of that subset (node index
+arrays are ascending, and candidate boundaries only sit between distinct
+values anyway).  The plan derives every feature's table at once and keeps
+them stacked as one row table of split candidates
+(:class:`StackedCandidates`).
 
 Two properties make the plan widely shareable (ISSUE 8, layer 2):
 
@@ -34,9 +36,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import Dataset, FeatureKind
 from repro.core.predicates import SymbolicThresholdPredicate, ThresholdPredicate
-from repro.core.splitter import FeatureSplitTable, table_from_sorted
 from repro.telemetry import metrics, profiling
 
 #: Per-plan bound on distinct node tables kept alive (LRU evicted beyond it).
@@ -60,59 +61,35 @@ _SPLIT_TABLE_CACHE = metrics.counter(
 )
 
 
-class NodeTables:
-    """Per-feature split tables of one node, plus stacked score inputs.
-
-    ``stacked`` lazily concatenates the threshold candidates of *every*
-    feature so the abstract scorers can bound all of a node's candidates in
-    one vectorized kernel call instead of one per feature;
-    ``offsets[f]:offsets[f+1]`` recovers feature ``f``'s slice in candidate
-    order.  Callers that score categorical features differently (the removal
-    transformer's equality-pool path) simply ignore those slices.
-    """
-
-    __slots__ = ("tables", "_stacked")
-
-    def __init__(self, tables: Tuple[FeatureSplitTable, ...]) -> None:
-        self.tables = tables
-        self._stacked: Optional[StackedCandidates] = None
-
-    def __getitem__(self, feature: int) -> FeatureSplitTable:
-        return self.tables[feature]
-
-    def __len__(self) -> int:
-        return len(self.tables)
-
-    @property
-    def stacked(self) -> Optional["StackedCandidates"]:
-        """Concatenated threshold candidates, or ``None`` when there are none."""
-        stacked = self._stacked
-        if stacked is None:
-            counts = [table.n_candidates for table in self.tables]
-            offsets = np.zeros(len(self.tables) + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            total = int(offsets[-1])
-            if total == 0:
-                return None
-            pieces = [table for table in self.tables if table.n_candidates]
-            stacked = StackedCandidates(
-                offsets=offsets,
-                left_sizes=np.concatenate([p.left_sizes for p in pieces]),
-                left_class_counts=np.concatenate(
-                    [p.left_class_counts for p in pieces]
-                ),
-                total_size=pieces[0].total_size,
-                total_class_counts=pieces[0].total_class_counts,
-            )
-            self._stacked = stacked
-        return stacked
+#: Row kinds of :class:`StackedCandidates`: a REAL feature's symbolic
+#: ``x <= [a, b)``, a BOOLEAN feature's threshold ``x <= τ``, and a
+#: CATEGORICAL feature's equality ``x == v``.
+SYMBOLIC_ROW, THRESHOLD_ROW, EQUALITY_ROW = 0, 1, 2
+_ROW_KIND = {
+    FeatureKind.REAL: SYMBOLIC_ROW,
+    FeatureKind.BOOLEAN: THRESHOLD_ROW,
+    FeatureKind.CATEGORICAL: EQUALITY_ROW,
+}
 
 
 @dataclass(frozen=True)
 class StackedCandidates:
-    """All threshold candidates of one node, concatenated in feature order."""
+    """Every split candidate of one node, one row each, in feature order.
 
-    offsets: np.ndarray  # (n_features + 1,) candidate-range starts per feature
+    Feature ``f`` owns rows ``offsets[f]:offsets[f + 1]``, all of kind
+    ``kinds[f]``.  A point can take row ``i``'s true branch when
+    ``x < high[i]`` and its false branch when ``x > low[i]`` (for an
+    equality row: ``x == low[i]`` and ``x != low[i]``), so one branch test
+    serves every row: a threshold ``τ`` is stored as ``[τ, τ⁺)`` for the
+    next float ``τ⁺`` above it, an equality ``x == v`` as ``[v, v]``.  The
+    ``left_*`` arrays describe the true side; every row splits the node
+    non-trivially.
+    """
+
+    offsets: np.ndarray  # (n_features + 1,)
+    kinds: np.ndarray  # (n_features,) int8: *_ROW
+    low: np.ndarray  # (c,)
+    high: np.ndarray  # (c,)
     left_sizes: np.ndarray  # (c,)
     left_class_counts: np.ndarray  # (c, k)
     total_size: int
@@ -126,8 +103,41 @@ class StackedCandidates:
     def right_class_counts(self) -> np.ndarray:
         return self.total_class_counts[np.newaxis, :] - self.left_class_counts
 
-    def feature_slice(self, feature: int) -> slice:
-        return slice(int(self.offsets[feature]), int(self.offsets[feature + 1]))
+    def features(self, rows: np.ndarray) -> np.ndarray:
+        """The feature of each row in ``rows``."""
+        return np.searchsorted(self.offsets, rows, side="right") - 1
+
+
+def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
+    """Replace each categorical feature's threshold rows by equality rows.
+
+    The feature's distinct node values are the candidates' lower values plus
+    the last upper value, and each value's rows are the difference of
+    adjacent cumulative counts.  A constant feature keeps no row.
+    """
+    pieces = []
+    for feature, kind in enumerate(rows.kinds.tolist()):
+        part = slice(int(rows.offsets[feature]), int(rows.offsets[feature + 1]))
+        low, high = rows.low[part], rows.high[part]
+        sizes, counts = rows.left_sizes[part], rows.left_class_counts[part]
+        if kind == EQUALITY_ROW and sizes.size:
+            low = high = np.append(low, high[-1])
+            sizes = np.diff(sizes, prepend=0, append=rows.total_size)
+            counts = np.diff(
+                np.vstack((counts, rows.total_class_counts)), axis=0, prepend=0
+            )
+        pieces.append((low, high, sizes, counts))
+    low, high, sizes, counts = (np.concatenate(column) for column in zip(*pieces))
+    return StackedCandidates(
+        offsets=np.concatenate(([0], np.cumsum([piece[2].size for piece in pieces]))),
+        kinds=rows.kinds,
+        low=low,
+        high=high,
+        left_sizes=sizes,
+        left_class_counts=counts,
+        total_size=rows.total_size,
+        total_class_counts=rows.total_class_counts,
+    )
 
 
 class SplitTablePlan:
@@ -155,32 +165,25 @@ class SplitTablePlan:
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         X = dataset.X
-        y = dataset.y
-        orders = []
-        sorted_values = []
-        sorted_labels = []
-        columns = []
-        for feature in range(X.shape[1]):
-            column = np.ascontiguousarray(X[:, feature])
-            columns.append(column)
-            order = np.argsort(column, kind="stable")
-            orders.append(order)
-            sorted_values.append(column[order])
-            sorted_labels.append(y[order])
-        self._orders: Tuple[np.ndarray, ...] = tuple(orders)
-        self._sorted_values: Tuple[np.ndarray, ...] = tuple(sorted_values)
-        self._sorted_labels: Tuple[np.ndarray, ...] = tuple(sorted_labels)
-        self._columns: Tuple[np.ndarray, ...] = tuple(columns)
-        self._node_cache: Dict[bytes, NodeTables] = {}
+        columns = tuple(np.ascontiguousarray(X[:, f]) for f in range(X.shape[1]))
+        # One stable argsort per feature, as an (n_features, N) matrix.
+        self._orders = np.array(
+            [np.argsort(column, kind="stable") for column in columns], dtype=np.int64
+        ).reshape(len(columns), len(dataset))
+        self._sorted_values = X.T[np.arange(len(columns))[:, None], self._orders]
+        self._sorted_labels = dataset.y[self._orders]
+        self._columns: Tuple[np.ndarray, ...] = columns
+        self._node_cache: Dict[bytes, StackedCandidates] = {}
         self._split_cache: Dict[tuple, tuple] = {}
         self._best_split_cache: Dict[tuple, object] = {}
 
-    def node_tables(self, indices: np.ndarray) -> NodeTables:
-        """All per-feature split tables of the node selecting ``indices``.
+    def node_candidates(self, indices: np.ndarray) -> StackedCandidates:
+        """Every split candidate of the node selecting ``indices``.
 
         ``indices`` must be the sorted/unique index array of an abstract
         element over this plan's dataset (the invariant every
         ``AbstractTrainingSet`` / ``FlipAbstractTrainingSet`` maintains).
+        Only the stacked rows are kept, not the per-feature tables.
         """
         key = indices.tobytes()
         cached = self._node_cache.get(key)
@@ -189,30 +192,61 @@ class SplitTablePlan:
             return cached
         _SPLIT_TABLE_CACHE.inc(result="miss")
         with profiling.phase("split_table"):
-            tables = NodeTables(self._build_node_tables(indices))
+            candidates = self._build_candidates(indices)
         if len(self._node_cache) >= NODE_TABLE_CACHE_SIZE:
             self._node_cache.clear()
-        self._node_cache[key] = tables
-        return tables
+        self._node_cache[key] = candidates
+        return candidates
 
-    def _build_node_tables(
-        self, indices: np.ndarray
-    ) -> Tuple[FeatureSplitTable, ...]:
-        n_classes = self.dataset.n_classes
-        mask = np.zeros(len(self.dataset), dtype=bool)
+    def _build_candidates(self, indices: np.ndarray) -> StackedCandidates:
+        """Every feature's split table of the node at once, as stacked rows.
+
+        Restricting a presorted order to the node keeps it sorted, so the
+        node's rows of all features form one ``(n_features, size)`` matrix.
+        A candidate sits wherever a feature's sorted value increases, and its
+        true side is the prefix before it: ``table_from_sorted`` for every
+        feature in a few array operations instead of one call per feature.
+        """
+        dataset = self.dataset
+        n_features = self._orders.shape[0]
+        size = int(indices.size)
+        mask = np.zeros(len(dataset), dtype=bool)
         mask[indices] = True
-        tables = []
-        for feature, order in enumerate(self._orders):
-            keep = mask[order]
-            tables.append(
-                table_from_sorted(
-                    self._sorted_values[feature][keep],
-                    self._sorted_labels[feature][keep],
-                    feature,
-                    n_classes,
-                )
-            )
-        return tuple(tables)
+        keep = mask[self._orders]
+        values = self._sorted_values[keep].reshape(n_features, size)
+        labels = self._sorted_labels[keep].reshape(n_features, size)
+        features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
+        left_class_counts = np.empty((features.size, dataset.n_classes), dtype=np.int64)
+        for label in range(dataset.n_classes):
+            cumulative = np.cumsum(labels == label, axis=1, dtype=np.int32)
+            left_class_counts[:, label] = cumulative[features, positions]
+        low = values[features, positions]
+        high = values[features, positions + 1]
+        kinds = np.array(
+            [_ROW_KIND[kind] for kind in dataset.feature_kinds], dtype=np.int8
+        )
+        threshold = kinds[features] == THRESHOLD_ROW
+        if threshold.any():
+            midpoints = (low[threshold] + high[threshold]) / 2.0
+            low[threshold] = midpoints
+            high[threshold] = np.nextafter(midpoints, np.inf)
+        rows = StackedCandidates(
+            offsets=np.concatenate(
+                ([0], np.cumsum(np.bincount(features, minlength=n_features)))
+            ),
+            kinds=kinds,
+            low=low,
+            high=high,
+            left_sizes=positions + 1,
+            left_class_counts=left_class_counts,
+            total_size=size,
+            total_class_counts=np.bincount(
+                dataset.y[indices], minlength=dataset.n_classes
+            ).astype(np.int64),
+        )
+        if (kinds == EQUALITY_ROW).any():
+            rows = _with_equality_rows(rows)
+        return rows
 
     # ------------------------------------------------------ split-down cache
     # ``split_down`` keeps the subset of ``indices`` selected by a predicate
@@ -312,11 +346,6 @@ def plan_for(dataset: Dataset) -> SplitTablePlan:
                 dataset, lambda _ref, _key=key: _PLANNED.pop(_key, None)
             )
     return plan
-
-
-def node_tables(dataset: Dataset, indices: np.ndarray) -> NodeTables:
-    """Convenience: ``plan_for(dataset).node_tables(indices)``."""
-    return plan_for(dataset).node_tables(indices)
 
 
 def clear_plans() -> None:

@@ -103,9 +103,8 @@ def table_from_sorted(
 ) -> FeatureSplitTable:
     """Build a :class:`FeatureSplitTable` from one feature's value-sorted rows.
 
-    This is the shared tail of :func:`feature_split_table` and the per-node
-    derivation in :mod:`repro.core.split_plan` (which obtains the sorted rows
-    by filtering a presorted global order instead of re-sorting).
+    :mod:`repro.core.split_plan` derives the same tables for every feature
+    of a node at once (``SplitTablePlan.node_candidates``).
     """
     total = int(sorted_values.shape[0])
     total_counts = np.bincount(sorted_labels, minlength=n_classes).astype(np.int64)

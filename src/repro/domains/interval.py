@@ -158,6 +158,26 @@ def dominating_component(intervals: Sequence[Interval]) -> Optional[int]:
     return None
 
 
+def dominating_components(
+    lower: np.ndarray, upper: np.ndarray
+) -> Tuple[Optional[int], ...]:
+    """:func:`dominating_component` of every row of ``(E, k)`` bound arrays.
+
+    A dominating component is the unique row maximum of the lower bounds
+    (its lower bound exceeds every other upper bound, hence every other lower
+    bound), so one ``argmax`` per row finds the only candidate.
+    """
+    rows = np.arange(lower.shape[0])
+    best = lower.argmax(axis=1)
+    others = upper.copy()
+    others[rows, best] = -np.inf
+    dominates = lower[rows, best] > others.max(axis=1)
+    return tuple(
+        int(label) if wins else None
+        for label, wins in zip(best.tolist(), dominates.tolist())
+    )
+
+
 # --------------------------------------------------------------------------
 # Vectorized bound arithmetic.  These helpers operate on parallel arrays of
 # lower and upper bounds and implement the same sound rules as the scalar

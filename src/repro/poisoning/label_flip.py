@@ -17,8 +17,9 @@ surviving rows plus the two budgets, class-count intervals absorb both
 budgets, and the trace-based abstract learner joins the class-probability
 intervals of every exit state.  :class:`FlipAbstractTrainingSet` implements
 the transformer protocol the generic learners dispatch on
-(``class_probability_intervals`` / ``pure_exit_intervals`` /
-``abstract_best_split`` / ``split_down`` / ``join``), so both the Box-style
+(``class_probability_intervals`` / ``pure_exit_intervals`` / ``split_down``
+/ ``join``; ``bestSplit#`` reads its ``removals`` and ``flips`` budgets and
+shares the removal domain's candidate selection), so both the Box-style
 :class:`~repro.verify.abstract_learner.BoxAbstractLearner` and the
 disjunctive :class:`~repro.verify.disjunctive_learner.DisjunctiveAbstractLearner`
 run directly on flip/composite abstractions; :class:`LabelFlipVerifier` is
@@ -33,7 +34,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.dataset import Dataset, FeatureKind
+from repro.core.dataset import Dataset
 from repro.core.predicates import (
     Predicate,
     SymbolicThresholdPredicate,
@@ -41,8 +42,7 @@ from repro.core.predicates import (
 )
 from repro.core import split_plan
 from repro.core.trace_learner import TraceLearner
-from repro.domains.interval import Interval, dominating_component, join_interval_vectors, mul_bounds
-from repro.domains.predicate_set import AbstractPredicateSet
+from repro.domains.interval import Interval, dominating_component, join_interval_vectors
 from repro.utils.timing import TimeBudget
 from repro.utils.validation import ValidationError, check_index_array, check_positive_int
 
@@ -235,276 +235,6 @@ class FlipAbstractTrainingSet:
         for vector in vectors[1:]:
             joined = join_interval_vectors(joined, vector)
         return joined
-
-    def abstract_best_split(
-        self,
-        *,
-        method: str = "optimal",
-        predicate_pool: Optional[Sequence[Predicate]] = None,
-    ) -> AbstractPredicateSet:
-        """``bestSplit#`` as the generic learners consume it.
-
-        This is the dispatch target of
-        :func:`repro.verify.transformers.best_split_abstract`, letting the Box
-        and disjunctive learners interpret flip/composite abstractions with no
-        flip-specific code.  The candidate score bounds of
-        :func:`flip_best_split_abstract` are sound for either ``cprob``
-        method, so ``method`` only affects exit-interval tightness elsewhere.
-        """
-        del method
-        if predicate_pool is not None:
-            raise ValidationError(
-                "predicate pools are not supported for the label-flip/composite "
-                "threat models"
-            )
-        predicates, includes_null = flip_best_split_abstract(self)
-        return AbstractPredicateSet.of(predicates, includes_null=includes_null)
-
-
-# ---------------------------------------------------------------------------
-# Abstract bestSplit and filter for the combined model
-# ---------------------------------------------------------------------------
-
-
-def _flip_side_score_bounds(
-    sizes: np.ndarray, class_counts: np.ndarray, removals: int, flips: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized bounds of ``|side| * gini(side)`` under the combined model.
-
-    This is the per-side primitive: ``flips`` here is the flip budget granted
-    to *this* side alone.  :func:`_flip_split_score_bounds` combines the two
-    sides over all ways of allocating the shared flip budget between them.
-    """
-    sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    side_removals = np.minimum(float(removals), sizes)
-    side_flips = np.minimum(float(flips), sizes)
-    remaining = sizes - side_removals
-
-    lower = np.zeros_like(counts)
-    upper = np.ones_like(counts)
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None]
-    budget = (side_removals + side_flips)[:, None]
-    lower_pos = np.maximum(0.0, counts - budget) / safe_remaining
-    upper_pos = np.minimum(counts + side_flips[:, None], remaining[:, None]) / safe_remaining
-    mask = positive[:, None]
-    lower = np.where(mask, np.minimum(lower_pos, 1.0), lower)
-    upper = np.where(mask, np.minimum(upper_pos, 1.0), upper)
-
-    term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
-    gini_lower = term_lower.sum(axis=1)
-    gini_upper = term_upper.sum(axis=1)
-    return mul_bounds(remaining, sizes, gini_lower, gini_upper)
-
-
-def _flip_side_score_bounds_batch(
-    sizes: np.ndarray,
-    class_counts: np.ndarray,
-    removals: int,
-    flip_allocations: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`_flip_side_score_bounds` over a vector of flip budgets.
-
-    Evaluates the per-side bounds for every candidate *and* every flip
-    allocation at once: ``sizes`` has shape ``(c,)``, ``class_counts`` shape
-    ``(c, k)``, ``flip_allocations`` shape ``(a,)``; the result arrays have
-    shape ``(c, a)``.  The arithmetic is the same as the scalar kernel, just
-    broadcast over a ``(c, a, k)`` cube.
-    """
-    sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    side_removals = np.minimum(float(removals), sizes)  # (c,)
-    side_flips = np.minimum(
-        flip_allocations.astype(np.float64)[None, :], sizes[:, None]
-    )  # (c, a)
-    remaining = sizes - side_removals  # (c,)
-
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None, None]  # (c, 1, 1)
-    budget = (side_removals[:, None] + side_flips)[:, :, None]  # (c, a, 1)
-    cube_counts = counts[:, None, :]  # (c, 1, k)
-    lower_pos = np.maximum(0.0, cube_counts - budget) / safe_remaining
-    upper_pos = (
-        np.minimum(cube_counts + side_flips[:, :, None], remaining[:, None, None])
-        / safe_remaining
-    )
-    mask = positive[:, None, None]
-    lower = np.where(mask, np.minimum(lower_pos, 1.0), 0.0)
-    upper = np.where(mask, np.minimum(upper_pos, 1.0), 1.0)
-
-    term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
-    gini_lower = term_lower.sum(axis=2)  # (c, a)
-    gini_upper = term_upper.sum(axis=2)
-    return mul_bounds(
-        remaining[:, None], sizes[:, None], gini_lower, gini_upper
-    )
-
-
-def _flip_split_score_bounds(
-    left_sizes: np.ndarray,
-    left_class_counts: np.ndarray,
-    right_sizes: np.ndarray,
-    right_class_counts: np.ndarray,
-    removals: int,
-    flips: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds of ``score(left) + score(right)`` with the flip budget shared.
-
-    A single flipped label lives on exactly one side of a split, so a sound
-    *and tight* bound ranges over the allocations ``f_l + f_r ≤ f`` rather
-    than granting the full flip budget to both sides at once (which
-    double-counts every flip and was the pre-fix behavior).  The per-side
-    bounds widen monotonically in the flip budget, so the extremes over
-    ``f_l + f_r ≤ f`` are attained on the boundary ``f_l + f_r = f``: the
-    batched kernel evaluates all ``f + 1`` boundary allocations as one
-    ``(n_candidates, f + 1, n_classes)`` broadcast (left side gets
-    ``f_l = 0..f``, right side the reversed vector) and the envelope is a
-    min/max over the allocation axis.  The removal budget is *not* allocated
-    — each side keeps the full ``r`` — because removal already
-    over-approximates per-side independently in the removal-only transformer.
-    :func:`_flip_split_score_bounds_reference` retains the allocation-at-a-
-    time evaluation as the property-test oracle.
-    """
-    allocations = np.arange(flips + 1, dtype=np.int64)
-    left_lower, left_upper = _flip_side_score_bounds_batch(
-        left_sizes, left_class_counts, removals, allocations
-    )
-    right_lower, right_upper = _flip_side_score_bounds_batch(
-        right_sizes, right_class_counts, removals, allocations[::-1]
-    )
-    score_lower = (left_lower + right_lower).min(axis=1)
-    score_upper = (left_upper + right_upper).max(axis=1)
-    return score_lower, score_upper
-
-
-def _flip_split_score_bounds_reference(
-    left_sizes: np.ndarray,
-    left_class_counts: np.ndarray,
-    right_sizes: np.ndarray,
-    right_class_counts: np.ndarray,
-    removals: int,
-    flips: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Allocation-at-a-time mirror of :func:`_flip_split_score_bounds`.
-
-    Retained as the property-test oracle for the batched kernel: one flip
-    allocation per loop iteration through the scalar-budget side kernel.
-    """
-    score_lower: Optional[np.ndarray] = None
-    score_upper: Optional[np.ndarray] = None
-    for left_flips in range(flips + 1):
-        left_lower, left_upper = _flip_side_score_bounds(
-            left_sizes, left_class_counts, removals, left_flips
-        )
-        right_lower, right_upper = _flip_side_score_bounds(
-            right_sizes, right_class_counts, removals, flips - left_flips
-        )
-        allocation_lower = left_lower + right_lower
-        allocation_upper = left_upper + right_upper
-        if score_lower is None:
-            score_lower, score_upper = allocation_lower, allocation_upper
-        else:
-            score_lower = np.minimum(score_lower, allocation_lower)
-            score_upper = np.maximum(score_upper, allocation_upper)
-    assert score_lower is not None and score_upper is not None
-    return score_lower, score_upper
-
-
-def flip_best_split_abstract(
-    trainset: FlipAbstractTrainingSet,
-) -> Tuple[List[Predicate], bool]:
-    """``bestSplit#`` under the combined model.
-
-    Returns ``(predicates, includes_null)`` following the same Φ∃ / Φ∀ logic
-    as the removal-only transformer; flips never change which rows fall on
-    which side of a split, so the non-triviality conditions only involve the
-    removal budget.
-    """
-    if trainset.size == 0:
-        return [], True
-    plan = split_plan.plan_for(trainset.dataset)
-    removals = trainset.removals
-    flips = trainset.flips
-    cache_key = (trainset.indices.tobytes(), removals, flips)
-    cached = plan.cached_best_split(cache_key)
-    if cached is not None:
-        return cached
-    tables = plan.node_tables(trainset.indices)
-
-    def materialize(feature: int, kind: FeatureKind, table, positions) -> List[Predicate]:
-        if kind is FeatureKind.REAL:
-            return [
-                split_plan.symbolic_predicate(
-                    feature,
-                    float(table.lower_values[int(i)]),
-                    float(table.upper_values[int(i)]),
-                )
-                for i in positions
-            ]
-        return [
-            split_plan.threshold_predicate(feature, float(table.thresholds[int(i)]))
-            for i in positions
-        ]
-
-    stacked = tables.stacked
-    groups = []
-    if stacked is not None:
-        # One (n_candidates, flips + 1, n_classes) batch over every threshold
-        # candidate of every feature; per-feature groups slice the result.
-        all_lower, all_upper = _flip_split_score_bounds(
-            stacked.left_sizes,
-            stacked.left_class_counts,
-            stacked.right_sizes,
-            stacked.right_class_counts,
-            removals,
-            flips,
-        )
-        all_universal = (stacked.left_sizes > removals) & (
-            stacked.right_sizes > removals
-        )
-        for feature, kind in enumerate(trainset.dataset.feature_kinds):
-            part = stacked.feature_slice(feature)
-            if part.stop == part.start:
-                continue
-            groups.append(
-                (
-                    feature,
-                    kind,
-                    tables[feature],
-                    all_lower[part],
-                    all_upper[part],
-                    all_universal[part],
-                )
-            )
-
-    if not groups:
-        result: Tuple[List[Predicate], bool] = ([], True)
-    elif not any(bool(universal.any()) for *_, universal in groups):
-        # Φ∀ = ∅: every existentially non-trivial candidate, plus ⋄.
-        result = (
-            [
-                predicate
-                for feature, kind, table, *_ in groups
-                for predicate in materialize(
-                    feature, kind, table, range(table.n_candidates)
-                )
-            ],
-            True,
-        )
-    else:
-        lub = min(
-            float(score_upper[universal].min())
-            for *_, score_upper, universal in groups
-            if universal.any()
-        )
-        selected: List[Predicate] = []
-        for feature, kind, table, score_lower, _, _ in groups:
-            positions = np.nonzero(score_lower <= lub + 1e-9)[0]
-            selected.extend(materialize(feature, kind, table, positions))
-        result = (selected, False)
-    plan.store_best_split(cache_key, result)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,25 @@ learner keeps one disjunct per surviving control-flow path: each predicate
 returned by ``bestSplit#`` spawns its own disjunct, and a symbolic predicate
 whose evaluation on the test point is *maybe* spawns a disjunct for each
 branch.  Exits accumulate across iterations; the point is certified robust
-only if the **same** class dominates in every exit disjunct.
+only if the **same** class dominates in every exit disjunct (Cor. 4.12).
+
+The last level is array-shaped.  A leaf disjunct is one side of a candidate
+that ``bestSplit#`` selected at its parent, and
+:func:`~repro.verify.transformers.best_split_candidates` already carries each
+side's size, class counts and budgets.  So the learner never builds the
+leaves as states: it masks the sides the point can take and classifies all
+of them with one :func:`~repro.verify.transformers.exit_bounds` call.  Exits
+are kept as ``(E, k)`` lower/upper bound arrays; their join is a min/max over
+rows, and the per-exit dominating classes come from one vectorized step.
+Earlier levels still split states with ``split_down``, since their children
+run ``bestSplit#`` again.
 
 Precision is higher than the Box domain by construction, but the number of
 disjuncts can grow exponentially with the tree depth, so the learner enforces
 a configurable disjunct budget and a cooperative time budget, mirroring the
 timeouts and out-of-memory failures reported in the paper's evaluation.
 
-The learner is domain-generic: through the dispatching transformers of
+The learner is domain-generic: through the transformers of
 :mod:`repro.verify.transformers` it interprets removal elements ``⟨T, n⟩``
 and flip/composite elements ``⟨T, r, f⟩`` alike, so label-flip and combined
 removal+flip certificates get the same disjunctive precision boost
@@ -25,16 +36,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.predicates import point_satisfies
-from repro.domains.interval import Interval, dominating_component, join_interval_vectors
+import numpy as np
+
+from repro.domains.interval import Interval, dominating_components
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
 from repro.utils.timing import TimeBudget
 from repro.verify.abstract_learner import AbstractRunResult
 from repro.verify.transformers import (
-    best_split_abstract,
+    best_split_candidates,
     cprob_intervals,
     entropy_is_definitely_zero,
+    exit_bounds,
     pure_exit_vector,
 )
 
@@ -86,85 +99,100 @@ class DisjunctiveAbstractLearner:
         time_budget: Optional[TimeBudget] = None,
     ) -> DisjunctiveRunResult:
         budget = time_budget or TimeBudget.unlimited()
+        method = self.cprob_method
+        point = np.asarray(x, dtype=np.float64)
         live: List[AbstractTrainingSet] = [trainset]
-        # point_satisfies(predicate, x) is a pure function of the (interned)
-        # predicate for this run's fixed x — memoize it across the thousands
-        # of disjuncts that re-test the same candidates.
-        verdict_cache: dict = {}
-        # Exits are kept as classification vectors, not states: that is all
-        # the join needs, and the flip domain's pure exits have no state form
-        # (see transformers.pure_exit_vector).
+        # The pure and ⋄ exits of visited states, as classification vectors
+        # (the flip domain's pure exits have no state form, see
+        # transformers.pure_exit_vector).
         exit_vectors: List[Tuple[Interval, ...]] = []
+        # The leaves: (sizes, class counts, removals, flips) of the sides the
+        # point takes at each last-level state.
+        leaves: List[Tuple[np.ndarray, ...]] = []
+        leaf_count = 0
         iterations = 0
         peak_disjuncts = 1
 
-        for _ in range(self.max_depth):
+        for depth in range(self.max_depth):
             if not live:
                 break
             iterations += 1
+            last_level = depth == self.max_depth - 1
             next_live: List[AbstractTrainingSet] = []
             for state in live:
                 budget.check()
 
-                pure = pure_exit_vector(state, self.cprob_method)
+                pure = pure_exit_vector(state, method)
                 if pure is not None:
                     exit_vectors.append(pure)
-                if entropy_is_definitely_zero(state, self.cprob_method):
+                if entropy_is_definitely_zero(state, method):
                     continue
 
-                predicates = best_split_abstract(
-                    state, method=self.cprob_method, predicate_pool=self.predicate_pool
-                )
-                if predicates.includes_null:
+                candidates = best_split_candidates(state, method, self.predicate_pool)
+                if candidates.includes_null:
                     with profiling.phase("cprob_exit"):
-                        exit_vectors.append(
-                            cprob_intervals(state, self.cprob_method)
-                        )
+                        exit_vectors.append(cprob_intervals(state, method))
                 with profiling.phase("disjunct_split"):
-                    for predicate in predicates.without_null():
-                        branches = verdict_cache.get(predicate)
-                        if branches is None:
-                            verdict = point_satisfies(predicate, x)
-                            branches = []
-                            if verdict.possibly_true:
-                                branches.append(True)
-                            if verdict.possibly_false:
-                                branches.append(False)
-                            verdict_cache[predicate] = branches
-                        for branch in branches:
-                            child = state.split_down(predicate, branch)
-                            if child.size == 0:
-                                # The branch is infeasible for every
-                                # concretization (only possible for the
-                                # uncertain side of a symbolic predicate);
-                                # drop it.
-                                continue
-                            next_live.append(child)
-                self._check_budget(len(next_live) + len(exit_vectors))
+                    taken = candidates.branches(point)
+                    if last_level:
+                        leaves.append(
+                            (
+                                candidates.sizes[taken],
+                                candidates.class_counts[taken],
+                                candidates.removals[taken],
+                                candidates.flips[taken],
+                            )
+                        )
+                        leaf_count += int(np.count_nonzero(taken))
+                    else:
+                        predicates = candidates.predicates
+                        rows, sides = np.nonzero(taken)
+                        for row, side in zip(rows.tolist(), sides.tolist()):
+                            next_live.append(
+                                state.split_down(predicates[row], side == 0)
+                            )
+                self._check_budget(len(next_live) + leaf_count + len(exit_vectors))
             live = next_live
-            peak_disjuncts = max(peak_disjuncts, len(live) + len(exit_vectors))
-
-        with profiling.phase("cprob_exit"):
-            exit_vectors.extend(
-                cprob_intervals(state, self.cprob_method) for state in live
+            peak_disjuncts = max(
+                peak_disjuncts, len(live) + leaf_count + len(exit_vectors)
             )
-        self._check_budget(len(exit_vectors))
+
+        # Only a zero-depth run leaves a live state: the root is its exit.
+        exit_vectors.extend(cprob_intervals(state, method) for state in live)
+        self._check_budget(len(exit_vectors) + leaf_count)
 
         n_classes = trainset.dataset.n_classes
-        if not exit_vectors:
+        lower = np.array(
+            [[component.lo for component in vector] for vector in exit_vectors],
+            dtype=np.float64,
+        ).reshape(-1, n_classes)
+        upper = np.array(
+            [[component.hi for component in vector] for vector in exit_vectors],
+            dtype=np.float64,
+        ).reshape(-1, n_classes)
+        if leaves:
+            with profiling.phase("cprob_exit"):
+                leaf_lower, leaf_upper = exit_bounds(
+                    *(np.concatenate(column) for column in zip(*leaves)), method
+                )
+            lower = np.concatenate((lower, leaf_lower))
+            upper = np.concatenate((upper, leaf_upper))
+
+        if lower.shape[0] == 0:
             joined: Tuple[Interval, ...] = tuple(
                 Interval.unit() for _ in range(n_classes)
             )
             per_exit: Tuple[Optional[int], ...] = ()
         else:
-            joined = exit_vectors[0]
-            for vector in exit_vectors[1:]:
-                joined = join_interval_vectors(joined, vector)
-            per_exit = tuple(dominating_component(vector) for vector in exit_vectors)
+            joined = tuple(
+                Interval(lo, hi)
+                for lo, hi in zip(lower.min(axis=0).tolist(), upper.max(axis=0).tolist())
+            )
+            per_exit = dominating_components(lower, upper)
 
         return DisjunctiveRunResult(
             class_intervals=joined,
-            exit_count=len(exit_vectors),
+            exit_count=int(lower.shape[0]),
             iterations=iterations,
             max_disjuncts=peak_disjuncts,
             exit_robust_classes=per_exit,

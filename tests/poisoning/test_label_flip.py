@@ -11,16 +11,20 @@ from repro.domains.predicate_set import AbstractPredicateSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
     LabelFlipVerifier,
-    _flip_side_score_bounds,
-    _flip_split_score_bounds,
     enumerate_composite_poisonings,
     enumerate_label_flips,
-    flip_best_split_abstract,
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
+from repro.domains.trainingset import AbstractTrainingSet
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
-from repro.verify.transformers import filter_abstract
+from repro.verify.transformers import (
+    _flip_side_score_bounds,
+    _flip_split_score_bounds,
+    best_split_abstract,
+    best_split_candidates,
+    filter_abstract,
+)
 from tests.conftest import random_small_dataset, random_test_point, well_separated_dataset
 
 
@@ -84,8 +88,8 @@ class TestFlipTransformers:
     def test_best_split_zero_budget_matches_concrete(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 0)
-        predicates, includes_null = flip_best_split_abstract(trainset)
-        assert not includes_null
+        predicates = best_split_abstract(trainset)
+        assert not predicates.includes_null
         assert any(
             getattr(p, "low", None) == 10.0 and getattr(p, "high", None) == 11.0
             for p in predicates
@@ -94,8 +98,8 @@ class TestFlipTransformers:
     def test_best_split_null_when_constant(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet(dataset, np.array([3]), 0, 1)
-        predicates, includes_null = flip_best_split_abstract(trainset)
-        assert includes_null and not predicates
+        predicates = best_split_abstract(trainset)
+        assert predicates.includes_null and not predicates.has_concrete_choices
 
     def test_filter_returns_side_containing_point(self):
         dataset = figure2_dataset()
@@ -153,20 +157,21 @@ class TestLabelFlipVerifier:
 class TestFlipProtocolMethods:
     """The methods the generic learners dispatch on (transformer protocol)."""
 
-    def test_abstract_best_split_wraps_predicate_set(self):
-        from repro.domains.predicate_set import AbstractPredicateSet
+    @pytest.mark.parametrize("removals", [0, 1, 3])
+    def test_best_split_without_flips_matches_removal(self, removals):
+        # ⟨T, r, 0⟩ and ⟨T, r⟩ share the candidates and the selection.
+        dataset = figure2_dataset()
+        flip = best_split_candidates(FlipAbstractTrainingSet.full(dataset, removals, 0))
+        removal = best_split_candidates(AbstractTrainingSet.full(dataset, removals))
+        assert flip.predicates == removal.predicates
+        assert flip.includes_null == removal.includes_null
+        np.testing.assert_array_equal(flip.removals, removal.removals)
+        assert not flip.flips.any()
 
-        trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 0, 0)
-        predicates = trainset.abstract_best_split()
-        assert isinstance(predicates, AbstractPredicateSet)
-        raw, includes_null = flip_best_split_abstract(trainset)
-        assert list(predicates) == raw
-        assert predicates.includes_null == includes_null
-
-    def test_abstract_best_split_rejects_predicate_pools(self):
+    def test_best_split_rejects_predicate_pools(self):
         trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 0, 1)
         with pytest.raises(ValueError, match="predicate pools"):
-            trainset.abstract_best_split(predicate_pool=[ThresholdPredicate(0, 1.0)])
+            best_split_abstract(trainset, predicate_pool=[ThresholdPredicate(0, 1.0)])
 
     def test_box_cprob_contains_optimal(self):
         trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 1, 2)

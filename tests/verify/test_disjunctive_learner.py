@@ -1,15 +1,32 @@
 """Tests for the disjunctive-domain abstract learner (§5.2)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.dataset import Dataset, FeatureKind
+from repro.core.predicates import (
+    EqualityPredicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+    point_satisfies,
+)
 from repro.core.trace_learner import TraceLearner
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
+from repro.domains.interval import dominating_component, join_interval_vectors
 from repro.domains.trainingset import AbstractTrainingSet
+from repro.poisoning.label_flip import FlipAbstractTrainingSet
 from repro.utils.timing import TimeBudget, TimeoutExceeded
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import (
     DisjunctBudgetExceeded,
     DisjunctiveAbstractLearner,
+)
+from repro.verify.transformers import (
+    best_split_abstract,
+    cprob_intervals,
+    entropy_is_definitely_zero,
+    pure_exit_vector,
 )
 
 
@@ -110,3 +127,164 @@ class TestSoundnessSmall:
                 if len(subset) == 0:
                     continue
                 assert concrete_learner.predict(subset, x) == run.robust_class
+
+
+# ---------------------------------------------------------------------------
+# Parity of the array-shaped last level with a state-per-leaf loop
+# ---------------------------------------------------------------------------
+
+
+def _state_path_run(learner, trainset, x):
+    """The disjunctive learner with every leaf built as a state.
+
+    Each child is ``split_down`` from its parent and classified with
+    ``cprob#``; exits are joined one vector at a time.  Returns the fields of
+    :class:`DisjunctiveRunResult`, or raises :class:`DisjunctBudgetExceeded`
+    where the learner must.
+    """
+    method = learner.cprob_method
+    live = [trainset]
+    exits = []
+    iterations = 0
+    peak = 1
+    for _ in range(learner.max_depth):
+        if not live:
+            break
+        iterations += 1
+        next_live = []
+        for state in live:
+            pure = pure_exit_vector(state, method)
+            if pure is not None:
+                exits.append(pure)
+            if entropy_is_definitely_zero(state, method):
+                continue
+            predicates = best_split_abstract(
+                state, method=method, predicate_pool=learner.predicate_pool
+            )
+            if predicates.includes_null:
+                exits.append(cprob_intervals(state, method))
+            for predicate in predicates.without_null():
+                verdict = point_satisfies(predicate, x)
+                for branch, possible in (
+                    (True, verdict.possibly_true),
+                    (False, verdict.possibly_false),
+                ):
+                    if possible:
+                        child = state.split_down(predicate, branch)
+                        if child.size:
+                            next_live.append(child)
+            learner._check_budget(len(next_live) + len(exits))
+        live = next_live
+        peak = max(peak, len(live) + len(exits))
+    exits.extend(cprob_intervals(state, method) for state in live)
+    learner._check_budget(len(exits))
+    joined = exits[0]
+    for vector in exits[1:]:
+        joined = join_interval_vectors(joined, vector)
+    return {
+        "class_intervals": joined,
+        "exit_count": len(exits),
+        "max_disjuncts": peak,
+        "iterations": iterations,
+        "exit_robust_classes": tuple(dominating_component(v) for v in exits),
+    }
+
+
+def _mixed_dataset(rng):
+    """A small dataset mixing REAL, BOOLEAN and CATEGORICAL columns."""
+    n_samples = int(rng.integers(6, 13))
+    kinds = tuple(
+        rng.choice([FeatureKind.REAL, FeatureKind.BOOLEAN, FeatureKind.CATEGORICAL])
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    columns = []
+    for kind in kinds:
+        if kind is FeatureKind.BOOLEAN:
+            columns.append(rng.integers(0, 2, size=n_samples))
+        elif kind is FeatureKind.CATEGORICAL:
+            columns.append(rng.integers(0, 3, size=n_samples))
+        else:
+            columns.append(rng.integers(0, 5, size=n_samples) * 0.5)
+    n_classes = int(rng.integers(2, 4))
+    y = rng.integers(0, n_classes, size=n_samples)
+    y[0], y[1] = 0, 1
+    return Dataset(
+        X=np.column_stack(columns).astype(float),
+        y=y,
+        n_classes=n_classes,
+        feature_kinds=kinds,
+    )
+
+
+def _test_point(rng, dataset):
+    point = []
+    for kind in dataset.feature_kinds:
+        if kind is FeatureKind.REAL:
+            # Half-steps between observed values make symbolic splits *maybe*.
+            point.append(float(rng.integers(0, 9)) * 0.25)
+        else:
+            point.append(float(rng.integers(0, 3 if kind is FeatureKind.CATEGORICAL else 2)))
+    return point
+
+
+def _pool(rng, dataset):
+    pool = []
+    for feature, kind in enumerate(dataset.feature_kinds):
+        values = np.unique(dataset.X[:, feature])
+        if kind is FeatureKind.CATEGORICAL:
+            pool.append(EqualityPredicate(feature, float(rng.choice(values))))
+        elif kind is FeatureKind.BOOLEAN:
+            pool.append(ThresholdPredicate(feature, 0.5))
+        else:
+            pool.append(ThresholdPredicate(feature, float(rng.choice(values)) + 0.25))
+            if values.size >= 3:
+                # Not adjacent node values: the tight and loose sides differ.
+                pool.append(
+                    SymbolicThresholdPredicate(feature, float(values[0]), float(values[2]))
+                )
+    return pool
+
+
+class TestArrayLastLevelParity:
+    """The array-shaped last level equals building every leaf as a state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        family=st.sampled_from(["removal", "flip", "composite", "pool"]),
+        method=st.sampled_from(["optimal", "box"]),
+        depth=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_state_path(self, seed, family, method, depth):
+        rng = np.random.default_rng(seed)
+        dataset = _mixed_dataset(rng)
+        x = _test_point(rng, dataset)
+        pool = None
+        if family == "flip":
+            trainset = FlipAbstractTrainingSet.full(dataset, 0, int(rng.integers(0, 3)))
+        elif family == "composite":
+            trainset = FlipAbstractTrainingSet.full(
+                dataset, int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            )
+        else:
+            trainset = AbstractTrainingSet.full(dataset, int(rng.integers(0, 4)))
+            if family == "pool":
+                pool = _pool(rng, dataset)
+        learner = DisjunctiveAbstractLearner(
+            max_depth=depth, cprob_method=method, predicate_pool=pool,
+            max_disjuncts=10**9,
+        )
+        expected = _state_path_run(learner, trainset, x)
+        run = learner.run(trainset, x)
+        assert run.class_intervals == expected["class_intervals"]
+        assert run.exit_count == expected["exit_count"]
+        assert run.max_disjuncts == expected["max_disjuncts"]
+        assert run.iterations == expected["iterations"]
+        assert run.exit_robust_classes == expected["exit_robust_classes"]
+
+        peak = expected["max_disjuncts"]
+        learner.max_disjuncts = peak
+        assert learner.run(trainset, x).max_disjuncts == peak
+        learner.max_disjuncts = peak - 1
+        with pytest.raises(DisjunctBudgetExceeded):
+            learner.run(trainset, x)

@@ -1,13 +1,16 @@
 """Property tests pinning the vectorized kernels to their scalar references.
 
-The batch interval kernels of the cold-path core (`_side_score_bounds` in
-:mod:`repro.verify.transformers`, `_flip_split_score_bounds` in
-:mod:`repro.poisoning.label_flip`) each retain a candidate-at-a-time mirror
-written in plain :class:`~repro.domains.interval.Interval` arithmetic.  These
-tests drive both through Hypothesis-generated candidate tables and require
-bitwise-tolerant agreement, so any future vectorization change that drifts
-from the defined transformer semantics fails here before it can weaken a
-soundness bound.
+The batch interval kernels of the cold-path core (`_side_score_bounds` and
+`_flip_split_score_bounds` in :mod:`repro.verify.transformers`) each retain a
+candidate-at-a-time mirror written in plain
+:class:`~repro.domains.interval.Interval` arithmetic.  These tests drive both
+through Hypothesis-generated candidate tables and require bitwise-tolerant
+agreement, so any future vectorization change that drifts from the defined
+transformer semantics fails here before it can weaken a soundness bound.
+The disjunctive learner's leaf kernels are held to their scalar forms
+exactly: `exit_bounds` row by row to `cprob_optimal` / `cprob_box` and the
+flip element's `class_probability_intervals`, and `dominating_components`
+to `dominating_component`.
 
 The closed-form ``filter#`` (`filter_closed_form`) is pinned to the
 sequential fold of split pieces it replaces (`filter_abstract`): same rows,
@@ -31,21 +34,23 @@ from repro.core.predicates import (
     ThresholdPredicate,
 )
 from repro.datasets.registry import load_dataset
+from repro.domains.interval import Interval, dominating_component, dominating_components
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
-from repro.poisoning.label_flip import (
-    FlipAbstractTrainingSet,
-    _flip_split_score_bounds,
-    _flip_split_score_bounds_reference,
-)
+from repro.poisoning.label_flip import FlipAbstractTrainingSet
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
 from repro.verify import abstract_learner
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
+    _flip_split_score_bounds,
+    _flip_split_score_bounds_reference,
     _side_score_bounds,
     _side_score_bounds_reference,
     best_split_abstract,
+    cprob_box,
+    cprob_optimal,
+    exit_bounds,
     filter_abstract,
     filter_closed_form,
 )
@@ -89,6 +94,22 @@ class TestSideScoreBounds:
         np.testing.assert_allclose(upper, ref_upper, atol=TOL)
 
     @settings(max_examples=60, deadline=None)
+    @given(candidate_tables(), st.data(), st.sampled_from(["optimal", "box"]))
+    def test_per_candidate_budgets_match_reference(self, table, data, method):
+        # Pool predicates carry their own split_down budget per side.
+        sizes, counts = table
+        budgets = np.array(
+            [data.draw(st.integers(min_value=0, max_value=6)) for _ in sizes]
+        )
+        lower, upper = _side_score_bounds(sizes, counts, budgets, method)
+        for i, budget in enumerate(budgets.tolist()):
+            ref_lower, ref_upper = _side_score_bounds_reference(
+                sizes[i : i + 1], counts[i : i + 1], budget, method
+            )
+            np.testing.assert_allclose(lower[i], ref_lower[0], atol=TOL)
+            np.testing.assert_allclose(upper[i], ref_upper[0], atol=TOL)
+
+    @settings(max_examples=60, deadline=None)
     @given(candidate_tables(), st.integers(min_value=0, max_value=6))
     def test_bounds_are_ordered(self, table, budget):
         sizes, counts = table
@@ -125,6 +146,90 @@ class TestFlipSplitScoreBounds:
         ref_lower, ref_upper = _flip_split_score_bounds_reference(*args)
         np.testing.assert_allclose(lower, ref_lower, atol=TOL)
         np.testing.assert_allclose(upper, ref_upper, atol=TOL)
+
+
+@st.composite
+def exit_rows(draw, max_rows: int = 5):
+    """Random exits: per-row class counts, removal and flip budgets ≤ size."""
+    n_classes = draw(st.integers(min_value=1, max_value=3))
+    counts, removals, flips = [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_rows))):
+        row = [draw(st.integers(min_value=0, max_value=5)) for _ in range(n_classes)]
+        size = sum(row)
+        counts.append(row)
+        removals.append(draw(st.integers(min_value=0, max_value=size)))
+        flips.append(draw(st.integers(min_value=0, max_value=size)))
+    counts = np.asarray(counts, dtype=np.int64)
+    return counts, np.asarray(removals), np.asarray(flips)
+
+
+def _element_with_counts(counts, removals, flips):
+    """An abstract element whose rows have exactly ``counts`` per class."""
+    labels = np.repeat(np.arange(counts.size), counts)
+    # One extra row outside the element keeps the dataset non-empty.
+    dataset = Dataset(
+        X=np.zeros((labels.size + 1, 1)),
+        y=np.append(labels, 0),
+        n_classes=int(counts.size),
+    )
+    indices = np.arange(labels.size, dtype=np.int64)
+    if flips is None:
+        return AbstractTrainingSet(dataset, indices, int(removals))
+    return FlipAbstractTrainingSet(dataset, indices, int(removals), int(flips))
+
+
+class TestExitBounds:
+    """The leaf-exit kernel equals the scalar ``cprob#`` of every row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(exit_rows(), st.sampled_from(["optimal", "box"]), st.booleans())
+    def test_matches_scalar_cprob(self, rows, method, flipping):
+        counts, removals, flips = rows
+        if not flipping:
+            flips = np.zeros_like(flips)
+        lower, upper = exit_bounds(counts.sum(axis=1), counts, removals, flips, method)
+        for i in range(counts.shape[0]):
+            if flipping:
+                element = _element_with_counts(counts[i], removals[i], flips[i])
+                expected = element.class_probability_intervals(method)
+            else:
+                element = _element_with_counts(counts[i], removals[i], None)
+                oracle = cprob_optimal if method == "optimal" else cprob_box
+                expected = oracle(element)
+                # f = 0 is the removal formula in the flip domain too.
+                flip_element = _element_with_counts(counts[i], removals[i], 0)
+                assert flip_element.class_probability_intervals(method) == expected
+            assert tuple(Interval(lo, hi) for lo, hi in zip(lower[i], upper[i])) == expected
+
+
+#: Bounds the dominance cases draw from: few values, so ties are common.
+_GRID_BOUNDS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+class TestDominatingComponents:
+    """Row-wise dominance equals :func:`dominating_component` per row."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda k: st.lists(
+                st.lists(
+                    st.tuples(_GRID_BOUNDS, _GRID_BOUNDS), min_size=k, max_size=k
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_matches_scalar(self, rows):
+        vectors = [
+            tuple(Interval(min(a, b), max(a, b)) for a, b in row) for row in rows
+        ]
+        lower = np.array([[iv.lo for iv in v] for v in vectors])
+        upper = np.array([[iv.hi for iv in v] for v in vectors])
+        assert dominating_components(lower, upper) == tuple(
+            dominating_component(v) for v in vectors
+        )
 
 
 #: Grid the random filter cases draw feature values and predicate bounds
