@@ -7,22 +7,22 @@ abstract verifier's cost stays flat — the scaling argument at the heart of
 the paper.
 """
 
+from repro.api import CertificationEngine
 from repro.datasets.toy import figure2_dataset
 from repro.experiments.reporting import save_artifact
 from repro.utils.tables import TextTable
 from repro.utils.timing import Stopwatch
 from repro.verify.enumeration import count_poisoned_datasets, verify_by_enumeration
-from repro.verify.robustness import PoisoningVerifier
 
 
 def bench_abstract_vs_enumeration_figure2(benchmark):
     dataset = figure2_dataset()
     x = [5.0]
     amounts = (1, 2, 3, 4)
-    verifier = PoisoningVerifier(max_depth=1, domain="either")
+    engine = CertificationEngine(max_depth=1, domain="either")
 
     def run_abstract():
-        return [verifier.verify(dataset, x, n) for n in amounts]
+        return [engine.certify_point(dataset, x, n) for n in amounts]
 
     abstract_results = benchmark.pedantic(run_abstract, rounds=3, iterations=1)
 

@@ -10,8 +10,11 @@ to certify at the same budget.
 from repro.api import CertificationEngine, CertificationRequest
 from repro.experiments.reporting import save_artifact
 from repro.experiments.runner import load_experiment_split, select_test_points
-from repro.poisoning.label_flip import LabelFlipVerifier
-from repro.poisoning.models import LabelFlipModel, RemovalPoisoningModel
+from repro.poisoning.models import (
+    CompositePoisoningModel,
+    LabelFlipModel,
+    RemovalPoisoningModel,
+)
 from repro.utils.tables import TextTable
 
 from conftest import bench_config
@@ -24,13 +27,12 @@ def bench_label_flip_vs_removal(benchmark):
     budgets = (1, 4, 16)
 
     def run():
-        # One engine serves both first-class threat models through the same
-        # verify(request) entry point; only the combined removal+flip budget
-        # still needs the lower-level extension verifier.
+        # One engine serves all three threat models through the same
+        # verify(request) entry point.
         engine = CertificationEngine(
             max_depth=1, domain="box", timeout_seconds=config.timeout_seconds
         )
-        combined_verifier = LabelFlipVerifier(max_depth=1)
+        n_classes = split.train.n_classes
         rows = []
         for budget in budgets:
             removal = engine.verify(
@@ -42,15 +44,16 @@ def bench_label_flip_vs_removal(benchmark):
                 CertificationRequest(
                     split.train,
                     test_points,
-                    LabelFlipModel(budget, n_classes=split.train.n_classes),
+                    LabelFlipModel(budget, n_classes=n_classes),
                 )
             ).certified_count
-            combined = sum(
-                combined_verifier.verify(
-                    split.train, x, flips=budget, removals=budget
-                ).robust
-                for x in test_points
-            )
+            combined = engine.verify(
+                CertificationRequest(
+                    split.train,
+                    test_points,
+                    CompositePoisoningModel(budget, budget, n_classes=n_classes),
+                )
+            ).certified_count
             rows.append((budget, removal, flips, combined))
         return rows
 

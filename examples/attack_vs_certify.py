@@ -20,16 +20,21 @@ from __future__ import annotations
 
 import argparse
 
-from repro import PoisoningVerifier, greedy_removal_attack, load_dataset, random_removal_attack
+from repro import (
+    CertificationEngine,
+    greedy_removal_attack,
+    load_dataset,
+    random_removal_attack,
+)
 from repro.utils.tables import TextTable
 
 
 def classify_points(split, domain: str, budget: int, depth: int, count: int, seed: int):
-    verifier = PoisoningVerifier(max_depth=depth, domain=domain, timeout_seconds=30.0)
+    engine = CertificationEngine(max_depth=depth, domain=domain, timeout_seconds=30.0)
     buckets = {"certified": 0, "attacked": 0, "undetermined": 0}
     for index in range(count):
         x = split.test.X[index]
-        result = verifier.verify(split.train, x, budget)
+        result = engine.certify_point(split.train, x, budget)
         if result.is_certified:
             buckets["certified"] += 1
             continue

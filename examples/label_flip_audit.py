@@ -8,12 +8,12 @@ example certifies predictions of the MNIST-1-7-like classifier against
 * up to ``n`` planted rows (:class:`repro.RemovalPoisoningModel`),
 * up to ``f`` flipped labels (:class:`repro.LabelFlipModel`),
 * and the combined threat of ``r`` planted rows plus ``f`` flipped labels
-  (via the lower-level :class:`repro.poisoning.LabelFlipVerifier` extension).
+  (:class:`repro.CompositePoisoningModel`).
 
-The two first-class threat models flow through the *same*
-``CertificationEngine.verify(request)`` entry point: the engine dispatches
-each model to the appropriate abstract-training-set initializer (``⟨T, n⟩``
-for removal, ``⟨T, 0, f⟩`` for flips).
+All three threat models flow through the *same*
+``CertificationEngine.verify(request)`` entry point and the same abstract
+domain ``⟨T, n, f⟩``: ``⟨T, n, 0⟩`` for removal, ``⟨T, 0, f⟩`` for flips and
+``⟨T, r, f⟩`` for the combination.
 
 Run with:  python examples/label_flip_audit.py
 """
@@ -25,11 +25,11 @@ import argparse
 from repro import (
     CertificationEngine,
     CertificationRequest,
+    CompositePoisoningModel,
     LabelFlipModel,
     RemovalPoisoningModel,
     load_dataset,
 )
-from repro.poisoning.label_flip import LabelFlipVerifier
 from repro.utils.tables import TextTable
 
 
@@ -48,7 +48,6 @@ def main() -> None:
     engine = CertificationEngine(
         max_depth=args.depth, domain="either", timeout_seconds=60.0
     )
-    combined_verifier = LabelFlipVerifier(max_depth=args.depth)
     digits = split.test.X[: min(args.digits, len(split.test))]
 
     budgets = (1, 4, 16)
@@ -56,7 +55,7 @@ def main() -> None:
         ["digit", "budget", "removal-robust", "flip-robust", "combined-robust"]
     )
     for budget in budgets:
-        # One engine, one entry point, two different threat models.
+        # One engine, one entry point, three different threat models.
         removal_report = engine.verify(
             CertificationRequest(split.train, digits, RemovalPoisoningModel(budget))
         )
@@ -67,20 +66,32 @@ def main() -> None:
                 LabelFlipModel(budget, n_classes=split.train.n_classes),
             )
         )
-        for index, (removal, flips) in enumerate(
-            zip(removal_report.results, flip_report.results)
+        combined_report = engine.verify(
+            CertificationRequest(
+                split.train,
+                digits,
+                CompositePoisoningModel(
+                    budget, budget, n_classes=split.train.n_classes
+                ),
+            )
+        )
+        for index, (removal, flips, combined) in enumerate(
+            zip(removal_report.results, flip_report.results, combined_report.results)
         ):
-            combined = combined_verifier.verify(
-                split.train, digits[index], flips=budget, removals=budget
-            ).robust
             table.add_row(
-                [index, budget, removal.is_certified, flips.is_certified, combined]
+                [
+                    index,
+                    budget,
+                    removal.is_certified,
+                    flips.is_certified,
+                    combined.is_certified,
+                ]
             )
     print(table.render())
     print(
-        "\nLabel flips are certified with the extension's combined ⟨T, r, f⟩ "
-        "abstract domain; 'combined' tolerates both planted rows and flipped "
-        "labels simultaneously."
+        "\nEvery column is certified on the one ⟨T, n, f⟩ abstract domain; "
+        "'combined' tolerates both planted rows and flipped labels "
+        "simultaneously."
     )
 
 

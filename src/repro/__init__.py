@@ -40,8 +40,7 @@ One engine certifies every threat model through the same entry point
 (``RemovalPoisoningModel``, ``FractionalRemovalModel``, ``LabelFlipModel``,
 ``CompositePoisoningModel``),
 batches in parallel with ``engine.verify(request, n_jobs=4)``, and streams
-per-point results with ``engine.certify_stream(request)``.  The legacy
-``PoisoningVerifier`` API still works but is deprecated.
+per-point results with ``engine.certify_stream(request)``.
 """
 
 from repro.api import (
@@ -87,11 +86,7 @@ from repro.service import (
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.enumeration import EnumerationResult, verify_by_enumeration
-from repro.verify.robustness import (
-    PoisoningVerifier,
-    VerificationResult,
-    VerificationStatus,
-)
+from repro.verify.result import VerificationResult, VerificationStatus
 from repro.verify.search import (
     ParetoFrontierResult,
     PoisoningSearchResult,
@@ -140,7 +135,6 @@ __all__ = [
     "DisjunctiveAbstractLearner",
     "EnumerationResult",
     "verify_by_enumeration",
-    "PoisoningVerifier",
     "VerificationResult",
     "VerificationStatus",
     "ParetoFrontierResult",

@@ -9,7 +9,7 @@ learner must over-approximate every concrete poisoned run):
    (``DecisionTreeLearner``/``TraceLearner``/``learn_trace``/
    ``evaluate_accuracy``) — concrete results leaking into a transformer
    silently breaks over-approximation.  Driver modules that *intentionally*
-   bridge the two worlds (robustness drivers, enumeration oracles) are
+   bridge the two worlds (search drivers, enumeration oracles) are
    exempt.
 
 2. **No raw float comparisons on Interval bounds.**  ``iv.hi <= x`` in a
@@ -48,7 +48,6 @@ DEFAULT_SCOPES: Tuple[str, ...] = (
 # runs the concrete TraceLearner) alongside its transformers; its kernels are
 # still covered by the bound-comparison and oracle-registry checks below.
 DEFAULT_IMPORT_EXEMPT: Tuple[str, ...] = (
-    "repro/verify/robustness.py",
     "repro/verify/search.py",
     "repro/verify/enumeration.py",
     "repro/verify/result.py",
@@ -83,7 +82,7 @@ class KernelSpec:
 DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
     KernelSpec(
         "repro/verify/transformers.py",
-        "_side_score_bounds",
+        "_split_score_bounds",
         "_side_score_bounds_reference",
         "tests/verify/test_vectorized_kernels.py",
     ),
@@ -95,7 +94,7 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
     ),
     KernelSpec(
         "repro/verify/transformers.py",
-        "_flip_split_score_bounds",
+        "_split_score_bounds",
         "_flip_split_score_bounds_reference",
         "tests/verify/test_vectorized_kernels.py",
     ),
@@ -204,7 +203,7 @@ class SoundnessBoundaryRule:
             message=f"abstract-side module imports concrete learner `{what}`",
             hint=(
                 "abstract transformers must not call the concrete learner; move "
-                "the bridge into verify/robustness.py or verify/enumeration.py"
+                "the bridge into verify/enumeration.py or verify/search.py"
             ),
         )
 

@@ -13,8 +13,7 @@ This subsystem decouples *what* to certify from *how* to certify it:
   per-status counts, timing percentiles, JSON/CSV export.
 
 The CLI, the experiment harness, the examples, and the benchmarks all run on
-this API; the legacy :class:`repro.verify.robustness.PoisoningVerifier` is a
-deprecated shim delegating here.
+this API.
 """
 
 from repro.api.engine import (

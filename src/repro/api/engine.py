@@ -6,12 +6,10 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
 
 * the abstract learners (`BoxAbstractLearner`, `DisjunctiveAbstractLearner`)
   and the concrete trace learner are constructed **once** per engine and
-  reused across every certified point — the legacy ``PoisoningVerifier``
-  rebuilt both on every ``verify()`` call;
-* the initial abstraction (``⟨T, n⟩`` for removal models, ``⟨T, r, f⟩`` for
-  the label-flip and composite removal+flip models) and ``log10 |Δ(T)|`` are
-  computed once per (dataset, model) pair and shared by every point of a
-  batch;
+  reused across every certified point;
+* the initial abstraction ``⟨T, n, f⟩`` (``f = 0`` for removal models) and
+  ``log10 |Δ(T)|`` are computed once per (dataset, model) pair and shared by
+  every point of a batch;
 * removal-family models (:class:`RemovalPoisoningModel`,
   :class:`FractionalRemovalModel`), :class:`LabelFlipModel`, and
   :class:`CompositePoisoningModel` dispatch through the same
@@ -84,6 +82,7 @@ from repro.verify.disjunctive_learner import (
     DisjunctBudgetExceeded,
     DisjunctiveAbstractLearner,
 )
+from repro.verify import search
 from repro.verify.result import DOMAINS, VerificationResult, VerificationStatus
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -97,6 +96,10 @@ FLIP_DOMAIN = "flip-box"
 #: disjunctive domain (one disjunct per surviving control-flow path, exactly
 #: as for removal).
 FLIP_DISJUNCTS_DOMAIN = "flip-disjuncts"
+
+#: Models certified on the flip family's ladder: the cache and telemetry
+#: family follows the model type, not the element's flip budget.
+_FLIP_MODELS = (LabelFlipModel, CompositePoisoningModel)
 
 #: The domain ladder attempted per engine ``domain`` setting, for each model
 #: family.  ``"either"`` tries Box first and escalates to the disjunctive
@@ -189,16 +192,16 @@ class _RequestPlan:
 
     ``amount`` is the model's nominal budget (what results report, matching
     the legacy driver even when it exceeds the training size); ``budget`` is
-    the amount resolved against the training set, which seeds the initial
-    abstraction.
+    the amount resolved against the training set.  ``trainset`` is the
+    initial abstraction ``⟨T, n, f⟩``; ``flips`` the nominal flip budget
+    results report.
     """
 
     amount: int
     budget: int
     log10_datasets: float
+    trainset: AbstractTrainingSet
     flips: int = 0
-    removal_trainset: Optional[AbstractTrainingSet] = None
-    flip_trainset: Optional[FlipAbstractTrainingSet] = None
 
 
 @dataclass
@@ -569,10 +572,7 @@ class CertificationEngine:
         runtime answers them from the persistent cache with monotone
         derivation.
         """
-        # Deferred: repro.verify.search imports the deprecated verifier shim.
-        from repro.verify.search import max_certified_poisoning
-
-        return max_certified_poisoning(
+        return search.max_certified_poisoning(
             self, dataset, x, start=start, max_n=max_budget, model=model
         )
 
@@ -594,9 +594,7 @@ class CertificationEngine:
         — and therefore through an attached runtime's componentwise
         pair-dominance cache derivation.
         """
-        from repro.verify.search import pareto_frontier
-
-        return pareto_frontier(
+        return search.pareto_frontier(
             self, dataset, x, max_remove=max_remove, max_flip=max_flip, model=model
         )
 
@@ -614,9 +612,7 @@ class CertificationEngine:
 
         ``n_jobs > 1`` spreads the points over this engine's process pool.
         """
-        from repro.verify.search import pareto_sweep
-
-        return pareto_sweep(
+        return search.pareto_sweep(
             self,
             dataset,
             points,
@@ -652,7 +648,7 @@ class CertificationEngine:
         budget = model.resolve_budget(len(dataset))
         amount = model.nominal_amount(len(dataset))
         log10_datasets = model.log10_num_neighbors(len(dataset))
-        if isinstance(model, (LabelFlipModel, CompositePoisoningModel)):
+        if isinstance(model, _FLIP_MODELS):
             if self.predicate_pool is not None:
                 raise ValidationError(
                     "predicate pools are not supported for the label-flip/"
@@ -663,15 +659,15 @@ class CertificationEngine:
                 amount=amount,
                 budget=budget,
                 log10_datasets=log10_datasets,
+                trainset=FlipAbstractTrainingSet.full(dataset, removals, flips),
                 flips=model.nominal_flip_amount(len(dataset)),
-                flip_trainset=FlipAbstractTrainingSet.full(dataset, removals, flips),
             )
         else:
             plan = _RequestPlan(
                 amount=amount,
                 budget=budget,
                 log10_datasets=log10_datasets,
-                removal_trainset=AbstractTrainingSet.full(dataset, budget),
+                trainset=AbstractTrainingSet.full(dataset, budget),
             )
         with self._plan_lock:
             # Concurrent builders of the same plan: last writer wins (the
@@ -695,16 +691,8 @@ class CertificationEngine:
         removal, label-flip, and composite certificates (including the
         TIMEOUT / RESOURCE_EXHAUSTED counters).
         """
-        if plan.flip_trainset is not None:
-            trainset: Union[AbstractTrainingSet, FlipAbstractTrainingSet] = (
-                plan.flip_trainset
-            )
-            domains = _DOMAIN_LADDERS["flip"][self.domain]
-        else:
-            assert plan.removal_trainset is not None
-            trainset = plan.removal_trainset
-            domains = _DOMAIN_LADDERS["removal"][self.domain]
-        family = "flip" if plan.flip_trainset is not None else "removal"
+        family = "flip" if isinstance(model, _FLIP_MODELS) else "removal"
+        domains = _DOMAIN_LADDERS[family][self.domain]
         # Warm-start key for the Box rungs: budget-independent on purpose, so
         # the next probe of the same (dataset, point, family) at budget n+1
         # (or the next (r, f) staircase step) finds this probe's trace.
@@ -729,7 +717,7 @@ class CertificationEngine:
                     scope.enter_context(memory)
                 for domain in domains:
                     outcome = self._run_domain(
-                        domain, trainset, x, budget, trace_key=trace_key
+                        domain, plan.trainset, x, budget, trace_key=trace_key
                     )
                     result = self._build_result(
                         outcome,
@@ -761,7 +749,7 @@ class CertificationEngine:
     def _run_domain(
         self,
         domain: str,
-        trainset: Union[AbstractTrainingSet, "FlipAbstractTrainingSet"],
+        trainset: AbstractTrainingSet,
         x: Sequence[float],
         budget: TimeBudget,
         *,

@@ -182,7 +182,7 @@ class SplitTablePlan:
 
         ``indices`` must be the sorted/unique index array of an abstract
         element over this plan's dataset (the invariant every
-        ``AbstractTrainingSet`` / ``FlipAbstractTrainingSet`` maintains).
+        ``AbstractTrainingSet`` ⟨T, n, f⟩ maintains, whatever its budgets).
         Only the stacked rows are kept, not the per-feature tables.
         """
         key = indices.tobytes()

@@ -3,7 +3,9 @@
 * :mod:`repro.domains.interval` — the standard intervals domain used for
   entropy/score/probability computations (§4.2).
 * :mod:`repro.domains.trainingset` — the paper's key novelty: the abstract
-  element ``⟨T, n⟩`` whose concretization is the perturbed set ``Δn(T)``.
+  element ``⟨T, n⟩`` whose concretization is the perturbed set ``Δn(T)``,
+  extended to ``⟨T, n, f⟩`` with up to ``f`` label flips (``f = 0`` is the
+  paper's element).
 * :mod:`repro.domains.predicate_set` — abstract sets of split predicates,
   including the null predicate ``⋄`` and symbolic threshold predicates.
 * :mod:`repro.domains.state` — product and disjunctive abstract states of the

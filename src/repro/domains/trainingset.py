@@ -1,10 +1,14 @@
-"""The abstract training-set domain ``⟨T, n⟩`` (§4.2 of the paper).
+"""The abstract training-set domain ``⟨T, n, f⟩`` (§4.2 of the paper, extended).
 
 An element ``⟨T, n⟩`` concisely represents the perturbed set
 ``Δn(T) = { T' ⊆ T : |T \\ T'| ≤ n }`` — every training set an attacker who
-contributed up to ``n`` poisoned elements could have started from.  All
-abstract transformers only ever manipulate the pair ``(T, n)``; nothing ever
-enumerates the (astronomically many) concrete training sets.
+contributed up to ``n`` poisoned elements could have started from.  The
+label-flip extension adds a third component: ``⟨T, n, f⟩`` represents
+``Δ_{n,f}(T) = { flip_{≤f}(T') : T' ∈ Δn(T) }``, where up to ``f`` labels of
+the surviving rows may also have been corrupted.  ``⟨T, n, 0⟩`` is the
+paper's ``⟨T, n⟩``, so removal certification is the ``f = 0`` case of one
+domain.  All abstract transformers only ever manipulate ``(T, n, f)``;
+nothing ever enumerates the (astronomically many) concrete training sets.
 
 Implementation notes
 ---------------------
@@ -37,7 +41,7 @@ from repro.utils.validation import ValidationError, check_index_array
 
 @dataclass(frozen=True)
 class AbstractTrainingSet:
-    """The abstract element ``⟨T, n⟩`` over a fixed base dataset.
+    """The abstract element ``⟨T, n, f⟩`` over a fixed base dataset.
 
     Attributes
     ----------
@@ -46,34 +50,42 @@ class AbstractTrainingSet:
     indices:
         Sorted, unique row indices forming ``T``.
     n:
-        The poisoning budget (how many elements may be missing).  Always kept
+        The removal budget (how many elements may be missing).  Always kept
         within ``[0, |T|]``; the constructor clamps it as the transformers do
         (``min(n, |T↓φ|)`` in Equation 1).
+    flips:
+        The label-flip budget ``f`` (how many surviving labels may be
+        corrupted), clamped to ``[0, |T|]`` likewise.  ``0`` is the paper's
+        removal-only domain.
     """
 
     dataset: Dataset
     indices: np.ndarray
     n: int
+    flips: int = 0
 
     def __post_init__(self) -> None:
         indices = check_index_array(self.indices, len(self.dataset), "indices")
         indices.setflags(write=False)
         n = int(self.n)
-        if n < 0:
-            raise ValidationError(f"poisoning budget must be non-negative, got {n}")
-        n = min(n, int(indices.size))
+        flips = int(self.flips)
+        if n < 0 or flips < 0:
+            raise ValidationError(
+                f"poisoning budgets must be non-negative, got n={n}, flips={flips}"
+            )
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", min(n, int(indices.size)))
+        object.__setattr__(self, "flips", min(flips, int(indices.size)))
 
     # ------------------------------------------------------------- builders
     @classmethod
-    def full(cls, dataset: Dataset, n: int) -> "AbstractTrainingSet":
-        """The initial abstraction ``α(Δn(T)) = ⟨T, n⟩`` over the whole dataset."""
-        return cls(dataset, np.arange(len(dataset), dtype=np.int64), n)
+    def full(cls, dataset: Dataset, n: int, flips: int = 0) -> "AbstractTrainingSet":
+        """The initial abstraction ``α(Δ_{n,f}(T)) = ⟨T, n, f⟩`` over the whole dataset."""
+        return cls(dataset, np.arange(len(dataset), dtype=np.int64), n, flips)
 
     @classmethod
     def _trusted(
-        cls, dataset: Dataset, indices: np.ndarray, n: int
+        cls, dataset: Dataset, indices: np.ndarray, n: int, flips: int = 0
     ) -> "AbstractTrainingSet":
         """Construct without re-validating ``indices``.
 
@@ -82,12 +94,14 @@ class AbstractTrainingSet:
         already-valid element, or ``flatnonzero`` of a base-sized mask).  The
         public constructor's ``check_index_array`` — an ``np.unique`` per
         element — dominated the cold path before this fast path existed.
+        Both budgets are clamped to the element size here.
         """
         obj = object.__new__(cls)
         size = int(indices.size)
         object.__setattr__(obj, "dataset", dataset)
         object.__setattr__(obj, "indices", indices)
         object.__setattr__(obj, "n", n if n <= size else size)
+        object.__setattr__(obj, "flips", flips if flips <= size else size)
         return obj
 
     @classmethod
@@ -131,6 +145,9 @@ class AbstractTrainingSet:
         return int(self.indices.nbytes) + 64
 
     # -------------------------------------------------------- concretization
+    # These work on row subsets, i.e. ``γ(⟨T, n⟩)``.  With ``f > 0`` each
+    # subset also stands for its relabelings by up to ``f`` flips, which
+    # ``repro.poisoning.label_flip.enumerate_composite_poisonings`` enumerates.
     def contains_concrete(self, subset_indices: Iterable[int]) -> bool:
         """Membership test ``T' ∈ γ(⟨T, n⟩)`` for an explicit index subset."""
         subset = check_index_array(subset_indices, len(self.dataset), "subset_indices")
@@ -185,9 +202,10 @@ class AbstractTrainingSet:
             )
 
     def join(self, other: "AbstractTrainingSet") -> "AbstractTrainingSet":
-        """The join of Definition 4.1.
+        """The join of Definition 4.1, with flip budgets taking the max.
 
         ``⟨T1, n1⟩ ⊔ ⟨T2, n2⟩ = ⟨T1 ∪ T2, max(|T1 \\ T2| + n2, |T2 \\ T1| + n1)⟩``
+        and ``f' = max(f1, f2)``.
 
         Equivalently ``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``: a fold
         of joins does not depend on its order, which is what lets
@@ -205,7 +223,9 @@ class AbstractTrainingSet:
         only_self = self.size - common
         only_other = other.size - common
         budget = max(only_self + other.n, only_other + self.n)
-        return AbstractTrainingSet._trusted(self.dataset, union, budget)
+        return AbstractTrainingSet._trusted(
+            self.dataset, union, budget, max(self.flips, other.flips)
+        )
 
     def meet(self, other: "AbstractTrainingSet") -> Optional["AbstractTrainingSet"]:
         """The meet of footnote 4; returns ``None`` for bottom (infeasible)."""
@@ -216,21 +236,25 @@ class AbstractTrainingSet:
         if only_self > self.n or only_other > other.n:
             return None
         budget = min(self.n - only_self, other.n - only_other)
-        return AbstractTrainingSet(self.dataset, common, budget)
+        return AbstractTrainingSet(
+            self.dataset, common, budget, min(self.flips, other.flips)
+        )
 
     def is_leq(self, other: "AbstractTrainingSet") -> bool:
-        """The ordering of footnote 4: ``⟨T1,n1⟩ ⊑ ⟨T2,n2⟩``."""
+        """The ordering of footnote 4: ``⟨T1,n1⟩ ⊑ ⟨T2,n2⟩``, and ``f1 <= f2``."""
         self._require_same_base(other)
         if not np.all(np.isin(self.indices, other.indices)):
             return False
         only_other = other.size - self.size
-        return self.n <= other.n - only_other
+        return self.n <= other.n - only_other and self.flips <= other.flips
 
     # -------------------------------------------------- abstract transformers
     def split_down(self, predicate: Predicate, branch: bool) -> "AbstractTrainingSet":
-        """``⟨T, n⟩↓#φ`` (Equation 1), or its negation when ``branch`` is false.
+        """``⟨T, n, f⟩↓#φ`` (Equation 1), or its negation when ``branch`` is false.
 
-        Symbolic predicates are dispatched to :meth:`split_down_symbolic`.
+        Label flips never move rows across a split, so both sides keep ``f``
+        (clamped to their size).  Symbolic predicates are dispatched to
+        :meth:`split_down_symbolic`.
         """
         if isinstance(predicate, SymbolicThresholdPredicate):
             return self.split_down_symbolic(predicate, branch)
@@ -243,7 +267,7 @@ class AbstractTrainingSet:
             if not branch:
                 mask = ~mask
             kept = self.indices[mask]
-        return AbstractTrainingSet._trusted(self.dataset, kept, self.n)
+        return AbstractTrainingSet._trusted(self.dataset, kept, self.n, self.flips)
 
     def split_down_symbolic(
         self, predicate: SymbolicThresholdPredicate, branch: bool
@@ -261,10 +285,18 @@ class AbstractTrainingSet:
             self.indices, predicate.feature, predicate.low, predicate.high, branch
         )
         budget = max(min(self.n, l), (l - t) + min(self.n, t))
-        return AbstractTrainingSet._trusted(self.dataset, loose_indices, budget)
+        return AbstractTrainingSet._trusted(
+            self.dataset, loose_indices, budget, self.flips
+        )
 
     def restrict_pure(self, class_index: int) -> Optional["AbstractTrainingSet"]:
-        """``pure(⟨T, n⟩, i)`` of §4.7; ``None`` when the restriction is ⊥."""
+        """``pure(⟨T, n⟩, i)`` of §4.7; ``None`` when the restriction is ⊥.
+
+        Only for ``f = 0``: a pure concretization of ``⟨T, n, f⟩`` may have
+        flipped rows *into* class ``i``, so it has no element form.
+        """
+        if self.flips:
+            raise ValidationError("pure(⟨T, n, f⟩, i) has no element form for f > 0")
         mask = self.labels == class_index
         removed = self.size - int(mask.sum())
         if removed > self.n:
@@ -289,10 +321,11 @@ class AbstractTrainingSet:
 
     # -------------------------------------------------------------- printing
     def describe(self) -> str:
-        return f"<|T|={self.size}, n={self.n}>"
+        flips = f", f={self.flips}" if self.flips else ""
+        return f"<|T|={self.size}, n={self.n}{flips}>"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"AbstractTrainingSet(size={self.size}, n={self.n})"
+        return f"{type(self).__name__}(size={self.size}, n={self.n}, flips={self.flips})"
 
 
 def initial_abstraction(dataset: Dataset, n: int) -> AbstractTrainingSet:

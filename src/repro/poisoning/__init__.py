@@ -6,16 +6,14 @@
   removal attacks).  Attacks are the *completeness* counterpart of the
   verifier: a successful attack is a proof of non-robustness, so no sound
   verifier may certify the same point at the same budget.
-* :mod:`repro.poisoning.label_flip` — an extension implementing abstract
-  transformers for the label-flipping poisoning model discussed in the
-  paper's related-work section.
+* :mod:`repro.poisoning.label_flip` — the exact enumeration oracles for the
+  label-flipping poisoning model discussed in the paper's related-work
+  section (its abstraction is the ``f`` of ``⟨T, n, f⟩``).
 """
 
 from repro.poisoning.attacks import AttackResult, greedy_removal_attack, random_removal_attack
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
-    FlipVerificationResult,
-    LabelFlipVerifier,
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
@@ -33,8 +31,6 @@ __all__ = [
     "greedy_removal_attack",
     "random_removal_attack",
     "FlipAbstractTrainingSet",
-    "FlipVerificationResult",
-    "LabelFlipVerifier",
     "verify_composite_by_enumeration",
     "verify_flips_by_enumeration",
     "CompositePoisoningModel",

@@ -45,6 +45,7 @@ from repro.runtime.fingerprint import (
 from repro.runtime.journal import RunJournal, run_id
 from repro.runtime.shm import DatasetStore, SharedDatasetHandle, default_store
 from repro.telemetry import events, metrics
+from repro.verify import search
 from repro.verify.result import VerificationResult
 
 _CACHE_LOOKUPS = metrics.counter(
@@ -606,11 +607,8 @@ class CertificationRuntime:
         binds its attempts to this runtime's cache and counts how many of
         them actually ran the learner.
         """
-        # Deferred: repro.verify.search pulls in the deprecated verifier shim.
-        from repro.verify.search import max_certified_poisoning
-
         self._reset_op_counters()
-        search = max_certified_poisoning(
+        outcome = search.max_certified_poisoning(
             _CacheBoundVerifier(self, engine),
             dataset,
             x,
@@ -620,15 +618,12 @@ class CertificationRuntime:
         )
         trace_steps, trace_reused = self._op_trace()
         return BudgetSweepOutcome(
-            max_certified_n=search.max_certified_n,
-            attempts=len(search.attempts),
+            max_certified_n=outcome.max_certified_n,
+            attempts=len(outcome.attempts),
             learner_invocations=self._op_invocations(),
             trace_steps=trace_steps,
             trace_reused=trace_reused,
         )
-
-    # Pre-generic-search name, kept for callers of the PR-2 API.
-    max_certified_budget = max_certified
 
     # --------------------------------------------------------- pareto sweeps
     def pareto_frontier(
@@ -649,10 +644,8 @@ class CertificationRuntime:
         derivation answers dominated/dominating queries without the learner —
         and counts how many probes actually ran it.
         """
-        from repro.verify.search import pareto_frontier
-
         self._reset_op_counters()
-        outcome = pareto_frontier(
+        outcome = search.pareto_frontier(
             _CacheBoundVerifier(self, engine),
             dataset,
             x,

@@ -5,8 +5,8 @@
 * :mod:`repro.verify.abstract_learner` — ``DTrace#`` on the base (Box) domain.
 * :mod:`repro.verify.disjunctive_learner` — ``DTrace#`` on the disjunctive
   domain of §5.2.
-* :mod:`repro.verify.robustness` — the certification driver implementing
-  Corollary 4.12, with timeouts and resource limits.
+* :mod:`repro.verify.result` — the per-point verdict of Corollary 4.12
+  (:class:`VerificationResult`, :class:`VerificationStatus`).
 * :mod:`repro.verify.enumeration` — the naïve enumeration baseline of §2.
 * :mod:`repro.verify.search` — the poisoning-amount search protocol of §6.1.
 """
@@ -14,11 +14,7 @@
 from repro.verify.abstract_learner import AbstractRunResult, BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.enumeration import EnumerationResult, verify_by_enumeration
-from repro.verify.robustness import (
-    PoisoningVerifier,
-    VerificationResult,
-    VerificationStatus,
-)
+from repro.verify.result import VerificationResult, VerificationStatus
 from repro.verify.search import (
     ParetoFrontierResult,
     PoisoningSearchResult,
@@ -36,7 +32,6 @@ __all__ = [
     "verify_by_enumeration",
     "ParetoFrontierResult",
     "PoisoningSearchResult",
-    "PoisoningVerifier",
     "VerificationResult",
     "VerificationStatus",
     "max_certified_poisoning",

@@ -114,9 +114,9 @@ class BoxAbstractLearner:
         """Abstractly interpret ``DTrace(T', x)`` for every ``T' ∈ γ(⟨T, n⟩)``.
 
         Exits are collected as their ``cprob#`` vectors rather than as states:
-        the classification of an exit is all the learner needs, and the flip
-        domain's pure exits only exist as interval vectors (see
-        :func:`~repro.verify.transformers.pure_exit_vector`).
+        the classification of an exit is all the learner needs, and the pure
+        exits of elements with label flips only exist as interval vectors
+        (see :func:`~repro.verify.transformers.pure_exit_vector`).
 
         ``warm_trace`` is the :class:`~repro.verify.trace.LadderTrace` of a
         prior run on the same (dataset, point, family) at a different budget.

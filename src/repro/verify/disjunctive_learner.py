@@ -24,10 +24,9 @@ disjuncts can grow exponentially with the tree depth, so the learner enforces
 a configurable disjunct budget and a cooperative time budget, mirroring the
 timeouts and out-of-memory failures reported in the paper's evaluation.
 
-The learner is domain-generic: through the transformers of
-:mod:`repro.verify.transformers` it interprets removal elements ``⟨T, n⟩``
-and flip/composite elements ``⟨T, r, f⟩`` alike, so label-flip and combined
-removal+flip certificates get the same disjunctive precision boost
+The learner interprets every element ``⟨T, n, f⟩`` of the one training-set
+domain, so label-flip and combined removal+flip certificates (``f > 0``) get
+the same disjunctive precision boost as removal ones
 (``domain="disjuncts"/"either"`` on the engine).
 """
 
@@ -103,7 +102,7 @@ class DisjunctiveAbstractLearner:
         point = np.asarray(x, dtype=np.float64)
         live: List[AbstractTrainingSet] = [trainset]
         # The pure and ⋄ exits of visited states, as classification vectors
-        # (the flip domain's pure exits have no state form, see
+        # (pure exits with label flips have no state form, see
         # transformers.pure_exit_vector).
         exit_vectors: List[Tuple[Interval, ...]] = []
         # The leaves: (sizes, class counts, removals, flips) of the sides the

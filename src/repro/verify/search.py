@@ -8,7 +8,7 @@ for *every* :class:`~repro.poisoning.models.PerturbationModel` family, via the
 ``with_budget(n)`` / ``with_budgets(r, f)`` rebinding protocol on the models:
 
 * :func:`max_certified_poisoning` — the per-point doubling + binary search,
-  returning the largest ``n`` for which the verifier certifies the point.
+  returning the largest ``n`` for which the engine certifies the point.
   The doubling phase clamps its final attempt to ``max_n``, so a cap that is
   not a power of two times the start is still searched exactly (certified at
   8 with ``max_n = 10`` probes 10, then binary-searches 9–10);
@@ -25,9 +25,8 @@ for *every* :class:`~repro.poisoning.models.PerturbationModel` family, via the
 * :func:`pareto_sweep` — the batch frontier over many points, optionally on
   the engine's process pool (``n_jobs``).
 
-All entry points run on the unified :class:`repro.api.CertificationEngine`;
-a legacy :class:`~repro.verify.robustness.PoisoningVerifier` is still
-accepted and silently unwrapped to its engine.  Engines with an attached
+All entry points run on the unified :class:`repro.api.CertificationEngine`
+(or anything with its ``certify_point``).  Engines with an attached
 :class:`~repro.runtime.CertificationRuntime` answer probes from the
 persistent verdict cache (scalar budget monotonicity for the one-dimensional
 families, componentwise ``(r, f)`` pair dominance for the composite family),
@@ -45,7 +44,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -58,24 +56,13 @@ from repro.poisoning.models import (
 )
 from repro.utils.validation import ValidationError
 from repro.verify.result import VerificationResult, VerificationStatus
-from repro.verify.robustness import PoisoningVerifier
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.engine import CertificationEngine
 
-#: Either the modern engine or the deprecated shim.
-VerifierLike = Union["CertificationEngine", PoisoningVerifier]
-
 #: Anything accepted as the family template of a search: a model instance
 #: whose budget is rebound per probe, or ``None`` for the paper's ``Δn``.
 ModelTemplate = Optional[PerturbationModel]
-
-
-def _as_engine(verifier: VerifierLike) -> "CertificationEngine":
-    # Duck-typed (rather than isinstance) so this module never has to import
-    # the engine at module scope, which would recreate the api/verify cycle.
-    engine = getattr(verifier, "engine", None)
-    return engine if engine is not None else verifier
 
 
 def _scalar_template(model: ModelTemplate) -> PerturbationModel:
@@ -110,7 +97,7 @@ class PoisoningSearchResult:
 
     ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps the
     probes of this search executed and how many were warm-started from the
-    previous probe's ladder trace (zero when the verifier does not expose
+    previous probe's ladder trace (zero when the engine does not expose
     trace accounting — e.g. probes routed through a runtime cache, which
     reports the same numbers on its own sweep outcomes instead).
     """
@@ -131,7 +118,7 @@ class PoisoningSearchResult:
 
 
 def max_certified_poisoning(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     x: Sequence[float],
     *,
@@ -147,7 +134,6 @@ def max_certified_poisoning(
     ``model.with_budget(n)``, so removal, fractional, and label-flip models
     are all swept by the same machinery (``None`` means the paper's ``Δn``).
     """
-    engine = _as_engine(verifier)
     template = _scalar_template(model)
     if max_n is None:
         max_n = len(dataset)
@@ -198,7 +184,7 @@ class SweepRecord:
 
 
 def robustness_sweep(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     test_points: np.ndarray,
     amounts: Sequence[int],
@@ -218,7 +204,6 @@ def robustness_sweep(
     :func:`max_certified_poisoning`; duplicate entries of ``amounts`` are
     collapsed so no level is ever certified (or recorded) twice.
     """
-    engine = _as_engine(verifier)
     template = _scalar_template(model)
     test_points = np.asarray(test_points, dtype=float)
     total = test_points.shape[0]
@@ -275,7 +260,7 @@ class ParetoFrontierResult:
     a staircase).  An empty frontier means the point was not even certified at
     ``(0, 0)``.  ``attempts`` maps every pair whose verdict the search
     *decided* to its outcome; ``probes`` counts how many of those actually
-    queried the verifier (the rest were derived from pair dominance locally).
+    queried the engine (the rest were derived from pair dominance locally).
     """
 
     frontier: Tuple[Tuple[int, int], ...]
@@ -311,7 +296,7 @@ class _PairOracle:
 
     Answers repeat queries from local componentwise dominance — ``robust`` at
     a dominating pair, or ``unknown`` at a dominated pair, decides the query
-    without touching the verifier — mirroring exactly the derivation rules of
+    without touching the engine — mirroring exactly the derivation rules of
     the runtime cache, so the frontier search stays cheap even on engines
     with no runtime attached.  Timeout / resource-exhausted outcomes count as
     "not certified" for the probe that saw them but are never used to derive
@@ -408,7 +393,7 @@ def _largest_certified(
 
 
 def pareto_frontier(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     x: Sequence[float],
     *,
@@ -433,7 +418,6 @@ def pareto_frontier(
     overlapping frontiers — and re-runs of the same frontier — reuse prior
     verdicts instead of re-running the learner.
     """
-    engine = _as_engine(verifier)
     template = _pair_template(model)
     size = len(dataset)
     max_remove = size if max_remove is None else min(int(max_remove), size)
@@ -475,7 +459,7 @@ def pareto_frontier(
 
 
 def pareto_sweep(
-    verifier: VerifierLike,
+    engine: "CertificationEngine",
     dataset: Dataset,
     points: np.ndarray,
     *,
@@ -493,7 +477,6 @@ def pareto_sweep(
     only.  Pool workers have no runtime attached, so cross-point cache sharing
     only happens in the serial path — exactly as for batch certification.
     """
-    engine = _as_engine(verifier)
     template = _pair_template(model)
     rows = [np.asarray(row, dtype=float) for row in np.asarray(points, dtype=float)]
     if min(int(n_jobs), len(rows)) > 1:

@@ -12,8 +12,7 @@ That component is fixed by three sizes.  Definition 4.1's join keeps
 ``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``, and a split piece's
 ``|Ti| − ni`` is ``max(0, si − n)`` for its tight count ``si``, so
 ``filter#`` yields ``n' = |U| − max(0, s_min − n)`` for the union ``U`` of
-the non-empty pieces (``r'`` alike for flip elements, with
-``f' = min(f, largest piece size)``); see
+the non-empty pieces, and ``f' = min(f, largest piece size)``; see
 :func:`repro.verify.transformers.filter_closed_form`.
 
 :func:`filter_abstract_traced` runs that closed form and records one
@@ -34,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.predicates import Predicate
+from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
 from repro.verify.transformers import filter_closed_form
 
@@ -50,13 +50,9 @@ class FilterReplay:
     tight: int
     largest: int
 
-    def replay_removal(self, n: int) -> int:
-        """The filtered element's budget for an incoming budget ``n``."""
-        return self.size - max(0, self.tight - n)
-
-    def replay_flip(self, removals: int, flips: int) -> Tuple[int, int]:
-        """The filtered element's ``(r, f)`` for incoming budgets."""
-        return (self.replay_removal(removals), min(flips, self.largest))
+    def replay(self, n: int, flips: int) -> Tuple[int, int]:
+        """The filtered element's ``(n, f)`` for incoming budgets ``(n, f)``."""
+        return self.size - max(0, self.tight - n), min(flips, self.largest)
 
 
 @dataclass(frozen=True)
@@ -80,17 +76,15 @@ class TraceStep:
             and self.predicates == predicates
         )
 
-    def apply(self, state):
-        """The filtered element at ``state``'s budget(s); ``None`` = bottom."""
+    def apply(self, state: AbstractTrainingSet) -> Optional[AbstractTrainingSet]:
+        """The filtered element at ``state``'s budgets; ``None`` = bottom."""
         if self.next_indices is None:
             return None
         assert self.replay is not None
-        flips = getattr(state, "flips", None)
-        if flips is not None:
-            r, f = self.replay.replay_flip(state.removals, flips)
-            return type(state)._trusted(state.dataset, self.next_indices, r, f)
-        n = self.replay.replay_removal(state.n)
-        return type(state)._trusted(state.dataset, self.next_indices, n)
+        n, flips = self.replay.replay(state.n, state.flips)
+        return AbstractTrainingSet._trusted(
+            state.dataset, self.next_indices, n, flips
+        )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 Every function here soundly overapproximates the corresponding concrete
 operation of :mod:`repro.core`: given any concrete training set
-``T' ∈ γ(⟨T, n⟩)``, the concrete result is contained in the abstract result.
+``T' ∈ γ(⟨T, n, f⟩)``, the concrete result is contained in the abstract
+result.  The element is the one training-set domain ``⟨T, n, f⟩``; the
+paper's ``⟨T, n⟩`` is its ``f = 0`` case, and every transformer reduces to
+the paper's there.
 The property-based tests in ``tests/verify`` check exactly this containment
 by enumerating small concretizations.
 
@@ -16,9 +19,10 @@ Two variants of ``cprob#`` are provided:
 ``bestSplit#`` (:func:`best_split_candidates`) bounds every candidate of a
 node at once from the node's stacked split table (threshold rows for real
 and boolean features, equality rows for categorical ones), or from the
-``split_down`` sides of an explicit predicate pool.  One selection serves
-removal ``⟨T, n⟩`` and flip ``⟨T, r, f⟩`` elements; only the score kernel
-differs.  It returns the selected candidates as arrays, with the size, class
+``split_down`` sides of an explicit predicate pool.  One score kernel
+(:func:`_split_score_bounds`) ranges over the ``f + 1`` ways of sharing the
+flip budget between a split's two sides, which is a single allocation when
+``f = 0``.  It returns the selected candidates as arrays, with the size, class
 counts and budgets of both sides of each, so the disjunctive learner
 classifies its leaves with one :func:`exit_bounds` call instead of building
 a state per leaf.  :func:`best_split_abstract` materializes the predicates.
@@ -27,14 +31,12 @@ a state per leaf.  :func:`best_split_abstract` materializes the predicates.
 learner runs through :mod:`repro.verify.trace`; the sequential fold of split
 pieces (:func:`filter_abstract`) is kept as its scalar oracle.
 
-``cprob_intervals`` and ``pure_exit_vector`` dispatch structurally on the
-abstract element: an element exposing the flip protocol
-(``class_probability_intervals`` / ``pure_exit_intervals``, i.e.
-:class:`repro.poisoning.label_flip.FlipAbstractTrainingSet` for the
-label-flip and composite removal+flip threat models) is routed to its own
-transformers, so the same Box and disjunctive learners soundly interpret
-``⟨T, n⟩`` and ``⟨T, r, f⟩`` alike.  The dispatch is duck-typed on purpose:
-importing the flip domain here would cycle through ``repro.poisoning``.
+``cprob#`` is one formula for every element: with ``m = |T| − n`` rows
+left, class ``i`` keeps ``[max(0, c_i − n − f), min(c_i + f, m)] / m``.
+Only the ``ent(T) = 0`` exit (:func:`pure_exit_vector`) branches on ``f``:
+a pure concretization of ``⟨T, n, f⟩`` may have flipped rows into its
+class, so for ``f > 0`` it has no element form and the exit is the join of
+the point vectors of the feasible classes.
 """
 
 from __future__ import annotations
@@ -73,14 +75,19 @@ CPROB_METHODS = ("optimal", "box")
 
 
 def size_interval(trainset: AbstractTrainingSet) -> Interval:
-    """``|⟨T, n⟩| = [|T| - n, |T|]`` (§4.6)."""
+    """``|⟨T, n, f⟩| = [|T| - n, |T|]`` (§4.6); flips never change sizes."""
     return Interval(float(trainset.size - trainset.n), float(trainset.size))
 
 
 def cprob_box(trainset: AbstractTrainingSet) -> Tuple[Interval, ...]:
-    """The naïve ``cprob#`` of §4.4: interval numerator / interval denominator."""
+    """The naïve ``cprob#`` of §4.4: interval numerator / interval denominator.
+
+    Class ``i`` with count ``c_i`` has numerator
+    ``[max(0, c_i - n - f), min(c_i + f, |T|)]`` over ``[|T| - n, |T|]``.
+    """
     size = trainset.size
     n = trainset.n
+    flips = trainset.flips
     k = trainset.dataset.n_classes
     if n >= size:
         return tuple(Interval.unit() for _ in range(k))
@@ -88,21 +95,27 @@ def cprob_box(trainset: AbstractTrainingSet) -> Tuple[Interval, ...]:
     denominator = Interval(float(size - n), float(size))
     intervals = []
     for count in counts:
-        numerator = Interval(float(max(0, count - n)), float(count))
+        numerator = Interval(
+            float(max(0, int(count) - n - flips)),
+            float(min(int(count) + flips, size)),
+        )
         intervals.append(numerator.divide(denominator))
     return tuple(intervals)
 
 
 def cprob_optimal(trainset: AbstractTrainingSet) -> Tuple[Interval, ...]:
-    """The optimal ``cprob#`` of footnote 6.
+    """The optimal ``cprob#`` of footnote 6, with label flips.
 
     For each class ``i`` with count ``c_i`` and ``m = |T| - n`` remaining
-    elements, the extremal probabilities are reached by dropping either as
-    many class-``i`` elements as possible or as many other elements as
-    possible, giving the interval ``[max(0, c_i - n)/m, min(c_i, m)/m]``.
+    elements, the extremal probabilities are reached by dropping as many
+    class-``i`` elements as possible and flipping ``f`` more away, or by
+    dropping other elements and flipping ``f`` of them to ``i``:
+    ``[max(0, c_i - n - f)/m, min(c_i + f, m)/m]``.  With ``f = 0`` this is
+    the paper's interval.
     """
     size = trainset.size
     n = trainset.n
+    flips = trainset.flips
     k = trainset.dataset.n_classes
     m = size - n
     if m <= 0:
@@ -110,8 +123,8 @@ def cprob_optimal(trainset: AbstractTrainingSet) -> Tuple[Interval, ...]:
     counts = trainset.class_counts()
     intervals = []
     for count in counts:
-        lower = max(0, int(count) - n) / m
-        upper = min(int(count), m) / m
+        lower = max(0, int(count) - n - flips) / m
+        upper = min(int(count) + flips, m) / m
         intervals.append(Interval(lower, upper))
     return tuple(intervals)
 
@@ -119,10 +132,7 @@ def cprob_optimal(trainset: AbstractTrainingSet) -> Tuple[Interval, ...]:
 def cprob_intervals(
     trainset: AbstractTrainingSet, method: str = "optimal"
 ) -> Tuple[Interval, ...]:
-    """Dispatch between the two ``cprob#`` transformers (and the flip domain)."""
-    flip_cprob = getattr(trainset, "class_probability_intervals", None)
-    if flip_cprob is not None:
-        return flip_cprob(method)
+    """Dispatch between the two ``cprob#`` transformers."""
     if method == "optimal":
         return cprob_optimal(trainset)
     if method == "box":
@@ -162,20 +172,28 @@ def pure_exit_vector(
 ) -> Optional[Tuple[Interval, ...]]:
     """Class-probability intervals of the ``ent(T) = 0`` exit, or ``None``.
 
-    For removal elements this is ``cprob#`` of :func:`pure_restriction`.  Flip
-    elements have no state-shaped pure restriction (a pure concretization may
-    have *flipped* rows into the majority class), so they contribute the
-    joined point vectors of every feasible pure class directly — which is
-    exactly the classification of those exits.
+    For ``f = 0`` this is ``cprob#`` of :func:`pure_restriction`, as in the
+    paper.  For ``f > 0`` a pure concretization may have *flipped* rows into
+    its class, so there is no pure element; the exit is the join of the
+    point vectors of every class ``i`` some concretization can make pure
+    (the rows of other classes fit in ``n + f``), which is exactly the
+    classification of those exits.
     """
     with profiling.phase("pure_exit"):
-        pure_exits = getattr(trainset, "pure_exit_intervals", None)
-        if pure_exits is not None:
-            return pure_exits()
-        restricted = trainset.restrict_pure_any()
-        if restricted is None:
+        if not trainset.flips:
+            restricted = trainset.restrict_pure_any()
+            if restricted is None:
+                return None
+            return cprob_intervals(restricted, method)
+        others = trainset.size - trainset.class_counts()
+        feasible = others <= trainset.n + trainset.flips
+        if not feasible.any():
             return None
-        return cprob_intervals(restricted, method)
+        single = int(feasible.sum()) == 1
+        return tuple(
+            Interval(1.0 if single else 0.0, 1.0) if hit else Interval.zero()
+            for hit in feasible.tolist()
+        )
 
 
 def entropy_is_definitely_zero(
@@ -262,7 +280,7 @@ def _branches(
 
 
 def filter_closed_form(
-    trainset, predicates: AbstractPredicateSet, x: Sequence[float]
+    trainset: AbstractTrainingSet, predicates: AbstractPredicateSet, x: Sequence[float]
 ) -> Optional[Tuple[np.ndarray, int, int]]:
     """The join :func:`filter_abstract` folds, computed from piece counts.
 
@@ -271,18 +289,16 @@ def filter_closed_form(
     ``⟨T, n⟩`` has ``|Ti| − ni = max(0, si − n)``, where the *tight* count
     ``si`` is the size of a concrete piece and ``t`` of a symbolic one.  The
     fold is therefore ``⟨U, |U| − max(0, s_min − n)⟩`` for the union ``U``
-    of the non-empty pieces and their smallest tight count ``s_min``.  A flip
-    element ``⟨T, r, f⟩`` keeps ``r`` by the same formula and gets
-    ``f' = min(f, largest piece size)``.
+    of the non-empty pieces and their smallest tight count ``s_min``; the
+    flip budget becomes ``f' = min(f, largest piece size)``.
 
     On one feature the threshold pieces (concrete or symbolic) of the
     satisfied side are nested prefixes of the node's sorted values, and those
     of the falsified side nested suffixes, so ``U`` needs only the widest
     piece of each side; equality pieces add their own rows.
 
-    Works on any element with ``dataset`` and ``indices`` (removal and flip
-    alike).  Returns ``(U, s_min, largest piece size)``, or ``None`` (bottom)
-    when no piece survives.
+    Returns ``(U, s_min, largest piece size)``, or ``None`` (bottom) when no
+    piece survives.
     """
     table = _predicate_table(predicates.predicates)
     if table.shape[0] == 0:
@@ -357,71 +373,108 @@ def filter_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _side_probability_bounds(
-    sizes: np.ndarray, class_counts: np.ndarray, budget, method: str
+def _split_score_bounds(
+    left_sizes: np.ndarray,
+    left_class_counts: np.ndarray,
+    right_sizes: np.ndarray,
+    right_class_counts: np.ndarray,
+    left_removals,
+    right_removals,
+    flips: int,
+    method: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``cprob#`` bounds for one side of every candidate split.
+    """Vectorized bounds of ``score#`` for every candidate split.
 
-    Parameters are arrays over candidates: ``sizes`` has shape ``(c,)`` and
-    ``class_counts`` shape ``(c, k)``; ``budget`` is the removal budget, one
-    for all candidates or one per candidate.  Returns per-candidate,
-    per-class lower and upper probability bounds of shape ``(c, k)``.
+    ``score#`` is ``|left| · ent#(left) + |right| · ent#(right)`` (§4.6),
+    each side's ``cprob#`` as in :func:`cprob_optimal` / :func:`cprob_box`.
+    Sizes have shape ``(c,)`` and class counts ``(c, k)``; the removal
+    budgets are one per side, for all candidates or one per candidate, and
+    each side keeps the full budget (clamped to its size).
+
+    A flipped label lives on exactly one side, so the flip budget is not
+    granted to both sides at once (which would double-count every flip):
+    the bound ranges over the allocations ``f_l + f_r ≤ f``.  The side
+    bounds widen monotonically in their flip budget, so the extremes lie on
+    ``f_l + f_r = f``.  Each side evaluates all ``f + 1`` allocations as one
+    ``(c, f + 1, k)`` cube, and the envelope is a min/max over the
+    allocation axis.  With ``f = 0`` there is one allocation and the bound
+    is the paper's.  Oracles: :func:`_side_score_bounds_reference` (``f =
+    0``) and :func:`_flip_split_score_bounds_reference`.
     """
-    sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    budgets = np.minimum(np.asarray(budget, dtype=np.float64), sizes)
-    remaining = sizes - budgets  # m = |T| - n for each candidate side
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None]
-    lower = counts - budgets[:, None]
-    np.maximum(lower, 0.0, out=lower)
-    if method == "optimal":
-        lower /= safe_remaining
-        upper = np.minimum(counts, remaining[:, None]) / safe_remaining
-    elif method == "box":
-        # Numerator [max(0, c - n), c], denominator [m, |T|] — interval division
-        # with a positive divisor.
-        lower /= np.maximum(sizes, 1.0)[:, None]
-        upper = counts / safe_remaining
-    else:
+    if method not in CPROB_METHODS:
         raise ValueError(f"unknown cprob method {method!r}")
-    if not positive.all():
-        lower[~positive] = 0.0
-        upper[~positive] = 1.0
-    return lower, upper
 
+    def side(sizes, class_counts, removals, side_flips):
+        """``(c, a)`` bounds of ``|side| · ent#(side)``, one column per allocation.
 
-def _side_score_bounds(
-    sizes: np.ndarray, class_counts: np.ndarray, budget, method: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized bounds of ``|side| · ent#(side)`` for every candidate."""
-    prob_lower, prob_upper = _side_probability_bounds(
-        sizes, class_counts, budget, method
+        One side at a time, in place where possible: node tables reach
+        millions of candidates, so every ``(c, a, k)`` temporary counts.
+        """
+        sizes = sizes.astype(np.float64)[:, None]  # (c, 1)
+        removals = np.minimum(removals, sizes[:, 0])[:, None]
+        remaining = sizes - removals  # m = |T| - n
+        side_flips = np.minimum(side_flips, sizes)[:, :, None]  # (c, a, 1)
+        counts = class_counts.astype(np.float64)[:, None, :]  # (c, 1, k)
+        lower = counts - (removals[:, :, None] + side_flips)
+        np.maximum(lower, 0.0, out=lower)
+        upper = counts + side_flips
+        del counts, removals, side_flips
+        positive = remaining[:, 0] > 0
+        # m is integral, so this is m, or 1 where m = 0.
+        safe_remaining = np.maximum(remaining, 1.0)[:, :, None]
+        if method == "optimal":
+            # Both bounds stay within [0, 1]: c - n - f <= m and min(c + f, m) <= m.
+            lower /= safe_remaining
+            np.minimum(upper, remaining[:, :, None], out=upper)
+        else:
+            # Numerator [max(0, c - n - f), min(c + f, |T|)] over [m, |T|]:
+            # interval division with a positive divisor.
+            lower /= np.maximum(sizes, 1.0)[:, :, None]
+            np.minimum(upper, sizes[:, :, None], out=upper)
+        upper /= safe_remaining
+        del safe_remaining
+        if not positive.all():
+            lower[~positive] = 0.0
+            upper[~positive] = 1.0
+        if method == "optimal":
+            # Optimal bounds lie in [0, 1] and rounded products are monotone,
+            # so each interval product is lower·lower' and upper·upper': the
+            # values mul_bounds would pick, without the other products.
+            term = 1.0 - upper
+            term *= lower
+            gini_lower = term.sum(axis=-1)
+            np.subtract(1.0, lower, out=term)
+            term *= upper
+            del lower, upper
+            return remaining * gini_lower, sizes * term.sum(axis=-1)
+        term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
+        del lower, upper
+        return mul_bounds(
+            remaining, sizes, term_lower.sum(axis=-1), term_upper.sum(axis=-1)
+        )
+
+    allocations = np.arange(flips + 1, dtype=np.float64)
+    # The left side gets f_l = 0..f flips, the right side the rest.
+    left_lower, left_upper = side(
+        left_sizes, left_class_counts, left_removals, allocations
     )
-    sizes = sizes.astype(np.float64)
-    size_lower = sizes - np.minimum(np.asarray(budget, dtype=np.float64), sizes)
-    if method == "optimal":
-        # Optimal bounds lie in [0, 1] and rounded products are monotone, so
-        # each interval product is lower·lower' and upper·upper': the values
-        # mul_bounds would pick, without computing the other products.
-        gini_lower = (prob_lower * (1.0 - prob_upper)).sum(axis=1)
-        gini_upper = (prob_upper * (1.0 - prob_lower)).sum(axis=1)
-        return size_lower * gini_lower, sizes * gini_upper
-    term_lower, term_upper = mul_bounds(
-        prob_lower, prob_upper, 1.0 - prob_upper, 1.0 - prob_lower
+    right_lower, right_upper = side(
+        right_sizes, right_class_counts, right_removals, allocations[::-1]
     )
-    return mul_bounds(
-        size_lower, sizes, term_lower.sum(axis=1), term_upper.sum(axis=1)
+    return (
+        (left_lower + right_lower).min(axis=-1),
+        (left_upper + right_upper).max(axis=-1),
     )
 
 
 def _side_score_bounds_reference(
     sizes: np.ndarray, class_counts: np.ndarray, budget: int, method: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar per-candidate mirror of :func:`_side_score_bounds`.
+    """Scalar per-candidate bounds of ``|side| · ent#(side)`` for ``f = 0``.
 
-    Retained as the property-test oracle for the vectorized kernel: one
-    candidate at a time, in plain :class:`Interval` arithmetic.
+    Retained as the property-test oracle for :func:`_split_score_bounds`
+    without flips: one side of one candidate at a time, in plain
+    :class:`Interval` arithmetic.
     """
     lower = np.empty(int(sizes.shape[0]))
     upper = np.empty(int(sizes.shape[0]))
@@ -452,118 +505,6 @@ def _side_score_bounds_reference(
     return lower, upper
 
 
-def _flip_side_score_bounds(
-    sizes: np.ndarray, class_counts: np.ndarray, removals: int, flips: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized bounds of ``|side| * gini(side)`` under the combined model.
-
-    This is the per-side primitive: ``flips`` here is the flip budget granted
-    to *this* side alone.  :func:`_flip_split_score_bounds` combines the two
-    sides over all ways of allocating the shared flip budget between them.
-    """
-    sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    side_removals = np.minimum(float(removals), sizes)
-    side_flips = np.minimum(float(flips), sizes)
-    remaining = sizes - side_removals
-
-    lower = np.zeros_like(counts)
-    upper = np.ones_like(counts)
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None]
-    budget = (side_removals + side_flips)[:, None]
-    lower_pos = np.maximum(0.0, counts - budget) / safe_remaining
-    upper_pos = np.minimum(counts + side_flips[:, None], remaining[:, None]) / safe_remaining
-    mask = positive[:, None]
-    lower = np.where(mask, np.minimum(lower_pos, 1.0), lower)
-    upper = np.where(mask, np.minimum(upper_pos, 1.0), upper)
-
-    term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
-    gini_lower = term_lower.sum(axis=1)
-    gini_upper = term_upper.sum(axis=1)
-    return mul_bounds(remaining, sizes, gini_lower, gini_upper)
-
-
-def _flip_side_score_bounds_batch(
-    sizes: np.ndarray,
-    class_counts: np.ndarray,
-    removals: int,
-    flip_allocations: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`_flip_side_score_bounds` over a vector of flip budgets.
-
-    Evaluates the per-side bounds for every candidate *and* every flip
-    allocation at once: ``sizes`` has shape ``(c,)``, ``class_counts`` shape
-    ``(c, k)``, ``flip_allocations`` shape ``(a,)``; the result arrays have
-    shape ``(c, a)``.  The arithmetic is the same as the scalar kernel, just
-    broadcast over a ``(c, a, k)`` cube.
-    """
-    sizes = sizes.astype(np.float64)
-    counts = class_counts.astype(np.float64)
-    side_removals = np.minimum(float(removals), sizes)  # (c,)
-    side_flips = np.minimum(
-        flip_allocations.astype(np.float64)[None, :], sizes[:, None]
-    )  # (c, a)
-    remaining = sizes - side_removals  # (c,)
-
-    positive = remaining > 0
-    safe_remaining = np.where(positive, remaining, 1.0)[:, None, None]  # (c, 1, 1)
-    budget = (side_removals[:, None] + side_flips)[:, :, None]  # (c, a, 1)
-    cube_counts = counts[:, None, :]  # (c, 1, k)
-    lower_pos = np.maximum(0.0, cube_counts - budget) / safe_remaining
-    upper_pos = (
-        np.minimum(cube_counts + side_flips[:, :, None], remaining[:, None, None])
-        / safe_remaining
-    )
-    mask = positive[:, None, None]
-    lower = np.where(mask, np.minimum(lower_pos, 1.0), 0.0)
-    upper = np.where(mask, np.minimum(upper_pos, 1.0), 1.0)
-
-    term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
-    gini_lower = term_lower.sum(axis=2)  # (c, a)
-    gini_upper = term_upper.sum(axis=2)
-    return mul_bounds(
-        remaining[:, None], sizes[:, None], gini_lower, gini_upper
-    )
-
-
-def _flip_split_score_bounds(
-    left_sizes: np.ndarray,
-    left_class_counts: np.ndarray,
-    right_sizes: np.ndarray,
-    right_class_counts: np.ndarray,
-    removals: int,
-    flips: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Bounds of ``score(left) + score(right)`` with the flip budget shared.
-
-    A single flipped label lives on exactly one side of a split, so a sound
-    *and tight* bound ranges over the allocations ``f_l + f_r ≤ f`` rather
-    than granting the full flip budget to both sides at once (which
-    double-counts every flip and was the pre-fix behavior).  The per-side
-    bounds widen monotonically in the flip budget, so the extremes over
-    ``f_l + f_r ≤ f`` are attained on the boundary ``f_l + f_r = f``: the
-    batched kernel evaluates all ``f + 1`` boundary allocations as one
-    ``(n_candidates, f + 1, n_classes)`` broadcast (left side gets
-    ``f_l = 0..f``, right side the reversed vector) and the envelope is a
-    min/max over the allocation axis.  The removal budget is *not* allocated
-    — each side keeps the full ``r`` — because removal already
-    over-approximates per-side independently in the removal-only transformer.
-    :func:`_flip_split_score_bounds_reference` retains the allocation-at-a-
-    time evaluation as the property-test oracle.
-    """
-    allocations = np.arange(flips + 1, dtype=np.int64)
-    left_lower, left_upper = _flip_side_score_bounds_batch(
-        left_sizes, left_class_counts, removals, allocations
-    )
-    right_lower, right_upper = _flip_side_score_bounds_batch(
-        right_sizes, right_class_counts, removals, allocations[::-1]
-    )
-    score_lower = (left_lower + right_lower).min(axis=1)
-    score_upper = (left_upper + right_upper).max(axis=1)
-    return score_lower, score_upper
-
-
 def _flip_split_score_bounds_reference(
     left_sizes: np.ndarray,
     left_class_counts: np.ndarray,
@@ -572,19 +513,36 @@ def _flip_split_score_bounds_reference(
     removals: int,
     flips: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Allocation-at-a-time mirror of :func:`_flip_split_score_bounds`.
+    """Allocation-at-a-time bounds of ``score#`` under ``optimal`` ``cprob#``.
 
-    Retained as the property-test oracle for the batched kernel: one flip
-    allocation per loop iteration through the scalar-budget side kernel.
+    Retained as the property-test oracle for :func:`_split_score_bounds`
+    with flips: one flip allocation per loop iteration, each side in
+    general :func:`mul_bounds` interval products.
     """
+
+    def side(sizes: np.ndarray, class_counts: np.ndarray, side_flips: int):
+        sizes = sizes.astype(np.float64)
+        counts = class_counts.astype(np.float64)
+        side_removals = np.minimum(float(removals), sizes)
+        granted = np.minimum(float(side_flips), sizes)[:, None]
+        remaining = sizes - side_removals
+        positive = (remaining > 0)[:, None]
+        safe_remaining = np.where(positive, remaining[:, None], 1.0)
+        lower = np.maximum(0.0, counts - (side_removals[:, None] + granted))
+        upper = np.minimum(counts + granted, remaining[:, None])
+        lower = np.where(positive, np.minimum(lower / safe_remaining, 1.0), 0.0)
+        upper = np.where(positive, np.minimum(upper / safe_remaining, 1.0), 1.0)
+        term_lower, term_upper = mul_bounds(lower, upper, 1.0 - upper, 1.0 - lower)
+        return mul_bounds(
+            remaining, sizes, term_lower.sum(axis=1), term_upper.sum(axis=1)
+        )
+
     score_lower: Optional[np.ndarray] = None
     score_upper: Optional[np.ndarray] = None
     for left_flips in range(flips + 1):
-        left_lower, left_upper = _flip_side_score_bounds(
-            left_sizes, left_class_counts, removals, left_flips
-        )
-        right_lower, right_upper = _flip_side_score_bounds(
-            right_sizes, right_class_counts, removals, flips - left_flips
+        left_lower, left_upper = side(left_sizes, left_class_counts, left_flips)
+        right_lower, right_upper = side(
+            right_sizes, right_class_counts, flips - left_flips
         )
         allocation_lower = left_lower + right_lower
         allocation_upper = left_upper + right_upper
@@ -598,7 +556,7 @@ def _flip_split_score_bounds_reference(
 
 
 # ---------------------------------------------------------------------------
-# bestSplit#: one candidate selection for removal and flip elements
+# bestSplit#: candidate selection
 # ---------------------------------------------------------------------------
 
 
@@ -614,9 +572,8 @@ class SplitCandidates:
     side at ``[:, 0]``): its size, class counts and budgets.  For a node
     table candidate no node value lies strictly between ``low`` and
     ``high``, so the symbolic split is exact and a side of size ``s`` keeps
-    ``min(r, s)`` removals and ``min(f, s)`` flips.  ``flips`` is all zeros
-    for removal elements.  ``pool`` holds the predicate objects of an
-    explicit predicate pool's rows.
+    ``min(n, s)`` removals and ``min(f, s)`` flips.  ``pool`` holds the
+    predicate objects of an explicit predicate pool's rows.
     """
 
     feature: np.ndarray  # (c,) int64
@@ -678,24 +635,20 @@ def _no_split(k: int) -> SplitCandidates:
 
 
 def best_split_candidates(
-    state,
+    state: AbstractTrainingSet,
     method: str = "optimal",
     predicate_pool: Optional[Sequence[Predicate]] = None,
 ) -> SplitCandidates:
     """``bestSplit#`` of §4.6 (with App. B's lifting) as candidate arrays.
 
-    Works on removal ``⟨T, n⟩`` and flip ``⟨T, r, f⟩`` elements alike: they
-    share the candidates (every split of the node's table; equality splits
-    for categorical features) and the selection, and differ only in the
-    score kernel.  Without a pool the result is memoized on the dataset's
-    split plan, since it depends only on the node rows, the budgets and
-    ``method``.  Predicate pools are supported for removal elements only.
+    The candidates are every split of the node's table (equality splits for
+    categorical features).  Without a pool the result is memoized on the
+    dataset's split plan, since it depends only on the node rows, the
+    budgets and ``method``.  Predicate pools are supported for ``f = 0``
+    only.
     """
     with profiling.phase("best_split"):
-        # A flip element ⟨T, r, f⟩ has ``removals`` and ``flips``; ⟨T, n⟩ has ``n``.
-        flips = getattr(state, "flips", None)
-        removals = state.n if flips is None else state.removals
-        if predicate_pool is not None and flips is not None:
+        if predicate_pool is not None and state.flips:
             raise ValidationError(
                 "predicate pools are not supported for the label-flip/composite "
                 "threat models"
@@ -705,21 +658,18 @@ def best_split_candidates(
         if predicate_pool is not None:
             return _pool_candidates(state, predicate_pool, method)
         plan = split_plan.plan_for(state.dataset)
-        key = (state.indices.tobytes(), removals, flips, method)
+        key = (state.indices.tobytes(), state.n, state.flips, method)
         result = plan.cached_best_split(key)
         if result is None:
             result = _table_candidates(
-                plan.node_candidates(state.indices), removals, flips, method
+                plan.node_candidates(state.indices), state.n, state.flips, method
             )
             plan.store_best_split(key, result)
         return result
 
 
 def _table_candidates(
-    rows: split_plan.StackedCandidates,
-    removals: int,
-    flips: Optional[int],
-    method: str,
+    rows: split_plan.StackedCandidates, removals: int, flips: int, method: str
 ) -> SplitCandidates:
     """The selected rows of a node's candidate table."""
     keep, includes_null = _selection(
@@ -746,7 +696,7 @@ def _table_candidates(
             (left_counts, rows.total_class_counts - left_counts), axis=1
         ),
         removals=np.minimum(removals, sizes),
-        flips=np.minimum(flips or 0, sizes),
+        flips=np.minimum(flips, sizes),
         includes_null=includes_null,
     )
 
@@ -759,7 +709,8 @@ def _pool_candidates(
     A pool predicate need not be one of the node's table candidates, so a
     symbolic one may keep a budget above ``min(n, size)``; its sides are the
     ``split_down`` elements themselves.  Predicates with an empty side are
-    trivial for every concretization and are not in Φ∃.
+    trivial for every concretization and are not in Φ∃.  Only ``f = 0``
+    elements reach here.
     """
     kept: List[Predicate] = []
     sides = []
@@ -781,7 +732,7 @@ def _pool_candidates(
         counts[:, 1],
         budgets[:, 0],
         budgets[:, 1],
-        None,
+        0,
         method,
     )
     table = _predicate_table([kept[i] for i in keep])
@@ -809,7 +760,7 @@ def _selection(
     right_class_counts: np.ndarray,
     left_removals,
     right_removals,
-    flips: Optional[int],
+    flips: int,
     method: str,
 ) -> Tuple[np.ndarray, bool]:
     """The Φ∃ rows that may be optimal (§4.6), and whether ``⋄`` joins them.
@@ -820,36 +771,27 @@ def _selection(
     every row whose score lower bound is at most ``lub``.  When Φ∀ is empty
     some concretization may have no non-trivial split, so every row is kept
     and ``⋄`` added.  The removal budgets are one per side, for all rows or
-    per row; a flip element (``flips`` not ``None``) has the same removal
-    budget on every side.
+    per row.
     """
     universal = (left_sizes > left_removals) & (right_sizes > right_removals)
     if not universal.any():
         return np.arange(left_sizes.shape[0]), True
-    if flips is None:
-        left_lower, left_upper = _side_score_bounds(
-            left_sizes, left_class_counts, left_removals, method
-        )
-        right_lower, right_upper = _side_score_bounds(
-            right_sizes, right_class_counts, right_removals, method
-        )
-        score_lower = left_lower + right_lower
-        score_upper = left_upper + right_upper
-    else:
-        score_lower, score_upper = _flip_split_score_bounds(
-            left_sizes,
-            left_class_counts,
-            right_sizes,
-            right_class_counts,
-            left_removals,
-            flips,
-        )
+    score_lower, score_upper = _split_score_bounds(
+        left_sizes,
+        left_class_counts,
+        right_sizes,
+        right_class_counts,
+        left_removals,
+        right_removals,
+        flips,
+        method,
+    )
     lub = float(score_upper[universal].min())
     return np.flatnonzero(score_lower <= lub + SCORE_TOLERANCE), False
 
 
 def best_split_abstract(
-    trainset,
+    trainset: AbstractTrainingSet,
     *,
     method: str = "optimal",
     predicate_pool: Optional[Sequence[Predicate]] = None,
@@ -878,9 +820,8 @@ def exit_bounds(
     """``cprob#`` of ``E`` exits ``⟨T_i, r_i, f_i⟩`` at once, as ``(E, k)`` lo/hi.
 
     Row ``i`` equals :func:`cprob_optimal` / :func:`cprob_box` of
-    ``⟨T_i, r_i⟩`` when ``f_i = 0`` and the flip element's
-    ``class_probability_intervals`` otherwise; those scalar transformers are
-    its oracles.  With ``m = |T| − r`` remaining rows, class ``i`` keeps
+    ``⟨T_i, r_i, f_i⟩``; those scalar transformers are its oracles.  With
+    ``m = |T| − r`` remaining rows, class ``i`` keeps
     ``[max(0, c_i − r − f), min(c_i + f, m)] / m`` (``"optimal"``) or that
     numerator over ``[m, |T|]`` with upper count ``min(c_i + f, |T|)``
     (``"box"``); an exit with ``m = 0`` gets ``[0, 1]``.

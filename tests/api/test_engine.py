@@ -9,6 +9,7 @@ from repro.api import CertificationEngine, CertificationRequest, as_perturbation
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.datasets.toy import figure2_dataset
+from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.models import (
     CompositePoisoningModel,
     FractionalRemovalModel,
@@ -16,6 +17,8 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
 )
 from repro.utils.memory import MemoryTracker
+from repro.verify.abstract_learner import BoxAbstractLearner
+from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.result import VerificationResult, VerificationStatus
 from tests.conftest import well_separated_dataset
 
@@ -155,16 +158,18 @@ class TestThreatModelDispatch:
             )
             assert not box_only.is_certified
 
-    def test_label_flip_matches_extension_verifier(self):
-        from repro.poisoning.label_flip import LabelFlipVerifier
+    def test_label_flip_matches_box_learner(self):
+        from repro.poisoning.label_flip import FlipAbstractTrainingSet
 
         dataset = well_separated_dataset()
         engine = CertificationEngine(max_depth=2, domain="box")
         unified = engine.certify_point(dataset, [0.5], LabelFlipModel(3))
-        extension = LabelFlipVerifier(max_depth=2).verify(dataset, [0.5], flips=3)
-        assert unified.is_certified == extension.robust
-        assert unified.certified_class == extension.certified_class
-        assert unified.class_intervals == extension.class_intervals
+        run = BoxAbstractLearner(max_depth=2).run(
+            FlipAbstractTrainingSet.full(dataset, 0, 3), [0.5]
+        )
+        assert unified.is_certified == (run.robust_class is not None)
+        assert unified.certified_class == run.robust_class
+        assert unified.class_intervals == run.class_intervals
 
     def test_oversized_budget_reports_requested_amount(self):
         """Legacy parity: n > |T| is clamped for the abstraction but reported as given."""
@@ -323,20 +328,19 @@ class TestPlanCacheLRU:
         assert RemovalPoisoningModel(2) not in cached_models
 
 
-class TestParityWithLegacyVerifier:
-    def test_matches_poisoning_verifier_on_figure2(self):
-        from repro.verify.robustness import PoisoningVerifier
-
+class TestParityWithLearners:
+    def test_matches_domain_ladder_on_figure2(self):
+        """``domain="either"`` is Box, then the disjunctive rung if Box is inconclusive."""
         dataset = figure2_dataset()
         engine = CertificationEngine(max_depth=2, domain="either")
-        with pytest.deprecated_call():
-            verifier = PoisoningVerifier(max_depth=2, domain="either")
         for n in (0, 1, 2, 8):
-            modern = engine.certify_point(dataset, [5.0], n)
-            legacy = verifier.verify(dataset, [5.0], n)
-            assert modern.status == legacy.status
-            assert modern.certified_class == legacy.certified_class
-            assert modern.class_intervals == legacy.class_intervals
+            result = engine.certify_point(dataset, [5.0], n)
+            trainset = AbstractTrainingSet.full(dataset, n)
+            run = BoxAbstractLearner(max_depth=2).run(trainset, [5.0])
+            if run.robust_class is None:
+                run = DisjunctiveAbstractLearner(max_depth=2).run(trainset, [5.0])
+            assert result.certified_class == run.robust_class
+            assert result.class_intervals == run.class_intervals
 
 
 class TestResourceHandling:

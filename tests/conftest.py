@@ -17,6 +17,11 @@ from repro.core.dataset import Dataset, FeatureKind
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # Any DeprecationWarning fails the suite, so no deprecated path comes back.
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+
+
 @pytest.fixture
 def figure2() -> Dataset:
     """The 13-element black/white dataset of Figure 2 of the paper."""

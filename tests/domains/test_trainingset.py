@@ -116,6 +116,15 @@ class TestLatticeOperations:
         assert small.is_leq(large)
         assert not large.is_leq(small)
 
+    def test_flip_budgets_in_meet_and_ordering(self, dataset):
+        # ⟨T, n, f⟩ ⊑ ⟨T, n, f'⟩ iff f <= f'; the meet keeps the smaller f.
+        few = AbstractTrainingSet(dataset, np.arange(3), 1, 1)
+        many = AbstractTrainingSet(dataset, np.arange(3), 1, 2)
+        assert few.is_leq(many)
+        assert not many.is_leq(few)
+        met = few.meet(many)
+        assert met is not None and met.flips == 1
+
 
 class TestSplitDown:
     def test_concrete_threshold(self, dataset):

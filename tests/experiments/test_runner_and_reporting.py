@@ -6,12 +6,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import results_directory, save_artifact
 from repro.experiments.runner import (
     load_experiment_split,
-    make_verifier,
+    make_engine,
     run_grid_cell,
     select_test_points,
     summarize_results,
 )
-from repro.verify.robustness import PoisoningVerifier
+from repro.api import CertificationEngine
 
 
 def tiny_config() -> ExperimentConfig:
@@ -42,12 +42,12 @@ class TestRunner:
         points = select_test_points(split, config, "iris")
         assert points.shape[0] == len(split.test)
 
-    def test_make_verifier_wires_config(self):
-        verifier = make_verifier(3, "box", tiny_config())
-        assert isinstance(verifier, PoisoningVerifier)
-        assert verifier.max_depth == 3
-        assert verifier.domain == "box"
-        assert verifier.timeout_seconds == 10.0
+    def test_make_engine_wires_config(self):
+        engine = make_engine(3, "box", tiny_config())
+        assert isinstance(engine, CertificationEngine)
+        assert engine.max_depth == 3
+        assert engine.domain == "box"
+        assert engine.timeout_seconds == 10.0
 
     def test_run_grid_cell_and_summary(self):
         config = tiny_config()

@@ -55,8 +55,11 @@ def test_zero_budget_certifies_only_the_concrete_prediction(depth, model):
 
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("removals", [1, 2])
-def test_composite_without_flips_reproduces_removal(depth, removals):
-    engine = CertificationEngine(max_depth=depth, domain="either")
+@pytest.mark.parametrize("method", ["optimal", "box"])
+def test_composite_without_flips_reproduces_removal(depth, removals, method):
+    # ⟨T, r, 0⟩ is ⟨T, r⟩: same bestSplit#, pure exits and cprob# under
+    # either cprob# method, so the same verdicts and class intervals.
+    engine = CertificationEngine(max_depth=depth, domain="either", cprob_method=method)
     for dataset, points in _categorical_cases(25, seed=1):
         removal = engine.verify(
             CertificationRequest(dataset, points, RemovalPoisoningModel(removals))

@@ -1,45 +1,58 @@
-"""Tests for the label-flip / combined poisoning extension."""
+"""Tests for the label-flip / combined poisoning extension ``⟨T, n, f⟩``."""
 
 import numpy as np
 import pytest
 
+from repro.api import CertificationEngine
 from repro.core.dataset import Dataset
 from repro.core.predicates import ThresholdPredicate
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
-from repro.domains.interval import dominating_component
+from repro.domains.interval import Interval, dominating_component
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.poisoning.label_flip import (
     FlipAbstractTrainingSet,
-    LabelFlipVerifier,
     enumerate_composite_poisonings,
     enumerate_label_flips,
     verify_composite_by_enumeration,
     verify_flips_by_enumeration,
 )
+from repro.poisoning.models import CompositePoisoningModel, LabelFlipModel
 from repro.domains.trainingset import AbstractTrainingSet
+from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.transformers import (
-    _flip_side_score_bounds,
-    _flip_split_score_bounds,
+    _split_score_bounds,
     best_split_abstract,
     best_split_candidates,
+    cprob_intervals,
+    entropy_is_definitely_zero,
     filter_abstract,
+    pure_exit_vector,
 )
 from tests.conftest import random_small_dataset, random_test_point, well_separated_dataset
+
+
+def _certify_flips(dataset, x, flips, removals=0, max_depth=1):
+    """Box-domain certification of ``x`` against ``Δ_{removals,flips}``."""
+    model = (
+        CompositePoisoningModel(removals, flips) if removals else LabelFlipModel(flips)
+    )
+    engine = CertificationEngine(max_depth=max_depth, domain="box")
+    return engine.certify_point(dataset, x, model)
 
 
 class TestFlipAbstractTrainingSet:
     def test_budgets_clamped(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet(dataset, np.array([0, 1]), 5, 7)
-        assert trainset.removals == 2 and trainset.flips == 2
+        assert trainset.n == 2 and trainset.flips == 2
 
     def test_split_down_keeps_budgets(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 1, 2)
         left = trainset.split_down(ThresholdPredicate(0, 10.5), True)
         assert left.size == 9
-        assert left.removals == 1 and left.flips == 2
+        assert left.n == 1 and left.flips == 2
 
     def test_join_combines_budgets(self):
         dataset = figure2_dataset()
@@ -47,14 +60,14 @@ class TestFlipAbstractTrainingSet:
         b = FlipAbstractTrainingSet(dataset, np.array([1, 2, 3]), 0, 2)
         joined = a.join(b)
         assert joined.size == 4
-        assert joined.removals >= 1
+        assert joined.n >= 1
         assert joined.flips == 2
 
     def test_probability_intervals_pure_flip(self):
         # 4 black elements, one flip allowed: black probability in [3/4, 1].
         dataset = figure2_dataset()
         right = FlipAbstractTrainingSet(dataset, np.array([9, 10, 11, 12]), 0, 1)
-        intervals = right.class_probability_intervals()
+        intervals = cprob_intervals(right)
         assert intervals[1].lo == pytest.approx(0.75)
         assert intervals[1].hi == pytest.approx(1.0)
 
@@ -62,7 +75,7 @@ class TestFlipAbstractTrainingSet:
         rng = np.random.default_rng(0)
         dataset = random_small_dataset(rng, n_samples=7)
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 2)
-        intervals = trainset.class_probability_intervals()
+        intervals = cprob_intervals(trainset)
         for poisoned in enumerate_label_flips(dataset, 2):
             probabilities = poisoned.class_probabilities()
             for interval, probability in zip(intervals, probabilities):
@@ -71,17 +84,18 @@ class TestFlipAbstractTrainingSet:
     def test_pure_feasibility(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 2)
-        assert not trainset.pure_is_feasible()
+        assert pure_exit_vector(trainset) is None
+        # Rows 0-2 are one black and two white: one flip makes them all white.
         small = FlipAbstractTrainingSet(dataset, np.array([0, 1, 2]), 0, 1)
-        assert small.pure_is_feasible()
-        assert small.pure_exit_intervals() is not None
+        assert pure_exit_vector(small) is not None
+        assert pure_exit_vector(small) == (Interval.point(1.0), Interval.zero())
 
     def test_entropy_definitely_zero(self):
         dataset = figure2_dataset()
         pure = FlipAbstractTrainingSet(dataset, np.array([11, 12]), 0, 0)
-        assert pure.entropy_definitely_zero()
+        assert entropy_is_definitely_zero(pure)
         noisy = FlipAbstractTrainingSet(dataset, np.array([11, 12]), 0, 1)
-        assert not noisy.entropy_definitely_zero()
+        assert not entropy_is_definitely_zero(noisy)
 
 
 class TestFlipTransformers:
@@ -115,31 +129,25 @@ class TestFlipTransformers:
         assert filter_abstract(trainset, AbstractPredicateSet.of(()), [4.0]) is None
 
 
-class TestLabelFlipVerifier:
+class TestFlipCertification:
     def test_zero_budget_certifies(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(figure2_dataset(), [18.0], flips=0)
-        assert result.robust
+        result = _certify_flips(figure2_dataset(), [18.0], 0)
+        assert result.is_certified
         assert result.certified_class == result.predicted_class == 1
 
     def test_well_separated_data_certified_against_flips(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(well_separated_dataset(50), [0.5], flips=2)
-        assert result.robust
+        result = _certify_flips(well_separated_dataset(50), [0.5], 2)
+        assert result.is_certified
         assert result.certified_class == 0
 
     def test_combined_budget_certified(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(
-            well_separated_dataset(50), [11.0], flips=1, removals=1
-        )
-        assert result.robust
+        result = _certify_flips(well_separated_dataset(50), [11.0], 1, removals=1)
+        assert result.is_certified
         assert result.certified_class == 1
 
     def test_excessive_flips_not_certified(self):
-        verifier = LabelFlipVerifier(max_depth=1)
-        result = verifier.verify(tiny_boolean_dataset(), [1.0, 0.0], flips=4)
-        assert not result.robust
+        result = _certify_flips(tiny_boolean_dataset(), [1.0, 0.0], 4)
+        assert not result.is_certified
 
     @pytest.mark.parametrize("seed", range(10))
     def test_soundness_against_flip_enumeration(self, seed):
@@ -148,14 +156,13 @@ class TestLabelFlipVerifier:
         x = random_test_point(rng, dataset)
         flips = int(rng.integers(1, 3))
         depth = int(rng.integers(1, 3))
-        verifier = LabelFlipVerifier(max_depth=depth)
-        result = verifier.verify(dataset, x, flips=flips)
-        if result.robust:
+        result = _certify_flips(dataset, x, flips, max_depth=depth)
+        if result.is_certified:
             assert verify_flips_by_enumeration(dataset, x, flips, max_depth=depth)
 
 
-class TestFlipProtocolMethods:
-    """The methods the generic learners dispatch on (transformer protocol)."""
+class TestFlipTransformerFunctions:
+    """The transformers the generic learners run, on ``f > 0`` elements."""
 
     @pytest.mark.parametrize("removals", [0, 1, 3])
     def test_best_split_without_flips_matches_removal(self, removals):
@@ -175,8 +182,8 @@ class TestFlipProtocolMethods:
 
     def test_box_cprob_contains_optimal(self):
         trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 1, 2)
-        optimal = trainset.class_probability_intervals("optimal")
-        box = trainset.class_probability_intervals("box")
+        optimal = cprob_intervals(trainset, "optimal")
+        box = cprob_intervals(trainset, "box")
         for tight, loose in zip(optimal, box):
             assert loose.lo <= tight.lo + 1e-9
             assert loose.hi >= tight.hi - 1e-9
@@ -185,7 +192,7 @@ class TestFlipProtocolMethods:
         rng = np.random.default_rng(1)
         dataset = random_small_dataset(rng, n_samples=6)
         trainset = FlipAbstractTrainingSet.full(dataset, 1, 1)
-        intervals = trainset.class_probability_intervals("box")
+        intervals = cprob_intervals(trainset, "box")
         for poisoned in enumerate_composite_poisonings(dataset, 1, 1):
             if len(poisoned) == 0:
                 continue
@@ -195,7 +202,7 @@ class TestFlipProtocolMethods:
     def test_unknown_cprob_method_rejected(self):
         trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 0, 1)
         with pytest.raises(ValueError, match="cprob"):
-            trainset.class_probability_intervals("magic")
+            cprob_intervals(trainset, "magic")
 
 
 class TestDisjunctiveFlipSoundness:
@@ -235,8 +242,9 @@ class TestDisjunctiveFlipSoundness:
         can only be at least as precise.
         """
         dataset = well_separated_dataset()
-        verifier = LabelFlipVerifier(max_depth=1)
-        box = verifier.run_abstract(FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5])
+        box = BoxAbstractLearner(max_depth=1).run(
+            FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5]
+        )
         disjunctive = DisjunctiveAbstractLearner(max_depth=1).run(
             FlipAbstractTrainingSet.full(dataset, 0, 2), [0.5]
         )
@@ -249,8 +257,6 @@ class TestDisjunctiveFlipSoundness:
 
 class TestCompositeEnumeration:
     def test_counts_match_model_formula(self):
-        from repro.poisoning.models import CompositePoisoningModel
-
         dataset = Dataset(
             X=np.zeros((3, 1)), y=np.array([0, 1, 2]), n_classes=3
         )
@@ -315,6 +321,38 @@ class TestAllocationAwareSplitBounds:
             if table.n_candidates:
                 yield feature, table
 
+    @staticmethod
+    def _split_bounds(table, removals, flips):
+        return _split_score_bounds(
+            table.left_sizes,
+            table.left_class_counts,
+            table.right_sizes,
+            table.right_class_counts,
+            removals,
+            removals,
+            flips,
+            "optimal",
+        )
+
+    @staticmethod
+    def _side_bounds(sizes, class_counts, removals, flips):
+        """One side's bound with the *whole* flip budget (the old bound).
+
+        An empty partner side contributes ``[0, 0]`` at every allocation and
+        the side bound widens with its flips, so the envelope is the side
+        bound at ``f``.
+        """
+        return _split_score_bounds(
+            sizes,
+            class_counts,
+            np.zeros_like(sizes),
+            np.zeros_like(class_counts),
+            removals,
+            removals,
+            flips,
+            "optimal",
+        )
+
     @pytest.mark.parametrize("seed", range(10))
     def test_never_looser_than_the_old_per_side_bound(self, seed):
         rng = np.random.default_rng(seed)
@@ -322,18 +360,11 @@ class TestAllocationAwareSplitBounds:
         removals = int(rng.integers(0, 3))
         flips = int(rng.integers(0, 4))
         for _, table in self._split_tables(dataset):
-            new_lower, new_upper = _flip_split_score_bounds(
-                table.left_sizes,
-                table.left_class_counts,
-                table.right_sizes,
-                table.right_class_counts,
-                removals,
-                flips,
-            )
-            old_left = _flip_side_score_bounds(
+            new_lower, new_upper = self._split_bounds(table, removals, flips)
+            old_left = self._side_bounds(
                 table.left_sizes, table.left_class_counts, removals, flips
             )
-            old_right = _flip_side_score_bounds(
+            old_right = self._side_bounds(
                 table.right_sizes, table.right_class_counts, removals, flips
             )
             assert np.all(new_lower >= old_left[0] + old_right[0] - 1e-12)
@@ -345,18 +376,11 @@ class TestAllocationAwareSplitBounds:
         dataset = well_separated_dataset()
         improved = False
         for _, table in self._split_tables(dataset):
-            new_lower, new_upper = _flip_split_score_bounds(
-                table.left_sizes,
-                table.left_class_counts,
-                table.right_sizes,
-                table.right_class_counts,
-                0,
-                2,
-            )
-            old_left = _flip_side_score_bounds(
+            new_lower, new_upper = self._split_bounds(table, 0, 2)
+            old_left = self._side_bounds(
                 table.left_sizes, table.left_class_counts, 0, 2
             )
-            old_right = _flip_side_score_bounds(
+            old_right = self._side_bounds(
                 table.right_sizes, table.right_class_counts, 0, 2
             )
             if np.any(new_upper < old_left[1] + old_right[1] - 1e-12) or np.any(
@@ -392,14 +416,7 @@ class TestAllocationAwareSplitBounds:
         removals, flips = 1, 1
         poisonings = list(enumerate_composite_poisonings(dataset, removals, flips))
         for feature, table in self._split_tables(dataset):
-            lower, upper = _flip_split_score_bounds(
-                table.left_sizes,
-                table.left_class_counts,
-                table.right_sizes,
-                table.right_class_counts,
-                removals,
-                flips,
-            )
+            lower, upper = self._split_bounds(table, removals, flips)
             for position in range(table.n_candidates):
                 threshold = float(table.thresholds[position])
                 for poisoned in poisonings:
@@ -411,8 +428,6 @@ class TestAllocationAwareSplitBounds:
         # End-to-end soundness of the tightened bestSplit# through the Box
         # learner: anything it certifies against Δ_{1,1} must survive
         # exhaustive retraining.
-        from repro.verify.abstract_learner import BoxAbstractLearner
-
         rng = np.random.default_rng(200 + seed)
         dataset = random_small_dataset(rng, n_samples=int(rng.integers(5, 8)))
         x = random_test_point(rng, dataset)

@@ -20,7 +20,7 @@ class TestPublicApi:
     def test_quickstart_flow(self):
         """The docstring quickstart must actually run."""
         split = repro.load_dataset("iris", scale=0.3, seed=1)
-        verifier = repro.PoisoningVerifier(max_depth=1, domain="box")
-        result = verifier.verify(split.train, split.test.X[0], n=1)
+        engine = repro.CertificationEngine(max_depth=1, domain="box")
+        result = engine.certify_point(split.train, split.test.X[0], 1)
         assert isinstance(result, repro.VerificationResult)
         assert result.status in list(repro.VerificationStatus)

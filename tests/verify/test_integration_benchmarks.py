@@ -13,9 +13,10 @@ hold regardless of whether any particular point is certified:
 import numpy as np
 import pytest
 
+from repro.api import CertificationEngine
 from repro.core.trace_learner import TraceLearner
 from repro.datasets.registry import list_datasets, load_dataset
-from repro.verify.robustness import PoisoningVerifier, VerificationStatus
+from repro.verify.result import VerificationStatus
 
 TINY_SCALES = {
     "iris": 0.3,
@@ -30,12 +31,12 @@ TINY_SCALES = {
 @pytest.mark.parametrize("depth", [1, 2])
 def test_pipeline_invariants_per_dataset(dataset_name, depth):
     split = load_dataset(dataset_name, scale=TINY_SCALES[dataset_name], seed=9)
-    verifier = PoisoningVerifier(
+    engine = CertificationEngine(
         max_depth=depth, domain="either", timeout_seconds=30.0, max_disjuncts=4096
     )
     trace_learner = TraceLearner(max_depth=depth)
     for x in split.test.X[:3]:
-        result = verifier.verify(split.train, x, 1)
+        result = engine.certify_point(split.train, x, 1)
         assert result.status in list(VerificationStatus)
         concrete = trace_learner.run(split.train, x)
         assert result.predicted_class == concrete.prediction
@@ -53,17 +54,17 @@ def test_pipeline_invariants_per_dataset(dataset_name, depth):
 def test_large_separable_datasets_certify_at_small_budget(dataset_name):
     """The well-separated benchmarks certify at least one point at n = 1."""
     split = load_dataset(dataset_name, scale=0.2, seed=3)
-    verifier = PoisoningVerifier(max_depth=1, domain="either", timeout_seconds=30.0)
-    results = [verifier.verify(split.train, x, 1) for x in split.test.X[:5]]
+    engine = CertificationEngine(max_depth=1, domain="either", timeout_seconds=30.0)
+    results = [engine.certify_point(split.train, x, 1) for x in split.test.X[:5]]
     assert any(result.is_certified for result in results)
 
 
 def test_verification_is_deterministic():
     split = load_dataset("iris", scale=0.3, seed=5)
-    verifier = PoisoningVerifier(max_depth=2, domain="either", timeout_seconds=30.0)
+    engine = CertificationEngine(max_depth=2, domain="either", timeout_seconds=30.0)
     x = split.test.X[0]
-    first = verifier.verify(split.train, x, 2)
-    second = verifier.verify(split.train, x, 2)
+    first = engine.certify_point(split.train, x, 2)
+    second = engine.certify_point(split.train, x, 2)
     assert first.status == second.status
     assert first.certified_class == second.certified_class
     assert np.allclose(

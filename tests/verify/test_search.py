@@ -11,15 +11,14 @@ from repro.poisoning.models import (
 )
 from repro.utils.validation import ValidationError
 from repro.verify.result import VerificationResult, VerificationStatus
-from repro.verify.robustness import PoisoningVerifier
 from repro.verify.search import max_certified_poisoning, robustness_sweep
 from tests.conftest import well_separated_dataset
 from repro.datasets.toy import figure2_dataset
 
 
 @pytest.fixture
-def verifier():
-    return PoisoningVerifier(max_depth=1, domain="either")
+def engine():
+    return CertificationEngine(max_depth=1, domain="either")
 
 
 def _stub_result(certified: bool, n: int) -> VerificationResult:
@@ -56,35 +55,35 @@ class ThresholdEngine:
 
 
 class TestMaxCertifiedPoisoning:
-    def test_well_separated_point_reaches_positive_n(self, verifier):
+    def test_well_separated_point_reaches_positive_n(self, engine):
         dataset = well_separated_dataset()
-        search = max_certified_poisoning(verifier, dataset, [0.5], max_n=16)
+        search = max_certified_poisoning(engine, dataset, [0.5], max_n=16)
         assert search.max_certified_n >= 1
         assert search.ever_certified
         # The reported maximum must indeed be certified, and doubling past it
         # must have failed (or hit the cap).
         assert search.attempts[search.max_certified_n] is True
 
-    def test_uncertifiable_point_returns_zero(self, verifier):
+    def test_uncertifiable_point_returns_zero(self, engine):
         dataset = figure2_dataset()
-        search = max_certified_poisoning(verifier, dataset, [5.0], max_n=8)
+        search = max_certified_poisoning(engine, dataset, [5.0], max_n=8)
         assert search.max_certified_n >= 0
         if search.max_certified_n == 0:
             assert not search.ever_certified
 
-    def test_attempts_are_cached(self, verifier):
+    def test_attempts_are_cached(self, engine):
         dataset = well_separated_dataset()
-        search = max_certified_poisoning(verifier, dataset, [0.5], max_n=8)
+        search = max_certified_poisoning(engine, dataset, [0.5], max_n=8)
         assert set(search.results) == set(search.attempts)
 
-    def test_respects_max_n_cap(self, verifier):
+    def test_respects_max_n_cap(self, engine):
         dataset = well_separated_dataset()
-        search = max_certified_poisoning(verifier, dataset, [0.5], max_n=2)
+        search = max_certified_poisoning(engine, dataset, [0.5], max_n=2)
         assert search.max_certified_n <= 2
 
-    def test_binary_search_is_consistent(self, verifier):
+    def test_binary_search_is_consistent(self, engine):
         dataset = well_separated_dataset()
-        search = max_certified_poisoning(verifier, dataset, [0.5], max_n=32)
+        search = max_certified_poisoning(engine, dataset, [0.5], max_n=32)
         best = search.max_certified_n
         for n, certified in search.attempts.items():
             if certified:
@@ -180,36 +179,36 @@ class TestModelGenericSearch:
 
 
 class TestRobustnessSweep:
-    def test_fractions_are_monotone_nonincreasing(self, verifier):
+    def test_fractions_are_monotone_nonincreasing(self, engine):
         dataset = well_separated_dataset()
         test_points = np.array([[0.5], [1.0], [10.5], [11.5]])
-        records = robustness_sweep(verifier, dataset, test_points, [1, 2, 4, 8, 16])
+        records = robustness_sweep(engine, dataset, test_points, [1, 2, 4, 8, 16])
         fractions = [record.fraction_certified for record in records]
         assert all(b <= a + 1e-9 for a, b in zip(fractions, fractions[1:]))
         assert fractions[0] > 0.0
 
-    def test_incremental_mode_stops_after_total_failure(self, verifier):
+    def test_incremental_mode_stops_after_total_failure(self, engine):
         dataset = figure2_dataset()
         test_points = np.array([[5.0]])
-        records = robustness_sweep(verifier, dataset, test_points, [1, 2, 4, 8])
+        records = robustness_sweep(engine, dataset, test_points, [1, 2, 4, 8])
         # Once no point is certified the sweep stops early.
         assert len(records) <= 4
         if records and records[-1].certified == 0:
             assert records[-1].attempted >= 1
 
-    def test_non_incremental_mode_attempts_every_level(self, verifier):
+    def test_non_incremental_mode_attempts_every_level(self, engine):
         dataset = well_separated_dataset()
         test_points = np.array([[0.5], [11.0]])
         records = robustness_sweep(
-            verifier, dataset, test_points, [1, 2], incremental=False
+            engine, dataset, test_points, [1, 2], incremental=False
         )
         assert [record.attempted for record in records] == [2, 2]
 
-    def test_records_collect_statistics(self, verifier):
+    def test_records_collect_statistics(self, engine):
         dataset = well_separated_dataset()
         test_points = np.array([[0.5]])
         records = robustness_sweep(
-            verifier, dataset, test_points, [1], keep_results=True
+            engine, dataset, test_points, [1], keep_results=True
         )
         record = records[0]
         assert record.poisoning_amount == 1
@@ -217,6 +216,16 @@ class TestRobustnessSweep:
         assert record.average_peak_memory_bytes >= 0.0
         assert record.timeouts == 0
         assert len(record.results) == 1
+
+    def test_box_engine_sweep_attempts_every_point(self):
+        dataset = well_separated_dataset()
+        engine = CertificationEngine(max_depth=1, domain="box")
+        records = robustness_sweep(
+            engine, dataset, np.array([[0.5], [11.0]]), amounts=(1, 2)
+        )
+        assert records
+        assert records[0].attempted == 2
+        assert 0.0 <= records[0].fraction_certified <= 1.0
 
 
 class TestRobustnessSweepEdgeCases:

@@ -1,16 +1,16 @@
 """Property tests pinning the vectorized kernels to their scalar references.
 
-The batch interval kernels of the cold-path core (`_side_score_bounds` and
-`_flip_split_score_bounds` in :mod:`repro.verify.transformers`) each retain a
-candidate-at-a-time mirror written in plain
-:class:`~repro.domains.interval.Interval` arithmetic.  These tests drive both
-through Hypothesis-generated candidate tables and require bitwise-tolerant
-agreement, so any future vectorization change that drifts from the defined
+The ``bestSplit#`` score kernel of the cold-path core (`_split_score_bounds`
+in :mod:`repro.verify.transformers`) keeps two oracles: without flips, the
+candidate-at-a-time `_side_score_bounds_reference` in plain
+:class:`~repro.domains.interval.Interval` arithmetic; with flips, the
+allocation-at-a-time `_flip_split_score_bounds_reference`.  These tests
+drive the kernel and both oracles through Hypothesis-generated candidate
+tables, so any future vectorization change that drifts from the defined
 transformer semantics fails here before it can weaken a soundness bound.
 The disjunctive learner's leaf kernels are held to their scalar forms
-exactly: `exit_bounds` row by row to `cprob_optimal` / `cprob_box` and the
-flip element's `class_probability_intervals`, and `dominating_components`
-to `dominating_component`.
+exactly: `exit_bounds` row by row to `cprob_optimal` / `cprob_box` of
+``⟨T, n, f⟩``, and `dominating_components` to `dominating_component`.
 
 The closed-form ``filter#`` (`filter_closed_form`) is pinned to the
 sequential fold of split pieces it replaces (`filter_abstract`): same rows,
@@ -43,12 +43,12 @@ from repro.verify import abstract_learner
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
-    _flip_split_score_bounds,
     _flip_split_score_bounds_reference,
-    _side_score_bounds,
     _side_score_bounds_reference,
+    _split_score_bounds,
     best_split_abstract,
     cprob_box,
+    cprob_intervals,
     cprob_optimal,
     exit_bounds,
     filter_abstract,
@@ -75,77 +75,95 @@ def candidate_tables(draw, max_candidates: int = 6, max_classes: int = 3):
     return np.asarray(sizes, dtype=np.int64), np.asarray(counts, dtype=np.int64)
 
 
-class TestSideScoreBounds:
-    """Vectorized removal-side score kernel vs the Interval-arithmetic mirror."""
+def _split(left, right):
+    """The two sides of one candidate table: trim both draws to a common shape."""
+    left_sizes, left_counts = left
+    right_sizes, right_counts = right
+    n = min(left_sizes.shape[0], right_sizes.shape[0])
+    k = min(left_counts.shape[1], right_counts.shape[1])
+    left_counts, right_counts = left_counts[:n, :k], right_counts[:n, :k]
+    return left_counts.sum(axis=1), left_counts, right_counts.sum(axis=1), right_counts
 
-    @settings(max_examples=120, deadline=None)
+
+class TestSplitScoreBounds:
+    """The one ``bestSplit#`` score kernel against both of its oracles."""
+
+    @settings(max_examples=150, deadline=None)
     @given(
         candidate_tables(),
+        candidate_tables(),
         st.integers(min_value=0, max_value=6),
-        st.sampled_from(["optimal", "box"]),
+        st.integers(min_value=1, max_value=4),
     )
-    def test_matches_reference(self, table, budget, method):
-        sizes, counts = table
-        lower, upper = _side_score_bounds(sizes, counts, budget, method)
-        ref_lower, ref_upper = _side_score_bounds_reference(
-            sizes, counts, budget, method
+    def test_matches_oracles(self, left, right, removals, flips):
+        sides = _split(left, right)
+        left_sizes, left_counts, right_sizes, right_counts = sides
+        # f = 0: the paper's score#, side by side, under both cprob# methods.
+        for method in ("optimal", "box"):
+            lower, upper = _split_score_bounds(*sides, removals, removals, 0, method)
+            left_lower, left_upper = _side_score_bounds_reference(
+                left_sizes, left_counts, removals, method
+            )
+            right_lower, right_upper = _side_score_bounds_reference(
+                right_sizes, right_counts, removals, method
+            )
+            np.testing.assert_allclose(lower, left_lower + right_lower, atol=TOL)
+            np.testing.assert_allclose(upper, left_upper + right_upper, atol=TOL)
+        # f > 0 under optimal: the allocation-at-a-time oracle, bit for bit.
+        lower, upper = _split_score_bounds(
+            *sides, removals, removals, flips, "optimal"
         )
-        np.testing.assert_allclose(lower, ref_lower, atol=TOL)
-        np.testing.assert_allclose(upper, ref_upper, atol=TOL)
+        ref_lower, ref_upper = _flip_split_score_bounds_reference(
+            *sides, removals, flips
+        )
+        np.testing.assert_array_equal(lower, ref_lower)
+        np.testing.assert_array_equal(upper, ref_upper)
+        # f > 0 under box: the naïve cprob# only widens the optimal bounds.
+        box_lower, box_upper = _split_score_bounds(
+            *sides, removals, removals, flips, "box"
+        )
+        assert np.all(box_lower <= lower + TOL)
+        assert np.all(box_upper >= upper - TOL)
 
     @settings(max_examples=60, deadline=None)
     @given(candidate_tables(), st.data(), st.sampled_from(["optimal", "box"]))
     def test_per_candidate_budgets_match_reference(self, table, data, method):
         # Pool predicates carry their own split_down budget per side.
         sizes, counts = table
-        budgets = np.array(
+        budgets = [
             [data.draw(st.integers(min_value=0, max_value=6)) for _ in sizes]
+            for _ in range(2)
+        ]
+        left_budgets, right_budgets = np.array(budgets)
+        lower, upper = _split_score_bounds(
+            sizes, counts, sizes, counts, left_budgets, right_budgets, 0, method
         )
-        lower, upper = _side_score_bounds(sizes, counts, budgets, method)
-        for i, budget in enumerate(budgets.tolist()):
-            ref_lower, ref_upper = _side_score_bounds_reference(
-                sizes[i : i + 1], counts[i : i + 1], budget, method
+        for i in range(sizes.shape[0]):
+            expected = [
+                _side_score_bounds_reference(
+                    sizes[i : i + 1], counts[i : i + 1], side_budgets[i], method
+                )
+                for side_budgets in budgets
+            ]
+            np.testing.assert_allclose(
+                lower[i], expected[0][0][0] + expected[1][0][0], atol=TOL
             )
-            np.testing.assert_allclose(lower[i], ref_lower[0], atol=TOL)
-            np.testing.assert_allclose(upper[i], ref_upper[0], atol=TOL)
+            np.testing.assert_allclose(
+                upper[i], expected[0][1][0] + expected[1][1][0], atol=TOL
+            )
 
     @settings(max_examples=60, deadline=None)
-    @given(candidate_tables(), st.integers(min_value=0, max_value=6))
-    def test_bounds_are_ordered(self, table, budget):
-        sizes, counts = table
-        lower, upper = _side_score_bounds(sizes, counts, budget, "optimal")
-        assert np.all(lower <= upper + TOL)
-
-
-class TestFlipSplitScoreBounds:
-    """Batched flip-allocation kernel vs the allocation-at-a-time mirror."""
-
-    @settings(max_examples=80, deadline=None)
     @given(
         candidate_tables(),
         candidate_tables(),
+        st.integers(min_value=0, max_value=6),
         st.integers(min_value=0, max_value=4),
-        st.integers(min_value=0, max_value=4),
+        st.sampled_from(["optimal", "box"]),
     )
-    def test_matches_reference(self, left, right, removals, flips):
-        left_sizes, left_counts = left
-        right_sizes, right_counts = right
-        # Both sides of a split have the same candidate axis; trim to the
-        # shorter of the two draws.
-        n = min(left_sizes.shape[0], right_sizes.shape[0])
-        k = min(left_counts.shape[1], right_counts.shape[1])
-        args = (
-            left_sizes[:n],
-            left_counts[:n, :k],
-            right_sizes[:n],
-            right_counts[:n, :k],
-            removals,
-            flips,
-        )
-        lower, upper = _flip_split_score_bounds(*args)
-        ref_lower, ref_upper = _flip_split_score_bounds_reference(*args)
-        np.testing.assert_allclose(lower, ref_lower, atol=TOL)
-        np.testing.assert_allclose(upper, ref_upper, atol=TOL)
+    def test_bounds_are_ordered(self, left, right, removals, flips, method):
+        sides = _split(left, right)
+        lower, upper = _split_score_bounds(*sides, removals, removals, flips, method)
+        assert np.all(lower <= upper + TOL)
 
 
 @st.composite
@@ -191,14 +209,14 @@ class TestExitBounds:
         for i in range(counts.shape[0]):
             if flipping:
                 element = _element_with_counts(counts[i], removals[i], flips[i])
-                expected = element.class_probability_intervals(method)
+                expected = cprob_intervals(element, method)
             else:
                 element = _element_with_counts(counts[i], removals[i], None)
                 oracle = cprob_optimal if method == "optimal" else cprob_box
                 expected = oracle(element)
                 # f = 0 is the removal formula in the flip domain too.
                 flip_element = _element_with_counts(counts[i], removals[i], 0)
-                assert flip_element.class_probability_intervals(method) == expected
+                assert cprob_intervals(flip_element, method) == expected
             assert tuple(Interval(lo, hi) for lo, hi in zip(lower[i], upper[i])) == expected
 
 
@@ -305,9 +323,7 @@ def filter_cases(draw):
 
 
 def _budgets(state):
-    if isinstance(state, FlipAbstractTrainingSet):
-        return (state.removals, state.flips)
-    return (state.n,)
+    return (state.n, state.flips)
 
 
 def _fold(state, predicates, x):
@@ -323,11 +339,7 @@ def _closed(state, predicates, x):
         return None
     rows, tight, largest = closed
     replay = FilterReplay(int(rows.size), tight, largest)
-    if isinstance(state, FlipAbstractTrainingSet):
-        budgets = replay.replay_flip(state.removals, state.flips)
-    else:
-        budgets = (replay.replay_removal(state.n),)
-    return tuple(rows), budgets
+    return tuple(rows), replay.replay(state.n, state.flips)
 
 
 class TestClosedFormFilter:
@@ -465,7 +477,7 @@ class TestTraceReplayMatchesFilter:
                     np.testing.assert_array_equal(
                         replayed.indices, expected.indices
                     )
-                    assert replayed.removals == expected.removals
+                    assert replayed.n == expected.n
                     assert replayed.flips == expected.flips
 
 
