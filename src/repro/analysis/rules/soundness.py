@@ -118,8 +118,8 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
     ),
     KernelSpec(
         "repro/core/splitter.py",
-        "_score_table",
-        "_score_table_reference",
+        "_score_candidates",
+        "_score_candidates_reference",
         "tests/core/test_splitter_oracle.py",
     ),
 )

@@ -699,7 +699,9 @@ class CertificationEngine:
         trace_key = (fingerprint_dataset(dataset), point_digest(x), family)
         with tracing.span("engine.certify_one"):
             with profiling.phase("concrete_predict"):
-                predicted = int(self._trace_learner.predict(dataset, x))
+                # The plan's dataset, not ``dataset``: a fingerprint-equal
+                # copy then shares one split plan with the rungs.
+                predicted = int(self._trace_learner.predict(plan.trainset.dataset, x))
             watch = Stopwatch().start()
             budget = (
                 TimeBudget(self.timeout_seconds)

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.impurity import gini_impurity, shannon_entropy
 from repro.core.predicates import Predicate
-from repro.core.splitter import best_split
+from repro.core.splitter import best_split_at
 from repro.core.tree import DecisionTree, TreeNode
 from repro.utils.validation import check_positive_int
 
@@ -64,7 +64,7 @@ class DecisionTreeLearner:
         """Learn a decision tree from ``dataset``."""
         if len(dataset) == 0:
             raise ValueError("cannot learn a decision tree from an empty dataset")
-        root = self._build(dataset, depth=0)
+        root = self._build(dataset, np.arange(len(dataset), dtype=np.int64), depth=0)
         return DecisionTree(
             root=root,
             n_classes=dataset.n_classes,
@@ -77,24 +77,30 @@ class DecisionTreeLearner:
             return gini_impurity(counts)
         return shannon_entropy(counts)
 
-    def _build(self, dataset: Dataset, depth: int) -> TreeNode:
-        counts = dataset.class_counts()
+    def _build(self, dataset: Dataset, indices: np.ndarray, depth: int) -> TreeNode:
+        """The subtree of the node selecting ``indices`` of ``dataset``."""
+        counts = np.bincount(dataset.y[indices], minlength=dataset.n_classes).astype(
+            np.int64
+        )
         node = TreeNode(class_counts=counts)
         if (
             depth >= self.max_depth
-            or len(dataset) < self.min_samples_split
+            or indices.size < self.min_samples_split
             or self._impurity(counts) == 0.0
         ):
             return node
-        choice = best_split(
-            dataset, impurity=self.impurity, predicate_pool=self.predicate_pool
+        choice = best_split_at(
+            dataset,
+            indices,
+            impurity=self.impurity,
+            predicate_pool=self.predicate_pool,
         )
         if choice is None:
             return node
-        mask = choice.predicate.evaluate_matrix(dataset.X)
+        mask = choice.predicate.evaluate_matrix(dataset.X)[indices]
         node.predicate = choice.predicate
-        node.left = self._build(dataset.subset_mask(mask), depth + 1)
-        node.right = self._build(dataset.subset_mask(~mask), depth + 1)
+        node.left = self._build(dataset, indices[mask], depth + 1)
+        node.right = self._build(dataset, indices[~mask], depth + 1)
         return node
 
 

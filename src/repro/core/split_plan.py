@@ -1,30 +1,38 @@
 """Per-dataset split-table plans: presorted feature orders, per-node candidates.
 
-``feature_split_table`` re-argsorts each feature column at every tree node of
-every probe.  A :class:`SplitTablePlan` amortizes that work per *dataset*: one
-global stable sort per feature when the plan is built, after which the split
-tables of any node (an index subset along a predicate path) are derived by
-filtering the presorted orders with a boolean mask — O(N) per feature instead
-of O(N log N), and equal to the direct construction because a stable global
+A :class:`SplitTablePlan` is the one split-table path of the package: the
+concrete ``bestSplit`` of :mod:`repro.core.splitter` (which ``DTrace`` and the
+full-tree learner call) and the abstract ``bestSplit#`` of
+:mod:`repro.verify.transformers` both score the rows it derives.  The plan
+sorts each feature column once per *dataset*; the split table of any node
+(an index subset along a predicate path) is then derived by filtering the
+presorted orders with a boolean mask — O(N) per feature instead of
+O(N log N), and equal to sorting the node directly because a stable global
 sort restricted to a subset *is* the stable sort of that subset (node index
 arrays are ascending, and candidate boundaries only sit between distinct
 values anyway).  The plan derives every feature's table at once and keeps
 them stacked as one row table of split candidates
 (:class:`StackedCandidates`).
 
-Two properties make the plan widely shareable (ISSUE 8, layer 2):
+Three properties make the plan widely shareable:
 
+* node tables depend only on ``(X, y, indices)``: the concrete trace of every
+  test point starts at the same root, so the points of a batch share the
+  root table and every node their traces have in common, and the abstract
+  learners then find those tables already built;
 * ``split_down`` keeps indices that depend only on the predicate path, never
   on the poisoning budget — so node tables are reused verbatim across the
   budget probes of a sweep or Pareto staircase;
-* tables depend only on ``(X, y, indices)``, not on the threat family — so
-  the removal, flip, and composite transformers over the same dataset all hit
-  the same cache entries.
+* tables do not depend on the threat family — so the removal, flip, and
+  composite transformers over the same dataset all hit the same cache entries.
 
 Plans are memoized per dataset *instance* as a hidden attribute on the frozen
 dataclass (the ``fingerprint_dataset`` trick), so the hot-path lookup is one
-dict probe; ``clear_plans`` strips them for cold benchmarks.  Cache
-effectiveness is observable as ``split_table_cache_total{result}``.
+dict probe; ``clear_plans`` strips them for cold benchmarks.  A plan keeps
+no reference to its dataset, so the pair forms no reference cycle and a
+dataset and its plan are freed as soon as the dataset's last reference
+drops.  Cache effectiveness is observable as
+``split_table_cache_total{result}``.
 """
 
 from __future__ import annotations
@@ -50,7 +58,8 @@ NODE_TABLE_CACHE_SIZE = 256
 #: keys — the cap must comfortably hold one probe's worth.
 SPLIT_CACHE_SIZE = 32768
 
-#: Per-plan bound on memoized ``bestSplit#`` outcomes (keyed by node + budget).
+#: Per-plan bound on memoized ``bestSplit`` / ``bestSplit#`` outcomes (keyed
+#: by node and impurity, resp. node, budgets and ``cprob#`` method).
 BEST_SPLIT_CACHE_SIZE = 4096
 
 _SPLIT_TABLE_CACHE = metrics.counter(
@@ -143,6 +152,10 @@ def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
 class SplitTablePlan:
     """Presorted per-feature orders for one dataset plus node-level caches.
 
+    The plan keeps what it needs of the dataset (its label array, column
+    copies, class count and feature kinds) but no reference to the dataset
+    itself, which carries the plan.
+
     The per-node caches are plain dicts read and written without locks: every
     individual dict operation is atomic under the GIL, entries are immutable
     once stored, and a lost race merely recomputes a value.  Eviction empties
@@ -151,7 +164,9 @@ class SplitTablePlan:
     """
 
     __slots__ = (
-        "dataset",
+        "_y",
+        "_n_classes",
+        "_kinds",
         "_sorted_values",
         "_sorted_labels",
         "_orders",
@@ -163,7 +178,11 @@ class SplitTablePlan:
     )
 
     def __init__(self, dataset: Dataset) -> None:
-        self.dataset = dataset
+        self._y = dataset.y
+        self._n_classes = dataset.n_classes
+        self._kinds = np.array(
+            [_ROW_KIND[kind] for kind in dataset.feature_kinds], dtype=np.int8
+        )
         X = dataset.X
         columns = tuple(np.ascontiguousarray(X[:, f]) for f in range(X.shape[1]))
         # One stable argsort per feature, as an (n_features, N) matrix.
@@ -180,10 +199,11 @@ class SplitTablePlan:
     def node_candidates(self, indices: np.ndarray) -> StackedCandidates:
         """Every split candidate of the node selecting ``indices``.
 
-        ``indices`` must be the sorted/unique index array of an abstract
-        element over this plan's dataset (the invariant every
-        ``AbstractTrainingSet`` ⟨T, n, f⟩ maintains, whatever its budgets).
-        Only the stacked rows are kept, not the per-feature tables.
+        ``indices`` must be a sorted/unique int64 index array into this
+        plan's dataset: a concrete trace node, or the rows of an abstract
+        element (the invariant every ``AbstractTrainingSet`` ⟨T, n, f⟩
+        maintains, whatever its budgets).  Only the stacked rows are kept,
+        not the per-feature tables.
         """
         key = indices.tobytes()
         cached = self._node_cache.get(key)
@@ -204,27 +224,25 @@ class SplitTablePlan:
         Restricting a presorted order to the node keeps it sorted, so the
         node's rows of all features form one ``(n_features, size)`` matrix.
         A candidate sits wherever a feature's sorted value increases, and its
-        true side is the prefix before it: ``table_from_sorted`` for every
-        feature in a few array operations instead of one call per feature.
+        true side is the prefix before it, for every feature in a few array
+        operations.
         """
-        dataset = self.dataset
+        n_classes = self._n_classes
         n_features = self._orders.shape[0]
         size = int(indices.size)
-        mask = np.zeros(len(dataset), dtype=bool)
+        mask = np.zeros(self._y.size, dtype=bool)
         mask[indices] = True
         keep = mask[self._orders]
         values = self._sorted_values[keep].reshape(n_features, size)
         labels = self._sorted_labels[keep].reshape(n_features, size)
         features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
-        left_class_counts = np.empty((features.size, dataset.n_classes), dtype=np.int64)
-        for label in range(dataset.n_classes):
+        left_class_counts = np.empty((features.size, n_classes), dtype=np.int64)
+        for label in range(n_classes):
             cumulative = np.cumsum(labels == label, axis=1, dtype=np.int32)
             left_class_counts[:, label] = cumulative[features, positions]
         low = values[features, positions]
         high = values[features, positions + 1]
-        kinds = np.array(
-            [_ROW_KIND[kind] for kind in dataset.feature_kinds], dtype=np.int8
-        )
+        kinds = self._kinds
         threshold = kinds[features] == THRESHOLD_ROW
         if threshold.any():
             midpoints = (low[threshold] + high[threshold]) / 2.0
@@ -241,7 +259,7 @@ class SplitTablePlan:
             left_class_counts=left_class_counts,
             total_size=size,
             total_class_counts=np.bincount(
-                dataset.y[indices], minlength=dataset.n_classes
+                self._y[indices], minlength=n_classes
             ).astype(np.int64),
         )
         if (kinds == EQUALITY_ROW).any():
@@ -304,11 +322,13 @@ class SplitTablePlan:
         self._split_cache[key] = (kept,)
         return kept
 
-    # ---------------------------------------------------- bestSplit# memoing
-    # The abstract predicate sets returned by bestSplit# are immutable and
-    # fully determined by (node indices, budgets, cprob method); the Box and
-    # disjunctive learners re-pose the same query for same-rows disjuncts and
-    # across ladder rungs of one certification.
+    # ------------------------------------------- bestSplit / bestSplit# memo
+    # The concrete choice of bestSplit is fully determined by (node indices,
+    # impurity): the traces of a batch's points re-pose it for every node
+    # they share.  The abstract predicate sets returned by bestSplit# are
+    # immutable and fully determined by (node indices, budgets, cprob
+    # method); the Box and disjunctive learners re-pose the same query for
+    # same-rows disjuncts and across ladder rungs of one certification.
 
     def cached_best_split(self, key: tuple) -> Optional[object]:
         return self._best_split_cache.get(key)

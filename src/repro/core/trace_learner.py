@@ -9,6 +9,12 @@ only the side of the split that ``x`` falls on (``filter``), and repeats up to
 ``DTrace`` is what Antidote abstractly interprets; this concrete version is
 both the learner whose robustness we certify and the oracle against which the
 abstract learner's soundness is property-tested.
+
+The trace walks index arrays into ``T``: every node's ``bestSplit`` is read
+from ``T``'s split plan (:mod:`repro.core.split_plan`) and memoized there, so
+the traces of many test points over one training set share the root and every
+node they have in common, and the abstract learner later finds the same node
+tables already built.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.impurity import gini_impurity, shannon_entropy
 from repro.core.predicates import Predicate
-from repro.core.splitter import best_split
+from repro.core.splitter import best_split_at
 from repro.utils.validation import check_positive_int
 
 
@@ -83,26 +89,29 @@ class TraceLearner:
         """Run ``DTrace(T, x)`` and return the final trace state."""
         if len(dataset) == 0:
             raise ValueError("DTrace requires a non-empty training set")
-        current = dataset
+        indices = np.arange(len(dataset), dtype=np.int64)
         decisions: List[Tuple[Predicate, bool]] = []
         stopped_reason = "depth"
         for _ in range(self.max_depth):
-            counts = current.class_counts()
+            counts = _node_counts(dataset, indices)
             if self._impurity(counts) == 0.0:
                 stopped_reason = "pure"
                 break
-            choice = best_split(
-                current, impurity=self.impurity, predicate_pool=self.predicate_pool
+            choice = best_split_at(
+                dataset,
+                indices,
+                impurity=self.impurity,
+                predicate_pool=self.predicate_pool,
             )
             if choice is None:
                 stopped_reason = "no_split"
                 break
             branch = bool(choice.predicate.evaluate(x))
-            mask = choice.predicate.evaluate_matrix(current.X)
-            current = current.subset_mask(mask if branch else ~mask)
+            mask = choice.predicate.evaluate_matrix(dataset.X)[indices]
+            indices = indices[mask if branch else ~mask]
             decisions.append((choice.predicate, branch))
-        counts = current.class_counts()
-        probabilities = current.class_probabilities()
+        counts = _node_counts(dataset, indices)
+        probabilities = counts / float(indices.size)
         return TraceResult(
             prediction=int(np.argmax(probabilities)),
             class_counts=tuple(int(c) for c in counts),
@@ -114,6 +123,10 @@ class TraceLearner:
     def predict(self, dataset: Dataset, x: Sequence[float]) -> int:
         """Convenience wrapper returning only the predicted class."""
         return self.run(dataset, x).prediction
+
+
+def _node_counts(dataset: Dataset, indices: np.ndarray) -> np.ndarray:
+    return np.bincount(dataset.y[indices], minlength=dataset.n_classes).astype(np.int64)
 
 
 def learn_trace(

@@ -6,7 +6,7 @@ a handful of transformer *phases* (``pure_exit``, ``best_split``, ``filter``,
 ``split_table``).  These hooks cross the two axes: the engine marks the
 current ladder stage (:func:`ladder_stage`), and the instrumented hot loops
 in :mod:`repro.verify.transformers`, :mod:`repro.verify.abstract_learner`,
-and :mod:`repro.core.splitter` wrap their phases in :func:`phase`, which
+and :mod:`repro.core.split_plan` wrap their phases in :func:`phase`, which
 
 * always (counters mode) observes ``learner_phase_seconds{stage,phase}`` in
   the process registry, and

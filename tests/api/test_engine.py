@@ -1,11 +1,13 @@
 """Tests for the unified CertificationEngine: dispatch, reuse, and budgets."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.api import CertificationEngine, CertificationRequest, as_perturbation_model
+from repro.core import split_plan
 from repro.datasets.registry import load_dataset
 from repro.datasets.synthetic import make_gaussian_classes
 from repro.datasets.toy import figure2_dataset
@@ -326,6 +328,27 @@ class TestPlanCacheLRU:
         assert engine._plan_for(dataset, hot_model) is hot_plan
         cached_models = {model for _, model in engine._plan_cache}
         assert RemovalPoisoningModel(2) not in cached_models
+
+
+class TestSharedSplitPlan:
+    def test_equal_copies_build_one_split_plan(self, monkeypatch):
+        # The concrete predict runs on the plan's dataset, so a
+        # fingerprint-equal copy reuses the first copy's split plan.
+        built = []
+
+        class CountingPlan(split_plan.SplitTablePlan):
+            def __init__(self, dataset):
+                built.append(dataset)
+                super().__init__(dataset)
+
+        monkeypatch.setattr(split_plan, "SplitTablePlan", CountingPlan)
+        original = well_separated_dataset()
+        copy = dataclasses.replace(original)
+        engine = CertificationEngine(max_depth=2, domain="either")
+        first = engine.certify_point(original, [0.5], RemovalPoisoningModel(1))
+        second = engine.certify_point(copy, [0.5], RemovalPoisoningModel(1))
+        assert second.status is first.status
+        assert len(built) == 1 and built[0] is original
 
 
 class TestParityWithLearners:

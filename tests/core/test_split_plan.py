@@ -1,17 +1,23 @@
-"""The split plan's stacked node candidates against per-feature tables."""
+"""The split plan: node candidates against per-feature tables, lifetime, sharing."""
+
+import gc
+import weakref
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import split_plan
 from repro.core.dataset import Dataset, FeatureKind
-from repro.core.splitter import feature_split_table
+from repro.core.trace_learner import TraceLearner
+from repro.domains.trainingset import AbstractTrainingSet
+from repro.verify.transformers import best_split_abstract
+from tests.argsort_splitter import feature_split_table
 
 
 def _reference_rows(dataset, indices):
     """Each feature's candidates, one feature at a time.
 
-    Real and boolean features take the concrete learner's split table
+    Real and boolean features take the per-feature-argsort split table
     (boolean thresholds stored as ``[τ, τ⁺)``); categorical features get
     one equality row per distinct node value, counted directly.
     """
@@ -86,3 +92,49 @@ class TestNodeCandidates:
             rows.total_class_counts,
             np.bincount(dataset.y[indices], minlength=dataset.n_classes),
         )
+
+
+def _two_feature_dataset():
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(40, 2)), 1)
+    y = (X[:, 0] + 0.3 * rng.normal(size=40) > 0).astype(np.int64)
+    return Dataset(X=X, y=y)
+
+
+def _misses():
+    return split_plan._SPLIT_TABLE_CACHE.value(result="miss")
+
+
+class TestPlanLifetime:
+    def test_planned_dataset_dies_with_its_last_reference(self):
+        # The plan keeps no reference to its dataset, so no reference cycle
+        # holds the pair: plain reference counting frees both.
+        dataset = _two_feature_dataset()
+        TraceLearner(max_depth=2).run(dataset, dataset.X[0])
+        assert dataset.__dict__.get("_split_plan") is not None
+        ref = weakref.ref(dataset)
+        gc.disable()
+        try:
+            del dataset
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestSharedNodes:
+    def test_second_trace_builds_no_node_table(self):
+        dataset = _two_feature_dataset()
+        learner = TraceLearner(max_depth=3)
+        first = learner.run(dataset, dataset.X[3])
+        misses = _misses()
+        assert learner.run(dataset, dataset.X[3]) == first
+        assert _misses() == misses
+
+    def test_box_root_best_split_hits_the_predict_table(self):
+        dataset = _two_feature_dataset()
+        TraceLearner(max_depth=2).predict(dataset, dataset.X[0])
+        misses = _misses()
+        hits = split_plan._SPLIT_TABLE_CACHE.value(result="hit")
+        best_split_abstract(AbstractTrainingSet.full(dataset, 2))
+        assert _misses() == misses
+        assert split_plan._SPLIT_TABLE_CACHE.value(result="hit") == hits + 1

@@ -5,46 +5,49 @@ import pytest
 
 from repro.core.dataset import Dataset, FeatureKind
 from repro.core.predicates import EqualityPredicate, ThresholdPredicate
-from repro.core.splitter import (
-    best_split,
-    candidate_predicates,
-    feature_split_table,
-)
+from repro.core.split_plan import plan_for
+from repro.core.splitter import best_split, candidate_predicates
 from repro.datasets.toy import figure2_dataset
 
 
-class TestFeatureSplitTable:
+def _root_rows(X, y):
+    """The root candidate rows of a one-feature real dataset."""
+    dataset = Dataset(X=X, y=y, n_classes=2)
+    return plan_for(dataset).node_candidates(np.arange(len(dataset), dtype=np.int64))
+
+
+class TestRootSplitTable:
     def test_candidates_between_adjacent_values(self):
         X = np.array([[1.0], [3.0], [3.0], [7.0]])
         y = np.array([0, 0, 1, 1])
-        table = feature_split_table(X, y, 0, 2)
-        assert table.thresholds.tolist() == [2.0, 5.0]
-        assert table.lower_values.tolist() == [1.0, 3.0]
-        assert table.upper_values.tolist() == [3.0, 7.0]
-        assert table.left_sizes.tolist() == [1, 3]
+        rows = _root_rows(X, y)
+        assert rows.low.tolist() == [1.0, 3.0]
+        assert rows.high.tolist() == [3.0, 7.0]
+        assert rows.left_sizes.tolist() == [1, 3]
+        thresholds = [p.threshold for p in candidate_predicates(Dataset(X=X, y=y))]
+        assert thresholds == [2.0, 5.0]
 
     def test_left_class_counts(self):
         X = np.array([[1.0], [3.0], [3.0], [7.0]])
         y = np.array([0, 0, 1, 1])
-        table = feature_split_table(X, y, 0, 2)
-        assert table.left_class_counts.tolist() == [[1, 0], [2, 1]]
-        assert table.right_class_counts.tolist() == [[1, 2], [0, 1]]
+        rows = _root_rows(X, y)
+        assert rows.left_class_counts.tolist() == [[1, 0], [2, 1]]
+        assert rows.right_class_counts.tolist() == [[1, 2], [0, 1]]
 
     def test_constant_feature_has_no_candidates(self):
         X = np.array([[2.0], [2.0], [2.0]])
         y = np.array([0, 1, 0])
-        assert feature_split_table(X, y, 0, 2).n_candidates == 0
+        assert _root_rows(X, y).low.size == 0
 
     def test_single_row(self):
-        assert feature_split_table(np.array([[1.0]]), np.array([0]), 0, 2).n_candidates == 0
+        assert _root_rows(np.array([[1.0]]), np.array([0])).low.size == 0
 
     def test_paper_candidate_thresholds(self):
         # Example 5.1: the Figure 2 dataset induces thresholds at
         # {0.5, 1.5, 2.5, 3.5, 5.5, 7.5, ..., 13.5}.
-        dataset = figure2_dataset()
-        table = feature_split_table(dataset.X, dataset.y, 0, 2)
+        thresholds = [p.threshold for p in candidate_predicates(figure2_dataset())]
         expected = [0.5, 1.5, 2.5, 3.5, 5.5, 7.5, 8.5, 9.5, 10.5, 11.5, 12.5, 13.5]
-        assert table.thresholds.tolist() == expected
+        assert thresholds == expected
 
 
 class TestCandidatePredicates:

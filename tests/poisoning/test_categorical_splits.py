@@ -1,7 +1,7 @@
 """Flip and composite certificates on categorical features.
 
 ``bestSplit#`` splits a categorical feature with equality predicates, as the
-concrete learner does (``splitter._best_categorical_split``).  The flip
+concrete learner does (``splitter.best_split``).  The flip
 family once scored categorical columns as midpoint thresholds instead, so at
 a zero budget it could certify a class the concrete learner does not
 predict.  These seeded cases pin the shared candidate selection: a zero

@@ -312,7 +312,7 @@ class TestAllocationAwareSplitBounds:
 
     @staticmethod
     def _split_tables(dataset):
-        from repro.core.splitter import feature_split_table
+        from tests.argsort_splitter import feature_split_table
 
         for feature in range(dataset.n_features):
             table = feature_split_table(

@@ -75,13 +75,22 @@ class TestEngineWiring:
         before = registry.snapshot()
         engine.certify_point(figure2_dataset(), [5.0], 1)
         after = registry.snapshot()
-        for phase in ("pure_exit", "best_split", "filter", "split_table"):
+        for phase in ("pure_exit", "best_split", "filter"):
             assert (
                 _delta(
                     before, after, "learner_phase_seconds", stage="box", phase=phase
                 )
                 >= 1
             ), phase
+        # The concrete predict, outside the ladder, builds the root split
+        # table; the box rung's bestSplit# then reads it from the plan.
+        split_table = {
+            stage: _delta(
+                before, after, "learner_phase_seconds", stage=stage, phase="split_table"
+            )
+            for stage in ("none", "box")
+        }
+        assert split_table == {"none": 1, "box": 0}
 
 
 class TestRuntimeWiring:
