@@ -37,6 +37,7 @@ drops.  Cache effectiveness is observable as
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -45,16 +46,21 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.dataset import Dataset, FeatureKind
-from repro.core.predicates import SymbolicThresholdPredicate, ThresholdPredicate
+from repro.core.predicates import (
+    EqualityPredicate,
+    Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
 from repro.telemetry import metrics, profiling
 
 #: Per-plan bound on distinct node tables kept alive (LRU evicted beyond it).
 NODE_TABLE_CACHE_SIZE = 256
 
-#: Per-plan bound on cached split-down index results.  Entries are small (one
-#: child index array each) but numerous: the disjunctive learner splits every
-#: live disjunct by every candidate predicate, so a single exhausting probe
-#: can produce tens of thousands of distinct (indices, predicate, branch)
+#: Per-plan bound on cached split results.  Entries are small (one child index
+#: array each) but numerous: the disjunctive learner splits every inner
+#: disjunct by each candidate row the point takes, so a single exhausting
+#: probe can produce tens of thousands of distinct (indices, row, branch)
 #: keys — the cap must comfortably hold one probe's worth.
 SPLIT_CACHE_SIZE = 32768
 
@@ -115,6 +121,28 @@ class StackedCandidates:
     def features(self, rows: np.ndarray) -> np.ndarray:
         """The feature of each row in ``rows``."""
         return np.searchsorted(self.offsets, rows, side="right") - 1
+
+
+def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
+    """``predicate`` as a candidate row ``(feature, low, high, kind)``.
+
+    A threshold ``x <= τ`` is the row ``[τ, τ⁺)`` for the next float ``τ⁺``
+    above ``τ``: no value lies strictly between the two, so both give the
+    same sides and branch tests.  An equality ``x == v`` is ``[v, v]``.
+    """
+    if isinstance(predicate, SymbolicThresholdPredicate):
+        return predicate.feature, predicate.low, predicate.high, SYMBOLIC_ROW
+    if isinstance(predicate, ThresholdPredicate):
+        threshold = predicate.threshold
+        return (
+            predicate.feature,
+            threshold,
+            math.nextafter(threshold, math.inf),
+            THRESHOLD_ROW,
+        )
+    if isinstance(predicate, EqualityPredicate):
+        return predicate.feature, predicate.value, predicate.value, EQUALITY_ROW
+    raise TypeError(f"no candidate row for {type(predicate).__name__}")
 
 
 def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
@@ -267,27 +295,39 @@ class SplitTablePlan:
         return rows
 
     # ------------------------------------------------------ split-down cache
-    # ``split_down`` keeps the subset of ``indices`` selected by a predicate
-    # branch — a function of (indices, predicate, branch) only, never of the
-    # poisoning budgets.  Budget probes and the disjunctive learner's many
-    # same-rows/different-budget disjuncts therefore share these results
-    # verbatim; the caller re-derives budgets from the returned counts.
+    # ``symbolic_split`` keeps the subset of ``indices`` on one side of a
+    # candidate row — a function of (indices, row, branch) only, never of
+    # the poisoning budgets.  Budget probes and the disjunctive learner's
+    # many same-rows/different-budget disjuncts therefore share these results
+    # verbatim; the caller derives the budgets.
 
     def symbolic_split(
-        self, indices: np.ndarray, feature: int, low: float, high: float, branch: bool
+        self,
+        indices: np.ndarray,
+        feature: int,
+        low: float,
+        high: float,
+        kind: int,
+        branch: bool,
     ) -> Tuple[np.ndarray, int, int]:
-        """Rows surviving ``x_f <= [low, high)`` (or its negation).
+        """Rows on one side of the candidate row ``(feature, low, high, kind)``.
 
-        Returns ``(loose_indices, tight_count, loose_count)`` where the tight
-        side (``x <= low`` resp. ``x >= high``) is a subset of the loose side
-        (``x < high`` resp. ``x > low``) because ``low < high``.
+        The row encoding is :class:`StackedCandidates`'s: the true side keeps
+        ``x < high`` and the false side ``x > low`` (``x == low`` and
+        ``x != low`` for an equality row).  Returns ``(loose_indices,
+        tight_count, loose_count)``, where the tight side (``x <= low`` resp.
+        ``x >= high``) is the subset a symbolic ``x <= [low, high)`` keeps for
+        every threshold it stands for; a threshold or equality row has no
+        value strictly between its bounds, so its two sides coincide.
         """
-        key = (indices.tobytes(), feature, low, high, branch)
+        key = (indices.tobytes(), feature, low, high, kind, branch)
         cached = self._split_cache.get(key)
         if cached is not None:
             return cached
         values = self._columns[feature][indices]
-        if branch:
+        if kind == EQUALITY_ROW:
+            tight = loose = values == low if branch else values != low
+        elif branch:
             tight = values <= low
             loose = values < high
         else:
@@ -303,24 +343,6 @@ class SplitTablePlan:
             self._split_cache.clear()
         self._split_cache[key] = result
         return result
-
-    def threshold_split(
-        self, indices: np.ndarray, feature: int, threshold: float, branch: bool
-    ) -> np.ndarray:
-        """Rows surviving ``x_f <= threshold`` (or its negation)."""
-        key = (indices.tobytes(), feature, threshold, branch)
-        cached = self._split_cache.get(key)
-        if cached is not None:
-            return cached[0]
-        mask = self._columns[feature][indices] <= threshold
-        if not branch:
-            mask = ~mask
-        kept = indices[mask]
-        kept.setflags(write=False)
-        if len(self._split_cache) >= SPLIT_CACHE_SIZE:
-            self._split_cache.clear()
-        self._split_cache[key] = (kept,)
-        return kept
 
     # ------------------------------------------- bestSplit / bestSplit# memo
     # The concrete choice of bestSplit is fully determined by (node indices,
@@ -376,45 +398,3 @@ def clear_plans() -> None:
             if dataset is not None:
                 dataset.__dict__.pop(_PLAN_ATTR, None)
         _PLANNED.clear()
-    _SYMBOLIC_PREDICATES.clear()
-    _THRESHOLD_PREDICATES.clear()
-
-
-# --------------------------------------------------------------------------
-# Predicate interning
-#
-# Threshold predicates are pure value objects; the abstract learners
-# re-materialize the same (feature, bounds) predicates at every node of every
-# probe.  Interning them cuts the allocation churn and makes the identity
-# fast path of dict lookups (per-run point_satisfies memos, predicate-set
-# comparisons) effective.  Keys are value-based, so sharing across datasets
-# is sound.
-
-PREDICATE_INTERN_SIZE = 65536
-
-_SYMBOLIC_PREDICATES: Dict[tuple, SymbolicThresholdPredicate] = {}
-_THRESHOLD_PREDICATES: Dict[tuple, ThresholdPredicate] = {}
-
-
-def symbolic_predicate(feature: int, low: float, high: float) -> SymbolicThresholdPredicate:
-    """Interned ``x_feature <= [low, high)`` predicate."""
-    key = (feature, low, high)
-    predicate = _SYMBOLIC_PREDICATES.get(key)
-    if predicate is None:
-        predicate = SymbolicThresholdPredicate(feature, low, high)
-        if len(_SYMBOLIC_PREDICATES) >= PREDICATE_INTERN_SIZE:
-            _SYMBOLIC_PREDICATES.clear()
-        _SYMBOLIC_PREDICATES[key] = predicate
-    return predicate
-
-
-def threshold_predicate(feature: int, threshold: float) -> ThresholdPredicate:
-    """Interned ``x_feature <= threshold`` predicate."""
-    key = (feature, threshold)
-    predicate = _THRESHOLD_PREDICATES.get(key)
-    if predicate is None:
-        predicate = ThresholdPredicate(feature, threshold)
-        if len(_THRESHOLD_PREDICATES) >= PREDICATE_INTERN_SIZE:
-            _THRESHOLD_PREDICATES.clear()
-        _THRESHOLD_PREDICATES[key] = predicate
-    return predicate

@@ -7,20 +7,18 @@
   extended to ``⟨T, n, f⟩`` with up to ``f`` label flips (``f = 0`` is the
   paper's element).
 * :mod:`repro.domains.predicate_set` — abstract sets of split predicates,
-  including the null predicate ``⋄`` and symbolic threshold predicates.
-* :mod:`repro.domains.state` — product and disjunctive abstract states of the
-  abstract learner ``DTrace#``.
+  including the null predicate ``⋄`` and symbolic threshold predicates: the
+  input of the scalar ``filter#`` oracle.  The abstract learners keep their
+  state as an abstract training set and the candidate rows of ``bestSplit#``
+  (:class:`repro.verify.transformers.SplitCandidates`).
 """
 
 from repro.domains.interval import Interval
 from repro.domains.predicate_set import AbstractPredicateSet
-from repro.domains.state import AbstractState, DisjunctiveState
 from repro.domains.trainingset import AbstractTrainingSet
 
 __all__ = [
     "Interval",
     "AbstractPredicateSet",
-    "AbstractState",
-    "DisjunctiveState",
     "AbstractTrainingSet",
 ]

@@ -6,14 +6,19 @@ special null predicate ``⋄`` ("no non-trivial split exists").  For
 real-valued features the member predicates are symbolic
 (:class:`~repro.core.predicates.SymbolicThresholdPredicate`), each standing
 for an interval of concrete thresholds.
+
+The learners carry ``Ψ`` as the candidate rows ``bestSplit#`` returns
+(:class:`repro.verify.transformers.SplitCandidates`); this predicate form is
+the input of the scalar ``filter#`` oracle
+(:func:`repro.verify.transformers.filter_abstract`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from repro.core.predicates import Predicate, Trilean, point_satisfies
+from repro.core.predicates import Predicate, point_satisfies
 
 
 @dataclass(frozen=True)
@@ -23,58 +28,12 @@ class AbstractPredicateSet:
     predicates: Tuple[Predicate, ...] = field(default_factory=tuple)
     includes_null: bool = False
 
-    # ------------------------------------------------------------- builders
-    @classmethod
-    def initial(cls) -> "AbstractPredicateSet":
-        """The initial ``Ψ = {⋄}`` of the abstract learner state."""
-        return cls(predicates=(), includes_null=True)
-
     @classmethod
     def of(
         cls, predicates: Iterable[Predicate], includes_null: bool = False
     ) -> "AbstractPredicateSet":
         return cls(predicates=tuple(predicates), includes_null=includes_null)
 
-    # ----------------------------------------------------------- collection
-    def __len__(self) -> int:
-        return len(self.predicates) + (1 if self.includes_null else 0)
-
-    def __iter__(self) -> Iterator[Predicate]:
-        return iter(self.predicates)
-
-    def __contains__(self, predicate: Predicate) -> bool:
-        return predicate in self.predicates
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    @property
-    def has_concrete_choices(self) -> bool:
-        return bool(self.predicates)
-
-    # -------------------------------------------------------------- lattice
-    def join(self, other: "AbstractPredicateSet") -> "AbstractPredicateSet":
-        """Set union (the domain's join, §4.2)."""
-        merged = list(self.predicates)
-        seen = set(self.predicates)
-        for predicate in other.predicates:
-            if predicate not in seen:
-                merged.append(predicate)
-                seen.add(predicate)
-        return AbstractPredicateSet(
-            predicates=tuple(merged),
-            includes_null=self.includes_null or other.includes_null,
-        )
-
-    def without_null(self) -> "AbstractPredicateSet":
-        """Restrict to the ``φ ≠ ⋄`` branch of the learner's conditional."""
-        return AbstractPredicateSet(predicates=self.predicates, includes_null=False)
-
-    def with_null(self) -> "AbstractPredicateSet":
-        return AbstractPredicateSet(predicates=self.predicates, includes_null=True)
-
-    # -------------------------------------------------------- point filtering
     def partition_for_point(
         self, x: Sequence[float]
     ) -> Tuple[Tuple[Predicate, ...], Tuple[Predicate, ...]]:
@@ -95,18 +54,3 @@ class AbstractPredicateSet:
             if verdict.possibly_false:
                 falsified.append(predicate)
         return tuple(satisfied), tuple(falsified)
-
-    def maybe_predicates(self, x: Sequence[float]) -> Tuple[Predicate, ...]:
-        """The predicates whose evaluation on ``x`` is three-valued *maybe*."""
-        return tuple(
-            predicate
-            for predicate in self.predicates
-            if point_satisfies(predicate, x) is Trilean.MAYBE
-        )
-
-    # -------------------------------------------------------------- printing
-    def describe(self, feature_names: Sequence[str] = ()) -> str:
-        parts = [predicate.describe(feature_names) for predicate in self.predicates]
-        if self.includes_null:
-            parts.append("<>")
-        return "{" + ", ".join(parts) + "}"

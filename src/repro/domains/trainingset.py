@@ -31,11 +31,7 @@ import numpy as np
 
 from repro.core import split_plan
 from repro.core.dataset import Dataset
-from repro.core.predicates import (
-    Predicate,
-    SymbolicThresholdPredicate,
-    ThresholdPredicate,
-)
+from repro.core.predicates import Predicate
 from repro.utils.validation import ValidationError, check_index_array
 
 
@@ -125,10 +121,6 @@ class AbstractTrainingSet:
     @property
     def labels(self) -> np.ndarray:
         return self.dataset.y[self.indices]
-
-    @property
-    def features(self) -> np.ndarray:
-        return self.dataset.X[self.indices]
 
     def class_counts(self) -> np.ndarray:
         """Per-class counts of ``T`` itself (the unpoisoned upper counts)."""
@@ -253,36 +245,21 @@ class AbstractTrainingSet:
         """``⟨T, n, f⟩↓#φ`` (Equation 1), or its negation when ``branch`` is false.
 
         Label flips never move rows across a split, so both sides keep ``f``
-        (clamped to their size).  Symbolic predicates are dispatched to
-        :meth:`split_down_symbolic`.
-        """
-        if isinstance(predicate, SymbolicThresholdPredicate):
-            return self.split_down_symbolic(predicate, branch)
-        if isinstance(predicate, ThresholdPredicate):
-            kept = split_plan.plan_for(self.dataset).threshold_split(
-                self.indices, predicate.feature, predicate.threshold, branch
-            )
-        else:
-            mask = predicate.evaluate_matrix(self.features)
-            if not branch:
-                mask = ~mask
-            kept = self.indices[mask]
-        return AbstractTrainingSet._trusted(self.dataset, kept, self.n, self.flips)
+        (clamped to their size).  Every predicate splits as its candidate
+        row (:func:`~repro.core.split_plan.predicate_row`); only a symbolic
+        one can have a tight side smaller than its loose side.
 
-    def split_down_symbolic(
-        self, predicate: SymbolicThresholdPredicate, branch: bool
-    ) -> "AbstractTrainingSet":
-        """``⟨T, n⟩↓#ρ`` for a symbolic predicate ``x_i <= [a, b)`` (Appendix B).
-
-        The positive branch is the join of filtering with the two concrete
-        extremes ``x <= a`` and ``x < b``; the negative branch joins
-        ``x >= b`` and ``x > a``.  Because ``a < b``, the tight side is always
-        a *subset* of the loose side, so the join degenerates: the row set is
-        the loose side and the budget follows from Definition 4.1 with
+        For a symbolic predicate ``x_i <= [a, b)`` (Appendix B) the positive
+        branch is the join of filtering with the two concrete extremes
+        ``x <= a`` and ``x < b``; the negative branch joins ``x >= b`` and
+        ``x > a``.  Because ``a < b``, the tight side is always a *subset* of
+        the loose side, so the join degenerates: the row set is the loose
+        side and the budget follows from Definition 4.1 with
         ``|tight \\ loose| = 0`` — pure integer arithmetic, no set operations.
         """
+        feature, low, high, kind = split_plan.predicate_row(predicate)
         loose_indices, t, l = split_plan.plan_for(self.dataset).symbolic_split(
-            self.indices, predicate.feature, predicate.low, predicate.high, branch
+            self.indices, feature, low, high, kind, branch
         )
         budget = max(min(self.n, l), (l - t) + min(self.n, t))
         return AbstractTrainingSet._trusted(

@@ -6,11 +6,13 @@ interprets one step of the concrete trace learner of Figure 4:
 1. the ``ent(T) = 0`` conditional — the *then* branch exits with the state
    restricted to pure concretizations (§4.7), the *else* branch continues
    unrestricted;
-2. ``bestSplit#`` — computes the set of predicates that could be optimal for
-   some concretization (possibly including ``⋄``);
+2. ``bestSplit#`` — computes Ψ, the candidate splits that could be optimal
+   for some concretization (possibly including ``⋄``), as the rows of a
+   :class:`~repro.verify.transformers.SplitCandidates`;
 3. the ``φ = ⋄`` conditional — the *then* branch exits with the current state;
-4. ``filter#`` — keeps (a join of) the sides of the splits that the test
-   point ``x`` traverses.
+4. ``filter#`` — keeps (a join of) the sides of Ψ's rows that the test
+   point ``x`` traverses, read from the rows by the closed form
+   :func:`~repro.verify.transformers.filter_closed_form`.
 
 The classification of each exit state is the vector of ``cprob#`` intervals
 of its abstract training set; the learner's overall result joins those
@@ -121,11 +123,11 @@ class BoxAbstractLearner:
         ``warm_trace`` is the :class:`~repro.verify.trace.LadderTrace` of a
         prior run on the same (dataset, point, family) at a different budget.
         Each filter step whose abstract decisions are unchanged — same entry
-        row set, same ``bestSplit#`` outcome — is replayed from the trace by
-        pure budget arithmetic instead of re-running the closed-form filter#;
-        the first divergent step falls back to the real ``filter#`` (and
-        every exit/score computation always runs at the current budget), so
-        the result is identical to a cold run by construction.
+        row set, same ``bestSplit#`` candidate rows — is replayed from the
+        trace by pure budget arithmetic instead of re-running the closed-form
+        filter#; the first divergent step falls back to the real ``filter#``
+        (and every exit/score computation always runs at the current budget),
+        so the result is identical to a cold run by construction.
         """
         budget = time_budget or TimeBudget.unlimited()
         exits: List[Tuple[Interval, ...]] = []
@@ -151,16 +153,15 @@ class BoxAbstractLearner:
                 break
 
             # --- φ <- bestSplit#(T) ------------------------------------------
-            predicates = best_split_abstract(
+            candidates = best_split_abstract(
                 state, method=self.cprob_method, predicate_pool=self.predicate_pool
             )
 
             # --- conditional: φ = ⋄ --------------------------------------------
-            if predicates.includes_null:
+            if candidates.includes_null:
                 with profiling.phase("cprob_exit"):
                     exits.append(cprob_intervals(state, self.cprob_method))
-            predicates = predicates.without_null()
-            if not predicates.has_concrete_choices:
+            if not candidates.feature.size:
                 state = None
                 break
 
@@ -169,14 +170,12 @@ class BoxAbstractLearner:
             warm_step = (
                 warm_trace.step_at(depth) if warm_trace is not None else None
             )
-            if warm_step is not None and warm_step.matches(
-                state, predicates.predicates
-            ):
+            if warm_step is not None and warm_step.matches(state, candidates):
                 state = warm_step.apply(state)
                 trace_reused += 1
                 steps.append(warm_step)
             else:
-                state, step = filter_abstract_traced(state, predicates, x)
+                state, step = filter_abstract_traced(state, candidates, x)
                 steps.append(step)
 
         if state is not None:

@@ -8,16 +8,18 @@ whose evaluation on the test point is *maybe* spawns a disjunct for each
 branch.  Exits accumulate across iterations; the point is certified robust
 only if the **same** class dominates in every exit disjunct (Cor. 4.12).
 
-The last level is array-shaped.  A leaf disjunct is one side of a candidate
-that ``bestSplit#`` selected at its parent, and
-:func:`~repro.verify.transformers.best_split_candidates` already carries each
-side's size, class counts and budgets.  So the learner never builds the
-leaves as states: it masks the sides the point can take and classifies all
-of them with one :func:`~repro.verify.transformers.exit_bounds` call.  Exits
-are kept as ``(E, k)`` lower/upper bound arrays; their join is a min/max over
-rows, and the per-exit dominating classes come from one vectorized step.
-Earlier levels still split states with ``split_down``, since their children
-run ``bestSplit#`` again.
+Ψ stays in the candidate-row form
+:func:`~repro.verify.transformers.best_split_abstract` returns: each row's
+feature, bounds and kind, with the size, class counts and budgets of both
+of its sides.  A child disjunct is one side of a row, and only the sides the
+point can take are touched.  The last level is array-shaped: the learner
+never builds the leaves as states, it classifies all of them with one
+:func:`~repro.verify.transformers.exit_bounds` call.  Exits are kept as
+``(E, k)`` lower/upper bound arrays; their join is a min/max over rows, and
+the per-exit dominating classes come from one vectorized step.  Earlier
+levels build each child element from its row and side
+(:meth:`~repro.verify.transformers.SplitCandidates.child`), since their
+children run ``bestSplit#`` again.
 
 Precision is higher than the Box domain by construction, but the number of
 disjuncts can grow exponentially with the tree depth, so the learner enforces
@@ -43,7 +45,7 @@ from repro.telemetry import profiling
 from repro.utils.timing import TimeBudget
 from repro.verify.abstract_learner import AbstractRunResult
 from repro.verify.transformers import (
-    best_split_candidates,
+    best_split_abstract,
     cprob_intervals,
     entropy_is_definitely_zero,
     exit_bounds,
@@ -127,7 +129,9 @@ class DisjunctiveAbstractLearner:
                 if entropy_is_definitely_zero(state, method):
                     continue
 
-                candidates = best_split_candidates(state, method, self.predicate_pool)
+                candidates = best_split_abstract(
+                    state, method=method, predicate_pool=self.predicate_pool
+                )
                 if candidates.includes_null:
                     with profiling.phase("cprob_exit"):
                         exit_vectors.append(cprob_intervals(state, method))
@@ -144,12 +148,9 @@ class DisjunctiveAbstractLearner:
                         )
                         leaf_count += int(np.count_nonzero(taken))
                     else:
-                        predicates = candidates.predicates
                         rows, sides = np.nonzero(taken)
                         for row, side in zip(rows.tolist(), sides.tolist()):
-                            next_live.append(
-                                state.split_down(predicates[row], side == 0)
-                            )
+                            next_live.append(candidates.child(state, row, side))
                 self._check_budget(len(next_live) + leaf_count + len(exit_vectors))
             live = next_live
             peak_disjuncts = max(

@@ -16,11 +16,11 @@ the non-empty pieces, and ``f' = min(f, largest piece size)``; see
 :func:`repro.verify.transformers.filter_closed_form`.
 
 :func:`filter_abstract_traced` runs that closed form and records one
-:class:`TraceStep` — the entry row set, the predicate set, ``U`` and a
-:class:`FilterReplay` of the three sizes.  A later probe whose state matches
-the step (:meth:`TraceStep.matches`) rebuilds the filtered element with
-:meth:`TraceStep.apply`; the cold path builds its element through the same
-method, so a warm-started probe is behavior-identical to a cold one by
+:class:`TraceStep` — the entry row set, the key of Ψ's candidate rows, ``U``
+and a :class:`FilterReplay` of the three sizes.  A later probe whose state
+matches the step (:meth:`TraceStep.matches`) rebuilds the filtered element
+with :meth:`TraceStep.apply`; the cold path builds its element through the
+same method, so a warm-started probe is behavior-identical to a cold one by
 construction (asserted against the sequential fold by the tests in
 ``tests/verify/test_vectorized_kernels.py``).
 """
@@ -32,10 +32,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predicates import Predicate
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
-from repro.verify.transformers import filter_closed_form
+from repro.verify.transformers import SplitCandidates, filter_closed_form
 
 
 @dataclass(frozen=True)
@@ -60,20 +59,21 @@ class TraceStep:
     """One learner iteration's filter, keyed by its abstract decisions.
 
     A step from a prior probe warm-starts the current one iff the entry row
-    set and the chosen predicate set are identical (:meth:`matches`) — then
-    the filtered row set is ``next_indices`` verbatim and only the budget is
-    replayed.  ``next_indices is None`` records a bottom filter result.
+    set and the candidate rows of Ψ are identical (:meth:`matches`, on the
+    bytes of both) — then the filtered row set is ``next_indices`` verbatim
+    and only the budget is replayed.  ``next_indices is None`` records a
+    bottom filter result.
     """
 
     indices_key: bytes
-    predicates: Tuple[Predicate, ...]
+    rows_key: bytes
     next_indices: Optional[np.ndarray]
     replay: Optional[FilterReplay]
 
-    def matches(self, state, predicates: Tuple[Predicate, ...]) -> bool:
+    def matches(self, state: AbstractTrainingSet, candidates: SplitCandidates) -> bool:
         return (
             state.indices.tobytes() == self.indices_key
-            and self.predicates == predicates
+            and candidates.key == self.rows_key
         )
 
     def apply(self, state: AbstractTrainingSet) -> Optional[AbstractTrainingSet]:
@@ -99,22 +99,25 @@ class LadderTrace:
         return None
 
 
-def filter_abstract_traced(trainset, predicates, x: Sequence[float]):
-    """``filter#`` as :func:`repro.verify.transformers.filter_abstract`
-    computes it, additionally recording the :class:`TraceStep` that lets a
-    later probe replay this application at a different budget.
+def filter_abstract_traced(
+    trainset: AbstractTrainingSet, candidates: SplitCandidates, x: Sequence[float]
+) -> Tuple[Optional[AbstractTrainingSet], TraceStep]:
+    """``filter#`` over Ψ's candidate rows, as
+    :func:`repro.verify.transformers.filter_abstract` computes it over the
+    rows' predicates, additionally recording the :class:`TraceStep` that lets
+    a later probe replay this application at a different budget.
 
     Returns ``(filtered_state_or_None, TraceStep)``.
     """
     with profiling.phase("filter"):
-        closed = filter_closed_form(trainset, predicates, x)
+        closed = filter_closed_form(trainset, candidates, x)
         indices_key = trainset.indices.tobytes()
         if closed is None:
-            return None, TraceStep(indices_key, predicates.predicates, None, None)
+            return None, TraceStep(indices_key, candidates.key, None, None)
         rows, tight, largest = closed
         step = TraceStep(
             indices_key,
-            predicates.predicates,
+            candidates.key,
             rows,
             FilterReplay(int(rows.size), tight, largest),
         )

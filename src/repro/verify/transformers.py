@@ -16,20 +16,24 @@ Two variants of ``cprob#`` are provided:
 * ``"optimal"`` — the optimal transformer of footnote 6, which the paper's
   implementation uses.  It is both tighter and cheaper.
 
-``bestSplit#`` (:func:`best_split_candidates`) bounds every candidate of a
+``bestSplit#`` (:func:`best_split_abstract`) bounds every candidate of a
 node at once from the node's stacked split table (threshold rows for real
 and boolean features, equality rows for categorical ones), or from the
 ``split_down`` sides of an explicit predicate pool.  One score kernel
 (:func:`_split_score_bounds`) ranges over the ``f + 1`` ways of sharing the
 flip budget between a split's two sides, which is a single allocation when
-``f = 0``.  It returns the selected candidates as arrays, with the size, class
-counts and budgets of both sides of each, so the disjunctive learner
-classifies its leaves with one :func:`exit_bounds` call instead of building
-a state per leaf.  :func:`best_split_abstract` materializes the predicates.
+``f = 0``.  It returns the selected candidates Ψ as rows
+(:class:`SplitCandidates`): each row's feature, bounds and kind, with the
+size, class counts and budgets of both of its sides.  Both learners read Ψ
+in that form only: the disjunctive learner classifies its leaves with one
+:func:`exit_bounds` call and builds its inner children with
+:meth:`SplitCandidates.child`, and the Box learner filters with
+:func:`filter_closed_form`.
 
 ``filter#`` has a closed form (:func:`filter_closed_form`), which the Box
 learner runs through :mod:`repro.verify.trace`; the sequential fold of split
-pieces (:func:`filter_abstract`) is kept as its scalar oracle.
+pieces (:func:`filter_abstract`) over a predicate set is kept as its scalar
+oracle.
 
 ``cprob#`` is one formula for every element: with ``m = |T| − n`` rows
 left, class ``i`` keeps ``[max(0, c_i − n − f), min(c_i + f, m)] / m``.
@@ -41,19 +45,13 @@ the point vectors of the feasible classes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.predicates import (
-    EqualityPredicate,
-    Predicate,
-    SymbolicThresholdPredicate,
-    ThresholdPredicate,
-)
+from repro.core.predicates import Predicate
 from repro.core import split_plan
 from repro.domains.interval import Interval, mul_bounds
 from repro.domains.predicate_set import AbstractPredicateSet
@@ -240,30 +238,6 @@ def filter_abstract(
         return result
 
 
-def _predicate_table(predicates: Sequence[Predicate]) -> np.ndarray:
-    """Ψ as rows ``(feature, low, high, is_equality)``.
-
-    A threshold ``x <= τ`` is stored as the symbolic ``x <= [τ, τ⁺)``, where
-    ``τ⁺`` is the next float above ``τ``: no value lies strictly between the
-    two, so both give the same pieces, tight counts and branch tests.  An
-    equality ``x == v`` is stored as ``[v, v]``.
-    """
-    values: List[float] = []
-    for predicate in predicates:
-        if isinstance(predicate, SymbolicThresholdPredicate):
-            values += (predicate.feature, predicate.low, predicate.high, 0.0)
-        elif isinstance(predicate, ThresholdPredicate):
-            threshold = predicate.threshold
-            upper = math.nextafter(threshold, math.inf)
-            values += (predicate.feature, threshold, upper, 0.0)
-        elif isinstance(predicate, EqualityPredicate):
-            values += (predicate.feature, predicate.value, predicate.value, 1.0)
-        else:
-            raise TypeError(f"filter# cannot split on {type(predicate).__name__}")
-    table = np.fromiter(values, dtype=np.float64, count=len(values))
-    return table.reshape(-1, 4)
-
-
 def _branches(
     value: np.ndarray, low: np.ndarray, high: np.ndarray, equality: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -280,9 +254,9 @@ def _branches(
 
 
 def filter_closed_form(
-    trainset: AbstractTrainingSet, predicates: AbstractPredicateSet, x: Sequence[float]
+    trainset: AbstractTrainingSet, candidates: SplitCandidates, x: Sequence[float]
 ) -> Optional[Tuple[np.ndarray, int, int]]:
-    """The join :func:`filter_abstract` folds, computed from piece counts.
+    """The join :func:`filter_abstract` folds over the rows of Ψ, from piece counts.
 
     Definition 4.1's join keeps ``|T1 ∪ T2| − n' = min(|T1| − n1, |T2| − n2)``,
     so a fold of joins does not depend on its order.  A split piece of
@@ -295,18 +269,19 @@ def filter_closed_form(
     On one feature the threshold pieces (concrete or symbolic) of the
     satisfied side are nested prefixes of the node's sorted values, and those
     of the falsified side nested suffixes, so ``U`` needs only the widest
-    piece of each side; equality pieces add their own rows.
+    piece of each side; equality pieces add their own rows.  Only the rows'
+    feature, bounds and kind are read.
 
     Returns ``(U, s_min, largest piece size)``, or ``None`` (bottom) when no
     piece survives.
     """
-    table = _predicate_table(predicates.predicates)
-    if table.shape[0] == 0:
+    if candidates.feature.size == 0:
         return None
     # Rows of one feature form one run; the join does not depend on order.
-    table = table[np.argsort(table[:, 0], kind="stable")]
-    feature = table[:, 0].astype(np.int64)
-    low, high, equality = table[:, 1], table[:, 2], table[:, 3] > 0
+    order = np.argsort(candidates.feature, kind="stable")
+    feature = candidates.feature[order]
+    low, high = candidates.low[order], candidates.high[order]
+    equality = candidates.kind[order] == split_plan.EQUALITY_ROW
     bounds = [0, *(np.flatnonzero(feature[1:] != feature[:-1]) + 1).tolist()]
     runs = [slice(a, b) for a, b in zip(bounds, [*bounds[1:], feature.size])]
     indices = trainset.indices
@@ -572,8 +547,8 @@ class SplitCandidates:
     side at ``[:, 0]``): its size, class counts and budgets.  For a node
     table candidate no node value lies strictly between ``low`` and
     ``high``, so the symbolic split is exact and a side of size ``s`` keeps
-    ``min(n, s)`` removals and ``min(f, s)`` flips.  ``pool`` holds the
-    predicate objects of an explicit predicate pool's rows.
+    ``min(n, s)`` removals and ``min(f, s)`` flips.  A pool row's sides are
+    its ``split_down`` elements, whose removal budget may be larger.
     """
 
     feature: np.ndarray  # (c,) int64
@@ -585,36 +560,43 @@ class SplitCandidates:
     removals: np.ndarray  # (c, 2)
     flips: np.ndarray  # (c, 2)
     includes_null: bool
-    pool: Optional[Tuple[Predicate, ...]] = None
 
     @cached_property
-    def predicates(self) -> Tuple[Predicate, ...]:
-        """The rows as (interned) predicate objects, in row order."""
-        if self.pool is not None:
-            return self.pool
-        predicates: List[Predicate] = []
-        for feature, low, high, kind in zip(
-            self.feature.tolist(),
-            self.low.tolist(),
-            self.high.tolist(),
-            self.kind.tolist(),
-        ):
-            if kind == split_plan.SYMBOLIC_ROW:
-                predicates.append(split_plan.symbolic_predicate(feature, low, high))
-            elif kind == split_plan.THRESHOLD_ROW:
-                predicates.append(split_plan.threshold_predicate(feature, low))
-            else:
-                predicates.append(EqualityPredicate(feature, low))
-        return tuple(predicates)
-
-    def predicate_set(self) -> AbstractPredicateSet:
-        return AbstractPredicateSet(self.predicates, self.includes_null)
+    def key(self) -> bytes:
+        """The rows' identity: equal keys mean the same rows in the same order."""
+        columns = (self.feature, self.low, self.high, self.kind)
+        return b"".join(column.tobytes() for column in columns)
 
     def branches(self, x: Sequence[float]) -> np.ndarray:
         """``(c, 2)`` mask of the branches ``x`` can take (true side first)."""
         value = np.asarray(x, dtype=np.float64)[self.feature]
         equality = self.kind == split_plan.EQUALITY_ROW
         return np.stack(_branches(value, self.low, self.high, equality), axis=1)
+
+    def child(
+        self, state: AbstractTrainingSet, row: int, side: int
+    ) -> AbstractTrainingSet:
+        """The element on ``side`` (0 = true) of row ``row``, split from ``state``.
+
+        Its rows are the node rows that side keeps (the loose side, ``x <
+        high`` or ``x > low``), through the split plan's cache; its budgets
+        are the side's ``removals`` and ``flips``.  This is ``state``'s
+        ``split_down`` by the row's predicate.
+        """
+        kept, _, _ = split_plan.plan_for(state.dataset).symbolic_split(
+            state.indices,
+            int(self.feature[row]),
+            float(self.low[row]),
+            float(self.high[row]),
+            int(self.kind[row]),
+            side == 0,
+        )
+        return AbstractTrainingSet._trusted(
+            state.dataset,
+            kept,
+            int(self.removals[row, side]),
+            int(self.flips[row, side]),
+        )
 
 
 def _no_split(k: int) -> SplitCandidates:
@@ -634,35 +616,42 @@ def _no_split(k: int) -> SplitCandidates:
     )
 
 
-def best_split_candidates(
-    state: AbstractTrainingSet,
+def best_split_abstract(
+    trainset: AbstractTrainingSet,
+    *,
     method: str = "optimal",
     predicate_pool: Optional[Sequence[Predicate]] = None,
 ) -> SplitCandidates:
-    """``bestSplit#`` of §4.6 (with App. B's lifting) as candidate arrays.
+    """``bestSplit#`` of §4.6 (with App. B's lifting) as candidate rows.
 
-    The candidates are every split of the node's table (equality splits for
-    categorical features).  Without a pool the result is memoized on the
-    dataset's split plan, since it depends only on the node rows, the
-    budgets and ``method``.  Predicate pools are supported for ``f = 0``
-    only.
+    Returns every candidate whose score interval overlaps the minimal
+    achievable score, plus ``⋄`` (``includes_null``) when some
+    concretization might admit no non-trivial split at all.  The candidates
+    are every split of the node's table (equality splits for categorical
+    features), or the predicates of ``predicate_pool``.  Without a pool the
+    result is memoized on the dataset's split plan, since it depends only on
+    the node rows, the budgets and ``method``.  Predicate pools are supported
+    for ``f = 0`` only.
     """
     with profiling.phase("best_split"):
-        if predicate_pool is not None and state.flips:
+        if predicate_pool is not None and trainset.flips:
             raise ValidationError(
                 "predicate pools are not supported for the label-flip/composite "
                 "threat models"
             )
-        if state.size == 0:
-            return _no_split(state.dataset.n_classes)
+        if trainset.size == 0:
+            return _no_split(trainset.dataset.n_classes)
         if predicate_pool is not None:
-            return _pool_candidates(state, predicate_pool, method)
-        plan = split_plan.plan_for(state.dataset)
-        key = (state.indices.tobytes(), state.n, state.flips, method)
+            return _pool_candidates(trainset, predicate_pool, method)
+        plan = split_plan.plan_for(trainset.dataset)
+        key = (trainset.indices.tobytes(), trainset.n, trainset.flips, method)
         result = plan.cached_best_split(key)
         if result is None:
             result = _table_candidates(
-                plan.node_candidates(state.indices), state.n, state.flips, method
+                plan.node_candidates(trainset.indices),
+                trainset.n,
+                trainset.flips,
+                method,
             )
             plan.store_best_split(key, result)
         return result
@@ -709,8 +698,9 @@ def _pool_candidates(
     A pool predicate need not be one of the node's table candidates, so a
     symbolic one may keep a budget above ``min(n, size)``; its sides are the
     ``split_down`` elements themselves.  Predicates with an empty side are
-    trivial for every concretization and are not in Φ∃.  Only ``f = 0``
-    elements reach here.
+    trivial for every concretization and are not in Φ∃.  The selection
+    ignores flips, so :func:`best_split_abstract` only passes ``f = 0``
+    elements.
     """
     kept: List[Predicate] = []
     sides = []
@@ -735,21 +725,36 @@ def _pool_candidates(
         0,
         method,
     )
-    table = _predicate_table([kept[i] for i in keep])
+    feature, low, high, kind = _predicate_table([kept[i] for i in keep])
     return SplitCandidates(
-        feature=table[:, 0].astype(np.int64),
-        low=table[:, 1],
-        high=table[:, 2],
-        # Pool rows materialize from ``pool``; ``kind`` only marks equalities.
-        kind=np.where(
-            table[:, 3] > 0, split_plan.EQUALITY_ROW, split_plan.SYMBOLIC_ROW
-        ).astype(np.int8),
+        feature=feature,
+        low=low,
+        high=high,
+        kind=kind,
         sizes=sizes[keep],
         class_counts=counts[keep],
         removals=budgets[keep],
-        flips=np.zeros_like(sizes[keep]),
+        flips=np.minimum(state.flips, sizes[keep]),
         includes_null=includes_null,
-        pool=tuple(kept[i] for i in keep),
+    )
+
+
+def _predicate_table(
+    predicates: Sequence[Predicate],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pool predicates as row arrays ``(feature, low, high, kind)``.
+
+    Each predicate is its :func:`~repro.core.split_plan.predicate_row`.
+    """
+    table = np.array(
+        [split_plan.predicate_row(predicate) for predicate in predicates],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    return (
+        table[:, 0].astype(np.int64),
+        table[:, 1],
+        table[:, 2],
+        table[:, 3].astype(np.int8),
     )
 
 
@@ -788,21 +793,6 @@ def _selection(
     )
     lub = float(score_upper[universal].min())
     return np.flatnonzero(score_lower <= lub + SCORE_TOLERANCE), False
-
-
-def best_split_abstract(
-    trainset: AbstractTrainingSet,
-    *,
-    method: str = "optimal",
-    predicate_pool: Optional[Sequence[Predicate]] = None,
-) -> AbstractPredicateSet:
-    """``bestSplit#`` as an abstract predicate set (see :func:`best_split_candidates`).
-
-    Returns every predicate whose score interval overlaps the minimal
-    achievable score, plus ``⋄`` when some concretization might admit no
-    non-trivial split at all.
-    """
-    return best_split_candidates(trainset, method, predicate_pool).predicate_set()
 
 
 # ---------------------------------------------------------------------------

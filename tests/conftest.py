@@ -8,12 +8,19 @@ concretization of ``⟨T, n⟩``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.core import split_plan
 from repro.core.dataset import Dataset, FeatureKind
+from repro.core.predicates import (
+    EqualityPredicate,
+    Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
 
 
@@ -85,3 +92,25 @@ def random_test_point(rng: np.random.Generator, dataset: Dataset) -> np.ndarray:
         else:
             point[j] = float(np.round(rng.normal(0.0, 2.0), 1))
     return point
+
+
+def row_predicates(candidates) -> Tuple[Predicate, ...]:
+    """The rows of a ``bestSplit#`` result as predicate objects, in row order.
+
+    The inverse of :func:`repro.core.split_plan.predicate_row`, for checks
+    against the concrete learner and the predicate-level oracles.
+    """
+    predicates = []
+    for feature, low, high, kind in zip(
+        candidates.feature.tolist(),
+        candidates.low.tolist(),
+        candidates.high.tolist(),
+        candidates.kind.tolist(),
+    ):
+        if kind == split_plan.SYMBOLIC_ROW:
+            predicates.append(SymbolicThresholdPredicate(feature, low, high))
+        elif kind == split_plan.THRESHOLD_ROW:
+            predicates.append(ThresholdPredicate(feature, low))
+        else:
+            predicates.append(EqualityPredicate(feature, low))
+    return tuple(predicates)

@@ -1,13 +1,21 @@
-"""The split plan: node candidates against per-feature tables, lifetime, sharing."""
+"""The split plan: node candidates against per-feature tables, candidate rows
+and their sides, lifetime, sharing."""
 
 import gc
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import split_plan
 from repro.core.dataset import Dataset, FeatureKind
+from repro.core.predicates import (
+    EqualityPredicate,
+    Predicate,
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+)
 from repro.core.trace_learner import TraceLearner
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.verify.transformers import best_split_abstract
@@ -138,3 +146,93 @@ class TestSharedNodes:
         best_split_abstract(AbstractTrainingSet.full(dataset, 2))
         assert _misses() == misses
         assert split_plan._SPLIT_TABLE_CACHE.value(result="hit") == hits + 1
+
+
+class TestPredicateRow:
+    def test_threshold_is_the_row_up_to_the_next_float(self):
+        row = split_plan.predicate_row(ThresholdPredicate(1, 0.5))
+        assert row == (1, 0.5, np.nextafter(0.5, np.inf), split_plan.THRESHOLD_ROW)
+
+    def test_symbolic_keeps_its_bounds(self):
+        row = split_plan.predicate_row(SymbolicThresholdPredicate(0, 1.0, 2.5))
+        assert row == (0, 1.0, 2.5, split_plan.SYMBOLIC_ROW)
+
+    def test_equality_is_a_point_row(self):
+        row = split_plan.predicate_row(EqualityPredicate(2, 3.0))
+        assert row == (2, 3.0, 3.0, split_plan.EQUALITY_ROW)
+
+    def test_unknown_predicate_rejected(self):
+        class Odd(Predicate):
+            feature = 0
+
+            def evaluate(self, x):
+                return True
+
+            def evaluate_matrix(self, X):
+                return np.ones(len(X), dtype=bool)
+
+            def describe(self, feature_names=()):
+                return "odd"
+
+        with pytest.raises(TypeError):
+            split_plan.predicate_row(Odd())
+
+
+def _mixed_dataset():
+    rng = np.random.default_rng(11)
+    X = np.column_stack(
+        (
+            np.round(rng.normal(size=30), 1),
+            rng.integers(0, 2, size=30),
+            rng.integers(0, 4, size=30),
+        )
+    ).astype(float)
+    return Dataset(
+        X=X,
+        y=rng.integers(0, 2, size=30),
+        feature_kinds=(FeatureKind.REAL, FeatureKind.BOOLEAN, FeatureKind.CATEGORICAL),
+    )
+
+
+_ROW_PREDICATES = [
+    ThresholdPredicate(1, 0.5),
+    SymbolicThresholdPredicate(0, -0.2, 0.3),
+    EqualityPredicate(2, 1.0),
+]
+
+
+class TestSymbolicSplitByKind:
+    @pytest.mark.parametrize("branch", [True, False])
+    @pytest.mark.parametrize(
+        "predicate", _ROW_PREDICATES, ids=["threshold", "symbolic", "equality"]
+    )
+    def test_sides_match_the_predicate(self, predicate, branch):
+        dataset = _mixed_dataset()
+        indices = np.arange(0, len(dataset), 2, dtype=np.int64)
+        kept, tight, loose = split_plan.SplitTablePlan(dataset).symbolic_split(
+            indices, *split_plan.predicate_row(predicate), branch
+        )
+        values = dataset.X[indices, predicate.feature]
+        if isinstance(predicate, SymbolicThresholdPredicate):
+            # Loose side: some threshold of [low, high) puts the row there;
+            # tight side: every threshold does.
+            if branch:
+                expect_loose, expect_tight = values < predicate.high, values <= predicate.low
+            else:
+                expect_loose, expect_tight = values > predicate.low, values >= predicate.high
+        else:
+            expect_loose = predicate.evaluate_matrix(dataset.X[indices]) == branch
+            expect_tight = expect_loose
+        np.testing.assert_array_equal(kept, indices[expect_loose])
+        assert loose == int(expect_loose.sum())
+        assert tight == int(expect_tight.sum())
+
+    def test_results_are_cached_and_read_only(self):
+        dataset = _mixed_dataset()
+        plan = split_plan.SplitTablePlan(dataset)
+        indices = np.arange(len(dataset), dtype=np.int64)
+        row = split_plan.predicate_row(EqualityPredicate(2, 1.0))
+        first = plan.symbolic_split(indices, *row, True)
+        assert plan.symbolic_split(indices, *row, True) is first
+        assert not first[0].flags.writeable
+        assert plan.symbolic_split(indices, *row, False) is not first

@@ -5,36 +5,11 @@ from repro.domains.predicate_set import AbstractPredicateSet
 
 
 class TestConstruction:
-    def test_initial_state_is_null_only(self):
-        initial = AbstractPredicateSet.initial()
-        assert initial.includes_null
-        assert not initial.has_concrete_choices
-        assert len(initial) == 1
-
     def test_of(self):
         predicates = AbstractPredicateSet.of([ThresholdPredicate(0, 1.0)])
-        assert len(predicates) == 1
-        assert ThresholdPredicate(0, 1.0) in predicates
-
-    def test_is_empty(self):
-        assert AbstractPredicateSet.of(()).is_empty
-        assert not AbstractPredicateSet.initial().is_empty
-
-
-class TestLattice:
-    def test_join_unions_and_deduplicates(self):
-        a = AbstractPredicateSet.of([ThresholdPredicate(0, 1.0)])
-        b = AbstractPredicateSet.of(
-            [ThresholdPredicate(0, 1.0), ThresholdPredicate(1, 2.0)], includes_null=True
-        )
-        joined = a.join(b)
-        assert len(joined.predicates) == 2
-        assert joined.includes_null
-
-    def test_without_and_with_null(self):
-        predicates = AbstractPredicateSet.of([ThresholdPredicate(0, 1.0)], includes_null=True)
-        assert not predicates.without_null().includes_null
-        assert predicates.without_null().with_null().includes_null
+        assert predicates.predicates == (ThresholdPredicate(0, 1.0),)
+        assert not predicates.includes_null
+        assert AbstractPredicateSet.of((), includes_null=True).includes_null
 
 
 class TestPointPartition:
@@ -51,7 +26,6 @@ class TestPointPartition:
         predicates = AbstractPredicateSet.of([symbolic])
         satisfied, falsified = predicates.partition_for_point([3.0])
         assert symbolic in satisfied and symbolic in falsified
-        assert predicates.maybe_predicates([3.0]) == (symbolic,)
 
     def test_symbolic_definite_cases(self):
         symbolic = SymbolicThresholdPredicate(0, 1.0, 5.0)
@@ -60,10 +34,3 @@ class TestPointPartition:
         assert satisfied and not falsified
         satisfied, falsified = predicates.partition_for_point([9.0])
         assert falsified and not satisfied
-
-
-class TestDescribe:
-    def test_describe_includes_null_marker(self):
-        predicates = AbstractPredicateSet.of([ThresholdPredicate(0, 1.0)], includes_null=True)
-        text = predicates.describe()
-        assert "x0 <= 1" in text and "<>" in text

@@ -23,7 +23,6 @@ from repro.verify.disjunctive_learner import DisjunctiveAbstractLearner
 from repro.verify.transformers import (
     _split_score_bounds,
     best_split_abstract,
-    best_split_candidates,
     cprob_intervals,
     entropy_is_definitely_zero,
     filter_abstract,
@@ -102,18 +101,15 @@ class TestFlipTransformers:
     def test_best_split_zero_budget_matches_concrete(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet.full(dataset, 0, 0)
-        predicates = best_split_abstract(trainset)
-        assert not predicates.includes_null
-        assert any(
-            getattr(p, "low", None) == 10.0 and getattr(p, "high", None) == 11.0
-            for p in predicates
-        )
+        candidates = best_split_abstract(trainset)
+        assert not candidates.includes_null
+        assert ((candidates.low == 10.0) & (candidates.high == 11.0)).any()
 
     def test_best_split_null_when_constant(self):
         dataset = figure2_dataset()
         trainset = FlipAbstractTrainingSet(dataset, np.array([3]), 0, 1)
-        predicates = best_split_abstract(trainset)
-        assert predicates.includes_null and not predicates.has_concrete_choices
+        candidates = best_split_abstract(trainset)
+        assert candidates.includes_null and not candidates.feature.size
 
     def test_filter_returns_side_containing_point(self):
         dataset = figure2_dataset()
@@ -168,9 +164,9 @@ class TestFlipTransformerFunctions:
     def test_best_split_without_flips_matches_removal(self, removals):
         # ⟨T, r, 0⟩ and ⟨T, r⟩ share the candidates and the selection.
         dataset = figure2_dataset()
-        flip = best_split_candidates(FlipAbstractTrainingSet.full(dataset, removals, 0))
-        removal = best_split_candidates(AbstractTrainingSet.full(dataset, removals))
-        assert flip.predicates == removal.predicates
+        flip = best_split_abstract(FlipAbstractTrainingSet.full(dataset, removals, 0))
+        removal = best_split_abstract(AbstractTrainingSet.full(dataset, removals))
+        assert flip.key == removal.key
         assert flip.includes_null == removal.includes_null
         np.testing.assert_array_equal(flip.removals, removal.removals)
         assert not flip.flips.any()

@@ -28,6 +28,7 @@ from repro.verify.transformers import (
     entropy_is_definitely_zero,
     pure_exit_vector,
 )
+from tests.conftest import row_predicates
 
 
 class TestBasicBehaviour:
@@ -158,12 +159,12 @@ def _state_path_run(learner, trainset, x):
                 exits.append(pure)
             if entropy_is_definitely_zero(state, method):
                 continue
-            predicates = best_split_abstract(
+            candidates = best_split_abstract(
                 state, method=method, predicate_pool=learner.predicate_pool
             )
-            if predicates.includes_null:
+            if candidates.includes_null:
                 exits.append(cprob_intervals(state, method))
-            for predicate in predicates.without_null():
+            for predicate in row_predicates(candidates):
                 verdict = point_satisfies(predicate, x)
                 for branch, possible in (
                     (True, verdict.possibly_true),

@@ -1,10 +1,16 @@
 """Unit and soundness tests for the abstract transformers of §4.4–4.6."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.dataset import Dataset
-from repro.core.predicates import SymbolicThresholdPredicate, ThresholdPredicate
+from repro.core.predicates import (
+    SymbolicThresholdPredicate,
+    ThresholdPredicate,
+    point_satisfies,
+)
 from repro.core.splitter import best_split
 from repro.core.impurity import gini_impurity
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
@@ -22,6 +28,7 @@ from repro.verify.transformers import (
     score_interval,
     size_interval,
 )
+from tests.conftest import row_predicates
 
 
 @pytest.fixture
@@ -186,7 +193,7 @@ class TestFilterAbstract:
         x = [1.0]
         filtered = filter_abstract(trainset, predicates, x)
         for concrete in trainset.concretizations():
-            for predicate in predicates:
+            for predicate in predicates.predicates:
                 values = figure2.X[concrete, 0]
                 branch = predicate.evaluate(x)
                 mask = values <= predicate.threshold if branch else values > predicate.threshold
@@ -202,7 +209,7 @@ class TestBestSplitAbstract:
         assert not abstract.includes_null
         covering = [
             p
-            for p in abstract
+            for p in row_predicates(abstract)
             if isinstance(p, SymbolicThresholdPredicate)
             and p.contains_threshold(concrete.predicate.threshold)
         ]
@@ -211,7 +218,7 @@ class TestBestSplitAbstract:
     def test_boolean_features_return_concrete_predicates(self):
         dataset = tiny_boolean_dataset()
         trainset = AbstractTrainingSet.full(dataset, 1)
-        abstract = best_split_abstract(trainset)
+        abstract = row_predicates(best_split_abstract(trainset))
         assert all(isinstance(p, ThresholdPredicate) for p in abstract)
         assert ThresholdPredicate(0, 0.5) in abstract
 
@@ -219,7 +226,9 @@ class TestBestSplitAbstract:
         trainset = AbstractTrainingSet.full(figure2, 1)
         abstract = best_split_abstract(trainset)
         features = [
-            (p.low, p.high) for p in abstract if isinstance(p, SymbolicThresholdPredicate)
+            (p.low, p.high)
+            for p in row_predicates(abstract)
+            if isinstance(p, SymbolicThresholdPredicate)
         ]
         assert (10.0, 11.0) in features  # the paper's best split survives
         assert (0.0, 1.0) not in features  # a uniformly bad split is pruned
@@ -228,7 +237,7 @@ class TestBestSplitAbstract:
         trainset = AbstractTrainingSet.from_indices(figure2, [0], 0)
         abstract = best_split_abstract(trainset)
         assert abstract.includes_null
-        assert not abstract.has_concrete_choices
+        assert not abstract.feature.size
 
     def test_large_budget_includes_null(self):
         # When the budget can empty one side of every split, Φ∀ = ∅ and the
@@ -238,13 +247,13 @@ class TestBestSplitAbstract:
         trainset = AbstractTrainingSet.full(dataset, 1)
         abstract = best_split_abstract(trainset)
         assert abstract.includes_null
-        assert abstract.has_concrete_choices
+        assert abstract.feature.size
 
     def test_predicate_pool_mode(self, figure2):
         trainset = AbstractTrainingSet.full(figure2, 1)
         pool = [ThresholdPredicate(0, 10.5), ThresholdPredicate(0, 0.5)]
         abstract = best_split_abstract(trainset, predicate_pool=pool)
-        assert ThresholdPredicate(0, 10.5) in abstract
+        assert ThresholdPredicate(0, 10.5) in row_predicates(abstract)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_soundness_lemma_4_10(self, figure2, n):
@@ -266,6 +275,40 @@ class TestBestSplitAbstract:
                     and p.contains_threshold(threshold)
                 )
                 or (isinstance(p, ThresholdPredicate) and p.threshold == threshold)
-                for p in abstract
+                for p in row_predicates(abstract)
             )
             assert covered, f"best split {threshold} not covered at n={n}"
+
+
+class TestSplitCandidates:
+    @pytest.mark.parametrize("value", [0.0, 4.0, 10.5, 14.0])
+    def test_branches_match_point_satisfies(self, figure2, value):
+        candidates = best_split_abstract(AbstractTrainingSet.full(figure2, 2))
+        branches = candidates.branches([value])
+        for row, predicate in enumerate(row_predicates(candidates)):
+            verdict = point_satisfies(predicate, [value])
+            assert branches[row, 0] == verdict.possibly_true
+            assert branches[row, 1] == verdict.possibly_false
+
+    def test_empty_node_is_null_only(self, figure2):
+        candidates = best_split_abstract(AbstractTrainingSet.from_indices(figure2, [], 0))
+        assert candidates.includes_null
+        assert candidates.feature.size == 0
+        assert candidates.class_counts.shape == (0, 2, figure2.n_classes)
+
+    def test_child_budgets_are_clamped_to_the_side(self, figure2):
+        state = AbstractTrainingSet.full(figure2, 5)
+        candidates = best_split_abstract(state)
+        for row in range(candidates.feature.size):
+            for side in (0, 1):
+                child = candidates.child(state, row, side)
+                assert child.size == candidates.sizes[row, side]
+                assert child.n == candidates.removals[row, side] == min(5, child.size)
+
+    def test_key_changes_with_the_rows(self, figure2):
+        candidates = best_split_abstract(AbstractTrainingSet.full(figure2, 1))
+        assert candidates.key == best_split_abstract(
+            AbstractTrainingSet.full(figure2, 1)
+        ).key
+        moved = dataclasses.replace(candidates, low=candidates.low - 0.5)
+        assert moved.key != candidates.key

@@ -12,15 +12,20 @@ The disjunctive learner's leaf kernels are held to their scalar forms
 exactly: `exit_bounds` row by row to `cprob_optimal` / `cprob_box` of
 ``⟨T, n, f⟩``, and `dominating_components` to `dominating_component`.
 
-The closed-form ``filter#`` (`filter_closed_form`) is pinned to the
-sequential fold of split pieces it replaces (`filter_abstract`): same rows,
-same budgets, on random nodes and predicate sets and on every filter step of
-Box runs over the UCI-like datasets.  The warm-start layer gets the same
-treatment: a replayed :class:`~repro.verify.trace.TraceStep` must reproduce
-``filter#`` exactly at *every* budget (the replay is pure budget arithmetic
-over three recorded sizes), and an engine that warm-starts across a budget
-ladder must report verdicts identical to fresh cold runs.
+The closed-form ``filter#`` (`filter_closed_form`, over candidate rows) is
+pinned to the sequential fold of split pieces it replaces (`filter_abstract`,
+over the rows' predicates): same rows, same budgets, on random nodes and
+predicate sets and on every filter step of Box runs over the UCI-like
+datasets.  The disjunctive learner's children, built from a row and a side,
+are pinned to ``split_down`` of the row's predicate.  The warm-start layer
+gets the same treatment: a replayed :class:`~repro.verify.trace.TraceStep`
+must reproduce ``filter#`` exactly at *every* budget (the replay is pure
+budget arithmetic over three recorded sizes), a warm Box ladder must equal
+its cold runs, and an engine that warm-starts across a budget ladder must
+report verdicts identical to fresh cold runs.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -43,7 +48,10 @@ from repro.verify import abstract_learner
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
+    SplitCandidates,
     _flip_split_score_bounds_reference,
+    _pool_candidates,
+    _predicate_table,
     _side_score_bounds_reference,
     _split_score_bounds,
     best_split_abstract,
@@ -54,7 +62,7 @@ from repro.verify.transformers import (
     filter_abstract,
     filter_closed_form,
 )
-from tests.conftest import random_small_dataset, random_test_point
+from tests.conftest import random_small_dataset, random_test_point, row_predicates
 
 TOL = 1e-9
 
@@ -332,9 +340,26 @@ def _fold(state, predicates, x):
     return None if result is None else (tuple(result.indices), _budgets(result))
 
 
+def _rows(predicates):
+    """Predicates as candidate rows; ``filter#`` reads no side array."""
+    feature, low, high, kind = _predicate_table(predicates)
+    sides = np.zeros((feature.size, 2), dtype=np.int64)
+    return SplitCandidates(
+        feature=feature,
+        low=low,
+        high=high,
+        kind=kind,
+        sizes=sides,
+        class_counts=np.zeros((feature.size, 2, 2), dtype=np.int64),
+        removals=sides,
+        flips=sides,
+        includes_null=False,
+    )
+
+
 def _closed(state, predicates, x):
     """``filter#`` by the closed form: ``(rows, budgets)`` or ``None``."""
-    closed = filter_closed_form(state, AbstractPredicateSet.of(predicates), x)
+    closed = filter_closed_form(state, _rows(predicates), x)
     if closed is None:
         return None
     rows, tight, largest = closed
@@ -387,9 +412,11 @@ class TestClosedFormFilter:
         split = load_dataset(name)
         checked = []
 
-        def traced(state, predicates, x):
-            result, step = filter_abstract_traced(state, predicates, x)
-            expected = filter_abstract(state, predicates, x)
+        def traced(state, candidates, x):
+            result, step = filter_abstract_traced(state, candidates, x)
+            expected = filter_abstract(
+                state, AbstractPredicateSet.of(row_predicates(candidates)), x
+            )
             got = None if result is None else (tuple(result.indices), _budgets(result))
             want = None if expected is None else (
                 tuple(expected.indices), _budgets(expected)
@@ -436,16 +463,15 @@ class TestTraceReplayMatchesFilter:
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
         state = _removal_state(dataset, int(rng.integers(0, 4)))
-        predicates = best_split_abstract(state, method="optimal")
-        predicates = predicates.without_null()
-        if not predicates.has_concrete_choices:
+        candidates = best_split_abstract(state, method="optimal")
+        if not candidates.feature.size:
             pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, predicates, x)
+        _, step = filter_abstract_traced(state, candidates, x)
         for budget in range(0, 7):
             probe = _removal_state(dataset, budget)
-            assert step.matches(probe, predicates.predicates)
+            assert step.matches(probe, candidates)
             replayed = step.apply(probe)
-            expected, _ = filter_abstract_traced(probe, predicates, x)
+            expected, _ = filter_abstract_traced(probe, candidates, x)
             if expected is None:
                 assert replayed is None
             else:
@@ -459,17 +485,16 @@ class TestTraceReplayMatchesFilter:
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
         state = _flip_state(dataset, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        predicates = best_split_abstract(state, method="optimal")
-        predicates = predicates.without_null()
-        if not predicates.has_concrete_choices:
+        candidates = best_split_abstract(state, method="optimal")
+        if not candidates.feature.size:
             pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, predicates, x)
+        _, step = filter_abstract_traced(state, candidates, x)
         for removals in range(0, 4):
             for flips in range(0, 4):
                 probe = _flip_state(dataset, removals, flips)
-                assert step.matches(probe, predicates.predicates)
+                assert step.matches(probe, candidates)
                 replayed = step.apply(probe)
-                expected, _ = filter_abstract_traced(probe, predicates, x)
+                expected, _ = filter_abstract_traced(probe, candidates, x)
                 if expected is None:
                     assert replayed is None
                 else:
@@ -479,6 +504,84 @@ class TestTraceReplayMatchesFilter:
                     )
                     assert replayed.n == expected.n
                     assert replayed.flips == expected.flips
+
+    @pytest.mark.parametrize("name, points", [("iris", 6), ("mammography", 4)])
+    def test_box_ladder_warm_equals_cold(self, name, points):
+        # Each probe of the ladder n = 0..4 warm-starts from the previous
+        # probe's trace, whose steps are keyed on entry rows and row bytes.
+        split = load_dataset(name)
+        learner = BoxAbstractLearner(max_depth=2)
+        reused = 0
+        for x in split.test.X[:points]:
+            trace = None
+            for budget in range(5):
+                state = AbstractTrainingSet.full(split.train, budget)
+                cold = learner.run(state, x)
+                warm = learner.run(state, x, warm_trace=trace)
+                assert warm.class_intervals == cold.class_intervals
+                assert warm.exit_count == cold.exit_count
+                reused += warm.trace_reused
+                trace = warm.trace
+        assert reused > 0
+
+    def test_step_matches_only_its_node_and_rows(self):
+        split = load_dataset("iris")
+        x = split.test.X[0]
+        state = AbstractTrainingSet.full(split.train, 1)
+        candidates = best_split_abstract(state)
+        _, step = filter_abstract_traced(state, candidates, x)
+        assert step.matches(AbstractTrainingSet.full(split.train, 3), candidates)
+        # A different node: one side of the first row.
+        child = candidates.child(state, 0, 0)
+        assert not step.matches(child, candidates)
+        # A different row set at the same node.
+        fewer = dataclasses.replace(
+            candidates,
+            feature=candidates.feature[1:],
+            low=candidates.low[1:],
+            high=candidates.high[1:],
+            kind=candidates.kind[1:],
+        )
+        assert not step.matches(state, fewer)
+        # The same rows with one bound moved.
+        moved = dataclasses.replace(candidates, high=candidates.high + 1.0)
+        assert not step.matches(state, moved)
+
+
+@st.composite
+def row_cases(draw):
+    """A node over mixed columns, budgets with ``f ∈ {0, 1}``, and a pool.
+
+    The pool mixes concrete thresholds, symbolic thresholds (whose loose and
+    tight sides may differ at the node) and equality predicates.
+    """
+    state, pool, _ = draw(filter_cases())
+    budgets = (draw(st.integers(0, 3)), draw(st.sampled_from([0, 1])))
+    return AbstractTrainingSet(state.dataset, state.indices, *budgets), pool
+
+
+class TestRowChildren:
+    """A child built from a row and a side is ``split_down`` of its predicate."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_cases())
+    def test_children_match_split_down(self, case):
+        state, pool = case
+        # Node-table rows (as both learners see them), and pool rows with
+        # their split_down budgets.
+        for candidates in (
+            best_split_abstract(state),
+            _pool_candidates(state, pool, "optimal"),
+        ):
+            for row, predicate in enumerate(row_predicates(candidates)):
+                for side in (0, 1):
+                    child = candidates.child(state, row, side)
+                    expected = state.split_down(predicate, side == 0)
+                    np.testing.assert_array_equal(child.indices, expected.indices)
+                    assert child.indices.dtype == expected.indices.dtype
+                    size = child.size
+                    assert child.n == min(expected.n, size)
+                    assert child.flips == min(expected.flips, size)
 
 
 def _verdict(result):
