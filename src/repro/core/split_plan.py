@@ -41,7 +41,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,8 @@ from repro.core.predicates import (
 )
 from repro.telemetry import metrics, profiling
 
-#: Per-plan bound on distinct node tables kept alive (LRU evicted beyond it).
+#: Per-plan bound on distinct node tables kept alive; ``node_candidates``
+#: empties the whole cache when it reaches the cap.
 NODE_TABLE_CACHE_SIZE = 256
 
 #: Per-plan bound on cached split results.  Entries are small (one child index
@@ -67,6 +68,10 @@ SPLIT_CACHE_SIZE = 32768
 #: Per-plan bound on memoized ``bestSplit`` / ``bestSplit#`` outcomes (keyed
 #: by node and impurity, resp. node, budgets and ``cprob#`` method).
 BEST_SPLIT_CACHE_SIZE = 4096
+
+#: Rows per block when a kernel walks a node's whole candidate table.  Root
+#: tables reach millions of rows; a block's temporaries fit in cache.
+_BLOCK_ROWS = 8192
 
 _SPLIT_TABLE_CACHE = metrics.counter(
     "split_table_cache_total",
@@ -121,6 +126,26 @@ class StackedCandidates:
     def features(self, rows: np.ndarray) -> np.ndarray:
         """The feature of each row in ``rows``."""
         return np.searchsorted(self.offsets, rows, side="right") - 1
+
+
+def row_blocks(n_rows: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering ``n_rows``."""
+    return (
+        slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS)
+    )
+
+
+def class_sum(columns: np.ndarray) -> np.ndarray:
+    """``columns[..., 0] + columns[..., 1] + …``: the class axis summed in order.
+
+    That is numpy's ``sum`` order below 8 classes (it sums pairwise from 8),
+    and it walks a block's short class axis much faster than ``sum``.
+    """
+    k = columns.shape[-1]
+    total = columns[..., 0] + columns[..., 1] if k > 1 else columns[..., 0].copy()
+    for j in range(2, k):
+        total += columns[..., j]
+    return total
 
 
 def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
@@ -253,7 +278,10 @@ class SplitTablePlan:
         node's rows of all features form one ``(n_features, size)`` matrix.
         A candidate sits wherever a feature's sorted value increases, and its
         true side is the prefix before it, for every feature in a few array
-        operations.
+        operations.  The rows' bounds and prefix counts are gathered from the
+        flat matrices one block of rows at a time; the last class's count is
+        the prefix size minus the other classes', so only ``k - 1`` prefix
+        sums are taken.
         """
         n_classes = self._n_classes
         n_features = self._orders.shape[0]
@@ -261,29 +289,43 @@ class SplitTablePlan:
         mask = np.zeros(self._y.size, dtype=bool)
         mask[indices] = True
         keep = mask[self._orders]
-        values = self._sorted_values[keep].reshape(n_features, size)
+        values = self._sorted_values[keep]  # row-major (n_features, size)
         labels = self._sorted_labels[keep].reshape(n_features, size)
-        features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
+        matrix = values.reshape(n_features, size)
+        features, positions = np.nonzero(matrix[:, 1:] > matrix[:, :-1])
+        cumulative = [
+            np.cumsum(labels == label, axis=1, dtype=np.int32).ravel()
+            for label in range(n_classes - 1)
+        ]
+        del labels
+        left_sizes = positions + 1
+        low = np.empty(features.size)
+        high = np.empty(features.size)
         left_class_counts = np.empty((features.size, n_classes), dtype=np.int64)
-        for label in range(n_classes):
-            cumulative = np.cumsum(labels == label, axis=1, dtype=np.int32)
-            left_class_counts[:, label] = cumulative[features, positions]
-        low = values[features, positions]
-        high = values[features, positions + 1]
+        for block in row_blocks(features.size):
+            flat = features[block] * size + positions[block]
+            low[block] = values.take(flat)
+            last = left_sizes[block].copy()
+            for label, counts in enumerate(cumulative):
+                column = counts.take(flat)
+                left_class_counts[block, label] = column
+                last -= column
+            left_class_counts[block, n_classes - 1] = last
+            flat += 1
+            high[block] = values.take(flat)
         kinds = self._kinds
-        threshold = kinds[features] == THRESHOLD_ROW
-        if threshold.any():
+        if (kinds == THRESHOLD_ROW).any():
+            threshold = kinds[features] == THRESHOLD_ROW
             midpoints = (low[threshold] + high[threshold]) / 2.0
             low[threshold] = midpoints
             high[threshold] = np.nextafter(midpoints, np.inf)
         rows = StackedCandidates(
-            offsets=np.concatenate(
-                ([0], np.cumsum(np.bincount(features, minlength=n_features)))
-            ),
+            # ``nonzero`` lists the rows feature by feature.
+            offsets=np.searchsorted(features, np.arange(n_features + 1)),
             kinds=kinds,
             low=low,
             high=high,
-            left_sizes=positions + 1,
+            left_sizes=left_sizes,
             left_class_counts=left_class_counts,
             total_size=size,
             total_class_counts=np.bincount(

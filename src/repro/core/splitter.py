@@ -99,25 +99,33 @@ def _score_candidates_reference(
 def _score_candidates(rows: split_plan.StackedCandidates, impurity: str) -> np.ndarray:
     """Concrete split scores of every row of a node's candidate table.
 
-    Gini threshold rows use ``|S| - Σ c²/|S|`` per side in one vectorized
-    pass.  Equality rows, and every row under entropy, take the scalar
-    ``split_score``.  Scores of different features are compared against each
-    other, so each kind of row keeps the exact float arithmetic it has
-    always been scored with.
+    Gini threshold rows use ``|S| - Σ c²/|S|`` per side, one block of rows
+    at a time; each block's right-side counts are the node's totals minus
+    its left counts.  Equality rows, and every row under entropy, take the
+    scalar ``split_score``.  Scores of different features are compared
+    against each other, so each kind of row keeps the exact float arithmetic
+    it has always been scored with.
     """
     left_counts = rows.left_class_counts
-    right_counts = rows.right_class_counts
+    total_counts = rows.total_class_counts
     if impurity != "gini":
-        return _score_candidates_reference(left_counts, right_counts, impurity)
-    left_sizes = rows.left_sizes.astype(np.float64)
-    right_sizes = rows.total_size - left_sizes
-    scores = (
-        left_sizes - np.sum(left_counts**2, axis=1) / np.maximum(left_sizes, 1)
-    ) + (right_sizes - np.sum(right_counts**2, axis=1) / np.maximum(right_sizes, 1))
+        return _score_candidates_reference(
+            left_counts, rows.right_class_counts, impurity
+        )
+    scores = np.empty(rows.low.size)
+    for block in split_plan.row_blocks(scores.size):
+        left = left_counts[block]
+        left_sizes = rows.left_sizes[block].astype(np.float64)
+        right_sizes = rows.total_size - left_sizes
+        left_squares = split_plan.class_sum(left**2)
+        right_squares = split_plan.class_sum((total_counts - left) ** 2)
+        scores[block] = (left_sizes - left_squares / np.maximum(left_sizes, 1)) + (
+            right_sizes - right_squares / np.maximum(right_sizes, 1)
+        )
     for feature in np.flatnonzero(rows.kinds == split_plan.EQUALITY_ROW).tolist():
         part = slice(int(rows.offsets[feature]), int(rows.offsets[feature + 1]))
         scores[part] = _score_candidates_reference(
-            left_counts[part], right_counts[part], impurity
+            left_counts[part], total_counts - left_counts[part], impurity
         )
     return scores
 

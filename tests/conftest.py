@@ -8,7 +8,8 @@ concretization of ``⟨T, n⟩``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import contextlib
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -114,3 +115,15 @@ def row_predicates(candidates) -> Tuple[Predicate, ...]:
         else:
             predicates.append(EqualityPredicate(feature, low))
     return tuple(predicates)
+
+
+#: Block sizes that cut the small test tables into several row blocks.
+SMALL_BLOCKS = (1, 3, 7)
+
+
+@contextlib.contextmanager
+def block_rows(rows: int) -> Iterator[None]:
+    """Run the node-table kernels with ``rows`` rows per block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(split_plan, "_BLOCK_ROWS", rows)
+        yield

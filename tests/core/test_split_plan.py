@@ -20,6 +20,7 @@ from repro.core.trace_learner import TraceLearner
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.verify.transformers import best_split_abstract
 from tests.argsort_splitter import feature_split_table
+from tests.conftest import SMALL_BLOCKS, block_rows
 
 
 def _reference_rows(dataset, indices):
@@ -100,6 +101,14 @@ class TestNodeCandidates:
             rows.total_class_counts,
             np.bincount(dataset.y[indices], minlength=dataset.n_classes),
         )
+        # Gathering in blocks of 1, 3 or 7 rows builds the same table.
+        for block in SMALL_BLOCKS:
+            with block_rows(block):
+                blocked = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+            for name in ("offsets", "low", "high", "left_sizes", "left_class_counts"):
+                np.testing.assert_array_equal(
+                    getattr(blocked, name), getattr(rows, name)
+                )
 
 
 def _two_feature_dataset():

@@ -28,6 +28,7 @@ from repro.core.splitter import (
 )
 from repro.core.trace_learner import TraceLearner
 from tests import argsort_splitter as oracle
+from tests.conftest import SMALL_BLOCKS, block_rows
 
 TOL = 1e-9
 _HIGHEST = {FeatureKind.BOOLEAN: 1, FeatureKind.CATEGORICAL: 3, FeatureKind.REAL: 5}
@@ -143,6 +144,10 @@ def test_score_candidates_matches_scalar_oracle(case, impurity, data):
     )
     assert vectorized.shape == reference.shape == rows.low.shape
     np.testing.assert_allclose(vectorized, reference, atol=TOL, rtol=0.0)
+    # Scoring in blocks of 1, 3 or 7 rows gives the same bits.
+    for block in SMALL_BLOCKS:
+        with block_rows(block):
+            np.testing.assert_array_equal(_score_candidates(rows, impurity), vectorized)
 
 
 def test_constant_node_scores_empty():

@@ -49,6 +49,7 @@ from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
     SplitCandidates,
+    _RowComplement,
     _flip_split_score_bounds_reference,
     _pool_candidates,
     _predicate_table,
@@ -62,7 +63,13 @@ from repro.verify.transformers import (
     filter_abstract,
     filter_closed_form,
 )
-from tests.conftest import random_small_dataset, random_test_point, row_predicates
+from tests.conftest import (
+    SMALL_BLOCKS,
+    block_rows,
+    random_small_dataset,
+    random_test_point,
+    row_predicates,
+)
 
 TOL = 1e-9
 
@@ -98,8 +105,9 @@ class TestSplitScoreBounds:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        candidate_tables(),
-        candidate_tables(),
+        # Up to 7 classes: the kernel's class sums match numpy's order.
+        candidate_tables(max_classes=7),
+        candidate_tables(max_classes=7),
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=1, max_value=4),
     )
@@ -159,6 +167,60 @@ class TestSplitScoreBounds:
             np.testing.assert_allclose(
                 upper[i], expected[0][1][0] + expected[1][1][0], atol=TOL
             )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        candidate_tables(max_candidates=20),
+        candidate_tables(max_candidates=20),
+        st.integers(min_value=0, max_value=6),
+        st.data(),
+    )
+    def test_row_blocks_leave_the_bits(self, left, right, removals, data):
+        # Blocks of 1, 3 and 7 rows give the default block's bits, with one
+        # budget for all rows or one per row, for every f and both methods.
+        sides = _split(left, right)
+        per_row = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=6),
+                    min_size=sides[0].size,
+                    max_size=sides[0].size,
+                )
+            )
+        )
+        for budgets in ((removals, removals), (per_row, per_row[::-1].copy())):
+            for flips in (0, 1, 2):
+                for method in ("optimal", "box"):
+                    expected = _split_score_bounds(*sides, *budgets, flips, method)
+                    for rows in SMALL_BLOCKS:
+                        with block_rows(rows):
+                            lower, upper = _split_score_bounds(
+                                *sides, *budgets, flips, method
+                            )
+                        np.testing.assert_array_equal(lower, expected[0])
+                        np.testing.assert_array_equal(upper, expected[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(candidate_tables(max_candidates=20), st.integers(0, 6), st.integers(0, 2))
+    def test_row_complement_is_the_right_side(self, table, removals, flips):
+        # A node table passes its right side as totals minus left counts.
+        sizes, counts = table
+        totals = counts.max(axis=0)
+        right_counts = totals - counts
+        budgets = (removals, removals, flips, "optimal")
+        with block_rows(3):
+            expected = _split_score_bounds(
+                sizes, counts, right_counts.sum(axis=1), right_counts, *budgets
+            )
+            lower, upper = _split_score_bounds(
+                sizes,
+                counts,
+                right_counts.sum(axis=1),
+                _RowComplement(totals, counts),
+                *budgets,
+            )
+        np.testing.assert_array_equal(lower, expected[0])
+        np.testing.assert_array_equal(upper, expected[1])
 
     @settings(max_examples=60, deadline=None)
     @given(
