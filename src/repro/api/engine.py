@@ -132,7 +132,8 @@ _LEARNER_INVOCATIONS = metrics.counter(
 )
 #: Pool dispatch latency: task submission in the parent to task start in the
 #: worker (queue wait + argument pickling).  The first explanation to check
-#: when pooled throughput trails serial (``BENCH_parallel.json``).
+#: when pooled throughput trails serial (certbench's
+#: ``api.engine.pool_efficiency``).
 _DISPATCH_OVERHEAD = metrics.histogram(
     "dispatch_overhead_seconds",
     "Pool task latency from parent submit to worker start.",

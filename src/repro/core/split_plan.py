@@ -5,12 +5,17 @@ concrete ``bestSplit`` of :mod:`repro.core.splitter` (which ``DTrace`` and the
 full-tree learner call) and the abstract ``bestSplit#`` of
 :mod:`repro.verify.transformers` both score the rows it derives.  The plan
 sorts each feature column once per *dataset*; the split table of any node
-(an index subset along a predicate path) is then derived by filtering the
-presorted orders with a boolean mask — O(N) per feature instead of
-O(N log N), and equal to sorting the node directly because a stable global
-sort restricted to a subset *is* the stable sort of that subset (node index
-arrays are ascending, and candidate boundaries only sit between distinct
-values anyway).  The plan derives every feature's table at once and keeps
+(an index subset along a predicate path) is then derived by keeping the
+node's rows of the presorted orders — O(N) per feature instead of
+O(N log N).  Any sorted order restricted to a subset is a sorted order of
+that subset, and no table depends on the order of rows within a tie: a
+candidate sits only where a feature's sorted value strictly increases, its
+true side is the node rows valued at most that boundary, its bounds are the
+values on either side, and its class counts are a prefix sum read there.
+The sort therefore need not be stable.  One exception: a tie of ``-0.0``
+and ``+0.0`` could report either sign as a bound, so the plan turns every
+``-0.0`` into ``+0.0`` first, and tables depend only on the node's values.
+The plan derives every feature's table at once and keeps
 them stacked as one row table of split candidates
 (:class:`StackedCandidates`).
 
@@ -236,15 +241,14 @@ class SplitTablePlan:
         self._kinds = np.array(
             [_ROW_KIND[kind] for kind in dataset.feature_kinds], dtype=np.int8
         )
-        X = dataset.X
-        columns = tuple(np.ascontiguousarray(X[:, f]) for f in range(X.shape[1]))
-        # One stable argsort per feature, as an (n_features, N) matrix.
-        self._orders = np.array(
-            [np.argsort(column, kind="stable") for column in columns], dtype=np.int64
-        ).reshape(len(columns), len(dataset))
-        self._sorted_values = X.T[np.arange(len(columns))[:, None], self._orders]
-        self._sorted_labels = dataset.y[self._orders]
-        self._columns: Tuple[np.ndarray, ...] = columns
+        # The (n_features, N) columns as a fresh C-ordered copy in which
+        # ``+ 0.0`` turns every -0.0 into +0.0.  One unstable argsort of all
+        # rows sorts every feature: ties may come out in any order.
+        columns = np.add(dataset.X.T, 0.0, order="C")
+        self._orders = np.argsort(columns, axis=1)
+        self._sorted_values = np.take_along_axis(columns, self._orders, axis=1)
+        self._sorted_labels = dataset.y.take(self._orders)
+        self._columns = columns
         self._node_cache: Dict[bytes, StackedCandidates] = {}
         self._split_cache: Dict[tuple, tuple] = {}
         self._best_split_cache: Dict[tuple, object] = {}
@@ -274,25 +278,32 @@ class SplitTablePlan:
     def _build_candidates(self, indices: np.ndarray) -> StackedCandidates:
         """Every feature's split table of the node at once, as stacked rows.
 
-        Restricting a presorted order to the node keeps it sorted, so the
-        node's rows of all features form one ``(n_features, size)`` matrix.
-        A candidate sits wherever a feature's sorted value increases, and its
-        true side is the prefix before it, for every feature in a few array
-        operations.  The rows' bounds and prefix counts are gathered from the
-        flat matrices one block of rows at a time; the last class's count is
-        the prefix size minus the other classes', so only ``k - 1`` prefix
-        sums are taken.
+        Restricting the presorted orders to the node keeps them sorted, so
+        the node's rows of all features form one ``(n_features, size)``
+        matrix, gathered through the flat positions of the node's rows; the
+        whole dataset reads the presorted matrices as they are.  Which row of
+        a tie lands where is unspecified and reaches no table (see the module
+        docstring).  A candidate sits wherever a feature's sorted value
+        strictly increases, and its true side is the prefix before it, for
+        every feature in a few array operations.  The rows' bounds and prefix
+        counts are gathered from the flat matrices one block of rows at a
+        time; the last class's count is the prefix size minus the other
+        classes', so only ``k - 1`` prefix sums are taken.
         """
         n_classes = self._n_classes
         n_features = self._orders.shape[0]
         size = int(indices.size)
-        mask = np.zeros(self._y.size, dtype=bool)
-        mask[indices] = True
-        keep = mask[self._orders]
-        values = self._sorted_values[keep]  # row-major (n_features, size)
-        labels = self._sorted_labels[keep].reshape(n_features, size)
-        matrix = values.reshape(n_features, size)
-        features, positions = np.nonzero(matrix[:, 1:] > matrix[:, :-1])
+        if size == self._y.size:  # sorted unique indices: the whole dataset
+            values, labels = self._sorted_values, self._sorted_labels
+        else:
+            mask = np.zeros(self._y.size, dtype=bool)
+            mask[indices] = True
+            keep = np.flatnonzero(mask.take(self._orders))
+            values = self._sorted_values.reshape(-1).take(keep)
+            values = values.reshape(n_features, size)
+            labels = self._sorted_labels.reshape(-1).take(keep)
+            labels = labels.reshape(n_features, size)
+        features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
         cumulative = [
             np.cumsum(labels == label, axis=1, dtype=np.int32).ravel()
             for label in range(n_classes - 1)

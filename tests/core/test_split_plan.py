@@ -16,7 +16,9 @@ from repro.core.predicates import (
     SymbolicThresholdPredicate,
     ThresholdPredicate,
 )
+from repro.core.splitter import best_split
 from repro.core.trace_learner import TraceLearner
+from repro.datasets.registry import load_dataset
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.verify.transformers import best_split_abstract
 from tests.argsort_splitter import feature_split_table
@@ -81,34 +83,98 @@ def nodes(draw):
     return dataset, np.flatnonzero(chosen)
 
 
+def _assert_matches_reference(dataset, indices, rows):
+    expected = _reference_rows(dataset, indices)
+    assert rows.low.size == len(expected)
+    np.testing.assert_array_equal(
+        rows.kinds,
+        [split_plan._ROW_KIND[kind] for kind in dataset.feature_kinds],
+    )
+    if expected:
+        features, low, high, sizes, counts = (np.array(c) for c in zip(*expected))
+        np.testing.assert_array_equal(rows.features(np.arange(rows.low.size)), features)
+        np.testing.assert_array_equal(rows.low, low)
+        np.testing.assert_array_equal(rows.high, high)
+        np.testing.assert_array_equal(rows.left_sizes, sizes)
+        np.testing.assert_array_equal(rows.left_class_counts, counts)
+    assert rows.total_size == indices.size
+    np.testing.assert_array_equal(
+        rows.total_class_counts,
+        np.bincount(dataset.y[indices], minlength=dataset.n_classes),
+    )
+
+
+def _assert_blocks_agree(dataset, indices, rows):
+    """Gathering in blocks of 1, 3 or 7 rows builds the same table."""
+    for block in SMALL_BLOCKS:
+        with block_rows(block):
+            blocked = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        for name in ("offsets", "low", "high", "left_sizes", "left_class_counts"):
+            np.testing.assert_array_equal(getattr(blocked, name), getattr(rows, name))
+
+
+def _tie_heavy_dataset():
+    """3,000 rows, 3 classes: few-level real columns (one mixing -0.0 and
+    +0.0), a boolean, a categorical and a ~500-value real column."""
+    rng = np.random.default_rng(20)
+    n = 3000
+    signed_zero = rng.integers(-1, 2, n) * 0.5
+    signed_zero[(signed_zero == 0) & (rng.random(n) < 0.9)] = -0.0
+    X = np.column_stack(
+        (
+            rng.integers(0, 4, n) * 0.25,
+            signed_zero,
+            rng.integers(0, 2, n),
+            rng.integers(0, 4, n),
+            rng.integers(0, 500, n) / 8.0,
+        )
+    )
+    kinds = (
+        FeatureKind.REAL,
+        FeatureKind.REAL,
+        FeatureKind.BOOLEAN,
+        FeatureKind.CATEGORICAL,
+        FeatureKind.REAL,
+    )
+    return Dataset(X=X, y=rng.integers(0, 3, n), n_classes=3, feature_kinds=kinds)
+
+
 class TestNodeCandidates:
     @settings(max_examples=150, deadline=None)
     @given(nodes())
     def test_match_per_feature_tables(self, node):
         dataset, indices = node
         rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
-        expected = _reference_rows(dataset, indices)
-        features = rows.features(np.arange(rows.low.size))
-        assert rows.low.size == len(expected)
-        for i, (feature, low, high, size, counts) in enumerate(expected):
-            assert features[i] == feature
-            assert rows.kinds[feature] == split_plan._ROW_KIND[dataset.feature_kinds[feature]]
-            assert rows.low[i] == low and rows.high[i] == high
-            assert rows.left_sizes[i] == size
-            np.testing.assert_array_equal(rows.left_class_counts[i], counts)
-        assert rows.total_size == indices.size
-        np.testing.assert_array_equal(
-            rows.total_class_counts,
-            np.bincount(dataset.y[indices], minlength=dataset.n_classes),
-        )
-        # Gathering in blocks of 1, 3 or 7 rows builds the same table.
-        for block in SMALL_BLOCKS:
-            with block_rows(block):
-                blocked = split_plan.SplitTablePlan(dataset).node_candidates(indices)
-            for name in ("offsets", "low", "high", "left_sizes", "left_class_counts"):
-                np.testing.assert_array_equal(
-                    getattr(blocked, name), getattr(rows, name)
-                )
+        _assert_matches_reference(dataset, indices, rows)
+        _assert_blocks_agree(dataset, indices, rows)
+
+    def test_reordered_ties_at_size(self):
+        dataset = _tie_heavy_dataset()
+        plan = split_plan.SplitTablePlan(dataset)
+        # The plan's sort puts some tie in another order than a stable sort.
+        stable = np.argsort(dataset.X.T, axis=1, kind="stable")
+        assert (plan._orders != stable).any()
+        rng = np.random.default_rng(3)
+        n = len(dataset)
+        for indices in (
+            np.arange(n),
+            np.sort(rng.choice(n, n // 2, replace=False)),
+            np.sort(rng.choice(n, n // 10, replace=False)),
+        ):
+            rows = plan.node_candidates(indices)
+            _assert_matches_reference(dataset, indices, rows)
+            _assert_blocks_agree(dataset, indices, rows)
+            for bound in (rows.low, rows.high):
+                assert not np.signbit(bound[bound == 0]).any()
+
+    @pytest.mark.parametrize("name", ["mnist17-real", "mnist17-binary"])
+    def test_real_pixels(self, name):
+        dataset = load_dataset(name, 0.05).train
+        root = np.arange(len(dataset))
+        goes_left = best_split(dataset).predicate.evaluate_matrix(dataset.X)
+        plan = split_plan.SplitTablePlan(dataset)
+        for indices in (root, root[goes_left], root[~goes_left]):
+            _assert_matches_reference(dataset, indices, plan.node_candidates(indices))
 
 
 def _two_feature_dataset():
