@@ -46,10 +46,8 @@ class SchemaSpec:
     csv_fields_name: str = "CSV_FIELDS"
     engine_fields_name: str = "ENGINE_CONFIG_FIELDS"
     # Wire fields deliberately absent from the cache key (timeout outcomes
-    # are never cached) and key components deliberately absent from the wire
-    # (predicate pools are not representable over the socket).
+    # are never cached).
     non_cached_fields: Tuple[str, ...] = ("timeout_seconds",)
-    extra_key_fields: Tuple[str, ...] = ("predicate_pool",)
 
 
 # ------------------------------------------------------------- AST extractors
@@ -298,7 +296,7 @@ class SchemaDriftRule:
                     "SchemaSpec.non_cached_fields with a soundness argument"
                 ),
             )
-        for extra in sorted(accessed - fields - set(spec.extra_key_fields)):
+        for extra in sorted(accessed - fields):
             yield Finding(
                 rule=self.name,
                 path=fingerprint_mod.path,
@@ -307,10 +305,7 @@ class SchemaDriftRule:
                     f"engine_cache_key reads {extra!r} which is not an "
                     f"{spec.engine_fields_name} wire field"
                 ),
-                hint=(
-                    f"add {extra!r} to {spec.engine_fields_name} or to "
-                    "SchemaSpec.extra_key_fields if it is deliberately unwireable"
-                ),
+                hint=f"add {extra!r} to {spec.engine_fields_name}",
             )
 
     # -- check 4 ----------------------------------------------------------

@@ -43,6 +43,7 @@ from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -76,7 +77,7 @@ from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
 from repro.utils.memory import MemoryTracker
 from repro.utils.timing import Stopwatch, TimeBudget, TimeoutExceeded
-from repro.utils.validation import ValidationError
+from repro.utils.validation import ValidationError, check_positive_int
 from repro.verify.abstract_learner import AbstractRunResult, BoxAbstractLearner
 from repro.verify.disjunctive_learner import (
     DisjunctBudgetExceeded,
@@ -84,6 +85,7 @@ from repro.verify.disjunctive_learner import (
 )
 from repro.verify import search
 from repro.verify.result import DOMAINS, VerificationResult, VerificationStatus
+from repro.verify.transformers import CPROB_METHODS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runtime import CertificationRuntime
@@ -225,10 +227,6 @@ class CertificationEngine:
         Per-point wall-clock budget; ``None`` disables the timeout.
     max_disjuncts:
         Resource limit of the disjunctive learner.
-    predicate_pool:
-        Optional fixed predicate set Φ shared by the concrete and abstract
-        learners.  Not supported for the label-flip/composite families (the
-        flip ``bestSplit#`` derives candidates from the data).
     runtime:
         Optional :class:`~repro.runtime.CertificationRuntime` providing the
         shared-memory dataset plane, the persistent verdict cache, and
@@ -241,7 +239,6 @@ class CertificationEngine:
     cprob_method: str = "optimal"
     timeout_seconds: Optional[float] = None
     max_disjuncts: int = 4096
-    predicate_pool: Optional[Sequence] = None
     impurity: str = "gini"
     runtime: Optional["CertificationRuntime"] = None
     _trace_learner: TraceLearner = field(init=False, repr=False)
@@ -269,20 +266,29 @@ class CertificationEngine:
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise ValueError(f"domain must be one of {DOMAINS}, got {self.domain!r}")
+        if self.cprob_method not in CPROB_METHODS:
+            raise ValueError(
+                f"cprob_method must be one of {CPROB_METHODS}, "
+                f"got {self.cprob_method!r}"
+            )
+        # A cap of 0 is well-formed: every disjunctive run then exhausts it.
+        self.max_disjuncts = check_positive_int(
+            self.max_disjuncts, "max_disjuncts", allow_zero=True
+        )
+        timeout = self.timeout_seconds
+        if timeout is not None and not (isinstance(timeout, Real) and timeout > 0):
+            raise ValidationError(
+                f"timeout_seconds must be positive or None, got {timeout!r}"
+            )
         self._trace_learner = TraceLearner(
-            max_depth=self.max_depth,
-            impurity=self.impurity,
-            predicate_pool=self.predicate_pool,
+            max_depth=self.max_depth, impurity=self.impurity
         )
         self._box_learner = BoxAbstractLearner(
-            max_depth=self.max_depth,
-            cprob_method=self.cprob_method,
-            predicate_pool=self.predicate_pool,
+            max_depth=self.max_depth, cprob_method=self.cprob_method
         )
         self._disjunctive_learner = DisjunctiveAbstractLearner(
             max_depth=self.max_depth,
             cprob_method=self.cprob_method,
-            predicate_pool=self.predicate_pool,
             max_disjuncts=self.max_disjuncts,
         )
 
@@ -650,11 +656,6 @@ class CertificationEngine:
         amount = model.nominal_amount(len(dataset))
         log10_datasets = model.log10_num_neighbors(len(dataset))
         if isinstance(model, _FLIP_MODELS):
-            if self.predicate_pool is not None:
-                raise ValidationError(
-                    "predicate pools are not supported for the label-flip/"
-                    "composite threat models"
-                )
             removals, flips = model.resolve_budgets(len(dataset))
             plan = _RequestPlan(
                 amount=amount,
@@ -704,11 +705,7 @@ class CertificationEngine:
                 # copy then shares one split plan with the rungs.
                 predicted = int(self._trace_learner.predict(plan.trainset.dataset, x))
             watch = Stopwatch().start()
-            budget = (
-                TimeBudget(self.timeout_seconds)
-                if self.timeout_seconds
-                else TimeBudget.unlimited()
-            )
+            budget = TimeBudget(self.timeout_seconds)
             last_result: Optional[VerificationResult] = None
             # Peak memory only while the caller traces allocations
             # (tracemalloc.start(), -X tracemalloc): starting tracemalloc

@@ -11,13 +11,10 @@ would deploy after certification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
 import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.impurity import gini_impurity, shannon_entropy
-from repro.core.predicates import Predicate
 from repro.core.splitter import best_split_at
 from repro.core.tree import DecisionTree, TreeNode
 from repro.utils.validation import check_positive_int
@@ -37,17 +34,15 @@ class DecisionTreeLearner:
     min_samples_split:
         Nodes with fewer elements become leaves; the paper's formulation uses
         2 (any non-trivial split is allowed).
-    predicate_pool:
-        Optional fixed predicate set Φ.  When omitted, candidate predicates
-        are enumerated dynamically from the data at each node (``DTraceR``
-        semantics for real features; the single ``x <= 0.5`` predicate for
-        boolean features).
+
+    Candidate predicates are enumerated from the data at each node
+    (``DTraceR`` semantics for real features; the single ``x <= 0.5``
+    predicate for boolean features).
     """
 
     max_depth: int = 2
     impurity: str = "gini"
     min_samples_split: int = 2
-    predicate_pool: Optional[Sequence[Predicate]] = None
 
     def __post_init__(self) -> None:
         self.max_depth = check_positive_int(self.max_depth, "max_depth", allow_zero=True)
@@ -89,12 +84,7 @@ class DecisionTreeLearner:
             or self._impurity(counts) == 0.0
         ):
             return node
-        choice = best_split_at(
-            dataset,
-            indices,
-            impurity=self.impurity,
-            predicate_pool=self.predicate_pool,
-        )
+        choice = best_split_at(dataset, indices, impurity=self.impurity)
         if choice is None:
             return node
         mask = choice.predicate.evaluate_matrix(dataset.X)[indices]

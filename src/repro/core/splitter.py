@@ -134,12 +134,7 @@ def _root_indices(dataset: Dataset) -> np.ndarray:
     return np.arange(len(dataset), dtype=np.int64)
 
 
-def best_split(
-    dataset: Dataset,
-    *,
-    impurity: str = "gini",
-    predicate_pool: Optional[Sequence[Predicate]] = None,
-) -> Optional[SplitChoice]:
+def best_split(dataset: Dataset, *, impurity: str = "gini") -> Optional[SplitChoice]:
     """Return the best non-trivial split of ``dataset`` or ``None`` (``⋄``).
 
     Ties are broken deterministically towards the lowest ``(feature,
@@ -149,27 +144,19 @@ def best_split(
     """
     if len(dataset) == 0:
         return None
-    return best_split_at(
-        dataset, _root_indices(dataset), impurity=impurity, predicate_pool=predicate_pool
-    )
+    return best_split_at(dataset, _root_indices(dataset), impurity=impurity)
 
 
 def best_split_at(
-    dataset: Dataset,
-    indices: np.ndarray,
-    *,
-    impurity: str = "gini",
-    predicate_pool: Optional[Sequence[Predicate]] = None,
+    dataset: Dataset, indices: np.ndarray, *, impurity: str = "gini"
 ) -> Optional[SplitChoice]:
     """``bestSplit`` of the node selecting the non-empty ``indices`` of ``dataset``.
 
-    ``indices`` must be sorted, unique and int64.  Without a pool the
-    candidates are the node's rows in the dataset's split plan, in
-    (feature, threshold) order, so the first minimum is the lowest tied
-    pair; the choice is memoized on the plan.
+    ``indices`` must be sorted, unique and int64.  The candidates are the
+    node's rows in the dataset's split plan, in (feature, threshold) order,
+    so the first minimum is the lowest tied pair; the choice is memoized on
+    the plan.
     """
-    if predicate_pool is not None:
-        return _best_split_from_pool(dataset, indices, predicate_pool, impurity)
     plan = split_plan.plan_for(dataset)
     key = (indices.tobytes(), impurity)
     choice = plan.cached_best_split(key)
@@ -199,31 +186,3 @@ def _best_row(
         left_class_counts=left_counts,
         right_class_counts=rows.total_class_counts - left_counts,
     )
-
-
-def _best_split_from_pool(
-    dataset: Dataset, indices: np.ndarray, pool: Sequence[Predicate], impurity: str
-) -> Optional[SplitChoice]:
-    """``bestSplit`` over an explicit, fixed predicate pool."""
-    X, y = dataset.X[indices], dataset.y[indices]
-    best: Optional[SplitChoice] = None
-    for predicate in pool:
-        mask = predicate.evaluate_matrix(X)
-        left = int(mask.sum())
-        right = len(y) - left
-        if left == 0 or right == 0:
-            continue
-        left_counts = np.bincount(y[mask], minlength=dataset.n_classes)
-        right_counts = np.bincount(y[~mask], minlength=dataset.n_classes)
-        score = split_score(left_counts, right_counts, impurity=impurity)
-        candidate = SplitChoice(
-            predicate=predicate,
-            score=score,
-            left_size=left,
-            right_size=right,
-            left_class_counts=left_counts,
-            right_class_counts=right_counts,
-        )
-        if best is None or candidate.score < best.score:
-            best = candidate
-    return best

@@ -20,7 +20,7 @@ tables already built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class TraceLearner:
 
     max_depth: int = 2
     impurity: str = "gini"
-    predicate_pool: Optional[Sequence[Predicate]] = None
 
     def __post_init__(self) -> None:
         self.max_depth = check_positive_int(self.max_depth, "max_depth", allow_zero=True)
@@ -97,12 +96,7 @@ class TraceLearner:
             if self._impurity(counts) == 0.0:
                 stopped_reason = "pure"
                 break
-            choice = best_split_at(
-                dataset,
-                indices,
-                impurity=self.impurity,
-                predicate_pool=self.predicate_pool,
-            )
+            choice = best_split_at(dataset, indices, impurity=self.impurity)
             if choice is None:
                 stopped_reason = "no_split"
                 break
@@ -135,10 +129,6 @@ def learn_trace(
     *,
     max_depth: int = 2,
     impurity: str = "gini",
-    predicate_pool: Optional[Sequence[Predicate]] = None,
 ) -> TraceResult:
     """Functional shorthand for ``TraceLearner(...).run(dataset, x)``."""
-    learner = TraceLearner(
-        max_depth=max_depth, impurity=impurity, predicate_pool=predicate_pool
-    )
-    return learner.run(dataset, x)
+    return TraceLearner(max_depth=max_depth, impurity=impurity).run(dataset, x)

@@ -4,7 +4,7 @@ The paper evaluates two variants of the ones-versus-sevens MNIST subset
 (13,007 training / 2,163 test images of 28x28 = 784 pixels):
 
 * **MNIST-1-7-Binary** — every pixel reduced to its most significant bit, so
-  each feature is boolean and the learner's predicate pool is fixed;
+  each feature is boolean and each pixel has the single split ``x <= 0.5``;
 * **MNIST-1-7-Real** — 8-bit pixel intensities treated as real values, so the
   learner chooses thresholds dynamically and the abstract learner needs the
   symbolic predicates of Appendix B.

@@ -20,9 +20,10 @@ identity (``id()``) provides neither, so this module derives keys from
   ranges over pair dominance (robust at ``(r, f)`` answers every
   ``(r' ≤ r, f' ≤ f)``), never across non-nested pairs.
 * :func:`engine_cache_key` — the engine configuration facets that can change
-  a verdict (depth, domain, cprob method, disjunct budget, impurity,
-  predicate pool).  ``timeout_seconds`` is excluded on purpose: timeouts are
-  environment-dependent and are never cached.
+  a verdict (depth, domain, cprob method, disjunct budget, impurity).  The
+  key ends in a constant ``pool=default`` component, kept for compatibility
+  so existing caches keep hitting.  ``timeout_seconds`` is excluded on
+  purpose: timeouts are environment-dependent and are never cached.
 """
 
 from __future__ import annotations
@@ -150,18 +151,13 @@ def engine_cache_key(engine) -> str:
     Includes every knob that can change a (non-timeout) verdict; excludes
     ``timeout_seconds`` because timeout outcomes are never cached.
     """
-    pool = getattr(engine, "predicate_pool", None)
-    if pool is None:
-        pool_key = "default"
-    else:
-        pool_key = hashlib.sha256(
-            "|".join(repr(p) for p in pool).encode()
-        ).hexdigest()[:16]
+    # `pool=default` names the removed fixed predicate pool; the constant
+    # keeps keys byte-identical so existing sqlite caches keep hitting.
     return (
         f"depth={engine.max_depth}"
         f"|domain={engine.domain}"
         f"|cprob={engine.cprob_method}"
         f"|disjuncts={engine.max_disjuncts}"
         f"|impurity={engine.impurity}"
-        f"|pool={pool_key}"
+        "|pool=default"
     )

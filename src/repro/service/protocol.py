@@ -28,8 +28,7 @@ Datasets travel either **by reference** (``{"ref": {"name", "scale",
 "seed"}}`` — resolved through the benchmark registry server-side, so only a
 few bytes cross the socket) or **inline** (``{"inline": {...}}`` — full
 arrays for datasets the server has never seen).  Threat models and engine
-configurations have small explicit wire forms; predicate pools are not
-representable over the wire.
+configurations have small explicit wire forms.
 
 The ``metrics`` op exposes the server process's telemetry registry
 (:mod:`repro.telemetry`).  Its payload carries its own
@@ -84,7 +83,7 @@ METRICS_VERSION = 1
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Engine-configuration facets that travel over the wire (everything that can
-#: change a verdict or a timeout; ``predicate_pool`` deliberately excluded).
+#: change a verdict or a timeout).
 ENGINE_CONFIG_FIELDS = (
     "max_depth",
     "domain",

@@ -94,16 +94,14 @@ class BoxAbstractLearner:
     cprob_method:
         ``"optimal"`` (footnote 6, the default used in the paper's
         implementation) or ``"box"`` (the naïve transformer of §4.4).
-    predicate_pool:
-        Optional fixed predicate set Φ.  When omitted, candidates are derived
-        from the data at each step: concrete ``x <= 0.5`` predicates for
-        boolean features and symbolic threshold predicates (Appendix B) for
-        real-valued features.
+
+    Candidates are derived from the data at each step: concrete ``x <= 0.5``
+    predicates for boolean features and symbolic threshold predicates
+    (Appendix B) for real-valued features.
     """
 
     max_depth: int = 2
     cprob_method: str = "optimal"
-    predicate_pool: Optional[Sequence] = None
 
     def run(
         self,
@@ -153,9 +151,7 @@ class BoxAbstractLearner:
                 break
 
             # --- φ <- bestSplit#(T) ------------------------------------------
-            candidates = best_split_abstract(
-                state, method=self.cprob_method, predicate_pool=self.predicate_pool
-            )
+            candidates = best_split_abstract(state, method=self.cprob_method)
 
             # --- conditional: φ = ⋄ --------------------------------------------
             if candidates.includes_null:

@@ -89,7 +89,6 @@ class DisjunctiveAbstractLearner:
 
     max_depth: int = 2
     cprob_method: str = "optimal"
-    predicate_pool: Optional[Sequence] = None
     max_disjuncts: int = 4096
 
     def run(
@@ -129,9 +128,7 @@ class DisjunctiveAbstractLearner:
                 if entropy_is_definitely_zero(state, method):
                     continue
 
-                candidates = best_split_abstract(
-                    state, method=method, predicate_pool=self.predicate_pool
-                )
+                candidates = best_split_abstract(state, method=method)
                 if candidates.includes_null:
                     with profiling.phase("cprob_exit"):
                         exit_vectors.append(cprob_intervals(state, method))

@@ -63,7 +63,6 @@ def verify_by_enumeration(
     *,
     max_depth: int = 2,
     impurity: str = "gini",
-    predicate_pool: Optional[Sequence] = None,
     time_budget: Optional[TimeBudget] = None,
     stop_at_first_counterexample: bool = True,
 ) -> EnumerationResult:
@@ -76,9 +75,7 @@ def verify_by_enumeration(
     """
     n = check_positive_int(n, "n", allow_zero=True)
     budget = time_budget or TimeBudget.unlimited()
-    learner = TraceLearner(
-        max_depth=max_depth, impurity=impurity, predicate_pool=predicate_pool
-    )
+    learner = TraceLearner(max_depth=max_depth, impurity=impurity)
     baseline = learner.predict(dataset, x)
 
     all_indices = np.arange(len(dataset), dtype=np.int64)

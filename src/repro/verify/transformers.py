@@ -18,8 +18,7 @@ Two variants of ``cprob#`` are provided:
 
 ``bestSplit#`` (:func:`best_split_abstract`) bounds every candidate of a
 node at once from the node's stacked split table (threshold rows for real
-and boolean features, equality rows for categorical ones), or from the
-``split_down`` sides of an explicit predicate pool.  One score kernel
+and boolean features, equality rows for categorical ones).  One score kernel
 (:func:`_split_score_bounds`) ranges over the ``f + 1`` ways of sharing the
 flip budget between a split's two sides, which is a single allocation when
 ``f = 0``.  It returns the selected candidates Ψ as rows
@@ -57,7 +56,6 @@ from repro.domains.interval import Interval, mul_bounds
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
-from repro.utils.validation import ValidationError
 
 #: Tolerance used when comparing abstract scores; widening the comparison by a
 #: tiny epsilon can only *add* predicates to the returned set, which keeps the
@@ -594,11 +592,10 @@ class SplitCandidates:
     the true branch when ``x < high[i]`` and the false branch when
     ``x > low[i]`` (``x == low[i]`` / ``x != low[i]`` for an equality row).
     The ``(c, 2)`` side arrays hold the child element of each branch (true
-    side at ``[:, 0]``): its size, class counts and budgets.  For a node
-    table candidate no node value lies strictly between ``low`` and
-    ``high``, so the symbolic split is exact and a side of size ``s`` keeps
-    ``min(n, s)`` removals and ``min(f, s)`` flips.  A pool row's sides are
-    its ``split_down`` elements, whose removal budget may be larger.
+    side at ``[:, 0]``): its size, class counts and budgets.  No node value
+    lies strictly between ``low`` and ``high``, so the symbolic split is
+    exact and a side of size ``s`` keeps ``min(n, s)`` removals and
+    ``min(f, s)`` flips.
     """
 
     feature: np.ndarray  # (c,) int64
@@ -667,10 +664,7 @@ def _no_split(k: int) -> SplitCandidates:
 
 
 def best_split_abstract(
-    trainset: AbstractTrainingSet,
-    *,
-    method: str = "optimal",
-    predicate_pool: Optional[Sequence[Predicate]] = None,
+    trainset: AbstractTrainingSet, *, method: str = "optimal"
 ) -> SplitCandidates:
     """``bestSplit#`` of §4.6 (with App. B's lifting) as candidate rows.
 
@@ -678,21 +672,12 @@ def best_split_abstract(
     achievable score, plus ``⋄`` (``includes_null``) when some
     concretization might admit no non-trivial split at all.  The candidates
     are every split of the node's table (equality splits for categorical
-    features), or the predicates of ``predicate_pool``.  Without a pool the
-    result is memoized on the dataset's split plan, since it depends only on
-    the node rows, the budgets and ``method``.  Predicate pools are supported
-    for ``f = 0`` only.
+    features).  The result is memoized on the dataset's split plan, since it
+    depends only on the node rows, the budgets and ``method``.
     """
     with profiling.phase("best_split"):
-        if predicate_pool is not None and trainset.flips:
-            raise ValidationError(
-                "predicate pools are not supported for the label-flip/composite "
-                "threat models"
-            )
         if trainset.size == 0:
             return _no_split(trainset.dataset.n_classes)
-        if predicate_pool is not None:
-            return _pool_candidates(trainset, predicate_pool, method)
         plan = split_plan.plan_for(trainset.dataset)
         key = (trainset.indices.tobytes(), trainset.n, trainset.flips, method)
         result = plan.cached_best_split(key)
@@ -717,7 +702,6 @@ def _table_candidates(
         rows.right_sizes,
         _RowComplement(rows.total_class_counts, rows.left_class_counts),
         removals,
-        removals,
         flips,
         method,
     )
@@ -740,95 +724,25 @@ def _table_candidates(
     )
 
 
-def _pool_candidates(
-    state: AbstractTrainingSet, pool: Sequence[Predicate], method: str
-) -> SplitCandidates:
-    """The selected predicates of an explicit pool, sides from ``split_down``.
-
-    A pool predicate need not be one of the node's table candidates, so a
-    symbolic one may keep a budget above ``min(n, size)``; its sides are the
-    ``split_down`` elements themselves.  Predicates with an empty side are
-    trivial for every concretization and are not in Φ∃.  The selection
-    ignores flips, so :func:`best_split_abstract` only passes ``f = 0``
-    elements.
-    """
-    kept: List[Predicate] = []
-    sides = []
-    for predicate in pool:
-        left = state.split_down(predicate, True)
-        right = state.split_down(predicate, False)
-        if left.size and right.size:
-            kept.append(predicate)
-            sides.append((left, right))
-    if not kept:
-        return _no_split(state.dataset.n_classes)
-    sizes = np.array([[side.size for side in pair] for pair in sides])
-    counts = np.array([[side.class_counts() for side in pair] for pair in sides])
-    budgets = np.array([[side.n for side in pair] for pair in sides])
-    keep, includes_null = _selection(
-        sizes[:, 0],
-        counts[:, 0],
-        sizes[:, 1],
-        counts[:, 1],
-        budgets[:, 0],
-        budgets[:, 1],
-        0,
-        method,
-    )
-    feature, low, high, kind = _predicate_table([kept[i] for i in keep])
-    return SplitCandidates(
-        feature=feature,
-        low=low,
-        high=high,
-        kind=kind,
-        sizes=sizes[keep],
-        class_counts=counts[keep],
-        removals=budgets[keep],
-        flips=np.minimum(state.flips, sizes[keep]),
-        includes_null=includes_null,
-    )
-
-
-def _predicate_table(
-    predicates: Sequence[Predicate],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pool predicates as row arrays ``(feature, low, high, kind)``.
-
-    Each predicate is its :func:`~repro.core.split_plan.predicate_row`.
-    """
-    table = np.array(
-        [split_plan.predicate_row(predicate) for predicate in predicates],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    return (
-        table[:, 0].astype(np.int64),
-        table[:, 1],
-        table[:, 2],
-        table[:, 3].astype(np.int8),
-    )
-
-
 def _selection(
     left_sizes: np.ndarray,
     left_class_counts: np.ndarray,
     right_sizes: np.ndarray,
     right_class_counts,
-    left_removals,
-    right_removals,
+    removals: int,
     flips: int,
     method: str,
 ) -> Tuple[np.ndarray, bool]:
     """The Φ∃ rows that may be optimal (§4.6), and whether ``⋄`` joins them.
 
     Φ∀ holds the rows non-trivial for every concretization: both sides
-    larger than their removal budget (flips never move rows across a
-    split).  With ``lub`` the least score upper bound over Φ∀, the result is
-    every row whose score lower bound is at most ``lub``.  When Φ∀ is empty
-    some concretization may have no non-trivial split, so every row is kept
-    and ``⋄`` added.  The removal budgets are one per side, for all rows or
-    per row.
+    larger than the removal budget (flips never move rows across a split).
+    With ``lub`` the least score upper bound over Φ∀, the result is every
+    row whose score lower bound is at most ``lub``.  When Φ∀ is empty some
+    concretization may have no non-trivial split, so every row is kept and
+    ``⋄`` added.
     """
-    universal = (left_sizes > left_removals) & (right_sizes > right_removals)
+    universal = (left_sizes > removals) & (right_sizes > removals)
     if not universal.any():
         return np.arange(left_sizes.shape[0]), True
     score_lower, score_upper = _split_score_bounds(
@@ -836,8 +750,8 @@ def _selection(
         left_class_counts,
         right_sizes,
         right_class_counts,
-        left_removals,
-        right_removals,
+        removals,
+        removals,
         flips,
         method,
     )

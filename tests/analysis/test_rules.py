@@ -370,7 +370,6 @@ class TestSchemaDrift:
                 protocol_module="proto.py",
                 fingerprint_module="fp.py",
                 non_cached_fields=("timeout_seconds",),
-                extra_key_fields=(),
             )
         )
 

@@ -52,9 +52,20 @@ VERDICT_FIELDS = (
 
 
 class TestConfiguration:
-    def test_rejects_unknown_domain(self):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"domain": "magic"},
+            {"cprob_method": "bogus"},
+            {"max_disjuncts": "9"},
+            {"max_disjuncts": -1},
+            {"timeout_seconds": -1},
+        ],
+    )
+    def test_rejects_unknown_domain(self, config):
+        # Bad wire configs fail at construction, before a server caches them.
         with pytest.raises(ValueError):
-            CertificationEngine(domain="magic")
+            CertificationEngine(**config)
 
     def test_rejects_negative_budget(self):
         engine = CertificationEngine(max_depth=1)
@@ -237,17 +248,6 @@ class TestCompositeDispatch:
                 dataset, [0.5], CompositePoisoningModel(budget, 0)
             )
             assert removal.is_certified == composite.is_certified
-
-    def test_predicate_pool_rejected_for_flip_families(self):
-        from repro.core.predicates import ThresholdPredicate
-
-        engine = CertificationEngine(
-            max_depth=1, predicate_pool=[ThresholdPredicate(0, 5.0)]
-        )
-        with pytest.raises(ValueError, match="predicate pools"):
-            engine.certify_point(
-                well_separated_dataset(), [0.5], CompositePoisoningModel(1, 1)
-            )
 
 
 class TestClassCountResolution:

@@ -34,12 +34,6 @@ class TestDecisionTreeLearner:
         tree = DecisionTreeLearner(max_depth=5, min_samples_split=100).fit(dataset)
         assert tree.depth() == 0
 
-    def test_fixed_predicate_pool(self):
-        dataset = figure2_dataset()
-        pool = [ThresholdPredicate(0, 4.5)]
-        tree = DecisionTreeLearner(max_depth=1, predicate_pool=pool).fit(dataset)
-        assert tree.root.predicate == ThresholdPredicate(0, 4.5)
-
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):
             DecisionTreeLearner(max_depth=1).fit(figure2_dataset().subset([]))

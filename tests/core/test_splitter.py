@@ -92,17 +92,6 @@ class TestBestSplit:
         dataset = Dataset(X=X, y=np.array([0, 1, 0, 1]))
         assert best_split(dataset) is None
 
-    def test_pool_based_split(self):
-        dataset = figure2_dataset()
-        pool = [ThresholdPredicate(0, 10.5), ThresholdPredicate(0, 4.0)]
-        choice = best_split(dataset, predicate_pool=pool)
-        assert choice.predicate == ThresholdPredicate(0, 10.5)
-
-    def test_pool_with_only_trivial_predicates(self):
-        dataset = figure2_dataset()
-        pool = [ThresholdPredicate(0, 100.0)]
-        assert best_split(dataset, predicate_pool=pool) is None
-
     def test_multi_feature_selects_most_informative(self):
         rng = np.random.default_rng(0)
         noise = rng.normal(size=20)

@@ -171,11 +171,6 @@ class TestFlipTransformerFunctions:
         np.testing.assert_array_equal(flip.removals, removal.removals)
         assert not flip.flips.any()
 
-    def test_best_split_rejects_predicate_pools(self):
-        trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 0, 1)
-        with pytest.raises(ValueError, match="predicate pools"):
-            best_split_abstract(trainset, predicate_pool=[ThresholdPredicate(0, 1.0)])
-
     def test_box_cprob_contains_optimal(self):
         trainset = FlipAbstractTrainingSet.full(figure2_dataset(), 1, 2)
         optimal = cprob_intervals(trainset, "optimal")

@@ -117,6 +117,14 @@ class TestEngineKey:
             engine_cache_key(CertificationEngine(max_depth=2, max_disjuncts=16)) != base
         )
 
+    def test_default_key_is_pinned(self):
+        # Persistent caches are keyed by this exact string; changing it
+        # orphans every verdict a user has already cached.
+        assert engine_cache_key(CertificationEngine()) == (
+            "depth=2|domain=either|cprob=optimal|disjuncts=4096|impurity=gini"
+            "|pool=default"
+        )
+
     def test_timeout_excluded_from_key(self):
         # Timeout verdicts are never cached, so the budget is not part of the
         # cache identity: warm caches survive a timeout change.

@@ -125,5 +125,5 @@ class TestEngineConfigWire:
         }
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ProtocolError, match="predicate_pool"):
-            engine_config_to_wire(predicate_pool=[1, 2])
+        with pytest.raises(ProtocolError, match="n_jobs"):
+            engine_config_to_wire(n_jobs=2)

@@ -32,19 +32,6 @@ class TestZeroPoisoning:
 
 
 class TestBoxBehaviour:
-    def test_right_branch_certified_with_fixed_predicate_pool(self):
-        # With the predicate pool fixed to the paper's split, the right branch
-        # of Figure 2 stays all black under 1-poisoning and x=18 is certified.
-        dataset = figure2_dataset()
-        trainset = AbstractTrainingSet.full(dataset, 1)
-        from repro.core.predicates import ThresholdPredicate
-
-        learner = BoxAbstractLearner(
-            max_depth=1, predicate_pool=[ThresholdPredicate(0, 10.5)]
-        )
-        run = learner.run(trainset, [18.0])
-        assert run.robust_class == 1
-
     def test_well_separated_data_certified_under_poisoning(self):
         from tests.conftest import well_separated_dataset
 

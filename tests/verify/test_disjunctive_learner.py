@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dataset import Dataset, FeatureKind
-from repro.core.predicates import (
-    EqualityPredicate,
-    SymbolicThresholdPredicate,
-    ThresholdPredicate,
-    point_satisfies,
-)
+from repro.core.predicates import point_satisfies
 from repro.core.trace_learner import TraceLearner
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
 from repro.domains.interval import dominating_component, join_interval_vectors
@@ -159,9 +154,7 @@ def _state_path_run(learner, trainset, x):
                 exits.append(pure)
             if entropy_is_definitely_zero(state, method):
                 continue
-            candidates = best_split_abstract(
-                state, method=method, predicate_pool=learner.predicate_pool
-            )
+            candidates = best_split_abstract(state, method=method)
             if candidates.includes_null:
                 exits.append(cprob_intervals(state, method))
             for predicate in row_predicates(candidates):
@@ -228,31 +221,13 @@ def _test_point(rng, dataset):
     return point
 
 
-def _pool(rng, dataset):
-    pool = []
-    for feature, kind in enumerate(dataset.feature_kinds):
-        values = np.unique(dataset.X[:, feature])
-        if kind is FeatureKind.CATEGORICAL:
-            pool.append(EqualityPredicate(feature, float(rng.choice(values))))
-        elif kind is FeatureKind.BOOLEAN:
-            pool.append(ThresholdPredicate(feature, 0.5))
-        else:
-            pool.append(ThresholdPredicate(feature, float(rng.choice(values)) + 0.25))
-            if values.size >= 3:
-                # Not adjacent node values: the tight and loose sides differ.
-                pool.append(
-                    SymbolicThresholdPredicate(feature, float(values[0]), float(values[2]))
-                )
-    return pool
-
-
 class TestArrayLastLevelParity:
     """The array-shaped last level equals building every leaf as a state."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        family=st.sampled_from(["removal", "flip", "composite", "pool"]),
+        family=st.sampled_from(["removal", "flip", "composite"]),
         method=st.sampled_from(["optimal", "box"]),
         depth=st.integers(min_value=1, max_value=3),
     )
@@ -260,7 +235,6 @@ class TestArrayLastLevelParity:
         rng = np.random.default_rng(seed)
         dataset = _mixed_dataset(rng)
         x = _test_point(rng, dataset)
-        pool = None
         if family == "flip":
             trainset = FlipAbstractTrainingSet.full(dataset, 0, int(rng.integers(0, 3)))
         elif family == "composite":
@@ -269,11 +243,8 @@ class TestArrayLastLevelParity:
             )
         else:
             trainset = AbstractTrainingSet.full(dataset, int(rng.integers(0, 4)))
-            if family == "pool":
-                pool = _pool(rng, dataset)
         learner = DisjunctiveAbstractLearner(
-            max_depth=depth, cprob_method=method, predicate_pool=pool,
-            max_disjuncts=10**9,
+            max_depth=depth, cprob_method=method, max_disjuncts=10**9
         )
         expected = _state_path_run(learner, trainset, x)
         run = learner.run(trainset, x)

@@ -249,12 +249,6 @@ class TestBestSplitAbstract:
         assert abstract.includes_null
         assert abstract.feature.size
 
-    def test_predicate_pool_mode(self, figure2):
-        trainset = AbstractTrainingSet.full(figure2, 1)
-        pool = [ThresholdPredicate(0, 10.5), ThresholdPredicate(0, 0.5)]
-        abstract = best_split_abstract(trainset, predicate_pool=pool)
-        assert ThresholdPredicate(0, 10.5) in row_predicates(abstract)
-
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_soundness_lemma_4_10(self, figure2, n):
         """Every concretization's concrete best split is covered abstractly."""

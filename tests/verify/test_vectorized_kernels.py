@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import CertificationEngine
+from repro.core import split_plan
 from repro.core.dataset import Dataset, FeatureKind
 from repro.core.predicates import (
     EqualityPredicate,
@@ -51,8 +52,6 @@ from repro.verify.transformers import (
     SplitCandidates,
     _RowComplement,
     _flip_split_score_bounds_reference,
-    _pool_candidates,
-    _predicate_table,
     _side_score_bounds_reference,
     _split_score_bounds,
     best_split_abstract,
@@ -144,7 +143,7 @@ class TestSplitScoreBounds:
     @settings(max_examples=60, deadline=None)
     @given(candidate_tables(), st.data(), st.sampled_from(["optimal", "box"]))
     def test_per_candidate_budgets_match_reference(self, table, data, method):
-        # Pool predicates carry their own split_down budget per side.
+        # The kernel also takes one removal budget per candidate and side.
         sizes, counts = table
         budgets = [
             [data.draw(st.integers(min_value=0, max_value=6)) for _ in sizes]
@@ -404,15 +403,18 @@ def _fold(state, predicates, x):
 
 def _rows(predicates):
     """Predicates as candidate rows; ``filter#`` reads no side array."""
-    feature, low, high, kind = _predicate_table(predicates)
-    sides = np.zeros((feature.size, 2), dtype=np.int64)
+    table = np.array(
+        [split_plan.predicate_row(predicate) for predicate in predicates],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    sides = np.zeros((len(table), 2), dtype=np.int64)
     return SplitCandidates(
-        feature=feature,
-        low=low,
-        high=high,
-        kind=kind,
+        feature=table[:, 0].astype(np.int64),
+        low=table[:, 1],
+        high=table[:, 2],
+        kind=table[:, 3].astype(np.int8),
         sizes=sides,
-        class_counts=np.zeros((feature.size, 2, 2), dtype=np.int64),
+        class_counts=np.zeros((len(table), 2, 2), dtype=np.int64),
         removals=sides,
         flips=sides,
         includes_null=False,
@@ -612,14 +614,10 @@ class TestTraceReplayMatchesFilter:
 
 @st.composite
 def row_cases(draw):
-    """A node over mixed columns, budgets with ``f ∈ {0, 1}``, and a pool.
-
-    The pool mixes concrete thresholds, symbolic thresholds (whose loose and
-    tight sides may differ at the node) and equality predicates.
-    """
-    state, pool, _ = draw(filter_cases())
+    """A node over mixed columns, with budgets ``n ≤ 3`` and ``f ∈ {0, 1}``."""
+    state, _, _ = draw(filter_cases())
     budgets = (draw(st.integers(0, 3)), draw(st.sampled_from([0, 1])))
-    return AbstractTrainingSet(state.dataset, state.indices, *budgets), pool
+    return AbstractTrainingSet(state.dataset, state.indices, *budgets)
 
 
 class TestRowChildren:
@@ -627,23 +625,18 @@ class TestRowChildren:
 
     @settings(max_examples=200, deadline=None)
     @given(row_cases())
-    def test_children_match_split_down(self, case):
-        state, pool = case
-        # Node-table rows (as both learners see them), and pool rows with
-        # their split_down budgets.
-        for candidates in (
-            best_split_abstract(state),
-            _pool_candidates(state, pool, "optimal"),
-        ):
-            for row, predicate in enumerate(row_predicates(candidates)):
-                for side in (0, 1):
-                    child = candidates.child(state, row, side)
-                    expected = state.split_down(predicate, side == 0)
-                    np.testing.assert_array_equal(child.indices, expected.indices)
-                    assert child.indices.dtype == expected.indices.dtype
-                    size = child.size
-                    assert child.n == min(expected.n, size)
-                    assert child.flips == min(expected.flips, size)
+    def test_children_match_split_down(self, state):
+        # Node-table rows, as both learners see them.
+        candidates = best_split_abstract(state)
+        for row, predicate in enumerate(row_predicates(candidates)):
+            for side in (0, 1):
+                child = candidates.child(state, row, side)
+                expected = state.split_down(predicate, side == 0)
+                np.testing.assert_array_equal(child.indices, expected.indices)
+                assert child.indices.dtype == expected.indices.dtype
+                size = child.size
+                assert child.n == min(expected.n, size)
+                assert child.flips == min(expected.flips, size)
 
 
 def _verdict(result):
