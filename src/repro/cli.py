@@ -94,6 +94,14 @@ from repro.utils.tables import TextTable
 from repro.utils.timing import Stopwatch
 
 
+def _positive_seconds(text: str) -> float:
+    """A per-point ``--timeout``: the engine takes only positive budgets."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be positive seconds, got {text}")
+    return seconds
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-antidote",
@@ -112,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--point", type=int, default=0, help="test-set index to certify")
     verify.add_argument("--scale", type=float, default=None, help="dataset scale (1.0 = paper size)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--timeout", type=float, default=60.0)
+    verify.add_argument("--timeout", type=_positive_seconds, default=60.0)
     verify.add_argument("--connect", default=None, metavar="ADDRESS",
                         help="certify through a running `repro-antidote serve` "
                         "daemon or `route` router instead of a local engine "
@@ -155,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--scale", type=float, default=None,
                          help="dataset scale (1.0 = paper size)")
     certify.add_argument("--seed", type=int, default=0)
-    certify.add_argument("--timeout", type=float, default=60.0)
+    certify.add_argument("--timeout", type=_positive_seconds, default=60.0)
     certify.add_argument("--json", default=None, metavar="PATH",
                          help="also write the full report as JSON")
     certify.add_argument("--csv", default=None, metavar="PATH",
@@ -222,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scale", type=float, default=None,
                        help="dataset scale (1.0 = paper size)")
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--timeout", type=float, default=60.0)
+    sweep.add_argument("--timeout", type=_positive_seconds, default=60.0)
     sweep.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent certification cache the probes flow "
                        "through (repeat sweeps derive from prior verdicts)")

@@ -30,6 +30,19 @@ class TestParser:
         assert args.n_remove == 2
         assert args.n_flip == 3
 
+    @pytest.mark.parametrize("command", ["verify", "certify", "sweep"])
+    @pytest.mark.parametrize("seconds", ["0", "-1"])
+    def test_rejects_non_positive_timeout(self, command, seconds, capsys):
+        # A bad budget is a usage error (exit 2), not an engine traceback.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "iris", "--timeout", seconds])
+        assert excinfo.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
+    def test_parses_fractional_timeout(self):
+        args = build_parser().parse_args(["verify", "iris", "--timeout", "0.5"])
+        assert args.timeout == 0.5
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):
