@@ -41,20 +41,14 @@ DEFAULT_BOUNDARIES: Tuple[Boundary, ...] = (
     Boundary(
         "service/server.py",
         "handle",
-        "per-connection protocol boundary: converts any failure into an "
-        "error frame for the client",
+        "per-connection protocol boundary of the daemon and the router: "
+        "converts any failure into an error frame for the client",
     ),
     Boundary(
         "api/scheduler.py",
         "stream_rows",
         "lease fallback: a stranger's failed batch must not fail this one; "
         "the point is recomputed locally and counted in lease_fallbacks",
-    ),
-    Boundary(
-        "fleet/router.py",
-        "handle",
-        "per-connection protocol boundary: converts any failure into an "
-        "error frame for the client",
     ),
 )
 

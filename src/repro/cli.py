@@ -86,7 +86,7 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
 )
 from repro.runtime import CertificationCache, CertificationRuntime
-from repro.service.protocol import METRICS_VERSION
+from repro.service.protocol import metrics_payload
 from repro.telemetry import events as telemetry_events
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import tracing
@@ -1016,21 +1016,12 @@ def _command_metrics(args: argparse.Namespace) -> int:
 
         with CertificationClient(args.connect) as client:
             payload = client.metrics(format=args.format)
-        if args.format == "prometheus":
-            text = str(payload.get("prometheus", ""))
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        registry = telemetry_metrics.get_registry()
-        if args.format == "prometheus":
-            text = registry.to_prometheus()
-        else:
-            payload = {
-                "metrics_version": METRICS_VERSION,
-                "format": args.format,
-                "metrics": registry.snapshot(),
-            }
-            text = json.dumps(payload, indent=2, sort_keys=True)
+        payload = metrics_payload(args.format)
+    if args.format == "prometheus":
+        text = str(payload.get("prometheus", ""))
+    else:
+        text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.json:
         Path(args.json).write_text(text + "\n", encoding="utf-8")

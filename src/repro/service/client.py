@@ -33,6 +33,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 from typing import Iterator, List, Mapping, Optional, Sequence, Union
 
@@ -301,11 +302,11 @@ class CertificationClient:
 
         Frames pass through verbatim — ``result`` frames, the closing ``end``
         frame, and server *error* frames (``ok: false``, yielded rather than
-        raised so a relay can forward them).  Transport faults raise and mark
-        the client broken.
+        raised so a relay can forward them; :meth:`certify_stream` decodes
+        them).  Transport faults raise and mark the client broken.
         """
         with self._lock:
-            frame = self._send(op, params)
+            self._send(op, params)
             drained = False
             try:
                 while True:
@@ -329,6 +330,9 @@ class CertificationClient:
                         drained = True
                         raise ProtocolError(f"unexpected stream frame: {response}")
             finally:
+                # A consumer that abandons the stream mid-way must not leave
+                # unread frames to desynchronize the next request.  A broken
+                # connection cannot be resynchronized, so don't try.
                 while not drained and not self._broken:
                     try:
                         response = read_frame(self._reader)
@@ -375,44 +379,13 @@ class CertificationClient:
         this client block until it is drained (use one client per concurrent
         stream).
         """
-        with self._lock:
-            frame = self._send(
-                "certify_stream", self._certify_params(dataset, points, model, n_jobs)
-            )
-            drained = False
-            try:
-                while True:
-                    response = self._read_frame("certify_stream")
-                    if response is None:
-                        drained = True  # nothing left to desynchronize
-                        self._broken = True
-                        raise ProtocolError("server closed the connection mid-stream")
-                    if response.get("ok") is False:
-                        drained = True  # an error frame ends the stream
-                        self._unwrap(frame["id"], response)
-                    event = response.get("event")
-                    if event == "result":
-                        yield VerificationResult.from_dict(response["result"])
-                    elif event == "end":
-                        drained = True
-                        return
-                    else:
-                        drained = True
-                        raise ProtocolError(f"unexpected stream frame: {response}")
-            finally:
-                # A consumer that abandons the stream mid-way must not leave
-                # unread frames to desynchronize the next request.  A broken
-                # connection cannot be resynchronized, so don't try.
-                while not drained and not self._broken:
-                    try:
-                        response = read_frame(self._reader)
-                    except (OSError, ProtocolError):
-                        self._broken = True
-                        break
-                    if response is None or response.get("event") == "end" or (
-                        response.get("ok") is False
-                    ):
-                        drained = True
+        params = self._certify_params(dataset, points, model, n_jobs)
+        with closing(self.stream_frames("certify_stream", params)) as frames:
+            for frame in frames:
+                if frame.get("event") == "result":
+                    yield VerificationResult.from_dict(frame["result"])
+                elif frame.get("ok") is False:
+                    self._unwrap(frame.get("id"), frame)
 
     def certify_point(
         self, dataset: DatasetLike, x: Sequence[float], model: ModelLike

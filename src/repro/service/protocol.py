@@ -44,6 +44,9 @@ span tree in the server's bounded completed-roots ring by the correlation
 id stamped on its root — the remote half of ``repro trace REQUEST_ID``.
 The server must run with span tracing enabled (``repro serve --trace``)
 for trees to be retained.
+
+:data:`OPS` is the one declaration of the operation vocabulary: every op
+the daemon serves, and how the fleet router serves each of them.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from repro.poisoning.models import (
     PerturbationModel,
     RemovalPoisoningModel,
 )
+from repro.telemetry import metrics
 
 #: Version of the framing + operation vocabulary.  Bumped on incompatible
 #: changes; servers reject hellos from a different major version.
@@ -77,6 +81,28 @@ PROTOCOL_MINOR = 3
 
 #: Version of the ``metrics`` op's snapshot schema (see module docstring).
 METRICS_VERSION = 1
+
+#: The operation vocabulary, op name → how a router serves it: ``"local"``
+#: (answered by whichever process receives it), ``"shard"`` (relayed to the
+#: owner of the request's dataset shard), ``"fanout"`` (run on every live
+#: backend, results keyed by backend), ``"stream"`` (relayed as a frame
+#: stream that resumes on the next ring node), or ``None`` (the router does
+#: not relay it yet).  The daemon serves every op listed here.
+OPS: Mapping[str, Optional[str]] = {
+    "hello": "local",
+    "ping": "local",
+    "metrics": "local",
+    "stats": "local",
+    "shutdown": "local",
+    "certify": "shard",
+    "max_certified": "shard",
+    "pareto_frontier": "shard",
+    "pareto_sweep": "shard",
+    "cache_stats": "fanout",
+    "cache_gc": "fanout",
+    "certify_stream": "stream",
+    "trace": None,
+}
 
 #: Hard bound on one frame (64 MiB): large enough for an inline MNIST-scale
 #: dataset, small enough that a garbage byte stream cannot balloon memory.
@@ -189,6 +215,24 @@ def read_frame(reader: io.BufferedIOBase) -> Optional[dict]:
         raise ProtocolError(f"frame is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(f"frame must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+# ------------------------------------------------------------------ metrics
+def metrics_payload(fmt: str = "json") -> dict:
+    """This process's telemetry registry in the ``metrics`` op's wire form.
+
+    ``fmt="json"`` carries the structured snapshot under ``"metrics"``;
+    ``fmt="prometheus"`` carries the text exposition under ``"prometheus"``.
+    """
+    registry = metrics.get_registry()
+    payload: dict = {"metrics_version": METRICS_VERSION, "format": fmt}
+    if fmt == "prometheus":
+        payload["prometheus"] = registry.to_prometheus()
+    elif fmt == "json":
+        payload["metrics"] = registry.snapshot()
+    else:
+        raise ProtocolError(f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'")
     return payload
 
 

@@ -17,9 +17,14 @@ JSON-lines protocol of :mod:`repro.service.protocol` from one long-lived
   :class:`~repro.api.scheduler.CertificationScheduler`, so N clients asking
   the same in-flight question cost one learner invocation per distinct point.
 
-Each client connection is served by its own thread
-(:class:`socketserver.ThreadingMixIn`); ``SIGTERM``/``SIGINT`` shut the
-server down cleanly (socket file removed, cache committed and closed).
+The serving skeleton is :class:`FrameServer`, shared with the fleet router
+(:class:`~repro.fleet.router.CertificationRouter`): the two transports, one
+thread per client connection (:class:`socketserver.ThreadingMixIn`), the
+frame loop that turns failures into error frames, bind (a stale Unix socket
+file is reclaimed, a live one is refused), ``SIGTERM``/``SIGINT`` shutdown
+(socket file removed, then the subclass's teardown — here: drain in-flight
+operations, commit and close the cache), and the ``hello``, ``ping``,
+``metrics`` and ``stats`` ops.
 
 For fleet serving (see :mod:`repro.fleet`) the server binds TCP instead and
 reports its bound address as ``backend_id`` in ``hello``, the name a router
@@ -38,8 +43,9 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,7 +57,7 @@ from repro.core.dataset import Dataset
 from repro.runtime.fingerprint import fingerprint_dataset
 from repro.runtime.runtime import CertificationRuntime
 from repro.service.protocol import (
-    METRICS_VERSION,
+    OPS,
     PROTOCOL_MINOR,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -59,6 +65,7 @@ from repro.service.protocol import (
     encode_frame,
     engine_config_from_wire,
     format_address,
+    metrics_payload,
     model_from_wire,
     parse_address,
     read_frame,
@@ -78,8 +85,8 @@ _OP_SECONDS = metrics.histogram(
 
 class _ThreadingUnixServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
-    #: Set by :class:`CertificationServer` so handlers can reach it.
-    certification_server: "CertificationServer"
+    #: Set at bind time so handlers can reach the serving object.
+    frame_server: "FrameServer"
 
 
 class _ThreadingTCPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
@@ -92,7 +99,7 @@ class _ThreadingTCPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
 
     daemon_threads = True
     allow_reuse_address = True
-    certification_server: "CertificationServer"
+    frame_server: "FrameServer"
 
 
 class _ClientHandler(socketserver.StreamRequestHandler):
@@ -108,7 +115,7 @@ class _ClientHandler(socketserver.StreamRequestHandler):
         super().setup()
 
     def handle(self) -> None:  # pragma: no cover - exercised via socket tests
-        server: CertificationServer = self.server.certification_server
+        server: FrameServer = self.server.frame_server
         while True:
             try:
                 frame = read_frame(self.rfile)
@@ -127,7 +134,7 @@ class _ClientHandler(socketserver.StreamRequestHandler):
             try:
                 with events.bind_request(rid if isinstance(rid, str) else None):
                     if op == "certify_stream":
-                        self._handle_stream(server, request_id, params)
+                        server.stream(request_id, params, self._write)
                     elif op == "shutdown":
                         self._write({"id": request_id, "ok": True, "result": {"stopping": True}})
                         server.request_shutdown()
@@ -145,24 +152,6 @@ class _ClientHandler(socketserver.StreamRequestHandler):
                 except BrokenPipeError:
                     return
 
-    def _handle_stream(self, server: "CertificationServer", request_id, params) -> None:
-        for index, result in server.stream(params):
-            self._write(
-                {
-                    "id": request_id,
-                    "event": "result",
-                    "index": index,
-                    "result": result.to_dict(),
-                }
-            )
-        self._write(
-            {
-                "id": request_id,
-                "event": "end",
-                "report": server.last_stream_report(params),
-            }
-        )
-
     def _write(self, payload: dict) -> None:
         self.wfile.write(encode_frame(payload))
         self.wfile.flush()
@@ -172,39 +161,35 @@ def _error_payload(error: BaseException) -> dict:
     return {"type": type(error).__name__, "message": str(error)}
 
 
-class CertificationServer:
-    """Serve certification requests over a Unix or TCP socket from a warm runtime.
+#: Writes one response frame to the requesting connection.
+FrameWriter = Callable[[dict], None]
 
-    Parameters
-    ----------
-    socket_path:
-        Filesystem path of the Unix-domain socket to bind.  A stale socket
-        file (left by a killed server) is replaced; a *live* one raises.
-        ``None`` requires ``tcp``.
-    tcp:
-        ``"HOST:PORT"`` TCP address to bind instead of a Unix socket (the
-        fleet transport; port 0 picks a free port, readable from
-        :attr:`tcp_address` after :meth:`start`).  Mutually exclusive with
-        ``socket_path``.
-    cache_dir:
-        Directory of the persistent verdict cache.  ``None`` creates an
-        ephemeral cache for the server's lifetime — warm-cache semantics
-        still hold across requests, but verdicts die with the server.
-    shared_memory:
-        Whether pool workers attach datasets from shared memory.
-    max_engines / max_datasets:
-        Bounds of the engine-configuration and decoded-dataset LRUs.
+
+class FrameServer:
+    """The serving skeleton of the daemon and the fleet router.
+
+    Binds a Unix-domain socket (``socket_path``; a stale socket file left by
+    a killed process is replaced, a *live* one raises) or a TCP address
+    (``tcp="HOST:PORT"`` or ``(host, port)``; port 0 picks a free port,
+    readable from :attr:`tcp_address` after :meth:`start`) — exactly one of
+    the two.  Every connection runs one frame loop; ``shutdown`` is answered
+    here, ``certify_stream`` goes to :meth:`stream`, and every other op to
+    :meth:`dispatch`, whose failures become error frames.
+
+    Subclasses supply :meth:`dispatch`, :meth:`stream`, :meth:`hello_extras`,
+    :meth:`stats` and :meth:`_teardown`; ``hello``, ``ping``, ``metrics`` and
+    ``stats`` are answered by :data:`_LOCAL_OPS`.
     """
+
+    #: Who answers: named in errors and in the serve thread's name.
+    role = "server"
+    #: The ops this end serves; the unknown-op error lists them.
+    served_ops = frozenset(OPS)
 
     def __init__(
         self,
-        socket_path: Optional[Union[str, Path]] = None,
-        *,
-        tcp: Optional[Union[str, Tuple[str, int]]] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        shared_memory: bool = True,
-        max_engines: int = 8,
-        max_datasets: int = 16,
+        socket_path: Optional[Union[str, Path]],
+        tcp: Optional[Union[str, Tuple[str, int]]],
     ) -> None:
         if (socket_path is None) == (tcp is None):
             raise ValidationError(
@@ -223,42 +208,18 @@ class CertificationServer:
                 self._tcp_target = parsed  # type: ignore[assignment]
         #: The bound TCP (host, port) — set at bind time (port 0 resolves).
         self.tcp_address: Optional[Tuple[str, int]] = None
-        #: Stable identity this server reports in ``hello`` (protocol minor
-        #: 2): its bound address — what a router uses as the ring node name.
-        self.backend_id: Optional[str] = (
-            None if self.socket_path is None else str(self.socket_path)
-        )
-        self._ephemeral_cache: Optional[tempfile.TemporaryDirectory] = None
-        if cache_dir is None:
-            self._ephemeral_cache = tempfile.TemporaryDirectory(prefix="repro-serve-")
-            cache_dir = self._ephemeral_cache.name
-        self.runtime = CertificationRuntime(cache_dir, shared_memory=shared_memory)
-        self.max_engines = max_engines
-        self.max_datasets = max_datasets
-        self._engines: "OrderedDict[tuple, CertificationEngine]" = OrderedDict()
-        self._datasets: "OrderedDict[str, Dataset]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._server: Optional[
-            Union[_ThreadingUnixServer, _ThreadingTCPServer]
-        ] = None
+        self._server: Optional[Union[_ThreadingUnixServer, _ThreadingTCPServer]] = None
         self._serve_thread: Optional[threading.Thread] = None
         # Monotonic, not wall clock: uptime must never go negative or jump
         # when NTP steps the system clock.
         self._started_at = time.monotonic()
-        self.requests_served = 0
-        # Operations currently executing on handler threads.  close() drains
-        # this before closing the cache: handler threads are daemonic (an
-        # idle client parked in readline must not block shutdown), so the
-        # socketserver machinery alone cannot tell us when in-flight *work*
-        # — which may be mid-cache-write — has finished.
-        self._active_ops = 0
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Bind the socket and serve on a background thread (for embedding)."""
         self._bind()
         thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-serve", daemon=True
+            target=self._server.serve_forever, name=f"repro-{self.role}", daemon=True
         )
         thread.start()
         self._serve_thread = thread
@@ -285,19 +246,18 @@ class CertificationServer:
 
     def _bind(self) -> None:
         if self._server is not None:
-            raise RuntimeError("server already started")
+            raise RuntimeError(f"{self.role} already started")
         server: Union[_ThreadingUnixServer, _ThreadingTCPServer]
         if self._tcp_target is not None:
             server = _ThreadingTCPServer(self._tcp_target, _ClientHandler)
             host, port = server.server_address[:2]
             self.tcp_address = (str(host), int(port))
-            self.backend_id = format_address(self.tcp_address)
         else:
             assert self.socket_path is not None
             self._remove_stale_socket()
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
             server = _ThreadingUnixServer(str(self.socket_path), _ClientHandler)
-        server.certification_server = self
+        server.frame_server = self
         self._server = server
         self._started_at = time.monotonic()
 
@@ -309,10 +269,9 @@ class CertificationServer:
             probe.settimeout(0.5)
             probe.connect(str(self.socket_path))
         except OSError:
-            # Nothing listening: a leftover from a killed server; reclaim it.
+            # Nothing listening: a leftover from a killed process; reclaim it.
             self.socket_path.unlink(missing_ok=True)
         else:
-            probe.close()
             raise RuntimeError(
                 f"another server is already listening on {self.socket_path}"
             )
@@ -335,12 +294,8 @@ class CertificationServer:
             return
         threading.Thread(target=server.shutdown, daemon=True).start()
 
-    #: How long close() waits for in-flight operations before closing the
-    #: cache underneath them anyway (they then fail with an error frame).
-    DRAIN_TIMEOUT_SECONDS = 10.0
-
     def close(self) -> None:
-        """Tear down: stop serving, drain in-flight work, close the cache."""
+        """Tear down: stop serving, remove the socket file, then :meth:`_teardown`."""
         server, self._server = self._server, None
         if server is not None:
             if self._serve_thread is not None:
@@ -352,8 +307,138 @@ class CertificationServer:
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=10.0)
             self._serve_thread = None
-        if self.socket_path is not None:
+        if server is not None and self.socket_path is not None:
+            # Only the process that bound the path removes it: a failed
+            # start must not unlink a live peer's socket.
             self.socket_path.unlink(missing_ok=True)
+        self._teardown()
+
+    def _teardown(self) -> None:
+        """Release what the subclass holds, after the listener is gone."""
+
+    def __enter__(self):
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------- ops
+    def dispatch(self, op: Optional[str], params: dict) -> dict:
+        """Execute one non-streaming operation; returns the result payload."""
+        raise NotImplementedError
+
+    def stream(self, request_id: object, params: dict, write: FrameWriter) -> None:
+        """Serve ``certify_stream``: ``result`` frames, then one ``end`` frame."""
+        raise NotImplementedError
+
+    def hello_extras(self) -> dict:
+        """Fields this end adds to the common ``hello`` answer."""
+        return {}
+
+    def stats(self) -> dict:
+        """The ``stats`` op's answer."""
+        raise NotImplementedError
+
+    def _unknown_op(self, op: Optional[str]) -> ProtocolError:
+        return ProtocolError(
+            f"unknown operation {op!r}; supported: {sorted(self.served_ops)}"
+        )
+
+    def _op_hello(self, params: dict) -> dict:
+        requested = int(params.get("protocol", PROTOCOL_VERSION))
+        if requested != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"client speaks protocol {requested}, {self.role} speaks "
+                f"{PROTOCOL_VERSION}"
+            )
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "protocol_minor": PROTOCOL_MINOR,
+            "schema_version": SCHEMA_VERSION,
+            "server_version": repro.__version__,
+            "pid": os.getpid(),
+            **self.hello_extras(),
+        }
+
+    def _op_ping(self, params: dict) -> dict:
+        del params
+        return {"pong": True, "uptime_seconds": time.monotonic() - self._started_at}
+
+    def _op_metrics(self, params: dict) -> dict:
+        """This process's metrics registry (see :func:`~repro.service.protocol.metrics_payload`).
+
+        ``format="prometheus"`` returns the text exposition, which the CLI's
+        ``repro metrics --connect`` relays verbatim so a scrape sidecar needs
+        no knowledge of the snapshot schema.
+        """
+        return metrics_payload(str(params.get("format", "json")))
+
+    def _op_stats(self, params: dict) -> dict:
+        del params
+        return self.stats()
+
+    _LOCAL_OPS = {
+        "hello": _op_hello,
+        "ping": _op_ping,
+        "metrics": _op_metrics,
+        "stats": _op_stats,
+    }
+
+
+class CertificationServer(FrameServer):
+    """Serve certification requests over a Unix or TCP socket from a warm runtime.
+
+    Parameters
+    ----------
+    socket_path / tcp:
+        Where to listen: a Unix-domain socket path, or a ``"HOST:PORT"`` TCP
+        address (the fleet transport) — exactly one; see :class:`FrameServer`.
+    cache_dir:
+        Directory of the persistent verdict cache.  ``None`` creates an
+        ephemeral cache for the server's lifetime — warm-cache semantics
+        still hold across requests, but verdicts die with the server.
+    shared_memory:
+        Whether pool workers attach datasets from shared memory.
+    max_engines / max_datasets:
+        Bounds of the engine-configuration and decoded-dataset LRUs.
+    """
+
+    def __init__(
+        self,
+        socket_path: Optional[Union[str, Path]] = None,
+        *,
+        tcp: Optional[Union[str, Tuple[str, int]]] = None,
+        cache_dir: Optional[Union[str, Path]] = None,
+        shared_memory: bool = True,
+        max_engines: int = 8,
+        max_datasets: int = 16,
+    ) -> None:
+        super().__init__(socket_path, tcp)
+        self._ephemeral_cache: Optional[tempfile.TemporaryDirectory] = None
+        if cache_dir is None:
+            self._ephemeral_cache = tempfile.TemporaryDirectory(prefix="repro-serve-")
+            cache_dir = self._ephemeral_cache.name
+        self.runtime = CertificationRuntime(cache_dir, shared_memory=shared_memory)
+        self.max_engines = max_engines
+        self.max_datasets = max_datasets
+        self._engines: "OrderedDict[tuple, CertificationEngine]" = OrderedDict()
+        self._datasets: "OrderedDict[str, Dataset]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.requests_served = 0
+        # Operations currently executing on handler threads.  close() drains
+        # this before closing the cache: handler threads are daemonic (an
+        # idle client parked in readline must not block shutdown), so the
+        # socketserver machinery alone cannot tell us when in-flight *work*
+        # — which may be mid-cache-write — has finished.
+        self._active_ops = 0
+
+    #: How long close() waits for in-flight operations before closing the
+    #: cache underneath them anyway (they then fail with an error frame).
+    DRAIN_TIMEOUT_SECONDS = 10.0
+
+    def _teardown(self) -> None:
+        """Drain in-flight work, then close the cache."""
         # Wait for handler threads that are mid-operation (possibly writing
         # verdicts) before pulling the cache out from under them; idle
         # connections hold no operation and do not delay shutdown.
@@ -369,22 +454,42 @@ class CertificationServer:
             self._ephemeral_cache.cleanup()
             self._ephemeral_cache = None
 
-    def __enter__(self) -> "CertificationServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -------------------------------------------------------------- dispatch
     def dispatch(self, op: Optional[str], params: dict) -> dict:
         """Execute one non-streaming operation; returns the result payload."""
         handler = self._OPS.get(op or "")
         if handler is None:
-            raise ProtocolError(
-                f"unknown operation {op!r}; supported: {sorted(self._OPS)} "
-                "+ ['certify_stream', 'shutdown']"
-            )
+            raise self._unknown_op(op)
+        with self._served(op):
+            return handler(self, params)
+
+    def stream(self, request_id: object, params: dict, write: FrameWriter) -> None:
+        """Write each verdict as it lands, then aggregate counters (no rows)."""
+        engine, request, n_jobs = self._decode_certify(params)
+        with self._served("certify_stream"):
+            for index, result in enumerate(engine.certify_stream(request, n_jobs=n_jobs)):
+                write(
+                    {
+                        "id": request_id,
+                        "event": "result",
+                        "index": index,
+                        "result": result.to_dict(),
+                    }
+                )
+        write(
+            {
+                "id": request_id,
+                "event": "end",
+                "report": {
+                    "schema_version": SCHEMA_VERSION,
+                    "runtime_stats": self._batch_stats(),
+                },
+            }
+        )
+
+    @contextmanager
+    def _served(self, op: str) -> Iterator[None]:
+        """Count, time and trace one operation, and hold it in the drain count."""
         with self._lock:
             self.requests_served += 1
             self._active_ops += 1
@@ -397,7 +502,7 @@ class CertificationServer:
             # roots ring stamped with the bound request id, where the `trace`
             # op can find it.
             with tracing.span(f"server.{op}"):
-                return handler(self, params)
+                yield
         except BaseException as error:
             failure = error
             raise
@@ -417,27 +522,10 @@ class CertificationServer:
             fields["error_type"] = type(failure).__name__
         events.emit("server.dispatch", **fields)
 
-    def _op_hello(self, params: dict) -> dict:
-        requested = int(params.get("protocol", PROTOCOL_VERSION))
-        if requested != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"client speaks protocol {requested}, server speaks "
-                f"{PROTOCOL_VERSION}"
-            )
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "protocol_minor": PROTOCOL_MINOR,
-            "schema_version": SCHEMA_VERSION,
-            "server_version": repro.__version__,
-            "pid": os.getpid(),
-            # Minor 2: the server's bound-address identity, so a router can
-            # verify it reached the ring node it aimed for.
-            "backend_id": self.backend_id,
-        }
-
-    def _op_ping(self, params: dict) -> dict:
-        del params
-        return {"pong": True, "uptime_seconds": time.monotonic() - self._started_at}
+    def hello_extras(self) -> dict:
+        # Minor 2: the server's bound-address identity, so a router can
+        # verify it reached the ring node it aimed for.
+        return {"backend_id": self.address}
 
     def _op_certify(self, params: dict) -> dict:
         engine, request, n_jobs = self._decode_certify(params)
@@ -529,8 +617,7 @@ class CertificationServer:
             ),
         )
 
-    def _op_stats(self, params: dict) -> dict:
-        del params
+    def stats(self) -> dict:
         with self._lock:
             engines = [
                 {
@@ -549,27 +636,6 @@ class CertificationServer:
             "engines": engines,
             "metrics": metrics.get_registry().snapshot(),
         }
-
-    def _op_metrics(self, params: dict) -> dict:
-        """The versioned telemetry op: the server process's metrics registry.
-
-        ``format="json"`` (default) returns the structured snapshot;
-        ``format="prometheus"`` returns the text exposition, which the CLI's
-        ``repro metrics --connect`` relays verbatim so a scrape sidecar needs
-        no knowledge of the snapshot schema.
-        """
-        fmt = str(params.get("format", "json"))
-        registry = metrics.get_registry()
-        payload = {"metrics_version": METRICS_VERSION, "format": fmt}
-        if fmt == "prometheus":
-            payload["prometheus"] = registry.to_prometheus()
-        elif fmt == "json":
-            payload["metrics"] = registry.snapshot()
-        else:
-            raise ProtocolError(
-                f"unknown metrics format {fmt!r}; use 'json' or 'prometheus'"
-            )
-        return payload
 
     def _op_trace(self, params: dict) -> dict:
         """Fetch a stored span tree from the completed-roots ring by request id.
@@ -596,52 +662,15 @@ class CertificationServer:
         )
 
     _OPS = {
-        "hello": _op_hello,
-        "ping": _op_ping,
+        **FrameServer._LOCAL_OPS,
         "certify": _op_certify,
         "max_certified": _op_max_certified,
         "pareto_frontier": _op_pareto_frontier,
         "pareto_sweep": _op_pareto_sweep,
         "cache_stats": _op_cache_stats,
         "cache_gc": _op_cache_gc,
-        "stats": _op_stats,
-        "metrics": _op_metrics,
         "trace": _op_trace,
     }
-
-    # ------------------------------------------------------------- streaming
-    def stream(self, params: dict):
-        """Yield ``(index, result)`` pairs for a ``certify_stream`` request."""
-        engine, request, n_jobs = self._decode_certify(params)
-        with self._lock:
-            self.requests_served += 1
-            self._active_ops += 1
-        _OP_REQUESTS.inc(op="certify_stream")
-        started = time.perf_counter()
-        failure: Optional[BaseException] = None
-        try:
-            with tracing.span("server.certify_stream"):
-                for index, result in enumerate(
-                    engine.certify_stream(request, n_jobs=n_jobs)
-                ):
-                    yield index, result
-        except BaseException as error:
-            failure = error
-            raise
-        finally:
-            elapsed = time.perf_counter() - started
-            _OP_SECONDS.observe(elapsed, op="certify_stream")
-            self._emit_dispatch("certify_stream", elapsed, failure)
-            with self._lock:
-                self._active_ops -= 1
-
-    def last_stream_report(self, params: dict) -> dict:
-        """The closing frame of a stream: aggregate counters, no per-point rows."""
-        del params
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "runtime_stats": self._batch_stats(),
-        }
 
     # --------------------------------------------------------------- helpers
     def _decode_certify(self, params: dict):

@@ -351,8 +351,7 @@ def _split_score_bounds(
     left_class_counts: np.ndarray,
     right_sizes: np.ndarray,
     right_class_counts,
-    left_removals,
-    right_removals,
+    removals: int,
     flips: int,
     method: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -360,10 +359,9 @@ def _split_score_bounds(
 
     ``score#`` is ``|left| · ent#(left) + |right| · ent#(right)`` (§4.6),
     each side's ``cprob#`` as in :func:`cprob_optimal` / :func:`cprob_box`.
-    Sizes have shape ``(c,)`` and class counts ``(c, k)``; the removal
-    budgets are one per side, for all candidates or one per candidate, and
-    each side keeps the full budget (clamped to its size).  The right class
-    counts may also be a :class:`_RowComplement` of a node table.
+    Sizes have shape ``(c,)`` and class counts ``(c, k)``; each side keeps
+    the full removal budget (clamped to its size).  The right class counts
+    may also be a :class:`_RowComplement` of a node table.
 
     A flipped label lives on exactly one side, so the flip budget is not
     granted to both sides at once (which would double-count every flip):
@@ -452,13 +450,13 @@ def _split_score_bounds(
         left_lower, left_upper = side(
             left_sizes[block],
             left_class_counts[block],
-            _rows_of(left_removals, block),
+            removals,
             allocations,
         )
         right_lower, right_upper = side(
             right_sizes[block],
             right_class_counts[block],
-            _rows_of(right_removals, block),
+            removals,
             allocations[::-1],
         )
         left_lower += right_lower
@@ -466,11 +464,6 @@ def _split_score_bounds(
         left_lower.min(axis=-1, out=lower[block])
         left_upper.max(axis=-1, out=upper[block])
     return lower, upper
-
-
-def _rows_of(budget, block: slice):
-    """A removal budget for the rows of ``block``: shared, or one per row."""
-    return budget[block] if isinstance(budget, np.ndarray) else budget
 
 
 class _RowComplement:
@@ -750,7 +743,6 @@ def _selection(
         left_class_counts,
         right_sizes,
         right_class_counts,
-        removals,
         removals,
         flips,
         method,

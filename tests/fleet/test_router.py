@@ -6,6 +6,7 @@ one deliberately unfaithful backend (:class:`FlakyBackend`) that speaks just
 enough protocol to die mid-stream on cue, making failover deterministic.
 """
 
+import dataclasses
 import socket
 import threading
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import SCHEMA_VERSION
+from repro.core.dataset import Dataset
 from repro.fleet import CertificationRouter, HashRing, shard_key
 from repro.fleet.router import _FAILOVERS
 from repro.poisoning.models import RemovalPoisoningModel
@@ -36,6 +38,22 @@ POINTS = np.array([[0.5], [11.0]])
 def _failover_count() -> float:
     series = _FAILOVERS.snapshot().get("series", [])
     return sum(row["value"] for row in series)
+
+
+def _dataset_owned_by(owner: str, backends) -> Dataset:
+    """The test dataset, renamed until ``owner`` holds its shard.
+
+    The ring stays fixed and every name is a fresh shard key, so each try
+    succeeds with the owner's share of the ring (at least about a third
+    for two nodes); 64 tries all fail with odds below 1e-12.
+    """
+    ring = HashRing(list(backends))
+    dataset = well_separated_dataset()
+    for attempt in range(64):
+        renamed = dataclasses.replace(dataset, name=f"well-separated-{attempt}")
+        if ring.primary(shard_key(dataset_to_wire(renamed))) == owner:
+            return renamed
+    raise AssertionError(f"could not place {owner} as shard owner")
 
 
 @pytest.fixture
@@ -234,25 +252,6 @@ class FlakyBackend:
 
 
 class TestFailover:
-    def _fleet_with_flaky_primary(self, tmp_path, dataset, results_wire):
-        """A (flaky, real) pair where the *flaky* node owns the dataset.
-
-        The flaky backend's ephemeral port changes the ring layout; re-bind
-        until the ring puts the dataset's shard on the flaky node (p=1/2
-        per attempt, so a handful of tries suffice deterministically).
-        """
-        real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
-        real.start()
-        key = shard_key(dataset_to_wire(dataset))
-        for _ in range(64):
-            flaky = FlakyBackend(results_wire, die_after=1)
-            ring = HashRing([flaky.address, real.address])
-            if ring.primary(key) == flaky.address:
-                return flaky, real
-            flaky.close()
-        real.close()
-        raise AssertionError("could not place the flaky backend as shard owner")
-
     def test_mid_stream_death_fails_over_with_renumbered_indices(self, tmp_path):
         """Acceptance: a backend dying mid-batch still yields a full report."""
         dataset = well_separated_dataset()
@@ -266,7 +265,9 @@ class TestFailover:
                 for r in c.certify_stream(dataset, POINTS, RemovalPoisoningModel(1))
             ]
         seed.close()
-        flaky, real = self._fleet_with_flaky_primary(tmp_path, dataset, baked)
+        real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
+        real.start()
+        flaky = FlakyBackend(baked, die_after=1)
         router = CertificationRouter(
             [flaky.address, real.address],
             tcp="127.0.0.1:0",
@@ -276,6 +277,8 @@ class TestFailover:
         wait_for_server(router.address, timeout=30)
         before = _failover_count()
         try:
+            # Route to the flaky node first: a dataset whose shard it owns.
+            dataset = _dataset_owned_by(flaky.address, router.ring.backends)
             with CertificationClient(
                 router.address, max_depth=1, domain="box"
             ) as client:
@@ -300,22 +303,14 @@ class TestFailover:
         """After one observed death the router stops trying the corpse."""
         real = CertificationServer(tcp="127.0.0.1:0", cache_dir=tmp_path / "real")
         real.start()
-        dataset = well_separated_dataset()
-        key = shard_key(dataset_to_wire(dataset))
-        # A port with nothing behind it: every connect is refused.  Re-bind
-        # until the dead port *owns* the dataset's shard, so the first
-        # request deterministically hits the corpse and fails over (the
-        # alternative layout would leave liveness to the health-probe race).
-        for _ in range(64):
-            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            probe.bind(("127.0.0.1", 0))
-            dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
-            probe.close()
-            if HashRing([dead_address, real.address]).primary(key) == dead_address:
-                break
-        else:
-            real.close()
-            raise AssertionError("could not place the dead port as shard owner")
+        # A port with nothing behind it: every connect is refused.  The dead
+        # port must *own* the dataset's shard, so the first request
+        # deterministically hits the corpse and fails over (the alternative
+        # layout would leave liveness to the health-probe race).
+        probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        probe.bind(("127.0.0.1", 0))
+        dead_address = "127.0.0.1:%d" % probe.getsockname()[1]
+        probe.close()
         router = CertificationRouter(
             [dead_address, real.address],
             tcp="127.0.0.1:0",
@@ -324,6 +319,7 @@ class TestFailover:
         router.start()
         wait_for_server(router.address, timeout=30)
         try:
+            dataset = _dataset_owned_by(dead_address, router.ring.backends)
             with CertificationClient(
                 router.address, max_depth=1, domain="box"
             ) as client:

@@ -320,7 +320,6 @@ class TestAllocationAwareSplitBounds:
             table.right_sizes,
             table.right_class_counts,
             removals,
-            removals,
             flips,
             "optimal",
         )
@@ -338,7 +337,6 @@ class TestAllocationAwareSplitBounds:
             class_counts,
             np.zeros_like(sizes),
             np.zeros_like(class_counts),
-            removals,
             removals,
             flips,
             "optimal",

@@ -13,8 +13,10 @@ from repro.poisoning.models import (
     RemovalPoisoningModel,
 )
 from repro.runtime import fingerprint_dataset
+from repro.fleet.router import CertificationRouter
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
+    OPS,
     ProtocolError,
     dataset_from_wire,
     dataset_to_wire,
@@ -127,3 +129,16 @@ class TestEngineConfigWire:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ProtocolError, match="n_jobs"):
             engine_config_to_wire(n_jobs=2)
+
+
+class TestOperationTable:
+    def test_the_daemon_serves_every_declared_op(self):
+        from repro.service.server import CertificationServer
+
+        served = set(CertificationServer._OPS) | {"certify_stream", "shutdown"}
+        assert served == set(OPS)
+
+    def test_the_router_answers_every_local_op(self):
+        local = {op for op, how in OPS.items() if how == "local"}
+        assert set(CertificationRouter._LOCAL_OPS) | {"shutdown"} == local
+        assert set(OPS.values()) == {"local", "shard", "fanout", "stream", None}

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import SCHEMA_VERSION
+from repro.fleet import CertificationRouter
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
 from repro.service import (
     PROTOCOL_VERSION,
@@ -28,6 +29,17 @@ pytestmark = pytest.mark.skipif(
 )
 
 POINTS = np.array([[0.5], [11.0], [5.0]])
+
+
+def _router(path):
+    # Binding needs no live backend; the router only dials one per request.
+    return CertificationRouter(["127.0.0.1:9"], socket_path=path)
+
+
+#: Both processes that bind a Unix socket through the shared serving code.
+LISTENERS = pytest.mark.parametrize(
+    "listen", [CertificationServer, _router], ids=["server", "router"]
+)
 
 
 @pytest.fixture
@@ -256,19 +268,23 @@ class TestLifecycle:
         server.close()
         assert not server.socket_path.exists()
 
-    def test_stale_socket_file_is_reclaimed(self, tmp_path):
+    @LISTENERS
+    def test_stale_socket_file_is_reclaimed(self, tmp_path, listen):
         path = tmp_path / "s3"
         path.touch()  # a dead socket (nothing listening)
-        server = CertificationServer(path)
-        with server:
+        with listen(path):
             wait_for_server(path, timeout=30)
 
-    def test_live_socket_is_not_stolen(self, tmp_path):
-        first = CertificationServer(tmp_path / "s4")
+    @LISTENERS
+    def test_live_socket_is_not_stolen(self, tmp_path, listen):
+        first = listen(tmp_path / "s4")
         with first:
             wait_for_server(first.socket_path, timeout=30)
             with pytest.raises(RuntimeError, match="already listening"):
-                CertificationServer(tmp_path / "s4").start()
+                listen(tmp_path / "s4").start()
+            # The refused second listener left the path to the first.
+            with CertificationClient(first.socket_path) as client:
+                assert client.server_info["backend_id"].endswith(str(first.socket_path))
 
     def test_wait_for_server_times_out(self, tmp_path):
         with pytest.raises(TimeoutError, match="no certification server"):

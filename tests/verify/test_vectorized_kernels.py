@@ -115,7 +115,7 @@ class TestSplitScoreBounds:
         left_sizes, left_counts, right_sizes, right_counts = sides
         # f = 0: the paper's score#, side by side, under both cprob# methods.
         for method in ("optimal", "box"):
-            lower, upper = _split_score_bounds(*sides, removals, removals, 0, method)
+            lower, upper = _split_score_bounds(*sides, removals, 0, method)
             left_lower, left_upper = _side_score_bounds_reference(
                 left_sizes, left_counts, removals, method
             )
@@ -125,79 +125,37 @@ class TestSplitScoreBounds:
             np.testing.assert_allclose(lower, left_lower + right_lower, atol=TOL)
             np.testing.assert_allclose(upper, left_upper + right_upper, atol=TOL)
         # f > 0 under optimal: the allocation-at-a-time oracle, bit for bit.
-        lower, upper = _split_score_bounds(
-            *sides, removals, removals, flips, "optimal"
-        )
+        lower, upper = _split_score_bounds(*sides, removals, flips, "optimal")
         ref_lower, ref_upper = _flip_split_score_bounds_reference(
             *sides, removals, flips
         )
         np.testing.assert_array_equal(lower, ref_lower)
         np.testing.assert_array_equal(upper, ref_upper)
         # f > 0 under box: the naïve cprob# only widens the optimal bounds.
-        box_lower, box_upper = _split_score_bounds(
-            *sides, removals, removals, flips, "box"
-        )
+        box_lower, box_upper = _split_score_bounds(*sides, removals, flips, "box")
         assert np.all(box_lower <= lower + TOL)
         assert np.all(box_upper >= upper - TOL)
-
-    @settings(max_examples=60, deadline=None)
-    @given(candidate_tables(), st.data(), st.sampled_from(["optimal", "box"]))
-    def test_per_candidate_budgets_match_reference(self, table, data, method):
-        # The kernel also takes one removal budget per candidate and side.
-        sizes, counts = table
-        budgets = [
-            [data.draw(st.integers(min_value=0, max_value=6)) for _ in sizes]
-            for _ in range(2)
-        ]
-        left_budgets, right_budgets = np.array(budgets)
-        lower, upper = _split_score_bounds(
-            sizes, counts, sizes, counts, left_budgets, right_budgets, 0, method
-        )
-        for i in range(sizes.shape[0]):
-            expected = [
-                _side_score_bounds_reference(
-                    sizes[i : i + 1], counts[i : i + 1], side_budgets[i], method
-                )
-                for side_budgets in budgets
-            ]
-            np.testing.assert_allclose(
-                lower[i], expected[0][0][0] + expected[1][0][0], atol=TOL
-            )
-            np.testing.assert_allclose(
-                upper[i], expected[0][1][0] + expected[1][1][0], atol=TOL
-            )
 
     @settings(max_examples=40, deadline=None)
     @given(
         candidate_tables(max_candidates=20),
         candidate_tables(max_candidates=20),
         st.integers(min_value=0, max_value=6),
-        st.data(),
     )
-    def test_row_blocks_leave_the_bits(self, left, right, removals, data):
-        # Blocks of 1, 3 and 7 rows give the default block's bits, with one
-        # budget for all rows or one per row, for every f and both methods.
+    def test_row_blocks_leave_the_bits(self, left, right, removals):
+        # Blocks of 1, 3 and 7 rows give the default block's bits, for every
+        # f and both methods.
         sides = _split(left, right)
-        per_row = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=6),
-                    min_size=sides[0].size,
-                    max_size=sides[0].size,
-                )
-            )
-        )
-        for budgets in ((removals, removals), (per_row, per_row[::-1].copy())):
-            for flips in (0, 1, 2):
-                for method in ("optimal", "box"):
-                    expected = _split_score_bounds(*sides, *budgets, flips, method)
-                    for rows in SMALL_BLOCKS:
-                        with block_rows(rows):
-                            lower, upper = _split_score_bounds(
-                                *sides, *budgets, flips, method
-                            )
-                        np.testing.assert_array_equal(lower, expected[0])
-                        np.testing.assert_array_equal(upper, expected[1])
+        for flips in (0, 1, 2):
+            for method in ("optimal", "box"):
+                expected = _split_score_bounds(*sides, removals, flips, method)
+                for rows in SMALL_BLOCKS:
+                    with block_rows(rows):
+                        lower, upper = _split_score_bounds(
+                            *sides, removals, flips, method
+                        )
+                    np.testing.assert_array_equal(lower, expected[0])
+                    np.testing.assert_array_equal(upper, expected[1])
 
     @settings(max_examples=40, deadline=None)
     @given(candidate_tables(max_candidates=20), st.integers(0, 6), st.integers(0, 2))
@@ -206,7 +164,7 @@ class TestSplitScoreBounds:
         sizes, counts = table
         totals = counts.max(axis=0)
         right_counts = totals - counts
-        budgets = (removals, removals, flips, "optimal")
+        budgets = (removals, flips, "optimal")
         with block_rows(3):
             expected = _split_score_bounds(
                 sizes, counts, right_counts.sum(axis=1), right_counts, *budgets
@@ -231,7 +189,7 @@ class TestSplitScoreBounds:
     )
     def test_bounds_are_ordered(self, left, right, removals, flips, method):
         sides = _split(left, right)
-        lower, upper = _split_score_bounds(*sides, removals, removals, flips, method)
+        lower, upper = _split_score_bounds(*sides, removals, flips, method)
         assert np.all(lower <= upper + TOL)
 
 
