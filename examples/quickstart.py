@@ -76,7 +76,8 @@ def iris_example() -> None:
         split.train, split.test.X[:10], RemovalPoisoningModel(2)
     )
     # certify_stream yields per-point verdicts in input order as they finish;
-    # engine.verify(request, n_jobs=4) runs the same batch on worker processes.
+    # engine.verify(request, n_jobs=4) runs the same batch on up to four
+    # worker processes, once the first points show that they pay.
     results = []
     for index, result in enumerate(engine.certify_stream(request)):
         results.append(result)

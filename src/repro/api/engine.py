@@ -27,7 +27,7 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
   queries answer from the persistent verdict cache (with budget-monotone
   derivation), and long batches checkpoint to a resumable run journal.
   Engines without an explicit runtime still get the shared-memory dataset
-  plane by default whenever ``n_jobs > 1``.
+  plane by default when a pool starts.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Iterator,
+    List,
     Mapping,
     Optional,
     Protocol,
@@ -146,11 +147,19 @@ _WORKER_TASK_SECONDS = metrics.histogram(
     "Per-task certification wall time inside one pool worker.",
     labelnames=("worker",),
 )
-#: Worker-side pool start-up: dataset attach/unpickle plus plan rebuild.
+#: Worker-side pool start-up: dataset attach/unpickle plus task bind.
 #: Observed in the worker and shipped to the parent via the merge plane.
 _POOL_ATTACH_SECONDS = metrics.histogram(
     "pool_attach_seconds",
-    "Pool initializer time: dataset attach plus request-plan rebuild.",
+    "Pool initializer time: dataset attach plus task bind (a plan-cache "
+    "lookup when the worker forked from the warm parent).",
+)
+#: Batches that asked for ``n_jobs > 1`` and ended in the parent because a
+#: pool would not have paid for its workers (see :func:`_pool_pays`).
+_POOL_DECLINED = metrics.counter(
+    "pool_declined_total",
+    "Batches asking for n_jobs > 1 that the parent certified alone because "
+    "a pool would not pay for its workers.",
 )
 #: Bytes of pickled per-worker payload (a shm handle or the full dataset).
 _POOL_PAYLOAD_BYTES = metrics.gauge(
@@ -230,8 +239,8 @@ class CertificationEngine:
     runtime:
         Optional :class:`~repro.runtime.CertificationRuntime` providing the
         shared-memory dataset plane, the persistent verdict cache, and
-        resumable run journals.  Without one, parallel batches
-        (``n_jobs > 1``) still use the process-wide shared-memory default.
+        resumable run journals.  Without one, a batch that starts a pool
+        still publishes to the process-wide shared-memory default.
     """
 
     max_depth: int = 2
@@ -292,26 +301,42 @@ class CertificationEngine:
             max_disjuncts=self.max_disjuncts,
         )
 
-    def __getstate__(self) -> dict:
-        # Cached plans hold full abstract training sets — shipping them to
-        # pool workers would defeat the shared-memory dataset plane, so they
-        # are rebuilt worker-side.  The runtime (sqlite handles, shared-memory
-        # registries) and the scheduler (locks, in-flight futures, thread
-        # pools) are parent-only state and never travel either.
+    def _worker_state(self, warm: bool) -> dict:
+        """This engine's fields as a pool worker gets them.
+
+        The runtime (sqlite handles, shared-memory registries), the scheduler
+        (locks, in-flight futures, thread pools), the plan lock and the
+        per-thread trace tallies are parent-only state and never reach a
+        worker.  The plan and trace caches come along only when ``warm``:
+        a forked worker inherits them in memory, while pickling them would
+        ship full abstract training sets and defeat the shared-memory plane.
+        """
         state = dict(self.__dict__)
         state["_plan_cache"] = {}
+        state["_trace_cache"] = {}
+        if warm:
+            with self._plan_lock:
+                state["_plan_cache"] = OrderedDict(self._plan_cache)
+            state["_trace_cache"] = dict(self._trace_cache)
         state["runtime"] = None
         state["_scheduler"] = None
         state["_plan_lock"] = None
-        state["_trace_cache"] = {}
         state["_trace_local"] = None
         return state
 
+    def _forked_worker(self) -> "CertificationEngine":
+        """The engine a forked pool worker starts from: warm, parent-free."""
+        engine = object.__new__(CertificationEngine)
+        engine.__setstate__(self._worker_state(warm=True))
+        return engine
+
+    def __getstate__(self) -> dict:
+        return self._worker_state(warm=False)
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._plan_cache = OrderedDict()
+        self._plan_cache = OrderedDict(state["_plan_cache"])
         self._plan_lock = threading.Lock()
-        self._trace_cache = {}
         self._trace_local = threading.local()
 
     @property
@@ -335,7 +360,8 @@ class CertificationEngine:
 
         This is the single entry point all threat models flow through; with
         ``n_jobs > 1`` the points of the request are certified on a process
-        pool (results stay in input order either way).
+        pool once the batch head shows that one pays (results stay in input
+        order either way).
         """
         watch = Stopwatch().start()
         with tracing.span("engine.verify") as trace_root:
@@ -383,8 +409,8 @@ class CertificationEngine:
         clients asking the same question — cost one learner invocation per
         distinct point.  With a :class:`~repro.runtime.CertificationRuntime`
         attached, the non-leased remainder flows through its cache/journal
-        first and only the misses reach the learners; without one, parallel
-        batches still get the process-wide shared-memory dataset plane.
+        first and only the misses reach the learners; without one, a batch
+        that starts a pool still gets the process-wide shared-memory plane.
         """
         dataset = request.dataset
         # Requests resolve n_classes at construction; re-resolving here keeps
@@ -421,20 +447,10 @@ class CertificationEngine:
         cross-batch coalescing before delegating here); ``model`` must already
         be class-count resolved.
         """
-        workers = min(int(n_jobs), len(rows))
-        runtime = self.runtime
-        if runtime is not None:
-            yield from runtime.stream(self, dataset, model, rows, n_jobs=workers)
-            return
-        shared_handle = None
-        if workers > 1:
-            # Deferred import: repro.runtime pulls in this module's siblings.
-            from repro.runtime.runtime import default_runtime
-
-            shared_handle = default_runtime().publish(dataset)
-        yield from self._compute_stream(
-            dataset, rows, model, n_jobs=workers, shared_handle=shared_handle
-        )
+        if self.runtime is not None:
+            yield from self.runtime.stream(self, dataset, model, rows, n_jobs=n_jobs)
+        else:
+            yield from self._compute_stream(dataset, rows, model, n_jobs=n_jobs)
 
     def _compute_stream(
         self,
@@ -443,7 +459,6 @@ class CertificationEngine:
         model: PerturbationModel,
         *,
         n_jobs: int = 1,
-        shared_handle: Optional[SharedDatasetHandle] = None,
     ) -> Iterator[VerificationResult]:
         """Run the learners over ``rows`` in order (no cache consultation).
 
@@ -451,9 +466,7 @@ class CertificationEngine:
         runtime layer: each row is one :meth:`_certify_one` call against the
         (dataset, model) plan, mapped through :meth:`_map_rows`.
         """
-        yield from self._map_rows(
-            dataset, rows, _CertifyRows(model), n_jobs=n_jobs, shared_handle=shared_handle
-        )
+        yield from self._map_rows(dataset, rows, _CertifyRows(model), n_jobs=n_jobs)
 
     def _map_rows(
         self,
@@ -462,16 +475,22 @@ class CertificationEngine:
         task: "_RowTask",
         *,
         n_jobs: int = 1,
-        shared_handle: Optional[SharedDatasetHandle] = None,
     ) -> Iterator:
         """Apply a per-row ``task`` to ``rows``, yielding its outputs in order.
 
-        The engine's one process pool.  ``task.bind(engine, dataset)`` builds
-        the per-row function once per process: in the parent for serial
-        runs, in each worker's initializer otherwise.  With ``n_jobs > 1``
-        the workers receive ``shared_handle`` (attaching the dataset
-        zero-copy) when one is given, and the pickled dataset otherwise;
-        pool failures fall back to serial execution of the remaining rows.
+        The engine's one process pool, started only when it pays.
+        ``task.bind(engine, dataset)`` builds the per-row function once per
+        process.  With ``n_jobs > 1`` the parent certifies the head of the
+        batch itself, which computes the point-independent prefix (request
+        plan, split plan, root work) once, and after every row asks
+        :func:`_pool_pays` whether workers would win back that prefix on the
+        rows left.  A batch that ends in the parent counts in
+        ``pool_declined_total``.  Only a starting pool publishes the dataset
+        to shared memory (through the attached runtime, or the process-wide
+        default); its workers attach it, or unpickle it where shared memory
+        is off, and under the fork start method inherit the parent's warm
+        request plans.  Pool failures fall back to the parent's bound task
+        on every row not yet yielded.
         """
         workers = min(int(n_jobs), len(rows))
         if workers <= 1:
@@ -479,9 +498,28 @@ class CertificationEngine:
             for row in rows:
                 yield run(row)
             return
-        # Workers rebuild the dataset (from shared memory when possible) and
-        # bind the task in the pool initializer, so the parent ships neither
-        # plans nor per-row state.
+        walls: List[float] = []
+        started = time.perf_counter()
+        run = task.bind(self, dataset)
+        while not _pool_pays(walls, len(rows) - len(walls), workers, _POOL_STARTUP[0]):
+            output = run(rows[len(walls)])
+            walls.append(time.perf_counter() - started)
+            if len(walls) == len(rows):
+                # Counted before the last yield: a consumer that takes every
+                # row and then closes the stream never resumes it.
+                _POOL_DECLINED.inc()
+                yield output
+                return
+            yield output
+            started = time.perf_counter()
+        rows = rows[len(walls) :]
+        workers = min(workers, len(rows))
+        # Deferred import: repro.runtime pulls in this module's siblings.
+        from repro.runtime.runtime import default_runtime
+
+        startup_began = time.perf_counter()
+        runtime = self.runtime if self.runtime is not None else default_runtime()
+        shared_handle = runtime.publish(dataset)
         payload: Union[Dataset, SharedDatasetHandle] = (
             shared_handle if shared_handle is not None else dataset
         )
@@ -513,7 +551,7 @@ class CertificationEngine:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_initializer,
-                initargs=(self, payload, task),
+                initargs=(self._forked_worker(), payload, task),
             ) as executor:
                 for envelope in executor.map(_pool_run, tasks):
                     merge_started = time.perf_counter()
@@ -529,12 +567,12 @@ class CertificationEngine:
                     busy_seconds[envelope.worker] = (
                         busy_seconds.get(envelope.worker, 0.0) + envelope.task_seconds
                     )
+                    if yielded + len(envelope.results) == len(rows):
+                        # Booked before the last yield: a consumer that takes
+                        # every row and closes the stream never resumes it.
+                        _book_pool(busy_seconds, workers, pool_started, startup_began)
                     yield from envelope.results
                     yielded += len(envelope.results)
-            wall = time.perf_counter() - pool_started
-            if wall > 0:
-                for worker, seconds in busy_seconds.items():
-                    _WORKER_UTILIZATION.set(min(1.0, seconds / wall), worker=worker)
             return
         except (OSError, BrokenExecutor) as error:
             # Worker processes could not be spawned (sandboxed hosts forbid
@@ -545,7 +583,6 @@ class CertificationEngine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        run = task.bind(self, dataset)
         for row in rows[yielded:]:
             yield run(row)
 
@@ -870,14 +907,59 @@ class _DomainOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Process-pool plumbing.  Workers receive the engine and the row task once via
-# the pool initializer together with either a SharedDatasetHandle (attached
-# zero-copy from shared memory) or, as a fallback, the pickled dataset;
-# afterwards only the (small) test points travel through the task queue — and
-# each chunk's outputs travel back inside a `_WorkerEnvelope` that also
-# carries the worker's metric delta for that task, so `n_jobs > 1` runs lose
-# no attribution.
+# Process-pool plumbing.  A pool starts only once `_pool_pays` says so.  Its
+# workers receive the engine and the row task once via the pool initializer
+# together with either a SharedDatasetHandle (attached zero-copy from shared
+# memory) or, as a fallback, the pickled dataset; afterwards only the (small)
+# test points travel through the task queue — and each chunk's outputs travel
+# back inside a `_WorkerEnvelope` that also carries the worker's metric delta
+# for that task, so pooled runs lose no attribution.
 # ---------------------------------------------------------------------------
+
+
+#: Start-up seconds of this process's last pool, one slot (0 before any
+#: pool ran): the fixed cost the next pool must also win back.
+_POOL_STARTUP: List[float] = [0.0]
+
+
+def _pool_pays(
+    walls: Sequence[float], remaining: int, n_jobs: int, startup: float = 0.0
+) -> bool:
+    """Whether a pool started now would beat the parent on the rows left.
+
+    ``walls`` are the parent's per-row wall times so far, the first one
+    including the task's bind.  After h ≥ 2 rows the median of the later ones
+    is the per-row cost c, and p = t₀ − c is the point-independent prefix
+    (plans, root tables, root splits) that each worker would repeat.  With
+    r = ``remaining`` rows over w = min(n_jobs, r) workers, the pool saves
+    c·r·(1 − 1/w) of parent time, so it pays only when that exceeds p plus
+    ``startup``, the pool's own fixed cost (publish, fork, attach, dispatch)
+    as last measured.  A warm batch has p ≈ 0, and ``startup`` alone then
+    keeps cheap rows in the parent.
+    """
+    workers = min(n_jobs, remaining)
+    if len(walls) < 2 or workers < 2:
+        return False
+    per_row = float(np.median(walls[1:]))
+    return per_row * remaining * (1 - 1 / workers) > walls[0] - per_row + startup
+
+
+def _book_pool(
+    busy_seconds: Mapping[str, float],
+    workers: int,
+    pool_started: float,
+    startup_began: float,
+) -> None:
+    """Record a finished pool's worker utilization and its start-up cost."""
+    finished = time.perf_counter()
+    wall = finished - pool_started
+    if wall > 0:
+        for worker, seconds in busy_seconds.items():
+            _WORKER_UTILIZATION.set(min(1.0, seconds / wall), worker=worker)
+    # Publish, fork, attach, dispatch and merge: the batch's wall beyond an
+    # even split of the task time over the pool's workers.
+    even_split = sum(busy_seconds.values()) / workers
+    _POOL_STARTUP[0] = max(0.0, finished - startup_began - even_split)
 
 
 class _RowTask(Protocol):
@@ -941,8 +1023,10 @@ def _pool_initializer(
 ) -> None:
     # Snapshot *before* any work: under the fork start method the worker's
     # registry inherits the parent's series wholesale, and everything in this
-    # baseline is excluded from the first task's delta.  Attach and plan
-    # rebuild happen after, so their cost ships with that first delta.
+    # baseline is excluded from the first task's delta.  Attach and bind
+    # happen after, so their cost ships with that first delta.  A forked
+    # engine keeps the parent's warm plan cache, which the attached copy's
+    # fingerprint hits: bind is then a lookup, not a rebuild.
     _POOL_STATE["baseline"] = metrics.get_registry().snapshot()
     _POOL_STATE["epoch"] = uuid.uuid4().hex[:8]
     _POOL_STATE["task_counter"] = 0

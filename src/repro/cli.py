@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--depth", type=int, default=2, help="decision-tree depth")
     certify.add_argument("--domain", choices=("box", "disjuncts", "either"), default="either")
     certify.add_argument("--n-jobs", type=int, default=1,
-                         help="worker processes for the batch (1 = serial)")
+                         help="most worker processes for the batch (1 = serial; "
+                         "a pool starts only when the first points show it pays)")
     certify.add_argument("--scale", type=float, default=None,
                          help="dataset scale (1.0 = paper size)")
     certify.add_argument("--seed", type=int, default=0)

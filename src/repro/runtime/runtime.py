@@ -20,7 +20,7 @@ certification traffic:
 
 Attach a runtime to an engine with ``CertificationEngine(runtime=...)``;
 engines with no explicit runtime get a process-wide shared-memory-only
-runtime automatically whenever ``n_jobs > 1``.
+runtime automatically when a pool starts.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ class BatchStats:
     journal_restored: int = 0
     deduplicated: int = 0
     learner_invocations: int = 0
+    # A pool started for this batch's misses and attached the dataset from
+    # shared memory (batches the engine keeps in the parent publish nothing).
     shared_memory: bool = False
     truncated_at: Optional[int] = None
     # Box-learner filter steps of this batch's serial learner runs, and how
@@ -302,12 +304,20 @@ class CertificationRuntime:
 
     # ------------------------------------------------------------- the plane
     def publish(self, dataset: Dataset) -> Optional[SharedDatasetHandle]:
-        """Publish a dataset into shared memory (``None`` = unavailable/off)."""
+        """Publish a dataset into shared memory (``None`` = unavailable/off).
+
+        The engine calls this when it starts a pool; a batch this thread is
+        streaming then reports ``shared_memory``.
+        """
         if not self.shared_memory:
             return None
         if self._store is None:
             self._store = default_store()
-        return self._store.publish(dataset)
+        handle = self._store.publish(dataset)
+        streaming = getattr(self._batch_local, "streaming", None)
+        if handle is not None and streaming is not None:
+            streaming.shared_memory = True
+        return handle
 
     # ------------------------------------------------------------- streaming
     def stream(
@@ -436,24 +446,14 @@ class CertificationRuntime:
         # learner_invocations counts computed results as they arrive (below),
         # so an abandoned or failed stream does not overstate the work done.
 
-        shared_handle = None
-        if len(miss_indices) > 1 and n_jobs > 1:
-            # A single miss runs serially inside _compute_stream, so don't
-            # copy the dataset into shared memory (or claim we did) for it.
-            shared_handle = self.publish(dataset)
-            stats.shared_memory = shared_handle is not None
-
         computed: Iterator[VerificationResult] = iter(())
         if miss_indices:
             computed = engine._compute_stream(
-                dataset,
-                [rows[i] for i in miss_indices],
-                model,
-                n_jobs=n_jobs,
-                shared_handle=shared_handle,
+                dataset, [rows[i] for i in miss_indices], model, n_jobs=n_jobs
             )
 
         computed_by_digest: Dict[str, VerificationResult] = {}
+        self._batch_local.streaming = stats
         try:
             for index in range(cutoff):
                 result = resolved.get(index)
@@ -476,6 +476,7 @@ class CertificationRuntime:
                             journal.record(index, result)
                 yield result
         finally:
+            self._batch_local.streaming = None
             if self.cache is not None:
                 self.cache.commit()
             if consume_trace is not None:
@@ -793,8 +794,8 @@ _DEFAULT_RUNTIME: Optional[CertificationRuntime] = None
 def default_runtime() -> CertificationRuntime:
     """The process-wide shared-memory-only runtime (no cache, no journal).
 
-    This is what engines without an explicit ``runtime=`` use for
-    ``n_jobs > 1`` batches, giving every parallel caller the zero-copy
+    This is what engines without an explicit ``runtime=`` publish through
+    when a batch starts a pool, giving every pooled caller the zero-copy
     dataset plane by default.
     """
     global _DEFAULT_RUNTIME

@@ -5,7 +5,8 @@ Sandboxed hosts can forbid fork/spawn entirely (the pool constructor raises
 after yielding some results).  Either way ``certify_stream`` must warn,
 fall back to in-process certification, and still deliver every result in
 input order.  Pooled ``pareto_sweep`` runs on the same pool and shares that
-fallback.
+fallback.  The pool is forced to start after the parent's first row, since
+its cost gate would decline these tiny batches.
 """
 
 from concurrent.futures import BrokenExecutor
@@ -17,7 +18,7 @@ import repro.api.engine as engine_module
 from repro.api import CertificationEngine, CertificationRequest
 from repro.poisoning.models import RemovalPoisoningModel
 from repro.verify.search import pareto_sweep
-from tests.conftest import well_separated_dataset
+from tests.conftest import force_pool, well_separated_dataset
 
 POINTS = np.array([[0.5], [11.0], [0.8], [10.2]])
 EXPECTED_CLASSES = [0, 1, 0, 1]
@@ -64,7 +65,8 @@ class _MidwayBrokenPool:
 
 
 @pytest.fixture
-def engine():
+def engine(monkeypatch):
+    force_pool(monkeypatch, head=1)
     return CertificationEngine(max_depth=1, domain="box")
 
 
@@ -80,8 +82,9 @@ class TestSerialFallback:
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", _MidwayBrokenPool)
         with pytest.warns(RuntimeWarning, match="process pool unavailable"):
             results = list(engine.certify_stream(_request(), n_jobs=2))
-        # One result arrived before the executor broke; the fallback must
-        # resume *after* it, not re-certify or drop it.
+        # The parent certified the head row and the pool one more before the
+        # executor broke; the fallback must resume *after* them, not
+        # re-certify or drop them.
         assert len(results) == len(POINTS)
         assert [r.predicted_class for r in results] == EXPECTED_CLASSES
 

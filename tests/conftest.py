@@ -127,3 +127,17 @@ def block_rows(rows: int) -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(split_plan, "_BLOCK_ROWS", rows)
         yield
+
+
+def force_pool(monkeypatch: pytest.MonkeyPatch, head: int = 0) -> None:
+    """Make the engine start its pool once the parent has certified ``head``
+    rows, whatever they cost (the real gate declines tiny test batches)."""
+    import repro.api.engine as engine_module
+
+    monkeypatch.setattr(
+        engine_module,
+        "_pool_pays",
+        lambda walls, remaining, n_jobs, startup=0.0: (
+            remaining > 0 and len(walls) >= head
+        ),
+    )

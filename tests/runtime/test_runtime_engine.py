@@ -205,7 +205,7 @@ class TestEnvironmentalOutcomes:
             message="timed out",
         )
 
-        def compute_timeouts(self, dataset, rows, model, *, n_jobs=1, shared_handle=None):
+        def compute_timeouts(self, dataset, rows, model, *, n_jobs=1):
             yield from (timeout for _ in rows)
 
         engine = _engine(tmp_path)

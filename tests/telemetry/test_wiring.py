@@ -8,6 +8,7 @@ from repro.datasets.toy import figure2_dataset
 from repro.runtime import CertificationRuntime
 from repro.telemetry import metrics, tracing
 from repro.telemetry.metrics import series_value
+from tests.conftest import force_pool
 
 
 @pytest.fixture
@@ -140,7 +141,15 @@ def _pooled_sweep(engine, dataset, points):
     "pooled_run", [_pooled_verify, _pooled_sweep], ids=["verify", "pareto_sweep"]
 )
 class TestWorkerShipping:
-    """Pool workers ship metric deltas home; the parent merges them."""
+    """Pool workers ship metric deltas home; the parent merges them.
+
+    The pool is forced to take every row: its cost gate would decline these
+    tiny batches.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _forced_pool(self, monkeypatch):
+        force_pool(monkeypatch)
 
     def _pooled_report(self, registry, pooled_run):
         """Run one pooled job; returns the registry around it and the
