@@ -1,4 +1,4 @@
-"""Benchmark for the label-flip extension (experiment E12 in DESIGN.md).
+"""Benchmark for the label-flip extension.
 
 The paper's related-work section contrasts its removal model with the
 label-contamination model studied elsewhere; this extension benchmark

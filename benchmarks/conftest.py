@@ -1,10 +1,10 @@
 """Shared configuration for the benchmark harness.
 
 Each ``bench_*.py`` module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md's per-experiment index) at a scale small enough for
-continuous benchmarking, and writes the rendered artifact under
-``benchmarks/results/`` so the numbers recorded in EXPERIMENTS.md can be
-re-derived at any time.
+evaluation (§6; the README's Development section shows how to run one) at a
+scale small enough to run often, and writes the rendered artifact under
+``benchmarks/results/`` so the numbers can be re-derived at any time.  The
+speed of the reproduction is measured by ``certbench/``, not here.
 
 Scale note: dataset sizes, depths, and poisoning grids here are deliberately
 reduced relative to §6 of the paper (this is a pure-Python reproduction).

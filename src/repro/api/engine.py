@@ -174,7 +174,7 @@ _WORKER_UTILIZATION = metrics.gauge(
     labelnames=("worker",),
 )
 #: Parent-side cost of folding worker metric deltas into the registry
-#: (``bench_telemetry.py`` keeps this under 5% of pooled batch wall time).
+#: (CI's worker-shipping smoke keeps this under 5% of a pooled batch's wall).
 _WORKER_MERGE_SECONDS = metrics.histogram(
     "worker_merge_seconds",
     "Parent-side merge cost per worker metric delta.",

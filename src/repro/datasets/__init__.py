@@ -6,7 +6,7 @@ task in a boolean and a real-valued variant.  This environment has no network
 access, so this subpackage provides deterministic synthetic generators that
 reproduce each dataset's *shape* — number of classes, number and kind of
 features, training/test sizes, and comparable class separability — which is
-what drives Antidote's behaviour (see the substitution table in DESIGN.md).
+what drives Antidote's behaviour (the paper's Table 1 lists the originals).
 
 Every generator accepts a ``scale`` argument: ``scale=1.0`` matches the
 paper's training-set sizes, while the default registry entries use smaller

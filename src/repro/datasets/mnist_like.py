@@ -34,7 +34,7 @@ PAPER_SIDE = 28
 
 #: Default image side used by the registry; 14x14 = 196 features keeps the
 #: verification experiments tractable in pure Python while preserving the
-#: digit structure (see DESIGN.md's substitution table).
+#: digit structure.
 DEFAULT_SIDE = 14
 
 _CLASS_NAMES = ("one", "seven")

@@ -5,7 +5,7 @@ entry records the paper's training/test sizes (for reporting) next to the
 *default scale* the reproduction uses when the caller does not ask for a
 specific scale: the three UCI-sized datasets default to their full size, the
 MNIST variants default to a reduced size that keeps the pure-Python verifier
-responsive (see DESIGN.md, substitution table).
+responsive.
 """
 
 from __future__ import annotations

@@ -26,19 +26,6 @@ DEFAULT_POISONING_AMOUNTS: Dict[str, Tuple[int, ...]] = {
 #: The tree depths evaluated throughout the paper.
 PAPER_DEPTHS: Tuple[int, ...] = (1, 2, 3, 4)
 
-#: Default ``(n_remove, n_flip)`` grid for the composite removal+flip threat
-#: model (the x-axis of the composite benchmark).  Chosen so the grid walks
-#: both axes of the pair lattice: pure flips, pure removals, and mixed
-#: contamination at matched total budgets.
-DEFAULT_COMPOSITE_BUDGETS: Tuple[Tuple[int, int], ...] = (
-    (0, 1),
-    (1, 0),
-    (1, 1),
-    (2, 1),
-    (1, 2),
-    (2, 2),
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -58,13 +45,6 @@ class ExperimentConfig:
         verified if *either* domain succeeds.
     poisoning_amounts:
         Per-dataset grid of ``n`` values; defaults to the paper's axes.
-    composite_budgets:
-        Grid of ``(n_remove, n_flip)`` pairs evaluated by the composite
-        removal+flip benchmark.
-    frontier_budgets:
-        ``(max_remove, max_flip)`` caps of the composite Pareto-frontier
-        sweep (the staircase searches the grid
-        ``[0, max_remove] × [0, max_flip]`` per point).
     dataset_scales:
         Per-dataset generation scale overrides (``None`` entries fall back to
         the registry defaults; the value 1.0 is paper size).
@@ -93,8 +73,6 @@ class ExperimentConfig:
     poisoning_amounts: Mapping[str, Tuple[int, ...]] = field(
         default_factory=lambda: dict(DEFAULT_POISONING_AMOUNTS)
     )
-    composite_budgets: Tuple[Tuple[int, int], ...] = DEFAULT_COMPOSITE_BUDGETS
-    frontier_budgets: Tuple[int, int] = (2, 2)
     dataset_scales: Mapping[str, Optional[float]] = field(default_factory=dict)
     timeout_seconds: Optional[float] = 30.0
     max_disjuncts: int = 4096

@@ -1,8 +1,8 @@
 """Helpers for persisting regenerated tables and figure series to disk.
 
-The benchmark harness writes every regenerated artifact under
-``benchmarks/results/`` so that the numbers recorded in :file:`EXPERIMENTS.md`
-can be re-derived and diffed after any change to the library.
+The paper benchmarks write every regenerated artifact under
+``benchmarks/results/`` so that the tables and figure series can be
+re-derived and diffed after any change to the library.
 """
 
 from __future__ import annotations

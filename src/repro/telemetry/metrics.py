@@ -2,9 +2,9 @@
 
 The registry is the always-on half of the telemetry subsystem: counter
 increments and histogram observations are a dict lookup plus a locked float
-add, cheap enough to leave enabled on the warm serving path (the paired
-``benchmarks/bench_telemetry.py`` keeps the overhead under 5%).  Span tracing,
-the expensive half, lives in :mod:`repro.telemetry.tracing` and is opt-in.
+add, cheap enough to leave enabled on the warm serving path (every
+``certbench`` run measures with them on).  Span tracing, the expensive half,
+lives in :mod:`repro.telemetry.tracing` and is opt-in.
 
 Metrics are *labeled series*: one metric family (say
 ``cache_lookups_total``) owns one series per distinct label value combination

@@ -32,8 +32,8 @@ __all__ = ["ladder_stage", "current_stage", "phase"]
 
 _stage_local = threading.local()
 
-#: Wall time per (ladder stage, transformer phase); the instrument panel for
-#: the pooled-vs-serial gap recorded in BENCH_parallel.json.
+#: Wall time per (ladder stage, transformer phase); pool workers ship theirs
+#: back to the parent's registry.
 PHASE_SECONDS = metrics.histogram(
     "learner_phase_seconds",
     "Wall seconds spent per abstract-learner phase, by ladder stage.",

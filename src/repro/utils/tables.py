@@ -1,8 +1,8 @@
 """Plain-text table rendering used by the experiment reporting code.
 
-The benchmark harness regenerates the paper's tables and figure series as
-text so they can be diffed against :file:`EXPERIMENTS.md` without any
-plotting dependencies.
+The paper benchmarks regenerate the paper's tables and figure series as
+text so they can be diffed between runs without any plotting
+dependencies.
 """
 
 from __future__ import annotations

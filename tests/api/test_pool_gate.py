@@ -112,6 +112,15 @@ class TestExecutionPaths:
             before, "pool_attach_seconds"
         ) == 2
         with monkeypatch.context() as patch:
+            # No shared memory: every worker unpickles its own dataset.
+            force_pool(patch, head=2)
+            patch.setattr(CertificationRuntime, "publish", lambda self, dataset: None)
+            engine_module._POOL_PAYLOAD_BYTES.set(0, kind="inline")
+            pickled = _rows(engine.certify_stream(request, n_jobs=2))
+        assert series_value(
+            metrics.get_registry().snapshot(), "pool_payload_bytes", kind="inline"
+        ) > 0
+        with monkeypatch.context() as patch:
             force_pool(patch, head=1)
             patch.setattr(engine_module, "ProcessPoolExecutor", _UnspawnablePool)
             with pytest.warns(RuntimeWarning, match="process pool unavailable"):
@@ -119,6 +128,7 @@ class TestExecutionPaths:
         assert len(serial) == 6
         assert declined == serial
         assert pooled == serial
+        assert pickled == serial
         assert fallback == serial
 
     def test_declined_batch_publishes_and_forks_nothing(self, monkeypatch):

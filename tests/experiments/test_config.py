@@ -22,14 +22,6 @@ class TestExperimentConfig:
         assert config.depths == (3,)
         assert config.n_test_points == 2
 
-    def test_composite_budget_grid_walks_both_axes(self):
-        config = ExperimentConfig()
-        pairs = config.composite_budgets
-        assert all(len(pair) == 2 for pair in pairs)
-        assert any(removals == 0 and flips > 0 for removals, flips in pairs)
-        assert any(removals > 0 and flips == 0 for removals, flips in pairs)
-        assert any(removals > 0 and flips > 0 for removals, flips in pairs)
-
     def test_quick_config_is_small(self):
         config = quick_config()
         assert config.n_test_points <= 10
