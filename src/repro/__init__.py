@@ -74,8 +74,6 @@ from repro.poisoning.models import (
 from repro.runtime import (
     CertificationCache,
     CertificationRuntime,
-    DatasetStore,
-    SharedDatasetHandle,
     fingerprint_dataset,
 )
 from repro.service import (
@@ -147,8 +145,6 @@ __all__ = [
     "CertificationClient",
     "CertificationRuntime",
     "CertificationServer",
-    "DatasetStore",
-    "SharedDatasetHandle",
     "fingerprint_dataset",
     "wait_for_server",
     "__version__",

@@ -22,18 +22,16 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
   :meth:`certify_stream` yields per-point results incrementally in input
   order for streaming consumers (CLI progress, dashboards);
 * an attached :class:`~repro.runtime.CertificationRuntime` (the ``runtime=``
-  parameter) adds the scaling layer: pool workers attach the training set
-  zero-copy from shared memory instead of unpickling a private copy, repeat
-  queries answer from the persistent verdict cache (with budget-monotone
-  derivation), and long batches checkpoint to a resumable run journal.
-  Engines without an explicit runtime still get the shared-memory dataset
-  plane by default when a pool starts.
+  parameter) adds the scaling layer: repeat queries answer from the
+  persistent verdict cache (with budget-monotone derivation), and long
+  batches checkpoint to a resumable run journal.  Pool workers need no
+  runtime: under the fork start method they inherit the training set and
+  the parent's warm request plans.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 import tracemalloc
@@ -54,7 +52,6 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -73,7 +70,6 @@ from repro.poisoning.models import (
     resolve_model_classes,
 )
 from repro.runtime.fingerprint import fingerprint_dataset, point_digest
-from repro.runtime.shm import SharedDatasetHandle
 from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
 from repro.utils.memory import MemoryTracker
@@ -147,12 +143,12 @@ _WORKER_TASK_SECONDS = metrics.histogram(
     "Per-task certification wall time inside one pool worker.",
     labelnames=("worker",),
 )
-#: Worker-side pool start-up: dataset attach/unpickle plus task bind.
+#: Worker-side pool start-up: the task bind in the pool initializer.
 #: Observed in the worker and shipped to the parent via the merge plane.
 _POOL_ATTACH_SECONDS = metrics.histogram(
     "pool_attach_seconds",
-    "Pool initializer time: dataset attach plus task bind (a plan-cache "
-    "lookup when the worker forked from the warm parent).",
+    "Pool initializer time: the task bind (a plan-cache lookup when the "
+    "worker forked from the warm parent).",
 )
 #: Batches that asked for ``n_jobs > 1`` and ended in the parent because a
 #: pool would not have paid for its workers (see :func:`_pool_pays`).
@@ -160,12 +156,6 @@ _POOL_DECLINED = metrics.counter(
     "pool_declined_total",
     "Batches asking for n_jobs > 1 that the parent certified alone because "
     "a pool would not pay for its workers.",
-)
-#: Bytes of pickled per-worker payload (a shm handle or the full dataset).
-_POOL_PAYLOAD_BYTES = metrics.gauge(
-    "pool_payload_bytes",
-    "Pickled size of the per-worker pool payload.",
-    labelnames=("kind",),
 )
 #: Busy fraction of each worker over the last pooled batch's wall time.
 _WORKER_UTILIZATION = metrics.gauge(
@@ -238,9 +228,7 @@ class CertificationEngine:
         Resource limit of the disjunctive learner.
     runtime:
         Optional :class:`~repro.runtime.CertificationRuntime` providing the
-        shared-memory dataset plane, the persistent verdict cache, and
-        resumable run journals.  Without one, a batch that starts a pool
-        still publishes to the process-wide shared-memory default.
+        persistent verdict cache, resumable run journals and budget sweeps.
     """
 
     max_depth: int = 2
@@ -304,12 +292,12 @@ class CertificationEngine:
     def _worker_state(self, warm: bool) -> dict:
         """This engine's fields as a pool worker gets them.
 
-        The runtime (sqlite handles, shared-memory registries), the scheduler
-        (locks, in-flight futures, thread pools), the plan lock and the
-        per-thread trace tallies are parent-only state and never reach a
-        worker.  The plan and trace caches come along only when ``warm``:
-        a forked worker inherits them in memory, while pickling them would
-        ship full abstract training sets and defeat the shared-memory plane.
+        The runtime (sqlite handles), the scheduler (locks, in-flight
+        futures, thread pools), the plan lock and the per-thread trace
+        tallies are parent-only state and never reach a worker.  The plan
+        and trace caches come along only when ``warm``: a forked worker
+        inherits them in memory, while pickling them would ship full
+        abstract training sets.
         """
         state = dict(self.__dict__)
         state["_plan_cache"] = {}
@@ -409,8 +397,7 @@ class CertificationEngine:
         clients asking the same question — cost one learner invocation per
         distinct point.  With a :class:`~repro.runtime.CertificationRuntime`
         attached, the non-leased remainder flows through its cache/journal
-        first and only the misses reach the learners; without one, a batch
-        that starts a pool still gets the process-wide shared-memory plane.
+        first and only the misses reach the learners.
         """
         dataset = request.dataset
         # Requests resolve n_classes at construction; re-resolving here keeps
@@ -485,12 +472,10 @@ class CertificationEngine:
         plan, split plan, root work) once, and after every row asks
         :func:`_pool_pays` whether workers would win back that prefix on the
         rows left.  A batch that ends in the parent counts in
-        ``pool_declined_total``.  Only a starting pool publishes the dataset
-        to shared memory (through the attached runtime, or the process-wide
-        default); its workers attach it, or unpickle it where shared memory
-        is off, and under the fork start method inherit the parent's warm
-        request plans.  Pool failures fall back to the parent's bound task
-        on every row not yet yielded.
+        ``pool_declined_total``.  A starting pool hands its workers the
+        dataset itself: under the fork start method they inherit it and the
+        parent's warm request plans, and nothing is copied.  Pool failures
+        fall back to the parent's bound task on every row not yet yielded.
         """
         workers = min(int(n_jobs), len(rows))
         if workers <= 1:
@@ -514,19 +499,7 @@ class CertificationEngine:
             started = time.perf_counter()
         rows = rows[len(walls) :]
         workers = min(workers, len(rows))
-        # Deferred import: repro.runtime pulls in this module's siblings.
-        from repro.runtime.runtime import default_runtime
-
         startup_began = time.perf_counter()
-        runtime = self.runtime if self.runtime is not None else default_runtime()
-        shared_handle = runtime.publish(dataset)
-        payload: Union[Dataset, SharedDatasetHandle] = (
-            shared_handle if shared_handle is not None else dataset
-        )
-        _POOL_PAYLOAD_BYTES.set(
-            len(pickle.dumps(payload)),
-            kind="shared" if shared_handle is not None else "inline",
-        )
         request_id = events.current_request_id()
         # Chunked dispatch: one pool task per *group* of rows, not per row.
         # Per-row tasks made the pool slower than serial on fast workloads —
@@ -551,7 +524,7 @@ class CertificationEngine:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_pool_initializer,
-                initargs=(self._forked_worker(), payload, task),
+                initargs=(self._forked_worker(), dataset, task),
             ) as executor:
                 for envelope in executor.map(_pool_run, tasks):
                     merge_started = time.perf_counter()
@@ -673,7 +646,7 @@ class CertificationEngine:
         Keyed by the dataset's content fingerprint: object ids can be
         recycled after a dataset is garbage-collected (serving a stale plan),
         and content keys additionally let equal copies of a dataset — e.g.
-        one rebuilt from shared memory — share a plan.  The cache is a true
+        one decoded again from a service request — share a plan.  The cache is a true
         LRU: hits refresh recency, so a hot (dataset, model) plan survives
         interleaved traffic over more than eight pairs.
         """
@@ -908,10 +881,10 @@ class _DomainOutcome:
 
 # ---------------------------------------------------------------------------
 # Process-pool plumbing.  A pool starts only once `_pool_pays` says so.  Its
-# workers receive the engine and the row task once via the pool initializer
-# together with either a SharedDatasetHandle (attached zero-copy from shared
-# memory) or, as a fallback, the pickled dataset; afterwards only the (small)
-# test points travel through the task queue — and each chunk's outputs travel
+# workers receive the engine, the dataset and the row task once via the pool
+# initializer (inherited under fork, pickled once per worker under spawn or
+# forkserver); afterwards only the (small) test points travel through the
+# task queue — and each chunk's outputs travel
 # back inside a `_WorkerEnvelope` that also carries the worker's metric delta
 # for that task, so pooled runs lose no attribution.
 # ---------------------------------------------------------------------------
@@ -933,7 +906,7 @@ def _pool_pays(
     (plans, root tables, root splits) that each worker would repeat.  With
     r = ``remaining`` rows over w = min(n_jobs, r) workers, the pool saves
     c·r·(1 − 1/w) of parent time, so it pays only when that exceeds p plus
-    ``startup``, the pool's own fixed cost (publish, fork, attach, dispatch)
+    ``startup``, the pool's own fixed cost (fork, bind, dispatch)
     as last measured.  A warm batch has p ≈ 0, and ``startup`` alone then
     keeps cheap rows in the parent.
     """
@@ -956,7 +929,7 @@ def _book_pool(
     if wall > 0:
         for worker, seconds in busy_seconds.items():
             _WORKER_UTILIZATION.set(min(1.0, seconds / wall), worker=worker)
-    # Publish, fork, attach, dispatch and merge: the batch's wall beyond an
+    # Fork, bind, dispatch and merge: the batch's wall beyond an
     # even split of the task time over the pool's workers.
     even_split = sum(busy_seconds.values()) / workers
     _POOL_STARTUP[0] = max(0.0, finished - startup_began - even_split)
@@ -1018,24 +991,22 @@ class _WorkerEnvelope:
 
 def _pool_initializer(
     engine: CertificationEngine,
-    dataset: Union[Dataset, SharedDatasetHandle],
+    dataset: Dataset,
     task: _RowTask,
 ) -> None:
     # Snapshot *before* any work: under the fork start method the worker's
     # registry inherits the parent's series wholesale, and everything in this
-    # baseline is excluded from the first task's delta.  Attach and bind
-    # happen after, so their cost ships with that first delta.  A forked
-    # engine keeps the parent's warm plan cache, which the attached copy's
-    # fingerprint hits: bind is then a lookup, not a rebuild.
+    # baseline is excluded from the first task's delta.  Bind happens after,
+    # so its cost ships with that first delta.  A forked engine keeps the
+    # parent's warm plan cache, which the inherited dataset's fingerprint
+    # hits: bind is then a lookup, not a rebuild.
     _POOL_STATE["baseline"] = metrics.get_registry().snapshot()
     _POOL_STATE["epoch"] = uuid.uuid4().hex[:8]
     _POOL_STATE["task_counter"] = 0
-    attach_started = time.perf_counter()
-    if isinstance(dataset, SharedDatasetHandle):
-        dataset = dataset.attach()
+    bind_started = time.perf_counter()
     _POOL_STATE["task"] = task
     _POOL_STATE["run"] = task.bind(engine, dataset)
-    _POOL_ATTACH_SECONDS.observe(time.perf_counter() - attach_started)
+    _POOL_ATTACH_SECONDS.observe(time.perf_counter() - bind_started)
 
 
 def _pool_run(task: _WorkerTask) -> _WorkerEnvelope:

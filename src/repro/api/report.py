@@ -80,7 +80,7 @@ class CertificationReport:
     runtime_stats:
         Optional counters from the :class:`~repro.runtime.CertificationRuntime`
         that served the batch (cache hits/misses, monotone derivations,
-        journal restores, learner invocations, shared-memory use); ``None``
+        journal restores, learner invocations); ``None``
         when no runtime was involved.
     frontiers:
         Optional per-point Pareto-frontier rows produced by a composite
@@ -294,9 +294,6 @@ class CertificationReport:
                 )
             table.add_row(
                 ["learner invocations", int(stats.get("learner_invocations", 0))]
-            )
-            table.add_row(
-                ["shared-memory plane", "yes" if stats.get("shared_memory") else "no"]
             )
         return table.render()
 

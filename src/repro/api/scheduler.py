@@ -215,7 +215,7 @@ class CertificationScheduler:
         Points whose key another batch is already computing are *leased* (the
         other batch's future answers them); the remainder flows through the
         engine's classic batch machinery — runtime cache/journal, process
-        pools, shared memory — untouched, so a batch with no concurrent
+        pool — untouched, so a batch with no concurrent
         overlap behaves exactly as before this layer existed.
         """
         engine = self._engine

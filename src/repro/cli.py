@@ -25,7 +25,7 @@ The CLI exposes the main workflows without writing any Python:
   --max-entries`` evicts LRU-first, derivable verdicts before underivable
   ones);
 * ``repro-antidote serve SOCKET --cache-dir DIR`` — run the certification
-  daemon: one warm runtime (published datasets, warm request plans, open
+  daemon: one warm runtime (decoded datasets, warm request plans, open
   verdict cache) serving the versioned JSON-lines protocol over a
   Unix-domain socket — or over TCP with ``--tcp HOST:PORT``; point
   ``verify``/``certify``/``sweep`` at it with ``--connect ADDRESS``
@@ -179,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--max-new-points", type=int, default=None, metavar="N",
                          help="stop after N uncached points (exit code 3; rerun "
                          "with --resume to continue)")
-    certify.add_argument("--no-shared-memory", action="store_true",
-                         help="disable the shared-memory dataset plane for "
-                         "pool workers (pickle the dataset instead)")
     certify.add_argument("--connect", default=None, metavar="ADDRESS",
                          help="certify through a running `repro-antidote serve` "
                          "daemon or `route` router — a Unix socket path or "
@@ -327,9 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent verdict cache served to every client "
                        "(default: an ephemeral cache living as long as the "
                        "server)")
-    serve.add_argument("--no-shared-memory", action="store_true",
-                       help="disable the shared-memory dataset plane for "
-                       "pool workers")
     serve.add_argument("--max-engines", type=int, default=8, metavar="N",
                        help="how many engine configurations to keep warm")
     serve.add_argument("--trace", action="store_true",
@@ -533,21 +527,19 @@ def _command_certify(args: argparse.Namespace) -> int:
         )
         return 2
     if args.connect:
-        if args.cache_dir is not None or args.no_shared_memory:
-            # The server owns its cache and dataset plane; a client cannot
-            # re-point either.
+        if args.cache_dir is not None:
+            # The server owns its cache; a client cannot re-point it.
             print(
-                "error: --connect is incompatible with --cache-dir and "
-                "--no-shared-memory (the server owns the runtime)",
+                "error: --connect is incompatible with --cache-dir "
+                "(the server owns the runtime)",
                 file=sys.stderr,
             )
             return 2
         return _certify_connected(args, split, count, model)
     runtime = None
-    if args.cache_dir is not None or args.no_shared_memory:
+    if args.cache_dir is not None:
         runtime = CertificationRuntime(
             args.cache_dir,
-            shared_memory=not args.no_shared_memory,
             resume=args.resume,
             max_new_points=args.max_new_points,
         )
@@ -973,7 +965,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         args.socket,
         tcp=args.tcp,
         cache_dir=args.cache_dir,
-        shared_memory=not args.no_shared_memory,
         max_engines=args.max_engines,
     )
     cache = "ephemeral" if args.cache_dir is None else args.cache_dir

@@ -63,8 +63,7 @@ def make_runtime(config: ExperimentConfig) -> Optional[CertificationRuntime]:
     """The certification runtime an experiment's engines share.
 
     Returns ``None`` when the config names no cache directory (engines then
-    fall back to the default shared-memory-only behavior for parallel
-    batches).
+    certify without a verdict cache or run journal).
     """
     if config.cache_dir is None:
         return None

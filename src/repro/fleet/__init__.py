@@ -9,7 +9,7 @@ the versioned JSON-lines protocol of :mod:`repro.service`:
   accepts ``host:port`` addresses (keepalive, per-request timeouts,
   connect retry with backoff);
 * :class:`HashRing` — consistent hashing of dataset shard keys onto a
-  static backend list, so each server's engine plans, shared-memory
+  static backend list, so each server's engine plans, decoded
   datasets, and verdict cache stay hot for its shard;
 * :class:`CertificationRouter` — the ``repro route`` daemon: speaks the
   same protocol to clients, relays frames to shard owners, health-checks

@@ -6,7 +6,7 @@ the first vnode clockwise from its own hash.  Virtual nodes smooth the
 per-backend load (a single point per backend would make ownership arcs
 wildly uneven) and keep reassignment minimal: adding or removing one backend
 moves only the keys in its own arcs, so every *other* backend's warm state —
-engine plans, shared-memory datasets, verdict-cache rows — stays exactly
+engine plans, decoded datasets, verdict-cache rows — stays exactly
 where it is.
 
 The shard key is the SHA-256 of the request's **dataset wire payload**

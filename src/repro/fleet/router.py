@@ -8,7 +8,7 @@ can point at it unchanged.  How it serves each op comes from the protocol's
 one op table, :data:`~repro.service.protocol.OPS`.  Instead of certifying,
 it places each request on the backend that owns the request's dataset
 shard (:class:`~repro.fleet.ring.HashRing` over the static backend list)
-and relays frames verbatim — so each backend's engine plans, shared-memory
+and relays frames verbatim — so each backend's engine plans, decoded
 datasets, and verdict cache stay hot for *its* datasets, which is the whole
 point of sharding.  Like the daemon, it refuses to bind over a Unix socket
 path that another process is still listening on.

@@ -1,20 +1,18 @@
 """`repro.runtime` — the scaling layer under the certification engine.
 
-Three cooperating pieces turn the one-shot :class:`~repro.api.CertificationEngine`
+Two cooperating pieces turn the one-shot :class:`~repro.api.CertificationEngine`
 into a service that absorbs repeated, overlapping certification traffic:
 
-* the **shared-memory dataset plane** (:class:`DatasetStore`,
-  :class:`SharedDatasetHandle`): datasets are published once and attached
-  zero-copy by pool workers instead of being pickled into each one;
 * the **persistent certification cache** (:class:`CertificationCache`):
   verdicts keyed by content fingerprints, with budget-monotone derivation
   for removal/label-flip families;
 * the **resumable run journal** (:class:`RunJournal`): per-point checkpoints
   that let a killed batch restart where it left off.
 
-:class:`CertificationRuntime` is the facade binding them together; pass it to
-``CertificationEngine(runtime=...)`` or let parallel batches pick up the
-process-wide shared-memory default.
+:class:`CertificationRuntime` is the facade binding them together (and
+running budget sweeps over them); pass it to
+``CertificationEngine(runtime=...)``.  Process-pool workers need none of it:
+under the fork start method they inherit the training set from the parent.
 """
 
 from repro.runtime.cache import CacheHit, CertificationCache
@@ -31,9 +29,7 @@ from repro.runtime.runtime import (
     BudgetSweepOutcome,
     CertificationRuntime,
     ParetoOutcome,
-    default_runtime,
 )
-from repro.runtime.shm import DatasetStore, SharedDatasetHandle, default_store
 
 __all__ = [
     "BatchStats",
@@ -41,12 +37,8 @@ __all__ = [
     "CacheHit",
     "CertificationCache",
     "CertificationRuntime",
-    "DatasetStore",
     "ParetoOutcome",
     "RunJournal",
-    "SharedDatasetHandle",
-    "default_runtime",
-    "default_store",
     "engine_cache_key",
     "fingerprint_dataset",
     "model_cache_key",

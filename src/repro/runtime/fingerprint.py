@@ -1,6 +1,6 @@
 """Content-addressed keys for the runtime layer.
 
-Every runtime feature — the shared-memory dataset plane, the persistent
+Every runtime feature — the engine's request plans, the persistent
 certification cache, and the resumable run journal — needs stable identities
 that survive process boundaries and interpreter restarts.  Python object
 identity (``id()``) provides neither, so this module derives keys from

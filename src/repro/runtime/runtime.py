@@ -1,12 +1,9 @@
-"""The certification runtime: dataset plane + verdict cache + run journal.
+"""The certification runtime: verdict cache + run journal + budget sweeps.
 
 :class:`CertificationRuntime` is the service layer between the stateless
 :class:`~repro.api.engine.CertificationEngine` and repeated, overlapping
 certification traffic:
 
-* it publishes datasets into the **shared-memory plane**
-  (:mod:`repro.runtime.shm`) so process-pool workers attach zero-copy
-  instead of unpickling a private copy of the training set;
 * it answers repeat queries from the **persistent cache**
   (:mod:`repro.runtime.cache`), including budget-monotone derivations
   (robust at ``n`` ⇒ robust at ``n' ≤ n``; unknown at ``n`` ⇒ unknown at
@@ -18,9 +15,9 @@ certification traffic:
 * it resolves **budget sweeps** (the max certified ``n`` per point) with a
   cache-aware doubling/binary search seeded from prior verdicts.
 
-Attach a runtime to an engine with ``CertificationEngine(runtime=...)``;
-engines with no explicit runtime get a process-wide shared-memory-only
-runtime automatically when a pool starts.
+Attach a runtime to an engine with ``CertificationEngine(runtime=...)``.
+Process-pool workers never see it: under the fork start method they inherit
+the training set from the parent.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.runtime.fingerprint import (
     point_digest,
 )
 from repro.runtime.journal import RunJournal, run_id
-from repro.runtime.shm import DatasetStore, SharedDatasetHandle, default_store
 from repro.telemetry import events, metrics
 from repro.verify import search
 from repro.verify.result import VerificationResult
@@ -81,9 +77,6 @@ class BatchStats:
     journal_restored: int = 0
     deduplicated: int = 0
     learner_invocations: int = 0
-    # A pool started for this batch's misses and attached the dataset from
-    # shared memory (batches the engine keeps in the parent publish nothing).
-    shared_memory: bool = False
     truncated_at: Optional[int] = None
     # Box-learner filter steps of this batch's serial learner runs, and how
     # many were warm-started from a prior probe's ladder trace.  Pool workers
@@ -121,7 +114,6 @@ class BatchStats:
         self.journal_restored += other.journal_restored
         self.deduplicated += other.deduplicated
         self.learner_invocations += other.learner_invocations
-        self.shared_memory = self.shared_memory or other.shared_memory
         self.trace_steps += other.trace_steps
         self.trace_reused += other.trace_reused
 
@@ -135,7 +127,6 @@ class BatchStats:
             "deduplicated": self.deduplicated,
             "learner_invocations": self.learner_invocations,
             "hit_rate": self.hit_rate,
-            "shared_memory": self.shared_memory,
             "truncated_at": self.truncated_at,
             "trace_steps": self.trace_steps,
             "trace_reused": self.trace_reused,
@@ -213,18 +204,14 @@ _STORE_CHUNK = 16
 
 
 class CertificationRuntime:
-    """Shared-memory dataset plane + persistent verdict cache + run journal.
+    """Persistent verdict cache + run journal + budget sweeps.
 
     Parameters
     ----------
     cache_dir:
         Directory for the sqlite verdict cache and the run journals.  ``None``
-        disables both (the runtime then only provides the shared-memory
-        plane).
-    shared_memory:
-        Whether to publish datasets into shared memory for pool workers
-        (falls back to pickling automatically when the host has no usable
-        shared-memory filesystem).
+        disables both (the runtime then only deduplicates within batches and
+        runs sweeps).
     resume:
         Whether :meth:`stream` replays a prior journal for the same run id
         (``False`` discards prior progress and starts fresh).
@@ -242,7 +229,6 @@ class CertificationRuntime:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         *,
-        shared_memory: bool = True,
         resume: bool = True,
         max_new_points: Optional[int] = None,
     ) -> None:
@@ -253,11 +239,9 @@ class CertificationRuntime:
         self.cache: Optional[CertificationCache] = (
             CertificationCache(cache_dir) if cache_dir is not None else None
         )
-        self.shared_memory = shared_memory
         self.resume = resume
         self.max_new_points = max_new_points
         self.stats = BatchStats()
-        self._store: Optional[DatasetStore] = None
         # Lifetime counters are read/written by concurrent streams (service
         # handler threads, scheduler submissions); int += is not atomic.
         self._stats_lock = threading.Lock()
@@ -301,23 +285,6 @@ class CertificationRuntime:
             int(getattr(self._batch_local, "op_trace_steps", 0)),
             int(getattr(self._batch_local, "op_trace_reused", 0)),
         )
-
-    # ------------------------------------------------------------- the plane
-    def publish(self, dataset: Dataset) -> Optional[SharedDatasetHandle]:
-        """Publish a dataset into shared memory (``None`` = unavailable/off).
-
-        The engine calls this when it starts a pool; a batch this thread is
-        streaming then reports ``shared_memory``.
-        """
-        if not self.shared_memory:
-            return None
-        if self._store is None:
-            self._store = default_store()
-        handle = self._store.publish(dataset)
-        streaming = getattr(self._batch_local, "streaming", None)
-        if handle is not None and streaming is not None:
-            streaming.shared_memory = True
-        return handle
 
     # ------------------------------------------------------------- streaming
     def stream(
@@ -453,7 +420,6 @@ class CertificationRuntime:
             )
 
         computed_by_digest: Dict[str, VerificationResult] = {}
-        self._batch_local.streaming = stats
         try:
             for index in range(cutoff):
                 result = resolved.get(index)
@@ -476,7 +442,6 @@ class CertificationRuntime:
                             journal.record(index, result)
                 yield result
         finally:
-            self._batch_local.streaming = None
             if self.cache is not None:
                 self.cache.commit()
             if consume_trace is not None:
@@ -757,10 +722,9 @@ class CertificationRuntime:
     def __getstate__(self) -> dict:
         # Runtimes never travel to pool workers (the engine drops its
         # reference when pickled), but stay safe if someone pickles one:
-        # neither the sqlite connection, the segment registry, nor the lock
+        # neither the sqlite connection (the cache drops it) nor the locks
         # survive.
         state = dict(self.__dict__)
-        state["_store"] = None
         state["_stats_lock"] = None
         state["_batch_local"] = None
         return state
@@ -787,18 +751,3 @@ class _CacheBoundVerifier:
     def certify_point(self, dataset, x, model):
         return self._runtime.certify_point(self._engine, dataset, x, model)
 
-
-_DEFAULT_RUNTIME: Optional[CertificationRuntime] = None
-
-
-def default_runtime() -> CertificationRuntime:
-    """The process-wide shared-memory-only runtime (no cache, no journal).
-
-    This is what engines without an explicit ``runtime=`` publish through
-    when a batch starts a pool, giving every pooled caller the zero-copy
-    dataset plane by default.
-    """
-    global _DEFAULT_RUNTIME
-    if _DEFAULT_RUNTIME is None:
-        _DEFAULT_RUNTIME = CertificationRuntime()
-    return _DEFAULT_RUNTIME

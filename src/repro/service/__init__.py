@@ -1,14 +1,13 @@
 """`repro.service` — certification served over a socket from a warm runtime.
 
 Every in-process invocation of the engine pays cold-start costs — plan
-construction, dataset publication, cache open — that a long-lived daemon
+construction, dataset decoding, cache open — that a long-lived daemon
 amortizes across requests.  This subsystem is the served face of the
 certification API:
 
 * :class:`CertificationServer` — one warm
-  :class:`~repro.runtime.CertificationRuntime` (published shared-memory
-  datasets, LRU'd engines with warm request plans, an open persistent
-  verdict cache) behind a Unix-domain socket speaking the versioned
+  :class:`~repro.runtime.CertificationRuntime` (decoded datasets, LRU'd
+  engines with warm request plans, an open persistent verdict cache) behind a Unix-domain socket speaking the versioned
   JSON-lines protocol of :mod:`repro.service.protocol`;
 * :class:`CertificationClient` — the full engine surface (``verify``,
   ``certify_batch``, ``certify_stream``, ``max_certified``,

@@ -5,9 +5,8 @@
 JSON-lines protocol of :mod:`repro.service.protocol` from one long-lived
 :class:`~repro.runtime.CertificationRuntime`:
 
-* datasets are decoded **once** (by content) and stay published in the
-  shared-memory plane, so repeat requests skip array decoding and workers
-  attach zero-copy;
+* datasets are decoded **once** (by content) and kept in a small LRU, so
+  repeat requests skip array decoding (pool workers inherit them by fork);
 * engines are held in a small LRU keyed by their wire configuration, so
   request plans (the per-(dataset, model) initial abstractions) stay warm
   across requests;
@@ -398,8 +397,6 @@ class CertificationServer(FrameServer):
         Directory of the persistent verdict cache.  ``None`` creates an
         ephemeral cache for the server's lifetime — warm-cache semantics
         still hold across requests, but verdicts die with the server.
-    shared_memory:
-        Whether pool workers attach datasets from shared memory.
     max_engines / max_datasets:
         Bounds of the engine-configuration and decoded-dataset LRUs.
     """
@@ -410,7 +407,6 @@ class CertificationServer(FrameServer):
         *,
         tcp: Optional[Union[str, Tuple[str, int]]] = None,
         cache_dir: Optional[Union[str, Path]] = None,
-        shared_memory: bool = True,
         max_engines: int = 8,
         max_datasets: int = 16,
     ) -> None:
@@ -419,7 +415,7 @@ class CertificationServer(FrameServer):
         if cache_dir is None:
             self._ephemeral_cache = tempfile.TemporaryDirectory(prefix="repro-serve-")
             cache_dir = self._ephemeral_cache.name
-        self.runtime = CertificationRuntime(cache_dir, shared_memory=shared_memory)
+        self.runtime = CertificationRuntime(cache_dir)
         self.max_engines = max_engines
         self.max_datasets = max_datasets
         self._engines: "OrderedDict[tuple, CertificationEngine]" = OrderedDict()
@@ -681,7 +677,10 @@ class CertificationServer(FrameServer):
             raise ProtocolError("certify requests must carry a threat model")
         points = np.asarray(params["points"], dtype=float)
         request = CertificationRequest(dataset, points, model)
-        return engine, request, max(1, int(params.get("n_jobs", 1)))
+        # The client picks how many workers the daemon may fork, so the
+        # daemon's own CPU count bounds it.
+        n_jobs = min(max(1, int(params.get("n_jobs", 1))), os.cpu_count() or 1)
+        return engine, request, n_jobs
 
     def _batch_stats(self) -> Optional[dict]:
         stats = self.runtime.last_batch_stats
@@ -691,8 +690,8 @@ class CertificationServer(FrameServer):
         """The warm engine for one wire configuration (small LRU).
 
         All engines share the server's runtime, so they share the verdict
-        cache and the dataset plane; what the LRU keeps warm per entry is the
-        request-plan cache and the in-flight scheduler.
+        cache; what the LRU keeps warm per entry is the request-plan cache
+        and the in-flight scheduler.
         """
         key = tuple(sorted(config.items()))
         with self._lock:

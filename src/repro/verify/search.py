@@ -471,8 +471,8 @@ def pareto_sweep(
     """Per-point Pareto frontiers for every row of ``points`` (order preserved).
 
     With ``n_jobs > 1`` the points go through the engine's process pool
-    (the cost gate after the batch head, the shared-memory dataset, chunked
-    dispatch, merged worker metrics, request-id-stamped ``worker.task``
+    (the cost gate after the batch head, the dataset inherited by fork,
+    chunked dispatch, merged worker metrics, request-id-stamped ``worker.task``
     events); each worker runs the staircase descent for its
     points against a private engine copy and ships back the frontier summary
     only.  Pool workers have no runtime attached, so cross-point cache sharing

@@ -3,10 +3,12 @@
 With ``n_jobs > 1`` the parent certifies the head of a batch itself and
 after every row asks ``_pool_pays`` whether workers would win back the
 point-independent prefix each of them repeats.  These tests pin the rule as
-a pure function, the decline (nothing published, nothing forked, counted),
-and identical verdict rows whichever way a batch runs.
+a pure function, the decline (nothing forked, counted), identical verdict
+rows whichever way a batch runs, and workers that inherit the dataset by
+fork instead of receiving a copy.
 """
 
+import multiprocessing
 import pickle
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ import pytest
 
 import repro.api.engine as engine_module
 from repro.api import CertificationEngine, CertificationRequest
+from repro.core.dataset import Dataset
 from repro.datasets.registry import load_dataset
 from repro.poisoning.models import RemovalPoisoningModel
 from repro.runtime import CertificationRuntime
@@ -112,15 +115,6 @@ class TestExecutionPaths:
             before, "pool_attach_seconds"
         ) == 2
         with monkeypatch.context() as patch:
-            # No shared memory: every worker unpickles its own dataset.
-            force_pool(patch, head=2)
-            patch.setattr(CertificationRuntime, "publish", lambda self, dataset: None)
-            engine_module._POOL_PAYLOAD_BYTES.set(0, kind="inline")
-            pickled = _rows(engine.certify_stream(request, n_jobs=2))
-        assert series_value(
-            metrics.get_registry().snapshot(), "pool_payload_bytes", kind="inline"
-        ) > 0
-        with monkeypatch.context() as patch:
             force_pool(patch, head=1)
             patch.setattr(engine_module, "ProcessPoolExecutor", _UnspawnablePool)
             with pytest.warns(RuntimeWarning, match="process pool unavailable"):
@@ -128,16 +122,14 @@ class TestExecutionPaths:
         assert len(serial) == 6
         assert declined == serial
         assert pooled == serial
-        assert pickled == serial
         assert fallback == serial
 
-    def test_declined_batch_publishes_and_forks_nothing(self, monkeypatch):
+    def test_declined_batch_forks_nothing(self, monkeypatch):
         _declining(monkeypatch)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a declined batch must not publish or fork")
+            raise AssertionError("a declined batch must not fork")
 
-        monkeypatch.setattr(DatasetStore, "_publish_arrays", refuse)
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", refuse)
         registry = metrics.get_registry()
         before = series_value(registry.snapshot(), "pool_declined_total")
@@ -204,43 +196,44 @@ class TestExecutionPaths:
         assert series_value(registry.snapshot(), "pool_declined_total") == before
 
 
-class TestSharedMemoryAtFork:
-    def test_runtime_reports_shared_memory_only_when_a_pool_attached(
-        self, monkeypatch, tmp_path
+class TestDatasetByFork:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="only forked workers inherit the dataset; spawned ones unpickle it",
+    )
+    def test_forced_pool_neither_publishes_nor_pickles_the_dataset(
+        self, monkeypatch
     ):
-        request = CertificationRequest(
-            well_separated_dataset(), [[0.5], [11.0], [0.8], [10.2]], 1
-        )
-        engine = CertificationEngine(
-            max_depth=1, domain="box", runtime=CertificationRuntime(tmp_path / "a")
-        )
-        with monkeypatch.context() as patch:
-            _declining(patch)
-            declined = engine.verify(request, n_jobs=2)
-        assert declined.runtime_stats["shared_memory"] is False
-        engine.runtime = CertificationRuntime(tmp_path / "b")
-        with monkeypatch.context() as patch:
-            force_pool(patch, head=1)
-            pooled = engine.verify(request, n_jobs=2)
-        assert pooled.runtime_stats["shared_memory"] is True
-        assert [r.status for r in pooled.results] == [
-            r.status for r in declined.results
-        ]
-
-    def test_pooled_pareto_sweep_ships_the_shared_memory_handle(self, monkeypatch):
-        force_pool(monkeypatch, head=1)
-        payload_bytes = engine_module._POOL_PAYLOAD_BYTES
-        payload_bytes.set(0, kind="shared")
-        payload_bytes.set(0, kind="inline")
         engine = CertificationEngine(max_depth=1, domain="box")
         dataset = well_separated_dataset()
         points = np.array([[0.5], [11.0], [3.0], [7.0]])
-        pooled = pareto_sweep(engine, dataset, points, max_remove=2, max_flip=2, n_jobs=2)
-        serial = pareto_sweep(engine, dataset, points, max_remove=2, max_flip=2)
-        assert [o.frontier for o in pooled] == [o.frontier for o in serial]
-        snapshot = metrics.get_registry().snapshot()
-        assert series_value(snapshot, "pool_payload_bytes", kind="shared") > 0
-        assert series_value(snapshot, "pool_payload_bytes", kind="inline") == 0
+        request = CertificationRequest(dataset, points, 1)
+        serial_rows = _rows(engine.certify_stream(request))
+        serial_frontiers = pareto_sweep(engine, dataset, points, max_remove=2, max_flip=2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pool workers must inherit the dataset")
+
+        force_pool(monkeypatch, head=1)
+        monkeypatch.setattr(DatasetStore, "publish", refuse)
+        monkeypatch.setattr(Dataset, "__reduce_ex__", refuse)
+        def binds():
+            return series_value(metrics.get_registry().snapshot(), "pool_attach_seconds")
+
+        before = binds()
+        pooled_rows = _rows(engine.certify_stream(request, n_jobs=2))
+        between = binds()
+        pooled_frontiers = pareto_sweep(
+            engine, dataset, points, max_remove=2, max_flip=2, n_jobs=2
+        )
+        # Both batches started a pool: a worker's bind ships with its first
+        # task, so each pool reports one or two binds.
+        assert 1 <= between - before <= 2
+        assert 1 <= binds() - between <= 2
+        assert pooled_rows == serial_rows
+        assert [o.frontier for o in pooled_frontiers] == [
+            o.frontier for o in serial_frontiers
+        ]
 
     def test_pool_workers_leave_the_parents_runtime_alone(self, monkeypatch, tmp_path):
         # Forked workers must not write through the parent's verdict cache:

@@ -312,8 +312,8 @@ class TestDeduplication:
 
 class TestParallelRuntime:
     def test_parallel_batch_parity_with_runtime(self, tmp_path):
-        # Exercises the shared-memory pool path when the host supports it and
-        # the serial fallback otherwise; parity must hold either way.
+        # Exercises the pool when the gate starts one and the parent
+        # otherwise; parity must hold either way.
         engine = _engine(tmp_path)
         serial = CertificationEngine(max_depth=1, domain="box").verify(_request())
         parallel = engine.verify(_request(), n_jobs=2)

@@ -5,7 +5,8 @@ import pytest
 
 from repro.api import CertificationEngine
 from repro.poisoning.models import RemovalPoisoningModel
-from repro.runtime import DatasetStore, fingerprint_dataset
+from repro.runtime import fingerprint_dataset
+from repro.runtime.shm import DatasetStore
 from tests.conftest import well_separated_dataset
 
 

@@ -5,13 +5,14 @@ a temp directory and talks to it through :class:`CertificationClient` — the
 same path the CLI's ``--connect`` and the CI daemon smoke take.
 """
 
+import os
 import socket as socket_module
 import threading
 
 import numpy as np
 import pytest
 
-from repro.api import SCHEMA_VERSION
+from repro.api import SCHEMA_VERSION, CertificationEngine
 from repro.fleet import CertificationRouter
 from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
 from repro.service import (
@@ -110,6 +111,29 @@ class TestCertification:
         assert all(isinstance(r, VerificationResult) for r in streamed)
         batch = client.certify_batch(dataset, POINTS, RemovalPoisoningModel(1))
         assert [r.status for r in streamed] == [r.status for r in batch.results]
+
+    def test_wire_n_jobs_is_bounded_by_the_daemons_cpus(self, client, monkeypatch):
+        # One frame must not make the daemon fork a worker per requested job.
+        # The recorded engine calls run serially, so nothing is forked here.
+        received = []
+
+        def recording(method):
+            def run(self, request, *, n_jobs=1):
+                received.append(n_jobs)
+                return method(self, request, n_jobs=1)
+
+            return run
+
+        for name in ("verify", "certify_stream"):
+            monkeypatch.setattr(
+                CertificationEngine, name, recording(getattr(CertificationEngine, name))
+            )
+        dataset = well_separated_dataset()
+        model = RemovalPoisoningModel(1)
+        client.certify_batch(dataset, POINTS, model, n_jobs=10**6)
+        list(client.certify_stream(dataset, POINTS, model, n_jobs=10**6))
+        assert len(received) >= 2
+        assert all(1 <= n_jobs <= (os.cpu_count() or 1) for n_jobs in received)
 
     def test_certify_point_and_composite_model(self, client):
         dataset = well_separated_dataset()

@@ -99,7 +99,7 @@ class TestRuntimeWiring:
         dataset = figure2_dataset()
         request = CertificationRequest(dataset, [[5.0], [9.0]], 1)
 
-        cold_runtime = CertificationRuntime(tmp_path, shared_memory=False)
+        cold_runtime = CertificationRuntime(tmp_path)
         cold_engine = CertificationEngine(
             max_depth=1, domain="box", runtime=cold_runtime
         )
@@ -109,7 +109,7 @@ class TestRuntimeWiring:
         assert _delta(before_cold, after_cold, "cache_lookups_total", result="miss") == 2
         assert _delta(before_cold, after_cold, "learner_invocations_total") == 2
 
-        warm_runtime = CertificationRuntime(tmp_path, shared_memory=False)
+        warm_runtime = CertificationRuntime(tmp_path)
         warm_engine = CertificationEngine(
             max_depth=1, domain="box", runtime=warm_runtime
         )

@@ -219,7 +219,22 @@ class TestServeAndConnect:
              "--connect", "/tmp/nope.sock", "--cache-dir", "/tmp/c"]
         )
         assert code == 2
-        assert "server owns the runtime" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "server owns the runtime" in err
+        assert "shared-memory" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "iris", "--points", "1", "--no-shared-memory"],
+            ["serve", "/tmp/x.sock", "--no-shared-memory"],
+        ],
+    )
+    def test_shared_memory_flags_are_unknown_arguments(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--no-shared-memory" in capsys.readouterr().err
 
     def test_sweep_connect_rejects_cache_dir(self, capsys):
         code = main(
