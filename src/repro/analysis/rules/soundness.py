@@ -88,6 +88,12 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
     ),
     KernelSpec(
         "repro/verify/transformers.py",
+        "_screened_selection",
+        "_selection",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
         "filter_closed_form",
         "filter_abstract",
         "tests/verify/test_vectorized_kernels.py",

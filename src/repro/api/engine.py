@@ -144,11 +144,13 @@ _WORKER_TASK_SECONDS = metrics.histogram(
     labelnames=("worker",),
 )
 #: Worker-side pool start-up: the task bind in the pool initializer.
-#: Observed in the worker and shipped to the parent via the merge plane.
+#: Observed in the worker and shipped to the parent inside its first task's
+#: metric delta, so a worker that runs no task never reports its bind.
 _POOL_ATTACH_SECONDS = metrics.histogram(
     "pool_attach_seconds",
     "Pool initializer time: the task bind (a plan-cache lookup when the "
-    "worker forked from the warm parent).",
+    "worker forked from the warm parent). Observed only by workers that ran "
+    "at least one task.",
 )
 #: Batches that asked for ``n_jobs > 1`` and ended in the parent because a
 #: pool would not have paid for its workers (see :func:`_pool_pays`).

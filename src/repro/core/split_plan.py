@@ -153,6 +153,36 @@ def class_sum(columns: np.ndarray) -> np.ndarray:
     return total
 
 
+def gini_scores(
+    left_sizes: np.ndarray,
+    left_class_counts: np.ndarray,
+    total_size: int,
+    total_class_counts: np.ndarray,
+) -> np.ndarray:
+    """Concrete Gini score ``Σ_side (s − Σ c²/s)`` of each row of a node table.
+
+    An empty side scores 0.  With the node's class counts ``t``, the right
+    side's ``Σ (t − c)²`` is ``Σ t² − 2 Σ t·c + Σ c²``.  Every sum is an
+    integer far below 2⁵³ and so exact, which leaves the per-side
+    arithmetic ``s − Σ c²/s`` the only rounding.
+    """
+    counts = left_class_counts.astype(np.float64)
+    totals = total_class_counts.astype(np.float64)
+    right_squares = counts @ (-2.0 * totals)
+    counts *= counts
+    left_squares = class_sum(counts)
+    right_squares += left_squares
+    right_squares += totals @ totals
+    left = left_sizes.astype(np.float64)
+    right = total_size - left
+    left_squares /= np.maximum(left, 1.0)
+    right_squares /= np.maximum(right, 1.0)
+    left -= left_squares
+    right -= right_squares
+    left += right
+    return left
+
+
 def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
     """``predicate`` as a candidate row ``(feature, low, high, kind)``.
 

@@ -99,9 +99,9 @@ def _score_candidates_reference(
 def _score_candidates(rows: split_plan.StackedCandidates, impurity: str) -> np.ndarray:
     """Concrete split scores of every row of a node's candidate table.
 
-    Gini threshold rows use ``|S| - Σ c²/|S|`` per side, one block of rows
-    at a time; each block's right-side counts are the node's totals minus
-    its left counts.  Equality rows, and every row under entropy, take the
+    Gini threshold rows use ``|S| - Σ c²/|S|`` per side
+    (:func:`~repro.core.split_plan.gini_scores`), one block of rows at a
+    time.  Equality rows, and every row under entropy, take the
     scalar ``split_score``.  Scores of different features are compared
     against each other, so each kind of row keeps the exact float arithmetic
     it has always been scored with.
@@ -114,13 +114,8 @@ def _score_candidates(rows: split_plan.StackedCandidates, impurity: str) -> np.n
         )
     scores = np.empty(rows.low.size)
     for block in split_plan.row_blocks(scores.size):
-        left = left_counts[block]
-        left_sizes = rows.left_sizes[block].astype(np.float64)
-        right_sizes = rows.total_size - left_sizes
-        left_squares = split_plan.class_sum(left**2)
-        right_squares = split_plan.class_sum((total_counts - left) ** 2)
-        scores[block] = (left_sizes - left_squares / np.maximum(left_sizes, 1)) + (
-            right_sizes - right_squares / np.maximum(right_sizes, 1)
+        scores[block] = split_plan.gini_scores(
+            rows.left_sizes[block], left_counts[block], rows.total_size, total_counts
         )
     for feature in np.flatnonzero(rows.kinds == split_plan.EQUALITY_ROW).tolist():
         part = slice(int(rows.offsets[feature]), int(rows.offsets[feature + 1]))

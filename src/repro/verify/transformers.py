@@ -21,12 +21,15 @@ node at once from the node's stacked split table (threshold rows for real
 and boolean features, equality rows for categorical ones).  One score kernel
 (:func:`_split_score_bounds`) ranges over the ``f + 1`` ways of sharing the
 flip budget between a split's two sides, which is a single allocation when
-``f = 0``.  It returns the selected candidates Ψ as rows
-(:class:`SplitCandidates`): each row's feature, bounds and kind, with the
-size, class counts and budgets of both of its sides.  Both learners read Ψ
-in that form only: the disjunctive learner classifies its leaves with one
-:func:`exit_bounds` call and builds its inner children with
-:meth:`SplitCandidates.child`, and the Box learner filters with
+``f = 0``.  Under ``optimal`` ``cprob#``, a table that spans more than one
+row block is first screened by each row's concrete Gini score
+(:func:`_screened_selection`), and the kernel bounds only the rows that can
+reach the lub; the selection is the full kernel's.  It returns the selected
+candidates Ψ as rows (:class:`SplitCandidates`): each row's feature, bounds
+and kind, with the size, class counts and budgets of both of its sides.
+Both learners read Ψ in that form only: the disjunctive learner classifies
+its leaves with one :func:`exit_bounds` call and builds its inner children
+with :meth:`SplitCandidates.child`, and the Box learner filters with
 :func:`filter_closed_form`.
 
 ``filter#`` has a closed form (:func:`filter_closed_form`), which the Box
@@ -688,16 +691,31 @@ def best_split_abstract(
 def _table_candidates(
     rows: split_plan.StackedCandidates, removals: int, flips: int, method: str
 ) -> SplitCandidates:
-    """The selected rows of a node's candidate table."""
-    keep, includes_null = _selection(
-        rows.left_sizes,
-        rows.left_class_counts,
-        rows.right_sizes,
-        _RowComplement(rows.total_class_counts, rows.left_class_counts),
-        removals,
-        flips,
-        method,
-    )
+    """The selected rows of a node's candidate table.
+
+    A table that spans more than one row block is screened under
+    ``optimal`` (:func:`_screened_selection`); a one-block table is a
+    single kernel pass already.
+    """
+    if method == "optimal" and rows.left_sizes.size > split_plan._BLOCK_ROWS:
+        keep, includes_null = _screened_selection(
+            rows.left_sizes,
+            rows.left_class_counts,
+            rows.total_size,
+            rows.total_class_counts,
+            removals,
+            flips,
+        )
+    else:
+        keep, includes_null = _selection(
+            rows.left_sizes,
+            rows.left_class_counts,
+            rows.right_sizes,
+            _RowComplement(rows.total_class_counts, rows.left_class_counts),
+            removals,
+            flips,
+            method,
+        )
     feature = rows.features(keep)
     left_sizes = rows.left_sizes[keep]
     left_counts = rows.left_class_counts[keep]
@@ -749,6 +767,91 @@ def _selection(
     )
     lub = float(score_upper[universal].min())
     return np.flatnonzero(score_lower <= lub + SCORE_TOLERANCE), False
+
+
+#: Allowance, relative to the node size ``|T|``, for the float rounding of
+#: the screen's concrete scores and the kernel's bounds (see
+#: :func:`_screened_selection`).
+_SCREEN_ROUNDING = 1e-12
+
+
+def _screened_selection(
+    left_sizes: np.ndarray,
+    left_class_counts: np.ndarray,
+    total_size: int,
+    total_class_counts: np.ndarray,
+    removals: int,
+    flips: int,
+) -> Tuple[np.ndarray, bool]:
+    """:func:`_selection` under ``optimal``, bounding only rows that can reach the lub.
+
+    Take one side with size ``s`` and class count ``c``, ``n' = min(n, s)``,
+    its clamped flip allocation ``f'`` and ``N = n' + f'``.  The kernel's
+    lower-bound term of the class is ``(c − N)⁺ (s − c − N)⁺ / (s − n')``,
+    and the concrete Gini term ``c (s − c) / s`` exceeds it by at most
+    ``N``: ``c (s − c) / s ≤ min(c, s − c) ≤ N`` when either factor is 0,
+    and else the excess is at most ``N (s − N) / s`` since ``s − n' ≤ s``.
+    Summed over ``k`` classes, both sides and ``f'_L + f'_R ≤ f``, every
+    row's concrete score exceeds its ``score#`` lower bound by at most
+    ``k · (n'_L + n'_R + f)``, and so by at most the one margin
+    ``k · (2n + f)`` the screen uses for every row.  The margin adds
+    ``_SCREEN_ROUNDING · |T|`` for the rounding of both scores, each a few
+    rounded operations per class on terms no larger than ``|T|``.
+
+    Let ``u`` be the kernel's upper bound of some universal row, so
+    ``u ≥ lub``.  A row whose concrete score minus the margin exceeds
+    ``u + SCORE_TOLERANCE`` has a lower bound above ``lub +
+    SCORE_TOLERANCE``: it is not selected, and its upper bound, at least
+    its lower one, is not the lub.  The row that attains the lub survives,
+    so :func:`_selection` on the survivors gives the same rows, ``⋄`` and
+    lub as on the whole table, with the same per-row arithmetic.  The
+    screen walks the table one row block at a time and tightens ``u`` with
+    a one-row kernel call whenever a block holds a universal row of lower
+    concrete score than any before; the survivors of earlier blocks are
+    screened again against the final ``u``.
+
+    Not for ``box``: its ``upper_j = min(c + f', s) / m`` exceeds 1 once
+    removals are large, so ``1 − upper_j`` is negative and the lower bound
+    falls below the concrete score by up to about ``s² / m``, which no
+    margin linear in ``N`` covers.
+    """
+    universal = (left_sizes > removals) & (left_sizes < total_size - removals)
+    if not universal.any():
+        return np.arange(left_sizes.shape[0]), True
+    # n'_L + n'_R ≤ 2n: one margin for every row.
+    margin = total_class_counts.shape[0] * (2 * removals + flips)
+    margin += _SCREEN_ROUNDING * total_size
+
+    def sides(index):
+        """The kernel's four side arguments for the rows ``index``."""
+        left = left_class_counts[index]
+        sizes = left_sizes[index]
+        return sizes, left, total_size - sizes, total_class_counts - left
+
+    budgets = (removals, flips, "optimal")
+    bound = best = np.inf
+    survivors, scored = [], []
+    for block in split_plan.row_blocks(left_sizes.shape[0]):
+        scores = split_plan.gini_scores(
+            left_sizes[block],
+            left_class_counts[block],
+            total_size,
+            total_class_counts,
+        )
+        candidates = np.where(universal[block], scores, np.inf)
+        i = int(candidates.argmin())
+        if candidates[i] < best:
+            best = candidates[i]
+            row = slice(block.start + i, block.start + i + 1)
+            _, upper = _split_score_bounds(*sides(row), *budgets)
+            bound = min(bound, float(upper[0]))
+        reach = scores <= bound + SCORE_TOLERANCE + margin
+        survivors.append(np.flatnonzero(reach) + block.start)
+        scored.append(scores[reach])
+    reach = np.concatenate(scored) <= bound + SCORE_TOLERANCE + margin
+    rows = np.concatenate(survivors)[reach]
+    keep, _ = _selection(*sides(rows), *budgets)
+    return rows[keep], False
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ transformer semantics fails here before it can weaken a soundness bound.
 The disjunctive learner's leaf kernels are held to their scalar forms
 exactly: `exit_bounds` row by row to `cprob_optimal` / `cprob_box` of
 ``⟨T, n, f⟩``, and `dominating_components` to `dominating_component`.
+The screened selection (`_screened_selection`, which bounds only the rows
+whose concrete Gini score can reach the lub) is pinned to the full-kernel
+`_selection` on random node tables split into tiny row blocks, and end to
+end: a cold mnist17-real batch makes the same selections and verdict rows
+with the screen as without it.
 
 The closed-form ``filter#`` (`filter_closed_form`, over candidate rows) is
 pinned to the sequential fold of split pieces it replaces (`filter_abstract`,
@@ -31,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import CertificationEngine
+from repro.api import CertificationEngine, CertificationRequest
 from repro.core import split_plan
 from repro.core.dataset import Dataset, FeatureKind
 from repro.core.predicates import (
@@ -44,14 +49,20 @@ from repro.domains.interval import Interval, dominating_component, dominating_co
 from repro.domains.predicate_set import AbstractPredicateSet
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.label_flip import FlipAbstractTrainingSet
-from repro.poisoning.models import CompositePoisoningModel, RemovalPoisoningModel
-from repro.verify import abstract_learner
+from repro.poisoning.models import (
+    CompositePoisoningModel,
+    LabelFlipModel,
+    RemovalPoisoningModel,
+)
+from repro.verify import abstract_learner, transformers
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import FilterReplay, filter_abstract_traced
 from repro.verify.transformers import (
     SplitCandidates,
     _RowComplement,
     _flip_split_score_bounds_reference,
+    _screened_selection,
+    _selection,
     _side_score_bounds_reference,
     _split_score_bounds,
     best_split_abstract,
@@ -191,6 +202,189 @@ class TestSplitScoreBounds:
         sides = _split(left, right)
         lower, upper = _split_score_bounds(*sides, removals, flips, method)
         assert np.all(lower <= upper + TOL)
+
+
+@st.composite
+def node_tables(draw):
+    """A node's candidate table: per-row left class counts within the totals.
+
+    Rows of empty left sides lead some tables (a first block without a
+    universal row), and some tables repeat their rows (ties at the lub).
+    """
+    k = draw(st.integers(min_value=2, max_value=5))
+    totals = np.asarray(draw(st.lists(st.integers(0, 10), min_size=k, max_size=k)))
+    n_rows = draw(st.integers(min_value=1, max_value=40))
+    left = [[draw(st.integers(0, int(t))) for t in totals] for _ in range(n_rows)]
+    left = np.asarray(left, dtype=np.int64).reshape(n_rows, k)
+    lead = draw(st.integers(min_value=0, max_value=3))
+    left = np.vstack((np.zeros((lead, k), dtype=np.int64), left))
+    if draw(st.booleans()):
+        left = np.vstack((left, left[::-1]))
+    return left.sum(axis=1), left, int(totals.sum()), totals.astype(np.int64)
+
+
+def _full_selection(left_sizes, left_counts, total, totals, removals, flips):
+    """The full-kernel ``_selection`` of a node table under ``optimal``."""
+    return _selection(
+        left_sizes,
+        left_counts,
+        total - left_sizes,
+        totals - left_counts,
+        removals,
+        flips,
+        "optimal",
+    )
+
+
+class TestScreenedSelection:
+    """The screened ``bestSplit#`` selection is the full kernel's, row for row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        node_tables(),
+        # Mostly small n, where the screen drops rows; up to past the node
+        # size, where no row is universal (every row and ⋄).
+        st.one_of(st.integers(0, 3), st.integers(0, 45)),
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from(SMALL_BLOCKS),
+    )
+    def test_matches_full_selection(self, table, removals, flips, rows):
+        expected, expected_null = _full_selection(*table, removals, flips)
+        with block_rows(rows):
+            keep, includes_null = _screened_selection(*table, removals, flips)
+        np.testing.assert_array_equal(keep, expected)
+        assert includes_null == expected_null
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        node_tables(),
+        st.integers(min_value=0, max_value=45),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_margin_bounds_the_gap(self, table, removals, flips):
+        # Per row: concrete Gini − score# lower ≤ k·(n'_L + n'_R + f), and the
+        # concrete Gini is at most the score# upper bound.
+        left_sizes, left_counts, total, totals = table
+        right_sizes, right_counts = total - left_sizes, totals - left_counts
+        lower, upper = _split_score_bounds(
+            left_sizes, left_counts, right_sizes, right_counts, removals, flips, "optimal"
+        )
+        concrete = split_plan.gini_scores(left_sizes, left_counts, total, totals)
+        # Σ c (s − c) / s per side, 0 for an empty side.
+        expected = sum(
+            (counts * (sizes[:, None] - counts)).sum(axis=1) / np.maximum(sizes, 1)
+            for sizes, counts in ((left_sizes, left_counts), (right_sizes, right_counts))
+        )
+        np.testing.assert_allclose(concrete, expected, atol=TOL)
+        n_left = np.minimum(removals, left_sizes)
+        n_right = np.minimum(removals, right_sizes)
+        margin = totals.size * (n_left + n_right + flips)
+        assert np.all(concrete - lower <= margin + TOL)
+        assert np.all(concrete <= upper + TOL)
+
+    def test_drops_rows_on_a_real_root(self, monkeypatch):
+        # mnist17-real at scale 0.05: the root table spans many blocks, and
+        # the kernel bounds only the rows that survive the screen.
+        dataset = load_dataset("mnist17-real", scale=0.05, seed=0).train
+        rows = split_plan.plan_for(dataset).node_candidates(
+            np.arange(dataset.y.size, dtype=np.int64)
+        )
+        table = (
+            rows.left_sizes,
+            rows.left_class_counts,
+            rows.total_size,
+            rows.total_class_counts,
+        )
+        assert rows.left_sizes.size > 10 * split_plan._BLOCK_ROWS
+        bounded = []
+
+        def spy(left_sizes, *args):
+            bounded.append(left_sizes.shape[0])
+            return _selection(left_sizes, *args)
+
+        monkeypatch.setattr(transformers, "_selection", spy)
+        for removals, flips in ((0, 0), (1, 0), (8, 0), (1, 1), (8, 1)):
+            bounded.clear()
+            keep, includes_null = _screened_selection(*table, removals, flips)
+            expected, expected_null = _full_selection(*table, removals, flips)
+            np.testing.assert_array_equal(keep, expected)
+            assert includes_null == expected_null
+            assert bounded and bounded[0] < rows.left_sizes.size // 100
+
+
+def _selections(monkeypatch):
+    """Record every ``bestSplit#`` table selection: its rows and ``⋄``."""
+    recorded = []
+    table_candidates = transformers._table_candidates
+
+    def record(*args):
+        result = table_candidates(*args)
+        recorded.append((result.key, result.includes_null))
+        return result
+
+    monkeypatch.setattr(transformers, "_table_candidates", record)
+    return recorded
+
+
+def _mnist_rows(model, **options):
+    """Verdict rows, timings zeroed, of a cold mnist17-real batch."""
+    split = load_dataset("mnist17-real", scale=0.05, seed=0)
+    split_plan.clear_plans()
+    results = CertificationEngine(**options).certify_stream(
+        CertificationRequest(split.train, split.test.X[:4], model)
+    )
+    return [
+        dataclasses.replace(r, elapsed_seconds=0.0, peak_memory_bytes=0)
+        for r in results
+    ]
+
+
+class TestScreenedVerdictIdentity:
+    """End to end, the screen changes no verdict row and no selection."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize(
+        "model",
+        [RemovalPoisoningModel(1), RemovalPoisoningModel(8), LabelFlipModel(1)],
+        ids=["n1", "n8", "flip1"],
+    )
+    def test_rows_equal_the_unscreened_run(self, monkeypatch, model, depth):
+        screen = transformers._screened_selection
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return screen(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transformers, "_screened_selection", counted)
+            screened = _selections(patch)
+            rows = _mnist_rows(model, max_depth=depth)
+        with monkeypatch.context() as patch:
+            patch.setattr(transformers, "_screened_selection", _full_selection)
+            unscreened = _selections(patch)
+            expected = _mnist_rows(model, max_depth=depth)
+        assert calls
+        assert rows == expected
+        assert screened == unscreened
+
+    def test_box_never_screens(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("box cprob# must not be screened")
+
+        selection = transformers._selection
+        table_rows = []
+
+        def full(left_sizes, *args):
+            table_rows.append(left_sizes.shape[0])
+            return selection(left_sizes, *args)
+
+        monkeypatch.setattr(transformers, "_screened_selection", refuse)
+        monkeypatch.setattr(transformers, "_selection", full)
+        rows = _mnist_rows(RemovalPoisoningModel(1), max_depth=1, cprob_method="box")
+        assert len(rows) == 4
+        # The full kernel scored a table of many blocks.
+        assert max(table_rows) > 10 * split_plan._BLOCK_ROWS
 
 
 @st.composite
