@@ -21,8 +21,9 @@ from repro.utils.validation import ValidationError, check_index_array
 class FeatureKind(enum.Enum):
     """The type of a feature column.
 
-    ``BOOLEAN`` features take values in ``{0, 1}`` and induce a single
-    candidate predicate per feature (``x_i <= 0.5``).  ``REAL`` features
+    ``BOOLEAN`` features take values in ``{0, 1}`` (``-0.0`` counts as 0;
+    :class:`Dataset` rejects any other value) and induce a single candidate
+    predicate per feature (``x_i <= 0.5``).  ``REAL`` features
     induce data-dependent threshold predicates at midpoints between adjacent
     observed values; the abstract learner additionally widens them into
     symbolic predicates (Appendix B).  ``CATEGORICAL`` features are integer
@@ -33,6 +34,29 @@ class FeatureKind(enum.Enum):
     REAL = "real"
     BOOLEAN = "boolean"
     CATEGORICAL = "categorical"
+
+
+def _check_boolean_columns(X: np.ndarray, kinds: Sequence[FeatureKind]) -> None:
+    """Raise :class:`ValidationError` if a ``BOOLEAN`` column holds a value
+    outside ``{0, 1}``.
+
+    One pass over the whole matrix, with no column gather: flag every value
+    that is neither 0 nor 1 (NaN included), then look only at the boolean
+    columns' flags.
+    """
+    if FeatureKind.BOOLEAN not in kinds:
+        return
+    boolean = np.array([kind is FeatureKind.BOOLEAN for kind in kinds], dtype=bool)
+    outside = X != 0.0
+    outside &= X != 1.0
+    bad = outside.any(axis=0) & boolean
+    if bad.any():
+        feature = int(np.argmax(bad))
+        value = float(X[np.argmax(outside[:, feature]), feature])
+        raise ValidationError(
+            f"boolean feature {feature} holds {value!r}; boolean features "
+            "take only the values 0 and 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,7 +75,9 @@ class Dataset:
     n_classes:
         Number of classes ``k``; defaults to ``max(y) + 1``.
     feature_kinds:
-        One :class:`FeatureKind` per column; defaults to all ``REAL``.
+        One :class:`FeatureKind` per column; defaults to all ``REAL``.  A
+        ``BOOLEAN`` column must hold only 0 and 1 (``-0.0`` counts as 0),
+        else construction raises :class:`ValidationError`.
     feature_names / class_names:
         Optional human-readable names used in reports and tree printouts.
     """
@@ -91,6 +117,7 @@ class Dataset:
                 f"feature_kinds has {len(kinds)} entries but X has "
                 f"{X.shape[1]} columns"
             )
+        _check_boolean_columns(X, kinds)
         feature_names = self.feature_names
         if not feature_names:
             feature_names = tuple(f"x{i}" for i in range(X.shape[1]))

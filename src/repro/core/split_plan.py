@@ -1,23 +1,31 @@
-"""Per-dataset split-table plans: presorted feature orders, per-node candidates.
+"""Per-dataset split-table plans: presorted and counted columns, per-node candidates.
 
 A :class:`SplitTablePlan` is the one split-table path of the package: the
 concrete ``bestSplit`` of :mod:`repro.core.splitter` (which ``DTrace`` and the
 full-tree learner call) and the abstract ``bestSplit#`` of
 :mod:`repro.verify.transformers` both score the rows it derives.  The plan
-sorts each feature column once per *dataset*; the split table of any node
-(an index subset along a predicate path) is then derived by keeping the
-node's rows of the presorted orders — O(N) per feature instead of
-O(N log N).  Any sorted order restricted to a subset is a sorted order of
-that subset, and no table depends on the order of rows within a tie: a
-candidate sits only where a feature's sorted value strictly increases, its
-true side is the node rows valued at most that boundary, its bounds are the
-values on either side, and its class counts are a prefix sum read there.
-The sort therefore need not be stable.  One exception: a tie of ``-0.0``
-and ``+0.0`` could report either sign as a bound, so the plan turns every
-``-0.0`` into ``+0.0`` first, and tables depend only on the node's values.
-The plan derives every feature's table at once and keeps
-them stacked as one row table of split candidates
-(:class:`StackedCandidates`).
+derives every feature's table of a node (an index subset along a predicate
+path) at once and keeps them stacked as one row table of split candidates
+(:class:`StackedCandidates`), in feature order.
+
+Real and categorical columns are sorted once per *dataset*; a node's table
+of such a feature is then derived by keeping the node's rows of the
+presorted order — O(N) per feature instead of O(N log N).  Any sorted order
+restricted to a subset is a sorted order of that subset, and no table
+depends on the order of rows within a tie: a candidate sits only where a
+feature's sorted value strictly increases, its true side is the node rows
+valued at most that boundary, its bounds are the values on either side, and
+its class counts are a prefix sum read there.  The sort therefore need not
+be stable.  One exception: a tie of ``-0.0`` and ``+0.0`` could report
+either sign as a bound, so the plan turns every ``-0.0`` into ``+0.0``
+first, and tables depend only on the node's values.
+
+Boolean columns are not sorted.  A boolean feature holds only 0 and 1 (the
+contract :class:`~repro.core.dataset.Dataset` enforces), so its table has at
+most the one row ``x <= 0.5``, and counting the node's ones per class gives
+its class counts.  The plan keeps the boolean columns as one ``uint8``
+matrix and counts all of them at once; a dataset of boolean features alone
+(MNIST-1-7-Binary) sorts nothing.
 
 Three properties make the plan widely shareable:
 
@@ -46,7 +54,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,7 +89,7 @@ _BLOCK_ROWS = 8192
 _SPLIT_TABLE_CACHE = metrics.counter(
     "split_table_cache_total",
     "Per-node split-table derivations served from a SplitTablePlan cache "
-    "(result=hit) versus built by filtering the presorted order (result=miss).",
+    "(result=hit) versus built from the plan's columns (result=miss).",
     labelnames=("result",),
 )
 
@@ -205,6 +213,14 @@ def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
     raise TypeError(f"no candidate row for {type(predicate).__name__}")
 
 
+#: A node table's rows as ``(features, low, high, left_sizes,
+#: left_class_counts)``, listed feature by feature.
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: The upper bound of a boolean feature's row ``x <= 0.5``.
+_ABOVE_HALF = math.nextafter(0.5, math.inf)
+
+
 def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
     """Replace each categorical feature's threshold rows by equality rows.
 
@@ -237,12 +253,26 @@ def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
     )
 
 
-class SplitTablePlan:
-    """Presorted per-feature orders for one dataset plus node-level caches.
+def _merged(*tables: _Rows) -> _Rows:
+    """The rows of ``tables`` in feature order.
 
-    The plan keeps what it needs of the dataset (its label array, column
-    copies, class count and feature kinds) but no reference to the dataset
-    itself, which carries the plan.
+    Each table lists its rows feature by feature and no feature appears in
+    two tables, so a stable sort by feature merges them.
+    """
+    columns = [np.concatenate(parts) for parts in zip(*tables)]
+    order = np.argsort(columns[0], kind="stable")
+    features, low, high, sizes, counts = (column[order] for column in columns)
+    return features, low, high, sizes, counts
+
+
+class SplitTablePlan:
+    """Per-dataset column layouts for node tables, plus node-level caches.
+
+    Non-boolean columns are presorted once; boolean columns are kept as one
+    ``uint8`` matrix whose node rows are counted.  The plan keeps what it
+    needs of the dataset (its label array, column copies, class count and
+    feature kinds) but no reference to the dataset itself, which carries the
+    plan.
 
     The per-node caches are plain dicts read and written without locks: every
     individual dict operation is atomic under the GIL, entries are immutable
@@ -255,9 +285,12 @@ class SplitTablePlan:
         "_y",
         "_n_classes",
         "_kinds",
+        "_presorted",
         "_sorted_values",
         "_sorted_labels",
         "_orders",
+        "_boolean",
+        "_bits",
         "_columns",
         "_node_cache",
         "_split_cache",
@@ -271,14 +304,28 @@ class SplitTablePlan:
         self._kinds = np.array(
             [_ROW_KIND[kind] for kind in dataset.feature_kinds], dtype=np.int8
         )
+        boolean = self._kinds == THRESHOLD_ROW
+        self._boolean = np.flatnonzero(boolean)
+        self._presorted = np.flatnonzero(~boolean)
         # The (n_features, N) columns as a fresh C-ordered copy in which
-        # ``+ 0.0`` turns every -0.0 into +0.0.  One unstable argsort of all
-        # rows sorts every feature: ties may come out in any order.
+        # ``+ 0.0`` turns every -0.0 into +0.0.
         columns = np.add(dataset.X.T, 0.0, order="C")
-        self._orders = np.argsort(columns, axis=1)
-        self._sorted_values = np.take_along_axis(columns, self._orders, axis=1)
-        self._sorted_labels = dataset.y.take(self._orders)
         self._columns = columns
+        self._orders: Optional[np.ndarray] = None
+        self._sorted_values: Optional[np.ndarray] = None
+        self._sorted_labels: Optional[np.ndarray] = None
+        if self._presorted.size or not self._boolean.size:
+            # One unstable argsort sorts every non-boolean feature (ties may
+            # come out in any order); only an all-boolean dataset skips it.
+            if self._boolean.size:
+                columns = columns[self._presorted]
+            self._orders = np.argsort(columns, axis=1)
+            self._sorted_values = np.take_along_axis(columns, self._orders, axis=1)
+            self._sorted_labels = dataset.y.take(self._orders)
+        self._bits: Optional[np.ndarray] = None
+        if self._boolean.size:
+            X = dataset.X if not self._presorted.size else dataset.X[:, self._boolean]
+            self._bits = X.astype(np.uint8)
         self._node_cache: Dict[bytes, StackedCandidates] = {}
         self._split_cache: Dict[tuple, tuple] = {}
         self._best_split_cache: Dict[tuple, object] = {}
@@ -308,31 +355,64 @@ class SplitTablePlan:
     def _build_candidates(self, indices: np.ndarray) -> StackedCandidates:
         """Every feature's split table of the node at once, as stacked rows.
 
-        Restricting the presorted orders to the node keeps them sorted, so
-        the node's rows of all features form one ``(n_features, size)``
-        matrix, gathered through the flat positions of the node's rows; the
-        whole dataset reads the presorted matrices as they are.  Which row of
-        a tie lands where is unspecified and reaches no table (see the module
-        docstring).  A candidate sits wherever a feature's sorted value
-        strictly increases, and its true side is the prefix before it, for
-        every feature in a few array operations.  The rows' bounds and prefix
-        counts are gathered from the flat matrices one block of rows at a
-        time; the last class's count is the prefix size minus the other
-        classes', so only ``k - 1`` prefix sums are taken.
+        The presorted and the boolean columns each give their rows feature
+        by feature; with both kinds present the two tables are merged into
+        feature order.  Categorical features then trade their threshold rows
+        for equality rows.
         """
+        labels = self._y[indices]
+        total_class_counts = np.bincount(labels, minlength=self._n_classes).astype(
+            np.int64
+        )
+        tables: List[_Rows] = []
+        if self._orders is not None:
+            tables.append(self._presorted_rows(indices))
+        if self._bits is not None:
+            tables.append(self._boolean_rows(indices, labels, total_class_counts))
+        features, low, high, left_sizes, left_class_counts = (
+            tables[0] if len(tables) == 1 else _merged(*tables)
+        )
+        kinds = self._kinds
+        rows = StackedCandidates(
+            offsets=np.searchsorted(features, np.arange(kinds.size + 1)),
+            kinds=kinds,
+            low=low,
+            high=high,
+            left_sizes=left_sizes,
+            left_class_counts=left_class_counts,
+            total_size=int(indices.size),
+            total_class_counts=total_class_counts,
+        )
+        if (kinds == EQUALITY_ROW).any():
+            rows = _with_equality_rows(rows)
+        return rows
+
+    def _presorted_rows(self, indices: np.ndarray) -> _Rows:
+        """The node's rows of every presorted (non-boolean) feature.
+
+        Restricting the presorted orders to the node keeps them sorted, so
+        the node's rows of all these features form one ``(n_features,
+        size)`` matrix, gathered through the flat positions of the node's
+        rows; the whole dataset reads the presorted matrices as they are.
+        Which row of a tie lands where is unspecified and reaches no table
+        (see the module docstring).  A candidate sits wherever a feature's
+        sorted value strictly increases, and its true side is the prefix
+        before it, for every feature in a few array operations.  The rows'
+        bounds and prefix counts are gathered from the flat matrices one
+        block of rows at a time; the last class's count is the prefix size
+        minus the other classes', so only ``k - 1`` prefix sums are taken.
+        """
+        orders, values, labels = self._orders, self._sorted_values, self._sorted_labels
+        assert orders is not None and values is not None and labels is not None
         n_classes = self._n_classes
-        n_features = self._orders.shape[0]
+        n_features = orders.shape[0]
         size = int(indices.size)
-        if size == self._y.size:  # sorted unique indices: the whole dataset
-            values, labels = self._sorted_values, self._sorted_labels
-        else:
+        if size != self._y.size:  # sorted unique indices: not the whole dataset
             mask = np.zeros(self._y.size, dtype=bool)
             mask[indices] = True
-            keep = np.flatnonzero(mask.take(self._orders))
-            values = self._sorted_values.reshape(-1).take(keep)
-            values = values.reshape(n_features, size)
-            labels = self._sorted_labels.reshape(-1).take(keep)
-            labels = labels.reshape(n_features, size)
+            keep = np.flatnonzero(mask.take(orders))
+            values = values.reshape(-1).take(keep).reshape(n_features, size)
+            labels = labels.reshape(-1).take(keep).reshape(n_features, size)
         features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
         cumulative = [
             np.cumsum(labels == label, axis=1, dtype=np.int32).ravel()
@@ -354,28 +434,36 @@ class SplitTablePlan:
             left_class_counts[block, n_classes - 1] = last
             flat += 1
             high[block] = values.take(flat)
-        kinds = self._kinds
-        if (kinds == THRESHOLD_ROW).any():
-            threshold = kinds[features] == THRESHOLD_ROW
-            midpoints = (low[threshold] + high[threshold]) / 2.0
-            low[threshold] = midpoints
-            high[threshold] = np.nextafter(midpoints, np.inf)
-        rows = StackedCandidates(
-            # ``nonzero`` lists the rows feature by feature.
-            offsets=np.searchsorted(features, np.arange(n_features + 1)),
-            kinds=kinds,
-            low=low,
-            high=high,
-            left_sizes=left_sizes,
-            left_class_counts=left_class_counts,
-            total_size=size,
-            total_class_counts=np.bincount(
-                self._y[indices], minlength=n_classes
-            ).astype(np.int64),
+        if n_features < self._kinds.size:
+            features = self._presorted.take(features)
+        return features, low, high, left_sizes, left_class_counts
+
+    def _boolean_rows(
+        self, indices: np.ndarray, labels: np.ndarray, total_class_counts: np.ndarray
+    ) -> _Rows:
+        """The node's row of every boolean feature, by counting.
+
+        Per class, summing the node's rows of the ``uint8`` matrix counts
+        each feature's ones, and the class total minus them its zeros.  A
+        feature whose node holds both values has the one row ``x <= 0.5``,
+        stored as ``[0.5, 0.5⁺)``, whose true side is the zeros.
+        """
+        bits = self._bits
+        assert bits is not None
+        ones = np.empty((bits.shape[1], self._n_classes), dtype=np.int64)
+        for label in range(self._n_classes):
+            ones[:, label] = bits[indices[labels == label]].sum(axis=0, dtype=np.int32)
+        zeros = total_class_counts - ones
+        zero_sizes = zeros.sum(axis=1)
+        split = (zero_sizes > 0) & (zero_sizes < indices.size)
+        count = int(np.count_nonzero(split))
+        return (
+            self._boolean[split],
+            np.full(count, 0.5),
+            np.full(count, _ABOVE_HALF),
+            zero_sizes[split],
+            zeros[split],
         )
-        if (kinds == EQUALITY_ROW).any():
-            rows = _with_equality_rows(rows)
-        return rows
 
     # ------------------------------------------------------ split-down cache
     # ``symbolic_split`` keeps the subset of ``indices`` on one side of a

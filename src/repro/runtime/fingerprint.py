@@ -57,7 +57,8 @@ _SCHEMA = b"repro-runtime-v1"
 def _hash_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
     hasher.update(str(array.dtype).encode())
     hasher.update(str(array.shape).encode())
-    hasher.update(np.ascontiguousarray(array).tobytes())
+    # A C-contiguous array is hashed through its buffer, without a copy.
+    hasher.update(np.ascontiguousarray(array))
 
 
 def fingerprint_dataset(dataset: Dataset) -> str:

@@ -290,12 +290,18 @@ def filter_closed_form(
     X = trainset.dataset.X
 
     # Node rows with value <= low and < high: one sort per feature, then a
-    # binary search per bound.
+    # binary search per bound.  A feature with one row (every boolean one)
+    # needs no sort: two counts give them.
     le_low = np.empty(feature.size, dtype=np.int64)
     lt_high = np.empty(feature.size, dtype=np.int64)
     nodes = []
     for run in runs:
         node = X[indices, feature[run.start]]
+        if run.stop - run.start == 1:
+            le_low[run] = np.count_nonzero(node <= low[run.start])
+            lt_high[run] = np.count_nonzero(node < high[run.start])
+            nodes.append((node, None))
+            continue
         ordered = np.sort(node)
         le_low[run] = np.searchsorted(ordered, low[run], side="right")
         lt_high[run] = np.searchsorted(ordered, high[run], side="left")
@@ -324,16 +330,23 @@ def filter_closed_form(
     )
 
     # U: per feature, the widest satisfied prefix and falsified suffix, plus
-    # the rows of every equality piece.
+    # the rows of every equality piece.  A feature's only row has them as
+    # its own sides, ``x < high`` and ``x > low``.
     widest_true = np.maximum.reduceat(np.where(equality, 0, true_size), bounds)
     widest_false = np.maximum.reduceat(np.where(equality, 0, false_size), bounds)
     has_equality = np.logical_or.reduceat(equality, bounds)
     keep = np.zeros(size, dtype=bool)
     for j, (run, (node, ordered)) in enumerate(zip(runs, nodes)):
         if widest_true[j]:
-            keep |= node <= ordered[widest_true[j] - 1]
+            if ordered is None:
+                keep |= node < high[run.start]
+            else:
+                keep |= node <= ordered[widest_true[j] - 1]
         if widest_false[j]:
-            keep |= node >= ordered[size - widest_false[j]]
+            if ordered is None:
+                keep |= node > low[run.start]
+            else:
+                keep |= node >= ordered[size - widest_false[j]]
         if has_equality[j]:
             taken = equality[run] & (true_size[run] > 0)
             keep |= (node[:, None] == low[run][taken]).any(axis=1)

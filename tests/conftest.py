@@ -9,6 +9,7 @@ concretization of ``⟨T, n⟩``.
 from __future__ import annotations
 
 import contextlib
+import warnings
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -25,9 +26,20 @@ from repro.core.predicates import (
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
 
 
+pytest_plugins = ("pytester",)
+
+
 def pytest_configure(config: pytest.Config) -> None:
     # Any DeprecationWarning fails the suite, so no deprecated path comes back.
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Except one third-party import: Hypothesis's report of a falsifying
+    # example imports its patching helpers, whose dependency libcst uses a
+    # deprecated TypedDict.  Imported then, under that error filter, it would
+    # crash the session instead of reporting the example.  Hypothesis skips
+    # the helpers when libcst is not installed.
+    with warnings.catch_warnings(), contextlib.suppress(ImportError):
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -52,6 +52,30 @@ class TestConstruction:
                 feature_kinds=(FeatureKind.REAL,),
             )
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_rejects_non_boolean_value_in_boolean_column(self, value):
+        X = np.array([[0.0, 0.5], [1.0, 2.0], [value, 3.0]])
+        with pytest.raises(ValidationError, match="boolean feature 0"):
+            Dataset(
+                X=X,
+                y=np.array([0, 1, 0]),
+                feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.REAL),
+            )
+
+    def test_boolean_column_accepts_negative_zero(self):
+        X = np.array([[-0.0, 0.5], [1.0, 2.0], [0.0, 3.0]])
+        dataset = Dataset(
+            X=X, y=np.array([0, 1, 0]), feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.REAL)
+        )
+        assert dataset.feature_kinds[0] is FeatureKind.BOOLEAN
+
+    def test_real_column_may_hold_any_value(self):
+        # Only the boolean columns are checked.
+        X = np.array([[0.0, 0.5], [1.0, 2.0]])
+        Dataset(
+            X=X, y=np.array([0, 1]), feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.REAL)
+        )
+
 
 class TestStatistics:
     def test_class_counts(self):

@@ -67,14 +67,16 @@ def nodes(draw):
     )
     columns = []
     for kind in kinds:
-        high = {FeatureKind.BOOLEAN: 1, FeatureKind.CATEGORICAL: 3}.get(kind, 6)
-        columns.append(
-            draw(st.lists(st.integers(0, high), min_size=n_rows, max_size=n_rows))
-        )
+        if kind is FeatureKind.BOOLEAN:
+            values = st.sampled_from([0.0, -0.0, 1.0])
+        else:
+            high = 3 if kind is FeatureKind.CATEGORICAL else 6
+            values = st.integers(0, high).map(lambda value: value * 0.5)
+        columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
     k = draw(st.integers(min_value=1, max_value=3))
     y = draw(st.lists(st.integers(0, k - 1), min_size=n_rows, max_size=n_rows))
     dataset = Dataset(
-        X=np.array(columns, dtype=float).T * 0.5,
+        X=np.array(columns, dtype=float).T,
         y=np.array(y),
         n_classes=k,
         feature_kinds=tuple(kinds),
@@ -152,7 +154,9 @@ class TestNodeCandidates:
         dataset = _tie_heavy_dataset()
         plan = split_plan.SplitTablePlan(dataset)
         # The plan's sort puts some tie in another order than a stable sort.
-        stable = np.argsort(dataset.X.T, axis=1, kind="stable")
+        # Boolean columns are counted, not sorted.
+        presorted = [kind is not FeatureKind.BOOLEAN for kind in dataset.feature_kinds]
+        stable = np.argsort(dataset.X.T[presorted], axis=1, kind="stable")
         assert (plan._orders != stable).any()
         rng = np.random.default_rng(3)
         n = len(dataset)
@@ -166,6 +170,59 @@ class TestNodeCandidates:
             _assert_blocks_agree(dataset, indices, rows)
             for bound in (rows.low, rows.high):
                 assert not np.signbit(bound[bound == 0]).any()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [4], [0, 2, 5, 7], [1, 3, 4, 6], list(range(8))],
+        ids=["empty", "single-row", "boolean-constant", "boolean-varies", "all"],
+    )
+    def test_mixed_edge_nodes(self, rows):
+        # Two boolean columns (one holding -0.0) between a real and a
+        # categorical column: rows 0, 2, 5 and 7 hold 1 in both boolean
+        # columns, rows 1, 3, 4 and 6 hold both values.
+        X = np.array(
+            [
+                [0.5, 1.0, 2.0, 1.0, 1.0],
+                [1.5, 0.0, 1.0, -0.0, 0.0],
+                [2.5, 1.0, 0.0, 1.0, 2.0],
+                [0.5, 1.0, 1.0, -0.0, 1.0],
+                [1.0, 0.0, 3.0, 1.0, 0.0],
+                [2.0, 1.0, 2.0, 1.0, 1.0],
+                [3.0, -0.0, 0.0, 1.0, 2.0],
+                [0.0, 1.0, 1.0, 1.0, 0.0],
+            ]
+        )
+        kinds = (
+            FeatureKind.REAL,
+            FeatureKind.BOOLEAN,
+            FeatureKind.REAL,
+            FeatureKind.BOOLEAN,
+            FeatureKind.CATEGORICAL,
+        )
+        dataset = Dataset(
+            X=X, y=np.array([0, 1, 2, 0, 1, 2, 0, 1]), n_classes=3, feature_kinds=kinds
+        )
+        indices = np.array(rows, dtype=np.int64)
+        node = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        _assert_matches_reference(dataset, indices, node)
+        _assert_blocks_agree(dataset, indices, node)
+
+    def test_boolean_dataset_is_counted_not_sorted(self, monkeypatch):
+        dataset = load_dataset("mnist17-binary", 0.05).train
+
+        def argsort(*args, **kwargs):
+            raise AssertionError("an all-boolean plan sorts nothing")
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        plan = split_plan.SplitTablePlan(dataset)
+        assert plan._orders is None
+        assert plan._sorted_values is None and plan._sorted_labels is None
+        assert plan._bits.dtype == np.uint8
+        assert plan._bits.shape == dataset.X.shape
+        root = np.arange(len(dataset))
+        rows = plan.node_candidates(root)
+        monkeypatch.undo()
+        _assert_matches_reference(dataset, root, rows)
 
     @pytest.mark.parametrize("name", ["mnist17-real", "mnist17-binary"])
     def test_real_pixels(self, name):

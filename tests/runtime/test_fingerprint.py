@@ -66,6 +66,27 @@ class TestDatasetFingerprint:
         )
         assert fingerprint_dataset(as_real) != fingerprint_dataset(as_boolean)
 
+    def test_digest_is_pinned(self):
+        # Caches written by earlier versions key on this digest.
+        expected = "64ab0033cebe2b4d0a891db84743e0ec9671c46207cc8fbf6b3920470a3e099e"
+        assert fingerprint_dataset(_dataset()) == expected
+        mixed = _dataset(
+            X=np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]),
+            feature_kinds=(FeatureKind.REAL, FeatureKind.BOOLEAN),
+        )
+        assert fingerprint_dataset(mixed) == (
+            "ac9703d287484cb7b6a47970f07fe225337752d05ac50c01a1ea400e7902e4f2"
+        )
+
+    def test_memory_layout_does_not_change_the_digest(self):
+        X = _dataset().X
+        wide = np.zeros((4, 4))
+        wide[:, ::2] = X
+        for layout in (np.asfortranarray(X), wide[:, ::2]):
+            dataset = _dataset(X=layout)
+            assert not dataset.X.flags.c_contiguous
+            assert fingerprint_dataset(dataset) == fingerprint_dataset(_dataset())
+
     def test_memoized_on_instance(self):
         dataset = _dataset()
         first = fingerprint_dataset(dataset)

@@ -27,6 +27,7 @@ from repro.service.protocol import (
     model_to_wire,
     read_frame,
 )
+from repro.utils.validation import ValidationError
 
 
 class TestFraming:
@@ -80,6 +81,30 @@ class TestDatasetWire:
         decoded = dataset_from_wire(dataset_to_wire(ref))
         local = load_dataset("iris", scale=0.3, seed=1).train
         assert fingerprint_dataset(decoded) == fingerprint_dataset(local)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_inline_boolean_column_outside_0_1_rejected(self, value):
+        wire = dataset_to_wire(
+            Dataset(
+                X=np.array([[0.0, 1.0], [1.0, 0.0]]),
+                y=np.array([0, 1]),
+                feature_kinds=(FeatureKind.REAL, FeatureKind.BOOLEAN),
+            )
+        )
+        wire["inline"]["X"][1][1] = value
+        with pytest.raises(ValidationError, match="boolean feature 1"):
+            dataset_from_wire(wire)
+
+    def test_inline_boolean_negative_zero_accepted(self):
+        wire = dataset_to_wire(
+            Dataset(
+                X=np.array([[0.0, -0.0], [1.0, 1.0]]),
+                y=np.array([0, 1]),
+                feature_kinds=(FeatureKind.REAL, FeatureKind.BOOLEAN),
+            )
+        )
+        decoded = dataset_from_wire(wire)
+        assert decoded.feature_kinds[1] is FeatureKind.BOOLEAN
 
     def test_rejects_unknown_shapes(self):
         with pytest.raises(ProtocolError):

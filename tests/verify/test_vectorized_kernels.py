@@ -476,13 +476,29 @@ class TestDominatingComponents:
 _GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
+def _draw_predicate(draw, feature, kind, row=None):
+    """A random predicate on ``feature`` of column ``kind``; ``row`` (one of
+    ``"symbolic"``, ``"threshold"``, ``"equality"``) fixes its row kind."""
+    if kind is FeatureKind.BOOLEAN:
+        return ThresholdPredicate(feature, 0.5)
+    if kind is FeatureKind.CATEGORICAL:
+        return EqualityPredicate(feature, draw(st.sampled_from([0.0, 1.0, 2.0])))
+    if row == "threshold" or (row is None and draw(st.booleans())):
+        return ThresholdPredicate(feature, draw(_GRID))
+    bounds = draw(st.lists(_GRID, min_size=2, max_size=2, unique=True))
+    low, high = sorted(bounds)
+    return SymbolicThresholdPredicate(feature, low, high)
+
+
 @st.composite
-def filter_cases(draw):
+def filter_cases(draw, single_row=None):
     """A node ``⟨T, ·⟩``, a test point and a random Ψ over its features.
 
     Columns are real, boolean or categorical; Ψ mixes concrete thresholds,
     symbolic thresholds (which the point may evaluate to *maybe*) and
     equality predicates, so pieces can be empty, nested or overlapping.
+    With ``single_row`` set to a row kind, feature 0 has exactly one row in
+    Ψ, of that kind, and the other features draw theirs as usual.
     """
     kinds = draw(
         st.lists(
@@ -493,6 +509,12 @@ def filter_cases(draw):
             max_size=3,
         )
     )
+    if single_row == "symbolic":
+        kinds[0] = FeatureKind.REAL
+    elif single_row == "threshold":
+        kinds[0] = draw(st.sampled_from([FeatureKind.REAL, FeatureKind.BOOLEAN]))
+    elif single_row == "equality":
+        kinds[0] = FeatureKind.CATEGORICAL
     n_rows = draw(st.integers(min_value=1, max_value=10))
     columns = []
     point = []
@@ -518,20 +540,14 @@ def filter_cases(draw):
     indices = np.flatnonzero(keep)
 
     predicates = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        feature = draw(st.integers(0, len(kinds) - 1))
-        kind = kinds[feature]
-        if kind is FeatureKind.BOOLEAN:
-            predicates.append(ThresholdPredicate(feature, 0.5))
-        elif kind is FeatureKind.CATEGORICAL:
-            value = draw(st.sampled_from([0.0, 1.0, 2.0]))
-            predicates.append(EqualityPredicate(feature, value))
-        elif draw(st.booleans()):
-            predicates.append(ThresholdPredicate(feature, draw(_GRID)))
-        else:
-            bounds = draw(st.lists(_GRID, min_size=2, max_size=2, unique=True))
-            low, high = sorted(bounds)
-            predicates.append(SymbolicThresholdPredicate(feature, low, high))
+    first = 0
+    if single_row is not None:
+        predicates.append(_draw_predicate(draw, 0, kinds[0], single_row))
+        first = 1
+    if first < len(kinds):
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            feature = draw(st.integers(first, len(kinds) - 1))
+            predicates.append(_draw_predicate(draw, feature, kinds[feature]))
 
     family = draw(st.sampled_from(["removal", "flip", "composite"]))
     if family == "removal":
@@ -590,6 +606,14 @@ class TestClosedFormFilter:
     @given(filter_cases())
     def test_matches_fold(self, case):
         state, predicates, x = case
+        assert _closed(state, predicates, x) == _fold(state, predicates, x)
+
+    @pytest.mark.parametrize("row", ["symbolic", "threshold", "equality"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_single_row_feature_matches_fold(self, row, data):
+        # A feature with one row in Ψ is counted, not sorted.
+        state, predicates, x = data.draw(filter_cases(single_row=row))
         assert _closed(state, predicates, x) == _fold(state, predicates, x)
 
     @settings(max_examples=150, deadline=None)
