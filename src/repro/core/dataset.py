@@ -10,6 +10,7 @@ in turn determines whether the *abstract* learner needs symbolic predicates.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -36,17 +37,42 @@ class FeatureKind(enum.Enum):
     CATEGORICAL = "categorical"
 
 
-def _check_boolean_columns(X: np.ndarray, kinds: Sequence[FeatureKind]) -> None:
+#: Read-only matrices that passed the ``BOOLEAN`` check, keyed by
+#: ``(id(X), boolean column mask)``.  Every copy of a dataset (``replace``,
+#: ``dataclasses.replace``) shares its read-only X, so it is scanned once.
+_CHECKED: "weakref.WeakValueDictionary[Tuple[int, bytes], np.ndarray]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def _check_boolean_columns(
+    X: np.ndarray, kinds: Sequence[FeatureKind]
+) -> Optional[Tuple[int, bytes]]:
     """Raise :class:`ValidationError` if a ``BOOLEAN`` column holds a value
     outside ``{0, 1}``.
+
+    A read-only matrix that already passed with the same boolean columns is
+    not scanned again: its values cannot have changed.  Returns the key
+    under which to remember ``X`` once it is read-only, or ``None`` when
+    nothing was scanned.
+    """
+    if FeatureKind.BOOLEAN not in kinds:
+        return None
+    boolean = np.array([kind is FeatureKind.BOOLEAN for kind in kinds], dtype=bool)
+    key = (id(X), boolean.tobytes())
+    if _CHECKED.get(key) is X and not X.flags.writeable:
+        return None
+    _scan_boolean_columns(X, boolean)
+    return key
+
+
+def _scan_boolean_columns(X: np.ndarray, boolean: np.ndarray) -> None:
+    """The scan of :func:`_check_boolean_columns`.
 
     One pass over the whole matrix, with no column gather: flag every value
     that is neither 0 nor 1 (NaN included), then look only at the boolean
     columns' flags.
     """
-    if FeatureKind.BOOLEAN not in kinds:
-        return
-    boolean = np.array([kind is FeatureKind.BOOLEAN for kind in kinds], dtype=bool)
     outside = X != 0.0
     outside &= X != 1.0
     bad = outside.any(axis=0) & boolean
@@ -117,7 +143,7 @@ class Dataset:
                 f"feature_kinds has {len(kinds)} entries but X has "
                 f"{X.shape[1]} columns"
             )
-        _check_boolean_columns(X, kinds)
+        checked = _check_boolean_columns(X, kinds)
         feature_names = self.feature_names
         if not feature_names:
             feature_names = tuple(f"x{i}" for i in range(X.shape[1]))
@@ -130,6 +156,8 @@ class Dataset:
             raise ValidationError("class_names length must match n_classes")
         X.setflags(write=False)
         y.setflags(write=False)
+        if checked is not None:
+            _CHECKED[checked] = X
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "n_classes", int(n_classes))

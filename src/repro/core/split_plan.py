@@ -20,12 +20,24 @@ be stable.  One exception: a tie of ``-0.0`` and ``+0.0`` could report
 either sign as a bound, so the plan turns every ``-0.0`` into ``+0.0``
 first, and tables depend only on the node's values.
 
+A node's table of all presorted features is built in one pass: one
+boundary mask over the node's ``(features, size)`` sorted matrices
+compresses every column of the table out of them at once (the values on
+either side, the prefix sizes and ``k - 1`` prefix class counts).  The plan
+keeps the orders as ``int32``, the sorted labels in the narrowest unsigned
+type and the sorted values, and no other copy of the matrix: the sides of
+a split compare the dataset's own column, as ``<``, ``<=`` and ``==`` do
+not see the sign of zero.  A table scores the concrete Gini of its rows
+once, on first use (:attr:`StackedCandidates.gini`); the concrete
+``bestSplit`` and the ``bestSplit#`` screen both read those scores.
+
 Boolean columns are not sorted.  A boolean feature holds only 0 and 1 (the
 contract :class:`~repro.core.dataset.Dataset` enforces), so its table has at
 most the one row ``x <= 0.5``, and counting the node's ones per class gives
 its class counts.  The plan keeps the boolean columns as one ``uint8``
 matrix and counts all of them at once; a dataset of boolean features alone
-(MNIST-1-7-Binary) sorts nothing.
+(MNIST-1-7-Binary) sorts nothing.  ``filter#`` counts a node's boolean
+columns from the same matrix (:meth:`SplitTablePlan.node_bits`).
 
 Three properties make the plan widely shareable:
 
@@ -54,6 +66,7 @@ import math
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -140,6 +153,24 @@ class StackedCandidates:
         """The feature of each row in ``rows``."""
         return np.searchsorted(self.offsets, rows, side="right") - 1
 
+    @cached_property
+    def gini(self) -> np.ndarray:
+        """The concrete Gini score of every row (:func:`gini_scores`), read-only.
+
+        Scored once per table, one :func:`row_blocks` block at a time, and
+        shared by the concrete ``bestSplit`` and the ``bestSplit#`` screen.
+        """
+        scores = np.empty(self.low.size)
+        for block in row_blocks(scores.size):
+            scores[block] = gini_scores(
+                self.left_sizes[block],
+                self.left_class_counts[block],
+                self.total_size,
+                self.total_class_counts,
+            )
+        scores.setflags(write=False)
+        return scores
+
 
 def row_blocks(n_rows: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering ``n_rows``."""
@@ -213,8 +244,9 @@ def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
     raise TypeError(f"no candidate row for {type(predicate).__name__}")
 
 
-#: A node table's rows as ``(features, low, high, left_sizes,
-#: left_class_counts)``, listed feature by feature.
+#: A node table's rows as ``(rows per feature, low, high, left_sizes,
+#: left_class_counts)``, listed feature by feature; the first array counts
+#: the rows of every feature of the dataset.
 _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: The upper bound of a boolean feature's row ``x <= 0.5``.
@@ -259,10 +291,13 @@ def _merged(*tables: _Rows) -> _Rows:
     Each table lists its rows feature by feature and no feature appears in
     two tables, so a stable sort by feature merges them.
     """
-    columns = [np.concatenate(parts) for parts in zip(*tables)]
-    order = np.argsort(columns[0], kind="stable")
-    features, low, high, sizes, counts = (column[order] for column in columns)
-    return features, low, high, sizes, counts
+    features = [np.repeat(np.arange(table[0].size), table[0]) for table in tables]
+    order = np.argsort(np.concatenate(features), kind="stable")
+    low, high, sizes, counts = (
+        np.concatenate(parts)[order] for parts in zip(*(table[1:] for table in tables))
+    )
+    per_feature = np.sum([table[0] for table in tables], axis=0)
+    return per_feature, low, high, sizes, counts
 
 
 class SplitTablePlan:
@@ -270,9 +305,9 @@ class SplitTablePlan:
 
     Non-boolean columns are presorted once; boolean columns are kept as one
     ``uint8`` matrix whose node rows are counted.  The plan keeps what it
-    needs of the dataset (its label array, column copies, class count and
-    feature kinds) but no reference to the dataset itself, which carries the
-    plan.
+    needs of the dataset (its read-only feature matrix and label array, the
+    presorted and counted layouts, class count and feature kinds) but no
+    reference to the dataset itself, which carries the plan.
 
     The per-node caches are plain dicts read and written without locks: every
     individual dict operation is atomic under the GIL, entries are immutable
@@ -282,6 +317,7 @@ class SplitTablePlan:
     """
 
     __slots__ = (
+        "_X",
         "_y",
         "_n_classes",
         "_kinds",
@@ -291,7 +327,6 @@ class SplitTablePlan:
         "_orders",
         "_boolean",
         "_bits",
-        "_columns",
         "_node_cache",
         "_split_cache",
         "_best_split_cache",
@@ -299,6 +334,7 @@ class SplitTablePlan:
     )
 
     def __init__(self, dataset: Dataset) -> None:
+        self._X = dataset.X
         self._y = dataset.y
         self._n_classes = dataset.n_classes
         self._kinds = np.array(
@@ -307,21 +343,25 @@ class SplitTablePlan:
         boolean = self._kinds == THRESHOLD_ROW
         self._boolean = np.flatnonzero(boolean)
         self._presorted = np.flatnonzero(~boolean)
-        # The (n_features, N) columns as a fresh C-ordered copy in which
-        # ``+ 0.0`` turns every -0.0 into +0.0.
-        columns = np.add(dataset.X.T, 0.0, order="C")
-        self._columns = columns
         self._orders: Optional[np.ndarray] = None
         self._sorted_values: Optional[np.ndarray] = None
         self._sorted_labels: Optional[np.ndarray] = None
         if self._presorted.size or not self._boolean.size:
-            # One unstable argsort sorts every non-boolean feature (ties may
-            # come out in any order); only an all-boolean dataset skips it.
-            if self._boolean.size:
-                columns = columns[self._presorted]
-            self._orders = np.argsort(columns, axis=1)
-            self._sorted_values = np.take_along_axis(columns, self._orders, axis=1)
-            self._sorted_labels = dataset.y.take(self._orders)
+            # The presorted columns as one fresh C-ordered (n_features, N)
+            # matrix in which ``+ 0.0`` turns every -0.0 into +0.0.  One
+            # unstable argsort orders every feature (ties may come out in any
+            # order), and sorting the matrix in place gives the values in
+            # that order, since equal values are now indistinguishable.  Only
+            # an all-boolean dataset skips both.
+            X = dataset.X[:, self._presorted] if self._boolean.size else dataset.X
+            columns = np.add(X.T, 0.0, order="C")
+            orders = np.argsort(columns, axis=1)
+            labels = dataset.y.astype(np.min_scalar_type(self._n_classes))
+            self._sorted_labels = labels.take(orders)
+            self._orders = orders.astype(np.int32)
+            del orders
+            columns.sort(axis=1)
+            self._sorted_values = columns
         self._bits: Optional[np.ndarray] = None
         if self._boolean.size:
             X = dataset.X if not self._presorted.size else dataset.X[:, self._boolean]
@@ -369,12 +409,12 @@ class SplitTablePlan:
             tables.append(self._presorted_rows(indices))
         if self._bits is not None:
             tables.append(self._boolean_rows(indices, labels, total_class_counts))
-        features, low, high, left_sizes, left_class_counts = (
+        per_feature, low, high, left_sizes, left_class_counts = (
             tables[0] if len(tables) == 1 else _merged(*tables)
         )
         kinds = self._kinds
         rows = StackedCandidates(
-            offsets=np.searchsorted(features, np.arange(kinds.size + 1)),
+            offsets=np.concatenate(([0], np.cumsum(per_feature))),
             kinds=kinds,
             low=low,
             high=high,
@@ -395,12 +435,12 @@ class SplitTablePlan:
         size)`` matrix, gathered through the flat positions of the node's
         rows; the whole dataset reads the presorted matrices as they are.
         Which row of a tie lands where is unspecified and reaches no table
-        (see the module docstring).  A candidate sits wherever a feature's
-        sorted value strictly increases, and its true side is the prefix
-        before it, for every feature in a few array operations.  The rows'
-        bounds and prefix counts are gathered from the flat matrices one
-        block of rows at a time; the last class's count is the prefix size
-        minus the other classes', so only ``k - 1`` prefix sums are taken.
+        (see the module docstring).  A candidate sits wherever a
+        feature's sorted value strictly increases, and its true side is the
+        prefix up to it, so one boundary mask compresses every column of the
+        table out of the matrices at once: the values on either side, the
+        prefix size and ``k - 1`` prefix class counts.  The last class's
+        count is the prefix size minus the other classes'.
         """
         orders, values, labels = self._orders, self._sorted_values, self._sorted_labels
         assert orders is not None and values is not None and labels is not None
@@ -413,30 +453,24 @@ class SplitTablePlan:
             keep = np.flatnonzero(mask.take(orders))
             values = values.reshape(-1).take(keep).reshape(n_features, size)
             labels = labels.reshape(-1).take(keep).reshape(n_features, size)
-        features, positions = np.nonzero(values[:, 1:] > values[:, :-1])
-        cumulative = [
-            np.cumsum(labels == label, axis=1, dtype=np.int32).ravel()
-            for label in range(n_classes - 1)
-        ]
-        del labels
-        left_sizes = positions + 1
-        low = np.empty(features.size)
-        high = np.empty(features.size)
-        left_class_counts = np.empty((features.size, n_classes), dtype=np.int64)
-        for block in row_blocks(features.size):
-            flat = features[block] * size + positions[block]
-            low[block] = values.take(flat)
-            last = left_sizes[block].copy()
-            for label, counts in enumerate(cumulative):
-                column = counts.take(flat)
-                left_class_counts[block, label] = column
-                last -= column
-            left_class_counts[block, n_classes - 1] = last
-            flat += 1
-            high[block] = values.take(flat)
-        if n_features < self._kinds.size:
-            features = self._presorted.take(features)
-        return features, low, high, left_sizes, left_class_counts
+            del keep
+        boundary = values[:, 1:] > values[:, :-1]
+        low = values[:, :-1][boundary]
+        high = values[:, 1:][boundary]
+        left_sizes = np.broadcast_to(
+            np.arange(1, size, dtype=np.int64), boundary.shape
+        )[boundary]
+        left_class_counts = np.empty((low.size, n_classes), dtype=np.int64)
+        last = left_class_counts[:, n_classes - 1]
+        last[:] = left_sizes
+        for label in range(n_classes - 1):
+            prefix = np.cumsum(labels[:, :-1] == label, axis=1, dtype=np.int32)
+            counts = prefix[boundary]
+            left_class_counts[:, label] = counts
+            last -= counts
+        per_feature = np.zeros(self._kinds.size, dtype=np.int64)
+        per_feature[self._presorted] = np.count_nonzero(boundary, axis=1)
+        return per_feature, low, high, left_sizes, left_class_counts
 
     def _boolean_rows(
         self, indices: np.ndarray, labels: np.ndarray, total_class_counts: np.ndarray
@@ -457,13 +491,25 @@ class SplitTablePlan:
         zero_sizes = zeros.sum(axis=1)
         split = (zero_sizes > 0) & (zero_sizes < indices.size)
         count = int(np.count_nonzero(split))
+        per_feature = np.zeros(self._kinds.size, dtype=np.int64)
+        per_feature[self._boolean] = split
         return (
-            self._boolean[split],
+            per_feature,
             np.full(count, 0.5),
             np.full(count, _ABOVE_HALF),
             zero_sizes[split],
             zeros[split],
         )
+
+    def is_boolean(self, features: np.ndarray) -> np.ndarray:
+        """Whether each of ``features`` is boolean: holds only 0 and 1."""
+        return self._kinds[features] == THRESHOLD_ROW
+
+    def node_bits(self, indices: np.ndarray, features: np.ndarray) -> np.ndarray:
+        """The node's values of the boolean ``features``, one ``uint8`` column each."""
+        assert self._bits is not None
+        columns = np.searchsorted(self._boolean, features)
+        return self._bits.take(indices, axis=0).take(columns, axis=1)
 
     # ------------------------------------------------------ split-down cache
     # ``symbolic_split`` keeps the subset of ``indices`` on one side of a
@@ -495,7 +541,9 @@ class SplitTablePlan:
         cached = self._split_cache.get(key)
         if cached is not None:
             return cached
-        values = self._columns[feature][indices]
+        # The dataset's own column: ``<``, ``<=`` and ``==`` do not see the
+        # sign of zero, so no normalized copy is needed.
+        values = self._X[:, feature][indices]
         if kind == EQUALITY_ROW:
             tight = loose = values == low if branch else values != low
         elif branch:

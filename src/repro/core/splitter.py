@@ -99,12 +99,12 @@ def _score_candidates_reference(
 def _score_candidates(rows: split_plan.StackedCandidates, impurity: str) -> np.ndarray:
     """Concrete split scores of every row of a node's candidate table.
 
-    Gini threshold rows use ``|S| - Σ c²/|S|`` per side
-    (:func:`~repro.core.split_plan.gini_scores`), one block of rows at a
-    time.  Equality rows, and every row under entropy, take the
-    scalar ``split_score``.  Scores of different features are compared
-    against each other, so each kind of row keeps the exact float arithmetic
-    it has always been scored with.
+    Gini threshold rows read the table's stored scores
+    (:attr:`~repro.core.split_plan.StackedCandidates.gini`), copied only
+    when equality rows must be overwritten.  Equality rows, and every row
+    under entropy, take the scalar ``split_score``.  Scores of different
+    features are compared against each other, so each kind of row keeps the
+    exact float arithmetic it has always been scored with.
     """
     left_counts = rows.left_class_counts
     total_counts = rows.total_class_counts
@@ -112,12 +112,11 @@ def _score_candidates(rows: split_plan.StackedCandidates, impurity: str) -> np.n
         return _score_candidates_reference(
             left_counts, rows.right_class_counts, impurity
         )
-    scores = np.empty(rows.low.size)
-    for block in split_plan.row_blocks(scores.size):
-        scores[block] = split_plan.gini_scores(
-            rows.left_sizes[block], left_counts[block], rows.total_size, total_counts
-        )
-    for feature in np.flatnonzero(rows.kinds == split_plan.EQUALITY_ROW).tolist():
+    scores = rows.gini
+    equality = np.flatnonzero(rows.kinds == split_plan.EQUALITY_ROW).tolist()
+    if equality:
+        scores = scores.copy()
+    for feature in equality:
         part = slice(int(rows.offsets[feature]), int(rows.offsets[feature + 1]))
         scores[part] = _score_candidates_reference(
             left_counts[part], total_counts - left_counts[part], impurity

@@ -17,9 +17,30 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.utils.validation import ValidationError, check_fraction, check_positive_int
+
+
+def _binomials(total: int, count: int) -> Iterator[int]:
+    """``C(total, i)`` for ``i = 0 … count``, exactly.
+
+    Each term comes from the one before by ``C(N, i + 1) = C(N, i) · (N − i)
+    // (i + 1)``, whose division is exact; past ``i = N`` every term is 0.
+    """
+    term = 1
+    for i in range(count + 1):
+        yield term
+        term = term * (total - i) // (i + 1)
+
+
+def _weighted_binomial_sum(total: int, count: int, weight: int) -> int:
+    """``Σ_{i ≤ count} C(total, i) · weight^i``."""
+    result, power = 0, 1
+    for term in _binomials(total, count):
+        result += term * power
+        power *= weight
+    return result
 
 
 def _log10_of_big_int(value: int) -> float:
@@ -119,8 +140,7 @@ class RemovalPoisoningModel(PerturbationModel):
         return self.n
 
     def num_neighbors(self, training_size: int) -> int:
-        budget = self.resolve_budget(training_size)
-        return sum(math.comb(training_size, i) for i in range(0, budget + 1))
+        return sum(_binomials(training_size, self.resolve_budget(training_size)))
 
     def with_budget(self, n: int) -> "RemovalPoisoningModel":
         return RemovalPoisoningModel(n)
@@ -209,10 +229,9 @@ class LabelFlipModel(PerturbationModel):
         return self.n
 
     def num_neighbors(self, training_size: int) -> int:
-        budget = self.resolve_budget(training_size)
         alternatives = max(1, self.resolved_classes - 1)
-        return sum(
-            math.comb(training_size, i) * alternatives**i for i in range(0, budget + 1)
+        return _weighted_binomial_sum(
+            training_size, self.resolve_budget(training_size), alternatives
         )
 
     def with_budget(self, n: int) -> "LabelFlipModel":
@@ -289,15 +308,11 @@ class CompositePoisoningModel(PerturbationModel):
         """Exact ``|Δ_{r,f}(T)|``: choose removals, then flips of survivors."""
         removals, flips = self.resolve_budgets(training_size)
         alternatives = max(1, self.resolved_classes - 1)
-        total = 0
-        for removed in range(0, removals + 1):
-            survivors = training_size - removed
-            flip_variants = sum(
-                math.comb(survivors, j) * alternatives**j
-                for j in range(0, min(flips, survivors) + 1)
-            )
-            total += math.comb(training_size, removed) * flip_variants
-        return total
+        return sum(
+            ways
+            * _weighted_binomial_sum(training_size - removed, flips, alternatives)
+            for removed, ways in enumerate(_binomials(training_size, removals))
+        )
 
     def describe(self) -> str:
         return (

@@ -288,24 +288,36 @@ def filter_closed_form(
     indices = trainset.indices
     size = int(indices.size)
     X = trainset.dataset.X
+    plan = split_plan.plan_for(trainset.dataset)
 
-    # Node rows with value <= low and < high: one sort per feature, then a
-    # binary search per bound.  A feature with one row (every boolean one)
-    # needs no sort: two counts give them.
+    # Node rows with value <= low and < high.  A boolean feature holds only
+    # 0 and 1, so the rows of all boolean features are counted at once from
+    # the node's bits: ``x <= low`` holds for its zeros when ``0 <= low`` and
+    # for its ones when ``1 <= low``.  Any other feature sorts its node
+    # values once, then binary-searches each bound.
+    counted = plan.is_boolean(feature)
+    any_counted = bool(counted.any())
     le_low = np.empty(feature.size, dtype=np.int64)
     lt_high = np.empty(feature.size, dtype=np.int64)
+    if any_counted:
+        bits = plan.node_bits(indices, feature[counted])
+        ones = bits.sum(axis=0, dtype=np.int64)
+        zeros = size - ones
+        le_low[counted] = np.where(low[counted] >= 0, zeros, 0) + np.where(
+            low[counted] >= 1, ones, 0
+        )
+        lt_high[counted] = np.where(high[counted] > 0, zeros, 0) + np.where(
+            high[counted] > 1, ones, 0
+        )
     nodes = []
-    for run in runs:
-        node = X[indices, feature[run.start]]
-        if run.stop - run.start == 1:
-            le_low[run] = np.count_nonzero(node <= low[run.start])
-            lt_high[run] = np.count_nonzero(node < high[run.start])
-            nodes.append((node, None))
+    for j, run in enumerate(runs):
+        if counted[run.start]:
             continue
+        node = X[indices, feature[run.start]]
         ordered = np.sort(node)
         le_low[run] = np.searchsorted(ordered, low[run], side="right")
         lt_high[run] = np.searchsorted(ordered, high[run], side="left")
-        nodes.append((node, ordered))
+        nodes.append((j, node, ordered))
 
     # Piece sizes and tight counts of both branches; a branch the point
     # cannot take (three-valued for a symbolic ρ) gets size 0.
@@ -330,23 +342,26 @@ def filter_closed_form(
     )
 
     # U: per feature, the widest satisfied prefix and falsified suffix, plus
-    # the rows of every equality piece.  A feature's only row has them as
-    # its own sides, ``x < high`` and ``x > low``.
+    # the rows of every equality piece.  A boolean row's piece holds all of
+    # the node's zeros or ones of its feature, or both.
+    keep = np.zeros(size, dtype=bool)
+    if any_counted:
+        taken = (true_size[counted] > 0, false_size[counted] > 0)
+        for value in (0, 1):
+            sides = _branches(
+                float(value), low[counted], high[counted], equality[counted]
+            )
+            wanted = (sides[0] & taken[0]) | (sides[1] & taken[1])
+            keep |= (bits[:, wanted] == value).any(axis=1)
     widest_true = np.maximum.reduceat(np.where(equality, 0, true_size), bounds)
     widest_false = np.maximum.reduceat(np.where(equality, 0, false_size), bounds)
     has_equality = np.logical_or.reduceat(equality, bounds)
-    keep = np.zeros(size, dtype=bool)
-    for j, (run, (node, ordered)) in enumerate(zip(runs, nodes)):
+    for j, node, ordered in nodes:
+        run = runs[j]
         if widest_true[j]:
-            if ordered is None:
-                keep |= node < high[run.start]
-            else:
-                keep |= node <= ordered[widest_true[j] - 1]
+            keep |= node <= ordered[widest_true[j] - 1]
         if widest_false[j]:
-            if ordered is None:
-                keep |= node > low[run.start]
-            else:
-                keep |= node >= ordered[size - widest_false[j]]
+            keep |= node >= ordered[size - widest_false[j]]
         if has_equality[j]:
             taken = equality[run] & (true_size[run] > 0)
             keep |= (node[:, None] == low[run][taken]).any(axis=1)
@@ -716,6 +731,7 @@ def _table_candidates(
             rows.left_class_counts,
             rows.total_size,
             rows.total_class_counts,
+            rows.gini,
             removals,
             flips,
         )
@@ -793,11 +809,14 @@ def _screened_selection(
     left_class_counts: np.ndarray,
     total_size: int,
     total_class_counts: np.ndarray,
+    scores: np.ndarray,
     removals: int,
     flips: int,
 ) -> Tuple[np.ndarray, bool]:
     """:func:`_selection` under ``optimal``, bounding only rows that can reach the lub.
 
+    ``scores`` holds each row's concrete Gini score
+    (:func:`~repro.core.split_plan.gini_scores`; a node table stores them).
     Take one side with size ``s`` and class count ``c``, ``n' = min(n, s)``,
     its clamped flip allocation ``f'`` and ``N = n' + f'``.  The kernel's
     lower-bound term of the class is ``(c − N)⁺ (s − c − N)⁺ / (s − n')``,
@@ -818,10 +837,9 @@ def _screened_selection(
     its lower one, is not the lub.  The row that attains the lub survives,
     so :func:`_selection` on the survivors gives the same rows, ``⋄`` and
     lub as on the whole table, with the same per-row arithmetic.  The
-    screen walks the table one row block at a time and tightens ``u`` with
-    a one-row kernel call whenever a block holds a universal row of lower
-    concrete score than any before; the survivors of earlier blocks are
-    screened again against the final ``u``.
+    screen takes ``u`` of the universal row of lowest concrete score, with
+    one one-row kernel call, and keeps the rows within the margin of it in
+    one pass over ``scores``.
 
     Not for ``box``: its ``upper_j = min(c + f', s) / m`` exceeds 1 once
     removals are large, so ``1 − upper_j`` is negative and the lower bound
@@ -842,27 +860,11 @@ def _screened_selection(
         return sizes, left, total_size - sizes, total_class_counts - left
 
     budgets = (removals, flips, "optimal")
-    bound = best = np.inf
-    survivors, scored = [], []
-    for block in split_plan.row_blocks(left_sizes.shape[0]):
-        scores = split_plan.gini_scores(
-            left_sizes[block],
-            left_class_counts[block],
-            total_size,
-            total_class_counts,
-        )
-        candidates = np.where(universal[block], scores, np.inf)
-        i = int(candidates.argmin())
-        if candidates[i] < best:
-            best = candidates[i]
-            row = slice(block.start + i, block.start + i + 1)
-            _, upper = _split_score_bounds(*sides(row), *budgets)
-            bound = min(bound, float(upper[0]))
-        reach = scores <= bound + SCORE_TOLERANCE + margin
-        survivors.append(np.flatnonzero(reach) + block.start)
-        scored.append(scores[reach])
-    reach = np.concatenate(scored) <= bound + SCORE_TOLERANCE + margin
-    rows = np.concatenate(survivors)[reach]
+    best = int(scores.argmin())
+    if not universal[best]:
+        best = int(np.argmin(np.where(universal, scores, np.inf)))
+    _, upper = _split_score_bounds(*sides(slice(best, best + 1)), *budgets)
+    rows = np.flatnonzero(scores <= float(upper[0]) + SCORE_TOLERANCE + margin)
     keep, _ = _selection(*sides(rows), *budgets)
     return rows[keep], False
 

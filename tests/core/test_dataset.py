@@ -1,8 +1,11 @@
 """Tests for the Dataset container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import dataset as dataset_module
 from repro.core.dataset import Dataset, FeatureKind
 from repro.utils.validation import ValidationError
 
@@ -68,6 +71,35 @@ class TestConstruction:
             X=X, y=np.array([0, 1, 0]), feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.REAL)
         )
         assert dataset.feature_kinds[0] is FeatureKind.BOOLEAN
+
+    def test_copy_of_a_checked_dataset_does_not_rescan(self, monkeypatch):
+        X = np.array([[0.0, 0.5], [1.0, 2.0], [-0.0, 3.0]])
+        kinds = (FeatureKind.BOOLEAN, FeatureKind.REAL)
+        dataset = Dataset(X=X, y=np.array([0, 1, 0]), feature_kinds=kinds)
+
+        def scan(*args):
+            raise AssertionError("a checked read-only matrix was scanned again")
+
+        monkeypatch.setattr(dataset_module, "_scan_boolean_columns", scan)
+        assert dataclasses.replace(dataset, name="copy").X is dataset.X
+        assert dataset.replace(class_names=("a", "b")).X is dataset.X
+        # Other boolean columns are another check.
+        with pytest.raises(AssertionError, match="scanned again"):
+            dataset.replace(feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.BOOLEAN))
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_fresh_matrix_is_checked_after_a_checked_copy(self, value):
+        X = np.array([[0.0, 0.5], [1.0, 2.0], [0.0, 3.0]])
+        kinds = (FeatureKind.BOOLEAN, FeatureKind.REAL)
+        dataset = Dataset(X=X, y=np.array([0, 1, 0]), feature_kinds=kinds)
+        dataset.replace(name="copy")
+        bad = dataset.X.copy()
+        bad[2, 0] = value
+        with pytest.raises(ValidationError, match="boolean feature 0"):
+            dataset.replace(X=bad)
+        # The real column of a checked matrix does not pass as boolean.
+        with pytest.raises(ValidationError, match="boolean feature 1"):
+            dataset.replace(feature_kinds=(FeatureKind.BOOLEAN, FeatureKind.BOOLEAN))
 
     def test_real_column_may_hold_any_value(self):
         # Only the boolean columns are checked.

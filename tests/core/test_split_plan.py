@@ -85,6 +85,42 @@ def nodes(draw):
     return dataset, np.flatnonzero(chosen)
 
 
+@st.composite
+def mixed_nodes(draw):
+    """A node of a mixed dataset: REAL columns of few levels mixing ``-0.0``
+    and ``+0.0``, BOOLEAN columns holding ``-0.0``, CATEGORICAL codes,
+    repeated rows, k = 2–5, and a node of any size from empty to all rows."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    kinds = draw(st.lists(st.sampled_from(list(FeatureKind)), min_size=1, max_size=5))
+    levels = {
+        FeatureKind.REAL: st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 2.0]),
+        FeatureKind.BOOLEAN: st.sampled_from([0.0, -0.0, 1.0]),
+        FeatureKind.CATEGORICAL: st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    }
+    row = st.tuples(*(levels[kind] for kind in kinds), st.integers(0, k - 1))
+    distinct = draw(st.lists(row, min_size=1, max_size=8))
+    # Every row is one of a few distinct ones: duplicate rows and ties.
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20))
+    rows = [distinct[i] for i in picks]
+    dataset = Dataset(
+        X=np.array([r[:-1] for r in rows], dtype=float),
+        y=np.array([r[-1] for r in rows]),
+        n_classes=k,
+        feature_kinds=tuple(kinds),
+    )
+    size = draw(st.sampled_from(["empty", "one", "subset", "all"]))
+    if size == "empty":
+        indices = np.empty(0, dtype=np.int64)
+    elif size == "one":
+        indices = np.array([draw(st.integers(0, len(rows) - 1))], dtype=np.int64)
+    elif size == "subset":
+        chosen = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        indices = np.flatnonzero(chosen)
+    else:
+        indices = np.arange(len(rows), dtype=np.int64)
+    return dataset, indices
+
+
 def _assert_matches_reference(dataset, indices, rows):
     expected = _reference_rows(dataset, indices)
     assert rows.low.size == len(expected)
@@ -149,6 +185,37 @@ class TestNodeCandidates:
         rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
         _assert_matches_reference(dataset, indices, rows)
         _assert_blocks_agree(dataset, indices, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_nodes())
+    def test_compress_build_matches_argsort_tables(self, node):
+        dataset, indices = node
+        plan = split_plan.SplitTablePlan(dataset)
+        rows = plan.node_candidates(indices)
+        _assert_matches_reference(dataset, indices, rows)
+        # No bound carries the sign of a -0.0 in the data.
+        for bound in (rows.low, rows.high):
+            assert not np.signbit(bound[bound == 0]).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_nodes())
+    def test_stored_scores_are_the_gini_scores(self, node):
+        dataset, indices = node
+        expected = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        reference = split_plan.gini_scores(
+            expected.left_sizes,
+            expected.left_class_counts,
+            expected.total_size,
+            expected.total_class_counts,
+        )
+        for block in (*SMALL_BLOCKS, split_plan._BLOCK_ROWS):
+            with block_rows(block):
+                rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+                scores = rows.gini
+            assert rows.gini is scores
+            assert not scores.flags.writeable
+            assert scores.dtype == np.float64
+            np.testing.assert_array_equal(scores, reference)
 
     def test_reordered_ties_at_size(self):
         dataset = _tie_heavy_dataset()
@@ -223,6 +290,36 @@ class TestNodeCandidates:
         rows = plan.node_candidates(root)
         monkeypatch.undo()
         _assert_matches_reference(dataset, root, rows)
+
+    def test_narrow_layout(self):
+        # Orders as int32, labels in the narrowest unsigned type, and no
+        # float64 copy of the matrix beyond the sorted values: the plan
+        # reads the dataset's own X.
+        dataset = _tie_heavy_dataset()
+        plan = split_plan.SplitTablePlan(dataset)
+        n_presorted = sum(kind is not FeatureKind.BOOLEAN for kind in dataset.feature_kinds)
+        assert plan._orders.dtype == np.int32
+        assert plan._orders.shape == (n_presorted, len(dataset))
+        assert plan._sorted_labels.dtype == np.uint8
+        assert plan._X is dataset.X
+        assert not hasattr(plan, "_columns")
+        kept = [
+            name
+            for name in split_plan.SplitTablePlan.__slots__
+            if isinstance(getattr(plan, name, None), np.ndarray)
+            and getattr(plan, name).dtype == np.float64
+            and getattr(plan, name).size >= len(dataset)
+        ]
+        assert sorted(kept) == ["_X", "_sorted_values"]
+        many = Dataset(X=dataset.X[:300, :1], y=np.arange(300), n_classes=300)
+        assert split_plan.SplitTablePlan(many)._sorted_labels.dtype == np.uint16
+
+    def test_boolean_plan_keeps_no_float_matrix(self):
+        dataset = load_dataset("mnist17-binary", 0.05).train
+        plan = split_plan.SplitTablePlan(dataset)
+        arrays = [getattr(plan, name, None) for name in split_plan.SplitTablePlan.__slots__]
+        floats = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype == np.float64]
+        assert len(floats) == 1 and floats[0] is dataset.X
 
     @pytest.mark.parametrize("name", ["mnist17-real", "mnist17-binary"])
     def test_real_pixels(self, name):
@@ -358,6 +455,53 @@ class TestSymbolicSplitByKind:
         np.testing.assert_array_equal(kept, indices[expect_loose])
         assert loose == int(expect_loose.sum())
         assert tight == int(expect_tight.sum())
+
+    @pytest.mark.parametrize("branch", [True, False])
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            SymbolicThresholdPredicate(0, 0.0, 0.5),
+            SymbolicThresholdPredicate(0, -0.0, 0.5),
+            SymbolicThresholdPredicate(0, -0.5, -0.0),
+            SymbolicThresholdPredicate(0, -0.5, 0.0),
+            ThresholdPredicate(0, -0.0),
+            ThresholdPredicate(0, 0.0),
+            EqualityPredicate(1, -0.0),
+            EqualityPredicate(1, 0.0),
+        ],
+        ids=str,
+    )
+    def test_signed_zeros_fall_on_the_same_side(self, predicate, branch):
+        # The plan compares the dataset's own values, -0.0 and +0.0 alike:
+        # both zeros are one value to every row kind.
+        X = np.array(
+            [[-0.0, -0.0], [0.0, 0.0], [-0.5, 1.0], [0.5, -0.0], [0.0, 2.0], [-0.0, 0.0]]
+        )
+        dataset = Dataset(
+            X=X,
+            y=np.array([0, 1, 0, 1, 0, 1]),
+            feature_kinds=(FeatureKind.REAL, FeatureKind.CATEGORICAL),
+        )
+        indices = np.arange(len(dataset), dtype=np.int64)
+        kept, tight, loose = split_plan.SplitTablePlan(dataset).symbolic_split(
+            indices, *split_plan.predicate_row(predicate), branch
+        )
+        values = X[:, predicate.feature]
+        zeros = values == 0
+        assert np.signbit(values[zeros]).any() and not np.signbit(values[zeros]).all()
+        # Both zeros on one side.
+        assert np.unique(np.isin(indices[zeros], kept)).size == 1
+        _, low, high, _ = split_plan.predicate_row(predicate)
+        # The same sides with every zero written +0.0 and +0.0 bounds.
+        values, low, high = values + 0.0, low + 0.0, high + 0.0
+        if isinstance(predicate, EqualityPredicate):
+            expect = expect_tight = (values == low) == branch
+        elif branch:
+            expect, expect_tight = values < high, values <= low
+        else:
+            expect, expect_tight = values > low, values >= high
+        np.testing.assert_array_equal(kept, indices[expect])
+        assert (tight, loose) == (int(expect_tight.sum()), int(expect.sum()))
 
     def test_results_are_cached_and_read_only(self):
         dataset = _mixed_dataset()

@@ -159,3 +159,44 @@ class TestModelClassResolution:
     def test_class_free_models_untouched(self):
         model = RemovalPoisoningModel(5)
         assert resolve_model_classes(model, 7) is model
+
+
+def _comb_sum(size, budget, alternatives=1):
+    """``Σ_{i ≤ budget} C(size, i) · alternatives^i`` with a ``math.comb`` per term."""
+    return sum(math.comb(size, i) * alternatives**i for i in range(budget + 1))
+
+
+#: (|T|, budget) pairs: a zero budget, budgets below, at and past |T|, and
+#: Table 1's size.
+_SIZES_AND_BUDGETS = [(0, 0), (1, 3), (5, 0), (5, 2), (5, 5), (5, 9), (40, 17), (13007, 64)]
+
+
+class TestNeighborCountsMatchComb:
+    """The exact counts equal the ``math.comb`` sums they are built from."""
+
+    @pytest.mark.parametrize("size, budget", _SIZES_AND_BUDGETS)
+    def test_removal(self, size, budget):
+        assert RemovalPoisoningModel(budget).num_neighbors(size) == _comb_sum(
+            size, min(budget, size)
+        )
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("size, budget", _SIZES_AND_BUDGETS)
+    def test_flip(self, size, budget, k):
+        model = LabelFlipModel(budget, n_classes=k)
+        assert model.num_neighbors(size) == _comb_sum(size, min(budget, size), k - 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize(
+        "size, removals, flips",
+        [(0, 0, 0), (4, 0, 3), (4, 2, 0), (6, 2, 3), (6, 6, 6), (6, 9, 1), (300, 4, 3)],
+    )
+    def test_composite(self, size, removals, flips, k):
+        model = CompositePoisoningModel(removals, flips, n_classes=k)
+        removals, flips = min(removals, size), min(flips, size)
+        expected = sum(
+            math.comb(size, removed)
+            * _comb_sum(size - removed, min(flips, size - removed), k - 1)
+            for removed in range(removals + 1)
+        )
+        assert model.num_neighbors(size) == expected

@@ -223,8 +223,9 @@ def node_tables(draw):
     return left.sum(axis=1), left, int(totals.sum()), totals.astype(np.int64)
 
 
-def _full_selection(left_sizes, left_counts, total, totals, removals, flips):
-    """The full-kernel ``_selection`` of a node table under ``optimal``."""
+def _full_selection(left_sizes, left_counts, total, totals, scores, removals, flips):
+    """The full-kernel ``_selection`` of a node table under ``optimal``; the
+    concrete ``scores`` the screen reads go unused."""
     return _selection(
         left_sizes,
         left_counts,
@@ -249,6 +250,7 @@ class TestScreenedSelection:
         st.sampled_from(SMALL_BLOCKS),
     )
     def test_matches_full_selection(self, table, removals, flips, rows):
+        table = (*table, split_plan.gini_scores(*table))
         expected, expected_null = _full_selection(*table, removals, flips)
         with block_rows(rows):
             keep, includes_null = _screened_selection(*table, removals, flips)
@@ -294,6 +296,7 @@ class TestScreenedSelection:
             rows.left_class_counts,
             rows.total_size,
             rows.total_class_counts,
+            rows.gini,
         )
         assert rows.left_sizes.size > 10 * split_plan._BLOCK_ROWS
         bounded = []
@@ -476,10 +479,13 @@ class TestDominatingComponents:
 _GRID = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
 
 
-def _draw_predicate(draw, feature, kind, row=None):
+def _draw_predicate(draw, feature, kind, row=None, any_boolean_row=False):
     """A random predicate on ``feature`` of column ``kind``; ``row`` (one of
-    ``"symbolic"``, ``"threshold"``, ``"equality"``) fixes its row kind."""
-    if kind is FeatureKind.BOOLEAN:
+    ``"symbolic"``, ``"threshold"``, ``"equality"``) fixes its row kind.  A
+    boolean column gets ``x <= 0.5`` unless ``any_boolean_row`` is set."""
+    if kind is FeatureKind.BOOLEAN and any_boolean_row and draw(st.booleans()):
+        return EqualityPredicate(feature, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    if kind is FeatureKind.BOOLEAN and not any_boolean_row:
         return ThresholdPredicate(feature, 0.5)
     if kind is FeatureKind.CATEGORICAL:
         return EqualityPredicate(feature, draw(st.sampled_from([0.0, 1.0, 2.0])))
@@ -491,14 +497,16 @@ def _draw_predicate(draw, feature, kind, row=None):
 
 
 @st.composite
-def filter_cases(draw, single_row=None):
+def filter_cases(draw, single_row=None, any_boolean_row=False):
     """A node ``⟨T, ·⟩``, a test point and a random Ψ over its features.
 
     Columns are real, boolean or categorical; Ψ mixes concrete thresholds,
     symbolic thresholds (which the point may evaluate to *maybe*) and
     equality predicates, so pieces can be empty, nested or overlapping.
     With ``single_row`` set to a row kind, feature 0 has exactly one row in
-    Ψ, of that kind, and the other features draw theirs as usual.
+    Ψ, of that kind, and the other features draw theirs as usual.  With
+    ``any_boolean_row``, boolean columns also hold ``-0.0`` and take rows of
+    every kind and bound.
     """
     kinds = draw(
         st.lists(
@@ -523,7 +531,7 @@ def filter_cases(draw, single_row=None):
             values = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
             point.append(draw(_GRID))
         elif kind is FeatureKind.BOOLEAN:
-            values = st.sampled_from([0.0, 1.0])
+            values = st.sampled_from([0.0, -0.0, 1.0] if any_boolean_row else [0.0, 1.0])
             point.append(draw(values))
         else:
             values = st.sampled_from([0.0, 1.0, 2.0])
@@ -547,7 +555,9 @@ def filter_cases(draw, single_row=None):
     if first < len(kinds):
         for _ in range(draw(st.integers(min_value=0, max_value=6))):
             feature = draw(st.integers(first, len(kinds) - 1))
-            predicates.append(_draw_predicate(draw, feature, kinds[feature]))
+            predicates.append(
+                _draw_predicate(draw, feature, kinds[feature], None, any_boolean_row)
+            )
 
     family = draw(st.sampled_from(["removal", "flip", "composite"]))
     if family == "removal":
@@ -612,8 +622,16 @@ class TestClosedFormFilter:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_single_row_feature_matches_fold(self, row, data):
-        # A feature with one row in Ψ is counted, not sorted.
+        # A feature with one row in Ψ: counted when boolean, else sorted.
         state, predicates, x = data.draw(filter_cases(single_row=row))
+        assert _closed(state, predicates, x) == _fold(state, predicates, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases(any_boolean_row=True))
+    def test_boolean_rows_of_any_kind_match_fold(self, case):
+        # Boolean features are counted from the node's bits, whatever the
+        # rows on them: thresholds anywhere, symbolic bounds, equalities.
+        state, predicates, x = case
         assert _closed(state, predicates, x) == _fold(state, predicates, x)
 
     @settings(max_examples=150, deadline=None)
