@@ -256,8 +256,7 @@ class CertificationEngine:
     # family).  Plain dict under the GIL: values are immutable LadderTrace
     # objects and a lost race merely recomputes one filter step.
     _trace_cache: dict = field(init=False, repr=False, default_factory=dict)
-    # Per-thread (steps, reused) accumulators consumed by the runtime/search
-    # layers for `trace_reuse_fraction` reporting.
+    # Per-thread running work totals read by :meth:`tally`.
     _trace_local: threading.local = field(
         init=False, repr=False, default_factory=threading.local
     )
@@ -580,7 +579,7 @@ class CertificationEngine:
         model: Optional[PerturbationModel] = None,
         start: int = 1,
         max_budget: Optional[int] = None,
-    ):
+    ) -> search.PoisoningSearchResult:
         """Largest budget in ``[1, max_budget]`` the point is certified for.
 
         Runs the §6.1 doubling/binary search of
@@ -603,7 +602,7 @@ class CertificationEngine:
         max_remove: Optional[int] = None,
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ):
+    ) -> search.ParetoFrontierResult:
         """Maximal certified ``(n_remove, n_flip)`` pairs of one test point.
 
         The two-dimensional counterpart of :meth:`max_certified` for the
@@ -626,7 +625,7 @@ class CertificationEngine:
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
         n_jobs: int = 1,
-    ):
+    ) -> List[search.ParetoFrontierResult]:
         """Per-point Pareto frontiers for a batch of test points.
 
         ``n_jobs > 1`` spreads the points over this engine's process pool.
@@ -744,6 +743,7 @@ class CertificationEngine:
                         break
             assert last_result is not None
             elapsed = watch.elapsed()
+        self._thread_totals()[2] += 1
         _LEARNER_INVOCATIONS.inc()
         _CERTIFY_SECONDS.observe(
             elapsed,
@@ -807,23 +807,30 @@ class CertificationEngine:
             _TRACE_REUSED.inc(reused)
         if computed:
             _TRACE_REPLAYED.inc(computed)
+        totals = self._thread_totals()
+        totals[0] += run.trace_steps
+        totals[1] += reused
+
+    def _thread_totals(self) -> List[int]:
         local = self._trace_local
-        local.steps = getattr(local, "steps", 0) + run.trace_steps
-        local.reused = getattr(local, "reused", 0) + reused
+        totals = getattr(local, "totals", None)
+        if totals is None:
+            totals = local.totals = [0, 0, 0]
+        return totals
 
-    def consume_trace_stats(self) -> Tuple[int, int]:
-        """``(filter_steps, warm_reused)`` accumulated on this thread; resets.
+    def tally(self) -> Tuple[int, int, int]:
+        """This thread's running ``(filter_steps, warm_reused, learner_runs)``.
 
-        The runtime's batch stats and the search-protocol results read their
-        ``trace_reuse_fraction`` from this delta, so concurrent threads on a
-        shared engine cannot attribute each other's steps to their operation.
+        ``filter_steps`` counts the Box-learner filter steps run on this
+        thread, ``warm_reused`` those served from a prior probe's ladder
+        trace, and ``learner_runs`` the points that ran the learners.  The
+        totals are never reset: a reader (a runtime batch's stats, a budget
+        search's result) takes the difference of two readings, so nested
+        readers do not zero each other and concurrent threads on a shared
+        engine do not see each other's work.
         """
-        local = self._trace_local
-        steps = int(getattr(local, "steps", 0))
-        reused = int(getattr(local, "reused", 0))
-        local.steps = 0
-        local.reused = 0
-        return steps, reused
+        steps, reused, runs = self._thread_totals()
+        return steps, reused, runs
 
     def _build_result(
         self,

@@ -711,43 +711,21 @@ def _run_scalar_sweep(
             "serially; --n-jobs ignored",
             file=sys.stderr,
         )
+    # A client or an engine (with or without a runtime, whose cache then
+    # answers the probes): every path returns the same search result.
+    searcher, dataset = (
+        (client, _dataset_ref(args)) if client is not None else (engine, split.train)
+    )
     outcomes = []
     for index, x in enumerate(points):
-        if client is not None or runtime is not None:
-            if client is not None:
-                outcome = client.max_certified(
-                    _dataset_ref(args), x,
-                    start=args.start, max_budget=args.max_n, model=template,
-                )
-            else:
-                outcome = runtime.max_certified(
-                    engine, split.train, x,
-                    start=args.start, max_budget=args.max_n, model=template,
-                )
-            row = {
-                "index": index,
-                "max_certified_n": outcome.max_certified_n,
-                "attempts": outcome.attempts,
-                "learner_invocations": outcome.learner_invocations,
-                "trace_steps": getattr(outcome, "trace_steps", 0),
-                "trace_reused": getattr(outcome, "trace_reused", 0),
-                "trace_reuse_fraction": getattr(
-                    outcome, "trace_reuse_fraction", 0.0
-                ),
-            }
-        else:
-            search = engine.max_certified(
-                split.train, x, model=template, start=args.start, max_budget=args.max_n
-            )
-            row = {
-                "index": index,
-                "max_certified_n": search.max_certified_n,
-                "attempts": len(search.attempts),
-                "learner_invocations": None,
-                "trace_steps": search.trace_steps,
-                "trace_reused": search.trace_reused,
-                "trace_reuse_fraction": search.trace_reuse_fraction,
-            }
+        outcome = searcher.max_certified(
+            dataset, x, model=template, start=args.start, max_budget=args.max_n
+        )
+        row = {
+            "index": index,
+            **outcome.to_dict(),
+            "trace_reuse_fraction": outcome.trace_reuse_fraction,
+        }
         outcomes.append(row)
         if not args.quiet:
             print(
@@ -774,18 +752,14 @@ def _run_scalar_sweep(
             ["trace reuse",
              f"{trace_reused}/{trace_steps} ({trace_reused / trace_steps:.1%})"]
         )
-    stats = runtime.stats_snapshot() if runtime is not None else None
-    if stats is not None:
-        table.add_row(["learner invocations", stats["learner_invocations"]])
-    elif client is not None and outcomes:
-        table.add_row(
-            ["learner invocations",
-             sum(row["learner_invocations"] for row in outcomes)]
-        )
+    table.add_row(
+        ["learner invocations", sum(row["learner_invocations"] for row in outcomes)]
+    )
     table.add_row(["wall-clock (s)", f"{total_seconds:.3f}"])
     print()
     print(table.render())
 
+    stats = runtime.stats_snapshot() if runtime is not None else None
     if args.json:
         payload = {
             "dataset_name": split.train.name,
@@ -833,26 +807,19 @@ def _run_frontier_sweep(
             _dataset_ref(args), points,
             max_remove=max_remove, max_flip=max_flip, model=template,
         )
-        frontiers = [outcome.to_dict() for outcome in outcomes]
-    elif runtime is not None:
-        if args.n_jobs > 1:
+    else:
+        if runtime is not None and args.n_jobs > 1:
             print(
                 "note: cached frontier sweeps run serially so every probe "
                 "shares the verdict cache; --n-jobs ignored",
                 file=sys.stderr,
             )
-        outcomes = runtime.pareto_sweep(
-            engine, split.train, points,
-            max_remove=max_remove, max_flip=max_flip, model=template,
-        )
-        frontiers = [outcome.to_dict() for outcome in outcomes]
-    else:
-        results = engine.pareto_sweep(
+        outcomes = engine.pareto_sweep(
             split.train, points,
             max_remove=max_remove, max_flip=max_flip, model=template,
-            n_jobs=args.n_jobs,
+            n_jobs=1 if runtime is not None else args.n_jobs,
         )
-        frontiers = [result.to_dict() for result in results]
+    frontiers = [outcome.to_dict() for outcome in outcomes]
     total_seconds = watch.elapsed()
 
     if not args.quiet:
@@ -882,13 +849,10 @@ def _run_frontier_sweep(
         ["total frontier pairs", sum(len(entry["frontier"]) for entry in frontiers)]
     )
     table.add_row(["total probes", sum(entry["probes"] for entry in frontiers)])
-    if stats is not None:
-        table.add_row(["learner invocations", stats["learner_invocations"]])
-    elif client is not None and frontiers:
-        table.add_row(
-            ["learner invocations",
-             sum(entry["learner_invocations"] for entry in frontiers)]
-        )
+    table.add_row(
+        ["learner invocations",
+         sum(entry["learner_invocations"] for entry in frontiers)]
+    )
     table.add_row(["wall-clock (s)", f"{total_seconds:.3f}"])
     print()
     print(table.render())

@@ -9,10 +9,12 @@ into a service that absorbs repeated, overlapping certification traffic:
 * the **resumable run journal** (:class:`RunJournal`): per-point checkpoints
   that let a killed batch restart where it left off.
 
-:class:`CertificationRuntime` is the facade binding them together (and
-running budget sweeps over them); pass it to
-``CertificationEngine(runtime=...)``.  Process-pool workers need none of it:
-under the fork start method they inherit the training set from the parent.
+:class:`CertificationRuntime` is the facade binding them together; pass it
+to ``CertificationEngine(runtime=...)``.  Its ``max_certified`` /
+``pareto_frontier`` bind the budget searches of :mod:`repro.verify.search` to
+the cache and return that module's result types, exactly as the engine's own
+searches do.  Process-pool workers need none of it: under the fork start
+method they inherit the training set from the parent.
 """
 
 from repro.runtime.cache import CacheHit, CertificationCache
@@ -24,20 +26,13 @@ from repro.runtime.fingerprint import (
     point_digest,
 )
 from repro.runtime.journal import RunJournal, run_id
-from repro.runtime.runtime import (
-    BatchStats,
-    BudgetSweepOutcome,
-    CertificationRuntime,
-    ParetoOutcome,
-)
+from repro.runtime.runtime import BatchStats, CertificationRuntime
 
 __all__ = [
     "BatchStats",
-    "BudgetSweepOutcome",
     "CacheHit",
     "CertificationCache",
     "CertificationRuntime",
-    "ParetoOutcome",
     "RunJournal",
     "engine_cache_key",
     "fingerprint_dataset",

@@ -1,4 +1,4 @@
-"""The certification runtime: verdict cache + run journal + budget sweeps.
+"""The certification runtime: verdict cache + run journal + budget searches.
 
 :class:`CertificationRuntime` is the service layer between the stateless
 :class:`~repro.api.engine.CertificationEngine` and repeated, overlapping
@@ -12,8 +12,10 @@ certification traffic:
 * it checkpoints batch progress in a **run journal**
   (:mod:`repro.runtime.journal`) so a killed batch resumes where it left
   off; and
-* it resolves **budget sweeps** (the max certified ``n`` per point) with a
-  cache-aware doubling/binary search seeded from prior verdicts.
+* it binds the **budget searches** of :mod:`repro.verify.search` (the max
+  certified ``n`` per point, the composite ``(r, f)`` frontier) to that
+  cache, so their probes resolve from prior verdicts; they return the same
+  result types as the engine's own searches.
 
 Attach a runtime to an engine with ``CertificationEngine(runtime=...)``.
 Process-pool workers never see it: under the fork start method they inherit
@@ -134,69 +136,6 @@ class BatchStats:
         }
 
 
-@dataclass(frozen=True)
-class BudgetSweepOutcome:
-    """Per-point outcome of :meth:`CertificationRuntime.budget_sweep`.
-
-    ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps of
-    this point's probes and how many were warm-started from a prior probe's
-    ladder trace instead of re-running the closed-form ``filter#``.
-    """
-
-    max_certified_n: int
-    attempts: int
-    learner_invocations: int
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
-
-    @property
-    def ever_certified(self) -> bool:
-        return self.max_certified_n > 0
-
-
-@dataclass(frozen=True)
-class ParetoOutcome:
-    """Per-point outcome of :meth:`CertificationRuntime.pareto_frontier`.
-
-    ``frontier`` is the staircase of maximal certified ``(n_remove, n_flip)``
-    pairs; ``attempted_pairs`` counts every pair the search decided, of which
-    ``probes`` reached the verifier (the rest were derived from local pair
-    dominance) and only ``learner_invocations`` actually ran the abstract
-    learner (the rest were answered by the cache, exactly or by pair
-    dominance).
-    """
-
-    frontier: tuple
-    probes: int
-    attempted_pairs: int
-    learner_invocations: int
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON rows shape-compatible with ``ParetoFrontierResult.to_dict``."""
-        return {
-            "frontier": [[r, f] for r, f in self.frontier],
-            "probes": self.probes,
-            "attempted_pairs": self.attempted_pairs,
-            "learner_invocations": self.learner_invocations,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
-        }
-
-    @property
-    def ever_certified(self) -> bool:
-        return bool(self.frontier)
-
-
 #: How many uncommitted verdict stores a stream accumulates before flushing;
 #: bounds both the fsync amortization and how long a concurrent writer of the
 #: same cache can be made to wait.
@@ -204,14 +143,14 @@ _STORE_CHUNK = 16
 
 
 class CertificationRuntime:
-    """Persistent verdict cache + run journal + budget sweeps.
+    """Persistent verdict cache + run journal + budget searches.
 
     Parameters
     ----------
     cache_dir:
         Directory for the sqlite verdict cache and the run journals.  ``None``
         disables both (the runtime then only deduplicates within batches and
-        runs sweeps).
+        runs searches).
     resume:
         Whether :meth:`stream` replays a prior journal for the same run id
         (``False`` discards prior progress and starts fresh).
@@ -264,28 +203,6 @@ class CertificationRuntime:
     def last_batch_stats(self, stats: Optional[BatchStats]) -> None:
         self._batch_local.stats = stats
 
-    def _op_invocations(self) -> int:
-        """Learner invocations of this thread's current sweep operation.
-
-        Sweeps (:meth:`max_certified`, :meth:`pareto_frontier`) reset this
-        thread-local counter before probing and report it afterwards; using
-        the shared lifetime counter's delta instead would attribute other
-        threads' concurrent work to this operation.
-        """
-        return int(getattr(self._batch_local, "op_invocations", 0))
-
-    def _reset_op_counters(self) -> None:
-        """Zero this thread's per-operation counters before a sweep's probes."""
-        self._batch_local.op_invocations = 0
-        self._batch_local.op_trace_steps = 0
-        self._batch_local.op_trace_reused = 0
-
-    def _op_trace(self) -> tuple:
-        return (
-            int(getattr(self._batch_local, "op_trace_steps", 0)),
-            int(getattr(self._batch_local, "op_trace_reused", 0)),
-        )
-
     # ------------------------------------------------------------- streaming
     def stream(
         self,
@@ -304,11 +221,7 @@ class CertificationRuntime:
         """
         stats = BatchStats(points=len(rows))
         self.last_batch_stats = stats
-        consume_trace = getattr(engine, "consume_trace_stats", None)
-        if consume_trace is not None:
-            # Drop trace-step residue a non-runtime caller may have left on
-            # this thread, so this batch's reuse fraction is its own.
-            consume_trace()
+        before = engine.tally()
 
         fp = fingerprint_dataset(dataset)
         family, budget = model_cache_key(model, len(dataset))
@@ -444,10 +357,11 @@ class CertificationRuntime:
         finally:
             if self.cache is not None:
                 self.cache.commit()
-            if consume_trace is not None:
-                steps, reused = consume_trace()
-                stats.trace_steps += steps
-                stats.trace_reused += reused
+            steps, reused, _ = (
+                now - then for now, then in zip(engine.tally(), before)
+            )
+            stats.trace_steps += steps
+            stats.trace_reused += reused
             with self._stats_lock:
                 self.stats.add(stats)
             events.emit("runtime.batch", **stats.snapshot())
@@ -465,10 +379,10 @@ class CertificationRuntime:
         x: Sequence[float],
         model: PerturbationModel,
     ) -> VerificationResult:
-        """Cache-aware single-point certification (used by budget sweeps).
+        """Cache-aware single-point certification (used by budget searches).
 
-        Cache effectiveness is accounted in :attr:`stats` (budget sweeps
-        measure their learner work as a ``learner_invocations`` delta).
+        Cache effectiveness is accounted in :attr:`stats`; a budget search
+        reads its own learner work from the engine's :meth:`tally`.
         """
         # Budget-search probes reach this entry point directly (not through
         # CertificationRequest), so class-count-dependent families are
@@ -500,14 +414,12 @@ class CertificationRuntime:
                 return self._adapt_hit(
                     hit, amount, flips, model.log10_num_neighbors(len(dataset))
                 )
-        consume_trace = getattr(engine, "consume_trace_stats", None)
-        if consume_trace is not None:
-            consume_trace()
+        before = engine.tally()
         result = engine._certify_one(
             dataset, row, model, engine._plan_for(dataset, model)
         )
-        trace_steps, trace_reused = (
-            consume_trace() if consume_trace is not None else (0, 0)
+        trace_steps, trace_reused, _ = (
+            now - then for now, then in zip(engine.tally(), before)
         )
         with self._stats_lock:
             self.stats.cache_misses += 1
@@ -516,46 +428,10 @@ class CertificationRuntime:
             self.stats.trace_reused += trace_reused
         if self.cache is not None:
             _CACHE_MISS.inc()
-        # Per-operation accounting for sweeps: thread-local, so concurrent
-        # requests on a shared runtime cannot inflate each other's counts.
-        self._batch_local.op_invocations = self._op_invocations() + 1
-        self._batch_local.op_trace_steps = (
-            int(getattr(self._batch_local, "op_trace_steps", 0)) + trace_steps
-        )
-        self._batch_local.op_trace_reused = (
-            int(getattr(self._batch_local, "op_trace_reused", 0)) + trace_reused
-        )
-        if self.cache is not None:
             self.cache.store(fp, point_digest(row), family, engine_key, budget, result)
         return result
 
-    # ---------------------------------------------------------- budget sweep
-    def budget_sweep(
-        self,
-        engine,
-        dataset: Dataset,
-        points: np.ndarray,
-        *,
-        start: int = 1,
-        max_budget: Optional[int] = None,
-        model: Optional[PerturbationModel] = None,
-    ) -> List[BudgetSweepOutcome]:
-        """Max certified budget per point (doubling + binary search, cached).
-
-        Every attempt flows through the verdict cache with monotone
-        derivation enabled, so overlapping sweeps — and reruns of the same
-        sweep — resolve from prior verdicts instead of re-running the
-        learner.  ``model`` is the scalar-budget family template of
-        :func:`repro.verify.search.max_certified_poisoning` (``None`` means
-        the paper's ``Δn``).
-        """
-        return [
-            self.max_certified(
-                engine, dataset, row, start=start, max_budget=max_budget, model=model
-            )
-            for row in np.asarray(points, dtype=float)
-        ]
-
+    # ---------------------------------------------------------- budget search
     def max_certified(
         self,
         engine,
@@ -565,16 +441,15 @@ class CertificationRuntime:
         start: int = 1,
         max_budget: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ) -> BudgetSweepOutcome:
+    ) -> search.PoisoningSearchResult:
         """Largest budget in ``[1, max_budget]`` the point is certified for.
 
         The doubling/binary search itself is
         :func:`repro.verify.search.max_certified_poisoning`; this method only
-        binds its attempts to this runtime's cache and counts how many of
-        them actually ran the learner.
+        binds its attempts to this runtime's cache, with monotone derivation,
+        so overlapping searches (and reruns) resolve from prior verdicts.
         """
-        self._reset_op_counters()
-        outcome = search.max_certified_poisoning(
+        return search.max_certified_poisoning(
             _CacheBoundVerifier(self, engine),
             dataset,
             x,
@@ -582,16 +457,7 @@ class CertificationRuntime:
             max_n=max_budget,
             model=model,
         )
-        trace_steps, trace_reused = self._op_trace()
-        return BudgetSweepOutcome(
-            max_certified_n=outcome.max_certified_n,
-            attempts=len(outcome.attempts),
-            learner_invocations=self._op_invocations(),
-            trace_steps=trace_steps,
-            trace_reused=trace_reused,
-        )
 
-    # --------------------------------------------------------- pareto sweeps
     def pareto_frontier(
         self,
         engine,
@@ -601,32 +467,21 @@ class CertificationRuntime:
         max_remove: Optional[int] = None,
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ) -> ParetoOutcome:
+    ) -> search.ParetoFrontierResult:
         """Maximal certified ``(n_remove, n_flip)`` pairs of one point, cached.
 
         The staircase descent itself is
         :func:`repro.verify.search.pareto_frontier`; this method binds its
-        probes to this runtime's cache — whose componentwise pair-dominance
-        derivation answers dominated/dominating queries without the learner —
-        and counts how many probes actually ran it.
+        probes to this runtime's cache, whose componentwise pair-dominance
+        derivation answers dominated/dominating queries without the learner.
         """
-        self._reset_op_counters()
-        outcome = search.pareto_frontier(
+        return search.pareto_frontier(
             _CacheBoundVerifier(self, engine),
             dataset,
             x,
             max_remove=max_remove,
             max_flip=max_flip,
             model=model,
-        )
-        trace_steps, trace_reused = self._op_trace()
-        return ParetoOutcome(
-            frontier=outcome.frontier,
-            probes=outcome.probes,
-            attempted_pairs=len(outcome.attempts),
-            learner_invocations=self._op_invocations(),
-            trace_steps=trace_steps,
-            trace_reused=trace_reused,
         )
 
     def pareto_sweep(
@@ -638,7 +493,7 @@ class CertificationRuntime:
         max_remove: Optional[int] = None,
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ) -> List[ParetoOutcome]:
+    ) -> List[search.ParetoFrontierResult]:
         """Per-point cached Pareto frontiers for a batch of test points.
 
         Serial by design: the value of the runtime path is that every probe
@@ -738,10 +593,11 @@ class CertificationRuntime:
 class _CacheBoundVerifier:
     """Adapter letting `repro.verify.search` attempt budgets through a runtime.
 
-    It exposes the one method the search protocol calls —
-    ``certify_point(dataset, x, model)`` — and routes it through the
-    runtime's cache, whether or not the engine itself has this (or any)
-    runtime attached.
+    It exposes the two methods the search protocol calls:
+    ``certify_point(dataset, x, model)``, routed through the runtime's cache
+    whether or not the engine itself has this (or any) runtime attached, and
+    ``tally()``, the bound engine's work totals, from which the search reads
+    its learner invocations and trace counts.
     """
 
     def __init__(self, runtime: CertificationRuntime, bound_engine) -> None:
@@ -751,3 +607,5 @@ class _CacheBoundVerifier:
     def certify_point(self, dataset, x, model):
         return self._runtime.certify_point(self._engine, dataset, x, model)
 
+    def tally(self):
+        return self._engine.tally()

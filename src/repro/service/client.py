@@ -10,9 +10,11 @@ socket and exposes the same verbs as a local
 Results decode into the same types the in-process API returns
 (:class:`~repro.verify.result.VerificationResult`,
 :class:`~repro.api.report.CertificationReport`,
-:class:`~repro.runtime.BudgetSweepOutcome`,
-:class:`~repro.runtime.ParetoOutcome`), so callers can swap a local engine
-for a remote one without touching downstream code.
+:class:`~repro.verify.search.PoisoningSearchResult`,
+:class:`~repro.verify.search.ParetoFrontierResult`), so callers can swap a
+local engine for a remote one without touching downstream code.  A decoded
+search result carries every count of the in-process one, but no per-probe
+``results``: those stay on the server.
 
 The engine configuration (depth, domain, timeout, …) is fixed per client and
 sent with every request; the server keeps one warm engine per distinct
@@ -43,7 +45,6 @@ from repro.api.report import CertificationReport
 from repro.api.request import CertificationRequest, ModelLike, as_perturbation_model
 from repro.core.dataset import Dataset
 from repro.poisoning.models import PerturbationModel
-from repro.runtime.runtime import BudgetSweepOutcome, ParetoOutcome
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -59,6 +60,7 @@ from repro.service.protocol import (
 )
 from repro.telemetry import events
 from repro.verify.result import VerificationResult
+from repro.verify.search import ParetoFrontierResult, PoisoningSearchResult
 
 #: Anything accepted where a dataset is expected: a Dataset (sent inline) or
 #: a registry reference mapping (``{"name": ..., "scale": ..., "seed": ...}``).
@@ -404,7 +406,7 @@ class CertificationClient:
         model: Optional[PerturbationModel] = None,
         start: int = 1,
         max_budget: Optional[int] = None,
-    ) -> BudgetSweepOutcome:
+    ) -> PoisoningSearchResult:
         """The §6.1 certified-budget search, probed through the server cache."""
         result = self._call(
             "max_certified",
@@ -417,13 +419,7 @@ class CertificationClient:
                 "max_budget": max_budget,
             },
         )
-        return BudgetSweepOutcome(
-            max_certified_n=int(result["max_certified_n"]),
-            attempts=int(result["attempts"]),
-            learner_invocations=int(result["learner_invocations"]),
-            trace_steps=int(result.get("trace_steps", 0)),
-            trace_reused=int(result.get("trace_reused", 0)),
-        )
+        return PoisoningSearchResult.from_dict(result)
 
     def pareto_frontier(
         self,
@@ -433,7 +429,7 @@ class CertificationClient:
         max_remove: Optional[int] = None,
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ) -> ParetoOutcome:
+    ) -> ParetoFrontierResult:
         """Maximal certified ``(n_remove, n_flip)`` pairs of one point."""
         result = self._call(
             "pareto_frontier",
@@ -446,7 +442,7 @@ class CertificationClient:
                 "model": model_to_wire(model),
             },
         )
-        return self._pareto_outcome(result)
+        return ParetoFrontierResult.from_dict(result)
 
     def pareto_sweep(
         self,
@@ -456,7 +452,7 @@ class CertificationClient:
         max_remove: Optional[int] = None,
         max_flip: Optional[int] = None,
         model: Optional[PerturbationModel] = None,
-    ) -> List[ParetoOutcome]:
+    ) -> List[ParetoFrontierResult]:
         """Per-point Pareto frontiers for a batch of test points."""
         result = self._call(
             "pareto_sweep",
@@ -469,16 +465,7 @@ class CertificationClient:
                 "model": model_to_wire(model),
             },
         )
-        return [self._pareto_outcome(entry) for entry in result["outcomes"]]
-
-    @staticmethod
-    def _pareto_outcome(payload: Mapping) -> ParetoOutcome:
-        return ParetoOutcome(
-            frontier=tuple((int(r), int(f)) for r, f in payload["frontier"]),
-            probes=int(payload["probes"]),
-            attempted_pairs=int(payload["attempted_pairs"]),
-            learner_invocations=int(payload["learner_invocations"]),
-        )
+        return [ParetoFrontierResult.from_dict(entry) for entry in result["outcomes"]]
 
     # ------------------------------------------------------------ management
     def ping(self) -> dict:

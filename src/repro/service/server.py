@@ -545,13 +545,7 @@ class CertificationServer(FrameServer):
             ),
             model=model_from_wire(params.get("model")),
         )
-        return {
-            "max_certified_n": outcome.max_certified_n,
-            "attempts": outcome.attempts,
-            "learner_invocations": outcome.learner_invocations,
-            "trace_steps": outcome.trace_steps,
-            "trace_reused": outcome.trace_reused,
-        }
+        return outcome.to_dict()
 
     def _op_pareto_frontier(self, params: dict) -> dict:
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))

@@ -31,16 +31,26 @@ All entry points run on the unified :class:`repro.api.CertificationEngine`
 persistent verdict cache (scalar budget monotonicity for the one-dimensional
 families, componentwise ``(r, f)`` pair dominance for the composite family),
 so repeated or overlapping searches reuse prior verdicts.
+
+:class:`PoisoningSearchResult` and :class:`ParetoFrontierResult` are the one
+result type of each search, whatever path ran it: the engine (with or
+without a runtime), the runtime bound to an engine, the daemon, and the
+client that decodes the daemon's reply.  Each carries its own
+``learner_invocations`` and trace counts, read as a difference of the
+engine's running per-thread :meth:`~repro.api.CertificationEngine.tally`.
+``to_dict`` / ``from_dict`` are the wire form; per-probe ``results`` stay
+in-process, and a decoded result has none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -91,20 +101,43 @@ def _pair_template(model: ModelTemplate) -> PerturbationModel:
     return model
 
 
+#: A search's work as a difference of two engine tallies:
+#: ``(trace_steps, trace_reused, learner_invocations)``.
+_Work = Tuple[int, int, int]
+
+
+def _tally(engine) -> _Work:
+    """The engine's running per-thread work totals (zeros if it keeps none)."""
+    tally = getattr(engine, "tally", None)
+    return tally() if tally is not None else (0, 0, 0)
+
+
+def _work_since(engine, before: _Work) -> dict:
+    """The search-result work fields accumulated since the ``before`` tally."""
+    steps, reused, runs = (now - then for now, then in zip(_tally(engine), before))
+    return {"learner_invocations": runs, "trace_steps": steps, "trace_reused": reused}
+
+
 @dataclass(frozen=True)
 class PoisoningSearchResult:
     """Outcome of the per-point doubling/binary search.
 
-    ``trace_steps`` / ``trace_reused`` count the Box-learner filter steps the
-    probes of this search executed and how many were warm-started from the
-    previous probe's ladder trace (zero when the engine does not expose
-    trace accounting — e.g. probes routed through a runtime cache, which
-    reports the same numbers on its own sweep outcomes instead).
+    ``attempts`` counts the probes, one per budget the search decided;
+    ``results`` maps each of those budgets to its verdict.
+    ``learner_invocations`` counts the probes that ran the learner rather
+    than being answered by a runtime cache.  ``trace_steps`` /
+    ``trace_reused`` count the Box-learner filter steps those runs executed
+    and how many were warm-started from the previous probe's ladder trace
+    (zero for an engine that keeps no :meth:`tally`).
+
+    :meth:`to_dict` / :meth:`from_dict` are the wire form; ``results`` is
+    in-process only, and a decoded result has it empty.
     """
 
     max_certified_n: int
-    attempts: Dict[int, bool]
-    results: Dict[int, VerificationResult]
+    attempts: int
+    results: Dict[int, VerificationResult] = field(repr=False, default_factory=dict)
+    learner_invocations: int = 0
     trace_steps: int = 0
     trace_reused: int = 0
 
@@ -115,6 +148,26 @@ class PoisoningSearchResult:
     @property
     def ever_certified(self) -> bool:
         return self.max_certified_n > 0
+
+    def to_dict(self) -> dict:
+        """JSON-serializable summary (the daemon reply and CLI sweep rows)."""
+        return {
+            "max_certified_n": self.max_certified_n,
+            "attempts": self.attempts,
+            "learner_invocations": self.learner_invocations,
+            "trace_steps": self.trace_steps,
+            "trace_reused": self.trace_reused,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "PoisoningSearchResult":
+        return cls(
+            max_certified_n=int(payload["max_certified_n"]),
+            attempts=int(payload["attempts"]),
+            learner_invocations=int(payload["learner_invocations"]),
+            trace_steps=int(payload.get("trace_steps", 0)),
+            trace_reused=int(payload.get("trace_reused", 0)),
+        )
 
 
 def max_certified_poisoning(
@@ -138,33 +191,23 @@ def max_certified_poisoning(
     if max_n is None:
         max_n = len(dataset)
     max_n = min(max_n, len(dataset))
-    attempts: Dict[int, bool] = {}
     results: Dict[int, VerificationResult] = {}
 
     def attempt(n: int) -> bool:
-        if n in attempts:
-            return attempts[n]
-        result = engine.certify_point(dataset, x, template.with_budget(n))
-        attempts[n] = result.is_certified
-        results[n] = result
-        return attempts[n]
+        if n not in results:
+            results[n] = engine.certify_point(dataset, x, template.with_budget(n))
+        return results[n].is_certified
 
-    consume_trace = getattr(engine, "consume_trace_stats", None)
-    if consume_trace is not None:
-        consume_trace()
+    before = _tally(engine)
     # Budget 0 is the trivial floor of the protocol ("never certified"), so
     # this is exactly the shared doubling/clamp/binary-search helper the
     # frontier search uses, with the doubling seeded at ``start``.
     best = _largest_certified(0, max_n, attempt, span=max(1, start))
-    trace_steps, trace_reused = (
-        consume_trace() if consume_trace is not None else (0, 0)
-    )
     return PoisoningSearchResult(
         max_certified_n=best,
-        attempts=attempts,
+        attempts=len(results),
         results=results,
-        trace_steps=trace_steps,
-        trace_reused=trace_reused,
+        **_work_since(engine, before),
     )
 
 
@@ -260,13 +303,21 @@ class ParetoFrontierResult:
     a staircase).  An empty frontier means the point was not even certified at
     ``(0, 0)``.  ``attempts`` maps every pair whose verdict the search
     *decided* to its outcome; ``probes`` counts how many of those actually
-    queried the engine (the rest were derived from pair dominance locally).
+    queried the engine (the rest were derived from pair dominance locally),
+    and ``learner_invocations`` how many probes ran the learner rather than
+    being answered by a runtime cache.  The trace counts are those of
+    :class:`PoisoningSearchResult`.
+
+    :meth:`to_dict` / :meth:`from_dict` are the wire form (``attempts``
+    travels as ``[r, f, certified]`` rows); ``results`` is in-process only,
+    and a decoded result has it empty.
     """
 
     frontier: Tuple[Tuple[int, int], ...]
     attempts: Dict[Tuple[int, int], bool]
     probes: int
     results: Dict[Tuple[int, int], VerificationResult] = field(repr=False, default_factory=dict)
+    learner_invocations: int = 0
     trace_steps: int = 0
     trace_reused: int = 0
 
@@ -283,12 +334,29 @@ class ParetoFrontierResult:
         return any(r >= n_remove and f >= n_flip for r, f in self.frontier)
 
     def to_dict(self) -> dict:
-        """JSON-serializable summary (the report/CLI frontier export rows)."""
+        """JSON-serializable summary (the daemon reply and report/CLI rows)."""
         return {
             "frontier": [[r, f] for r, f in self.frontier],
             "probes": self.probes,
             "attempted_pairs": len(self.attempts),
+            "attempts": [[r, f, ok] for (r, f), ok in self.attempts.items()],
+            "learner_invocations": self.learner_invocations,
+            "trace_steps": self.trace_steps,
+            "trace_reused": self.trace_reused,
         }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping) -> "ParetoFrontierResult":
+        return cls(
+            frontier=tuple((int(r), int(f)) for r, f in payload["frontier"]),
+            attempts={
+                (int(r), int(f)): bool(ok) for r, f, ok in payload.get("attempts", ())
+            },
+            probes=int(payload["probes"]),
+            learner_invocations=int(payload["learner_invocations"]),
+            trace_steps=int(payload.get("trace_steps", 0)),
+            trace_reused=int(payload.get("trace_reused", 0)),
+        )
 
 
 class _PairOracle:
@@ -426,9 +494,7 @@ def pareto_frontier(
         raise ValidationError("max_remove and max_flip must be non-negative")
 
     oracle = _PairOracle(engine, dataset, x, template)
-    consume_trace = getattr(engine, "consume_trace_stats", None)
-    if consume_trace is not None:
-        consume_trace()
+    before = _tally(engine)
     frontier: List[Tuple[int, int]] = []
     r_lo = 0
     f_hi = max_flip
@@ -445,16 +511,12 @@ def pareto_frontier(
         if f == 0:
             break
         f_hi = f - 1
-    trace_steps, trace_reused = (
-        consume_trace() if consume_trace is not None else (0, 0)
-    )
     return ParetoFrontierResult(
         frontier=tuple(frontier),
         attempts=dict(oracle.attempts),
         probes=oracle.probes,
         results=dict(oracle.results),
-        trace_steps=trace_steps,
-        trace_reused=trace_reused,
+        **_work_since(engine, before),
     )
 
 
@@ -516,11 +578,7 @@ class _FrontierRows:
             )
             # Full per-pair results are heavy (interval tuples per probe) and
             # irrelevant to batch consumers; ship the frontier summary only.
-            return ParetoFrontierResult(
-                frontier=outcome.frontier,
-                attempts=outcome.attempts,
-                probes=outcome.probes,
-            )
+            return replace(outcome, results={})
 
         return frontier
 

@@ -256,14 +256,19 @@ class TestResume:
         assert report.runtime_stats["learner_invocations"] == len(POINTS) - 2
 
 
+def _max_certified_rows(engine, dataset):
+    return [
+        engine.runtime.max_certified(engine, dataset, row, max_budget=16)
+        for row in POINTS
+    ]
+
+
 class TestBudgetSweep:
     def test_matches_uncached_search(self, tmp_path):
         dataset = well_separated_dataset()
         engine = _engine(tmp_path)
         plain = CertificationEngine(max_depth=1, domain="box")
-        outcomes = engine.runtime.budget_sweep(
-            engine, dataset, POINTS, max_budget=16
-        )
+        outcomes = _max_certified_rows(engine, dataset)
         for row, outcome in zip(POINTS, outcomes):
             expected = max_certified_poisoning(plain, dataset, row, max_n=16)
             assert outcome.max_certified_n == expected.max_certified_n
@@ -271,9 +276,9 @@ class TestBudgetSweep:
     def test_repeat_sweep_is_free(self, tmp_path):
         dataset = well_separated_dataset()
         engine = _engine(tmp_path)
-        first = engine.runtime.budget_sweep(engine, dataset, POINTS, max_budget=16)
+        first = _max_certified_rows(engine, dataset)
         assert sum(o.learner_invocations for o in first) > 0
-        again = engine.runtime.budget_sweep(engine, dataset, POINTS, max_budget=16)
+        again = _max_certified_rows(engine, dataset)
         assert sum(o.learner_invocations for o in again) == 0
         assert [o.max_certified_n for o in again] == [
             o.max_certified_n for o in first

@@ -1,5 +1,7 @@
 """Integration tests: the engine/runtime/service actually move the metrics."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,8 @@ class TestWorkerShipping:
         tasks = [r for r in records if r["event"] == "worker.task"]
         assert len(tasks) >= 4
         assert {r["rid"] for r in tasks} == {"cafe0123cafe0123"}
-        assert {r["pid"] for r in tasks} - {records[0]["pid"]}, (
+        # The parent's own pid, not the log's first record: a pooled sweep
+        # logs no parent event before its first worker.task.
+        assert {r["pid"] for r in tasks} - {os.getpid()}, (
             "worker.task events must come from pool worker processes"
         )

@@ -1,9 +1,13 @@
 """Tests for the poisoning-amount search protocol (§6.1)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.api import CertificationEngine
+from repro.datasets.registry import load_dataset
 from repro.poisoning.models import (
     CompositePoisoningModel,
     FractionalRemovalModel,
@@ -62,7 +66,7 @@ class TestMaxCertifiedPoisoning:
         assert search.ever_certified
         # The reported maximum must indeed be certified, and doubling past it
         # must have failed (or hit the cap).
-        assert search.attempts[search.max_certified_n] is True
+        assert search.results[search.max_certified_n].is_certified
 
     def test_uncertifiable_point_returns_zero(self, engine):
         dataset = figure2_dataset()
@@ -74,7 +78,7 @@ class TestMaxCertifiedPoisoning:
     def test_attempts_are_cached(self, engine):
         dataset = well_separated_dataset()
         search = max_certified_poisoning(engine, dataset, [0.5], max_n=8)
-        assert set(search.results) == set(search.attempts)
+        assert search.attempts == len(search.results)
 
     def test_respects_max_n_cap(self, engine):
         dataset = well_separated_dataset()
@@ -85,8 +89,8 @@ class TestMaxCertifiedPoisoning:
         dataset = well_separated_dataset()
         search = max_certified_poisoning(engine, dataset, [0.5], max_n=32)
         best = search.max_certified_n
-        for n, certified in search.attempts.items():
-            if certified:
+        for n, result in search.results.items():
+            if result.is_certified:
                 assert n <= best
             else:
                 assert n > best
@@ -106,8 +110,8 @@ class TestDoublingOvershootClamp:
         assert search.max_certified_n == 9
         # Doubling reached 8, then the clamped attempt at 10 failed and the
         # binary search decided 9.
-        assert 10 in search.attempts and not search.attempts[10]
-        assert 9 in search.attempts and search.attempts[9]
+        assert 10 in search.results and not search.results[10].is_certified
+        assert 9 in search.results and search.results[9].is_certified
 
     def test_cap_itself_certified_after_overshoot(self):
         dataset = well_separated_dataset()
@@ -309,3 +313,38 @@ class TestRobustnessSweepEdgeCases:
         assert record.timeouts == 2
         assert record.certified == 0
         assert record.fraction_certified == 0.0
+
+
+class TestSearchWorkTally:
+    def test_concurrent_searches_on_a_shared_engine_count_their_own_work(self):
+        split = load_dataset("iris", scale=1.0, seed=0)
+        points = split.test.X[:8]  # distinct rows: no shared ladder traces
+        solo = CertificationEngine(max_depth=1)
+        expected = [
+            solo.max_certified(split.train, x, max_budget=16).to_dict()
+            for x in points
+        ]
+        shared = CertificationEngine(max_depth=1)
+        got = [None] * len(points)
+
+        def search(index):
+            got[index] = shared.max_certified(
+                split.train, points[index], max_budget=16
+            ).to_dict()
+
+        threads = [
+            threading.Thread(target=search, args=(index,))
+            for index in range(len(points))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
+        assert all(row["learner_invocations"] == row["attempts"] for row in got)
