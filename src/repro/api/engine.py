@@ -21,12 +21,15 @@ number of :class:`~repro.api.request.CertificationRequest` objects:
 * ``verify(request, n_jobs=N)`` certifies batches on a process pool, and
   :meth:`certify_stream` yields per-point results incrementally in input
   order for streaming consumers (CLI progress, dashboards);
-* an attached :class:`~repro.runtime.CertificationRuntime` (the ``runtime=``
+* every batch and every point goes through the engine's
+  :class:`~repro.runtime.CertificationRuntime`, which runs a row repeated
+  within a batch once.  A runtime with a cache directory (the ``runtime=``
   parameter) adds the scaling layer: repeat queries answer from the
   persistent verdict cache (with budget-monotone derivation), and long
-  batches checkpoint to a resumable run journal.  Pool workers need no
-  runtime: under the fork start method they inherit the training set and
-  the parent's warm request plans.
+  batches checkpoint to a resumable run journal.  Without one the engine
+  holds a private cache-less runtime.  Pool workers start from a fresh
+  cache-less runtime: under the fork start method they inherit the training
+  set and the parent's warm request plans.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Iterator,
     List,
@@ -70,6 +72,7 @@ from repro.poisoning.models import (
     resolve_model_classes,
 )
 from repro.runtime.fingerprint import fingerprint_dataset, point_digest
+from repro.runtime.runtime import CertificationRuntime
 from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
 from repro.utils.memory import MemoryTracker
@@ -83,9 +86,6 @@ from repro.verify.disjunctive_learner import (
 from repro.verify import search
 from repro.verify.result import DOMAINS, VerificationResult, VerificationStatus
 from repro.verify.transformers import CPROB_METHODS
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.runtime import CertificationRuntime
 
 #: Domain label reported for flip-family certificates proven on the Box-style
 #: abstraction of ``⟨T, r, f⟩``.
@@ -229,8 +229,11 @@ class CertificationEngine:
     max_disjuncts:
         Resource limit of the disjunctive learner.
     runtime:
-        Optional :class:`~repro.runtime.CertificationRuntime` providing the
-        persistent verdict cache, resumable run journals and budget sweeps.
+        The :class:`~repro.runtime.CertificationRuntime` every batch and
+        point goes through; one with a ``cache_dir`` adds the persistent
+        verdict cache and resumable run journals.  ``None`` (the default)
+        gives the engine its own cache-less runtime, so after construction
+        this is never ``None``.
     """
 
     max_depth: int = 2
@@ -239,7 +242,7 @@ class CertificationEngine:
     timeout_seconds: Optional[float] = None
     max_disjuncts: int = 4096
     impurity: str = "gini"
-    runtime: Optional["CertificationRuntime"] = None
+    runtime: Optional[CertificationRuntime] = None
     _trace_learner: TraceLearner = field(init=False, repr=False)
     _box_learner: BoxAbstractLearner = field(init=False, repr=False)
     _disjunctive_learner: DisjunctiveAbstractLearner = field(init=False, repr=False)
@@ -289,16 +292,18 @@ class CertificationEngine:
             cprob_method=self.cprob_method,
             max_disjuncts=self.max_disjuncts,
         )
+        self.runtime = self.runtime or CertificationRuntime()
 
     def _worker_state(self, warm: bool) -> dict:
         """This engine's fields as a pool worker gets them.
 
         The runtime (sqlite handles), the scheduler (locks, in-flight
         futures, thread pools), the plan lock and the per-thread trace
-        tallies are parent-only state and never reach a worker.  The plan
-        and trace caches come along only when ``warm``: a forked worker
-        inherits them in memory, while pickling them would ship full
-        abstract training sets.
+        tallies are parent-only state and never reach a worker, which
+        starts from a fresh cache-less runtime instead.  The plan and trace
+        caches come along only when ``warm``: a forked worker inherits them
+        in memory, while pickling them would ship full abstract training
+        sets.
         """
         state = dict(self.__dict__)
         state["_plan_cache"] = {}
@@ -324,6 +329,7 @@ class CertificationEngine:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.runtime = CertificationRuntime()
         self._plan_cache = OrderedDict(state["_plan_cache"])
         self._plan_lock = threading.Lock()
         self._trace_local = threading.local()
@@ -355,9 +361,8 @@ class CertificationEngine:
         watch = Stopwatch().start()
         with tracing.span("engine.verify") as trace_root:
             results = list(self.certify_stream(request, n_jobs=n_jobs))
-        runtime_stats = None
-        if self.runtime is not None and self.runtime.last_batch_stats is not None:
-            runtime_stats = self.runtime.last_batch_stats.snapshot()
+        stats = self.runtime.last_batch_stats
+        runtime_stats = None if stats is None else stats.snapshot()
         if trace_root is not None:
             runtime_stats = dict(runtime_stats or {})
             runtime_stats["trace"] = trace_root.to_dict()
@@ -396,9 +401,10 @@ class CertificationEngine:
         batch of this engine is already computing is leased from it instead of
         recomputed, so concurrent overlapping batches — e.g. several service
         clients asking the same question — cost one learner invocation per
-        distinct point.  With a :class:`~repro.runtime.CertificationRuntime`
-        attached, the non-leased remainder flows through its cache/journal
-        first and only the misses reach the learners.
+        distinct point.  The non-leased remainder flows through the
+        engine's :attr:`runtime` (cache and journal when it has a cache
+        directory), and only its misses reach the learners, each distinct
+        row once.
         """
         dataset = request.dataset
         # Requests resolve n_classes at construction; re-resolving here keeps
@@ -421,25 +427,6 @@ class CertificationEngine:
         """
         return self.scheduler.submit(request, n_jobs=n_jobs)
 
-    def _stream_rows(
-        self,
-        dataset: Dataset,
-        model: PerturbationModel,
-        rows: Sequence[np.ndarray],
-        *,
-        n_jobs: int = 1,
-    ) -> Iterator[VerificationResult]:
-        """Certify ``rows`` through the cache/journal/pool machinery, in order.
-
-        This is the batch primitive under the scheduler (which handles
-        cross-batch coalescing before delegating here); ``model`` must already
-        be class-count resolved.
-        """
-        if self.runtime is not None:
-            yield from self.runtime.stream(self, dataset, model, rows, n_jobs=n_jobs)
-        else:
-            yield from self._compute_stream(dataset, rows, model, n_jobs=n_jobs)
-
     def _compute_stream(
         self,
         dataset: Dataset,
@@ -450,9 +437,9 @@ class CertificationEngine:
     ) -> Iterator[VerificationResult]:
         """Run the learners over ``rows`` in order (no cache consultation).
 
-        This is the compute primitive under :meth:`certify_stream` and the
-        runtime layer: each row is one :meth:`_certify_one` call against the
-        (dataset, model) plan, mapped through :meth:`_map_rows`.
+        This is the compute primitive under the runtime's batch stream: each
+        row is one :meth:`_certify_one` call against the (dataset, model)
+        plan, mapped through :meth:`_map_rows`.
         """
         yield from self._map_rows(dataset, rows, _CertifyRows(model), n_jobs=n_jobs)
 
@@ -563,12 +550,9 @@ class CertificationEngine:
     def certify_point(
         self, dataset: Dataset, x: Sequence[float], model: ModelLike
     ) -> VerificationResult:
-        """Certify a single test point (convenience wrapper over :meth:`verify`)."""
-        model = resolve_model_classes(as_perturbation_model(model), dataset.n_classes)
-        if self.runtime is not None:
-            return self.runtime.certify_point(self, dataset, x, model)
-        return self._certify_one(
-            dataset, np.asarray(x, dtype=float), model, self._plan_for(dataset, model)
+        """Certify a single test point through the engine's :attr:`runtime`."""
+        return self.runtime.certify_point(
+            self, dataset, x, as_perturbation_model(model)
         )
 
     def max_certified(
@@ -586,8 +570,8 @@ class CertificationEngine:
         :func:`repro.verify.search.max_certified_poisoning` against this
         engine for any scalar-budget family (``model`` is the family template
         rebound per probe via ``with_budget``; ``None`` means the paper's
-        ``Δn``).  Probes flow through :meth:`certify_point`, so an attached
-        runtime answers them from the persistent cache with monotone
+        ``Δn``).  Probes flow through :meth:`certify_point`, so a runtime
+        with a cache answers them from the persistent cache with monotone
         derivation.
         """
         return search.max_certified_poisoning(
@@ -609,8 +593,8 @@ class CertificationEngine:
         composite removal+flip family: delegates to
         :func:`repro.verify.search.pareto_frontier` (staircase descent over
         the pair lattice), with probes answered through :meth:`certify_point`
-        — and therefore through an attached runtime's componentwise
-        pair-dominance cache derivation.
+        — and therefore through the runtime cache's componentwise
+        pair-dominance derivation.
         """
         return search.pareto_frontier(
             self, dataset, x, max_remove=max_remove, max_flip=max_flip, model=model

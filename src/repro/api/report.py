@@ -80,8 +80,10 @@ class CertificationReport:
     runtime_stats:
         Optional counters from the :class:`~repro.runtime.CertificationRuntime`
         that served the batch (cache hits/misses, monotone derivations,
-        journal restores, learner invocations); ``None``
-        when no runtime was involved.
+        journal restores, in-batch duplicates, learner invocations; the
+        cache counters stay 0 on a cache-less runtime); ``None`` when no
+        point of the batch reached a runtime, e.g. every point was leased
+        from another in-flight batch.
     frontiers:
         Optional per-point Pareto-frontier rows produced by a composite
         ``(r, f)`` sweep: one dict per point (in request order) with the

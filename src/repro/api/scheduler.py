@@ -9,23 +9,24 @@ already deduplicates across *time*; this module deduplicates across
 *in-flight work*:
 
 * :class:`CertificationScheduler` keeps a table of in-flight certification
-  keys — ``(dataset fingerprint, point digest, model family+budget, engine
-  config)``, the same content-addressed identity the verdict cache uses — and
-  lets a batch that encounters a key another batch is already computing
-  *lease* that batch's future instead of recomputing the point;
+  keys — :class:`~repro.runtime.fingerprint.RowKey`, the content-addressed
+  identity the verdict cache uses — and lets a batch that encounters a key
+  another batch is already computing *lease* that batch's future instead of
+  recomputing the point;
 * :meth:`CertificationScheduler.submit` is the asynchronous face: it returns
   a :class:`BatchSubmission` of per-point futures immediately and certifies
   the request on a background thread (coalescing with every other in-flight
   submission);
 * ``CertificationEngine.certify_batch`` / ``certify_stream`` are thin clients
   of :meth:`stream_rows`, so synchronous callers participate in the same
-  in-flight table as asynchronous and remote (``repro.service``) ones.
+  in-flight table as asynchronous and remote (``repro.service``) ones;
+  the points a batch owns go on, with their keys, to the engine's runtime.
 
-Leased results are re-anchored to the lessee's nominal budget exactly like
-cache hits (two models resolving to the same family and budget share one
-proof), and a lease whose owner fails or abandons its stream falls back to
-computing the point locally — coalescing is an optimization, never a new
-failure mode.
+Leased results are re-anchored to the lessee's nominal budget by the rule
+cache hits use (:func:`repro.runtime.cache.reanchor`: two models resolving to
+the same family and budget share one proof), and a lease whose owner fails
+or abandons its stream falls back to certifying the point through the
+runtime — coalescing is an optimization, never a new failure mode.
 """
 
 from __future__ import annotations
@@ -33,21 +34,16 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.api.report import CertificationReport
 from repro.api.request import CertificationRequest
 from repro.core.dataset import Dataset
-from repro.poisoning.models import PerturbationModel, resolve_model_classes
-from repro.runtime.fingerprint import (
-    BudgetKey,
-    engine_cache_key,
-    fingerprint_dataset,
-    model_cache_key,
-    point_digest,
-)
+from repro.poisoning.models import PerturbationModel
+from repro.runtime.cache import CacheHit, reanchor
+from repro.runtime.fingerprint import RowKey, row_keys
 from repro.telemetry import events, metrics, tracing
 from repro.utils.timing import Stopwatch
 from repro.verify.result import VerificationResult
@@ -73,11 +69,6 @@ _LEASE_WAIT_SECONDS = metrics.histogram(
     "scheduler_lease_wait_seconds",
     "Time a batch spent blocked on another batch's in-flight future.",
 )
-
-#: The content-addressed identity of one unit of certification work.  Two
-#: submissions with equal keys are guaranteed the same verdict, so at most one
-#: of them may run the learner.
-InflightKey = Tuple[str, str, str, BudgetKey, str]
 
 
 class InflightAbandoned(RuntimeError):
@@ -127,7 +118,8 @@ class BatchSubmission:
     futures: List["Future[VerificationResult]"]
     _watch: Stopwatch = field(default_factory=lambda: Stopwatch().start())
     #: Runtime counters of the batch, captured by the submission thread once
-    #: the stream completes (``None`` before completion or without a runtime).
+    #: the stream completes (``None`` before completion, or when every point
+    #: was leased from another batch).
     _runtime_stats: Optional[dict] = None
     #: Set by the submission thread after the stream (and the stats capture
     #: above) finished — the last future resolves slightly *before* that.
@@ -183,7 +175,7 @@ class CertificationScheduler:
         self._engine = engine
         self._max_workers = max_workers
         self._lock = threading.Lock()
-        self._inflight: Dict[InflightKey, "Future[VerificationResult]"] = {}
+        self._inflight: Dict[RowKey, "Future[VerificationResult]"] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self.stats = SchedulerStats()
 
@@ -193,15 +185,6 @@ class CertificationScheduler:
             return self.stats.snapshot()
 
     # -------------------------------------------------------------- streaming
-    def stream(
-        self, request: CertificationRequest, *, n_jobs: int = 1
-    ) -> Iterator[VerificationResult]:
-        """Certify a request's points in order, coalescing with other batches."""
-        dataset = request.dataset
-        model = resolve_model_classes(request.model, dataset.n_classes)
-        rows = [np.asarray(row, dtype=float) for row in request.points]
-        return self.stream_rows(dataset, model, rows, n_jobs=n_jobs)
-
     def stream_rows(
         self,
         dataset: Dataset,
@@ -213,21 +196,17 @@ class CertificationScheduler:
         """Certify ``rows`` in order; the coalescing core under every batch.
 
         Points whose key another batch is already computing are *leased* (the
-        other batch's future answers them); the remainder flows through the
-        engine's classic batch machinery — runtime cache/journal, process
-        pool — untouched, so a batch with no concurrent
-        overlap behaves exactly as before this layer existed.
+        other batch's future answers them); the remainder goes, with its
+        keys, to the engine's runtime (cache, journal, in-batch duplicates,
+        process pool), so a batch with no concurrent overlap behaves exactly
+        as before this layer existed.
         """
         engine = self._engine
+        runtime = engine.runtime
         with tracing.span("scheduler.dispatch"):
-            fp = fingerprint_dataset(dataset)
-            family, budget = model_cache_key(model, len(dataset))
-            engine_key = engine_cache_key(engine)
-            keys: List[InflightKey] = [
-                (fp, point_digest(row), family, budget, engine_key) for row in rows
-            ]
+            keys = row_keys(engine, dataset, model, rows)
         owned_indices: List[int] = []
-        owned_futures: Dict[InflightKey, "Future[VerificationResult]"] = {}
+        owned_futures: Dict[RowKey, "Future[VerificationResult]"] = {}
         leases: Dict[int, "Future[VerificationResult]"] = {}
         with self._lock:
             self.stats.batches += 1
@@ -235,8 +214,7 @@ class CertificationScheduler:
             for index, key in enumerate(keys):
                 if key in owned_futures:
                     # In-batch duplicate: owned by this batch's first
-                    # occurrence; the runtime layer (or plain recomputation
-                    # for cache-less engines) handles it exactly as before.
+                    # occurrence; the runtime runs the learner once for both.
                     owned_indices.append(index)
                     continue
                 future = self._inflight.get(key)
@@ -266,16 +244,20 @@ class CertificationScheduler:
         amount = model.nominal_amount(len(dataset))
         flips = model.nominal_flip_amount(len(dataset))
         log10_datasets = model.log10_num_neighbors(len(dataset))
-        if engine.runtime is not None:
-            # A fully-leased batch never reaches runtime.stream; reset the
-            # thread-local batch counters so a report built after this stream
-            # cannot pick up a *previous* batch's stats from a reused thread.
-            engine.runtime.last_batch_stats = None
+        # A fully-leased batch never reaches runtime.stream; reset the
+        # thread-local batch counters so a report built after this stream
+        # cannot pick up a *previous* batch's stats from a reused thread.
+        runtime.last_batch_stats = None
         try:
             computed: Iterator[VerificationResult] = iter(())
             if owned_indices:
-                computed = engine._stream_rows(
-                    dataset, model, [rows[i] for i in owned_indices], n_jobs=n_jobs
+                computed = runtime.stream(
+                    engine,
+                    dataset,
+                    model,
+                    [rows[i] for i in owned_indices],
+                    [keys[i] for i in owned_indices],
+                    n_jobs=n_jobs,
                 )
             for index in range(len(rows)):
                 lease = leases.get(index)
@@ -306,14 +288,20 @@ class CertificationScheduler:
                     _LEASE_WAIT_SECONDS.observe(wait_started.elapsed())
                     _LEASE_FALLBACKS.inc()
                     with tracing.span("scheduler.lease_fallback"):
-                        fallback = self._certify_locally(dataset, rows[index], model)
+                        fallback = runtime.certify_point(
+                            engine, dataset, rows[index], model
+                        )
                     yield fallback
                 else:
                     _LEASE_WAIT_SECONDS.observe(wait_started.elapsed())
                     # Only a *delivered* lease is deduplicated work.
-                    if engine.runtime is not None:
-                        engine.runtime.record_coalesced(1)
-                    yield self._reanchor(leased, amount, flips, log10_datasets, budget)
+                    runtime.record_coalesced(1)
+                    yield reanchor(
+                        CacheHit(leased, "exact", keys[index].budget),
+                        amount,
+                        flips,
+                        log10_datasets,
+                    )
             # Advance the batch generator past its final yield so its
             # completion work (journal discard, lifetime stats accounting)
             # runs now, not at garbage collection.  A truncated stream
@@ -329,9 +317,9 @@ class CertificationScheduler:
     ) -> BatchSubmission:
         """Certify a request asynchronously; returns per-point futures now.
 
-        The batch runs on a background thread through :meth:`stream`, so it
-        coalesces with every other in-flight submission and synchronous
-        stream of this engine.
+        The batch runs on a background thread through the engine's
+        ``certify_stream``, so it coalesces with every other in-flight
+        submission and synchronous stream of this engine.
         """
         futures: List["Future[VerificationResult]"] = [
             Future() for _ in range(request.n_points)
@@ -354,11 +342,14 @@ class CertificationScheduler:
     ) -> None:
         futures = submission.futures
         try:
-            for future, result in zip(futures, self.stream(request, n_jobs=n_jobs)):
+            engine = self._engine
+            for future, result in zip(
+                futures, engine.certify_stream(request, n_jobs=n_jobs)
+            ):
                 future.set_result(result)
-            runtime = self._engine.runtime
-            if runtime is not None and runtime.last_batch_stats is not None:
-                submission._runtime_stats = runtime.last_batch_stats.snapshot()
+            stats = engine.runtime.last_batch_stats
+            if stats is not None:
+                submission._runtime_stats = stats.snapshot()
             # A truncated stream (a runtime's max_new_points budget) yields
             # fewer results than points; the leftover futures must resolve,
             # not strand their waiters.
@@ -387,42 +378,8 @@ class CertificationScheduler:
             return self._executor
 
     # ---------------------------------------------------------------- helpers
-    def _certify_locally(
-        self, dataset: Dataset, row: np.ndarray, model: PerturbationModel
-    ) -> VerificationResult:
-        engine = self._engine
-        if engine.runtime is not None:
-            return engine.runtime.certify_point(engine, dataset, row, model)
-        return engine._certify_one(
-            dataset, row, model, engine._plan_for(dataset, model)
-        )
-
-    @staticmethod
-    def _reanchor(
-        result: VerificationResult,
-        amount: int,
-        flips: int,
-        log10_datasets: float,
-        budget: BudgetKey,
-    ) -> VerificationResult:
-        """Re-anchor a leased verdict to the lessee's nominal budget.
-
-        Keys coalesce on the *resolved* budget, so the owner may have asked
-        with a different nominal amount (``RemovalPoisoningModel(1000)`` vs. a
-        fraction resolving to the same count); the same re-anchoring rule the
-        cache applies to exact hits keeps the lessee's report honest.
-        """
-        # Deferred import: repro.runtime.runtime is heavyweight and this
-        # module sits on the engine's import path.
-        from repro.runtime.cache import CacheHit
-        from repro.runtime.runtime import CertificationRuntime
-
-        return CertificationRuntime._adapt_hit(
-            CacheHit(result, "exact", budget), amount, flips, log10_datasets
-        )
-
     def _release(
-        self, owned: Dict[InflightKey, "Future[VerificationResult]"]
+        self, owned: Dict[RowKey, "Future[VerificationResult]"]
     ) -> None:
         with self._lock:
             for key, future in owned.items():

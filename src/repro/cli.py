@@ -536,18 +536,15 @@ def _command_certify(args: argparse.Namespace) -> int:
             )
             return 2
         return _certify_connected(args, split, count, model)
-    runtime = None
-    if args.cache_dir is not None:
-        runtime = CertificationRuntime(
-            args.cache_dir,
-            resume=args.resume,
-            max_new_points=args.max_new_points,
-        )
     engine = CertificationEngine(
         max_depth=args.depth,
         domain=args.domain,
         timeout_seconds=args.timeout,
-        runtime=runtime,
+        runtime=CertificationRuntime(
+            args.cache_dir,
+            resume=args.resume,
+            max_new_points=args.max_new_points,
+        ),
     )
     request = CertificationRequest(split.train, split.test.X[:count], model)
     print(split.describe())
@@ -562,7 +559,7 @@ def _command_certify(args: argparse.Namespace) -> int:
             results.append(result)
             if not args.quiet:
                 print(f"  point {index:3d}: {result.describe()}")
-    batch_stats = runtime.last_batch_stats if runtime is not None else None
+    batch_stats = engine.runtime.last_batch_stats
     runtime_stats = None if batch_stats is None else batch_stats.snapshot()
     if trace_root is not None:
         runtime_stats = dict(runtime_stats or {})
@@ -663,17 +660,14 @@ def _command_sweep(args: argparse.Namespace) -> int:
     template = _sweep_template(args)
     client = None
     engine = None
-    runtime = None
     if args.connect:
         client = _connect_client(args)
     else:
-        if args.cache_dir is not None:
-            runtime = CertificationRuntime(args.cache_dir)
         engine = CertificationEngine(
             max_depth=args.depth,
             domain=args.domain,
             timeout_seconds=args.timeout,
-            runtime=runtime,
+            runtime=CertificationRuntime(args.cache_dir),
         )
     print(split.describe())
 
@@ -681,11 +675,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
     try:
         if args.frontier:
             exit_code = _run_frontier_sweep(
-                args, split, points, template, engine, runtime, watch, client
+                args, split, points, template, engine, watch, client
             )
         else:
             exit_code = _run_scalar_sweep(
-                args, split, points, template, engine, runtime, watch, client
+                args, split, points, template, engine, watch, client
             )
     finally:
         if client is not None:
@@ -694,7 +688,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_scalar_sweep(
-    args, split, points, template, engine, runtime, watch, client=None
+    args, split, points, template, engine, watch, client=None
 ) -> int:
     """The §6.1 protocol per point: doubling + binary search over one budget."""
     family = (
@@ -711,7 +705,7 @@ def _run_scalar_sweep(
             "serially; --n-jobs ignored",
             file=sys.stderr,
         )
-    # A client or an engine (with or without a runtime, whose cache then
+    # A client or an engine (whose runtime's cache, with --cache-dir, then
     # answers the probes): every path returns the same search result.
     searcher, dataset = (
         (client, _dataset_ref(args)) if client is not None else (engine, split.train)
@@ -759,7 +753,9 @@ def _run_scalar_sweep(
     print()
     print(table.render())
 
-    stats = runtime.stats_snapshot() if runtime is not None else None
+    stats = None
+    if args.cache_dir is not None:
+        stats = engine.runtime.stats_snapshot()
     if args.json:
         payload = {
             "dataset_name": split.train.name,
@@ -788,7 +784,7 @@ def _run_scalar_sweep(
 
 
 def _run_frontier_sweep(
-    args, split, points, template, engine, runtime, watch, client=None
+    args, split, points, template, engine, watch, client=None
 ) -> int:
     """Composite (r, f) Pareto frontiers per point (staircase descent)."""
     size = len(split.train)
@@ -808,7 +804,8 @@ def _run_frontier_sweep(
             max_remove=max_remove, max_flip=max_flip, model=template,
         )
     else:
-        if runtime is not None and args.n_jobs > 1:
+        cached = args.cache_dir is not None
+        if cached and args.n_jobs > 1:
             print(
                 "note: cached frontier sweeps run serially so every probe "
                 "shares the verdict cache; --n-jobs ignored",
@@ -817,7 +814,7 @@ def _run_frontier_sweep(
         outcomes = engine.pareto_sweep(
             split.train, points,
             max_remove=max_remove, max_flip=max_flip, model=template,
-            n_jobs=1 if runtime is not None else args.n_jobs,
+            n_jobs=1 if cached else args.n_jobs,
         )
     frontiers = [outcome.to_dict() for outcome in outcomes]
     total_seconds = watch.elapsed()
@@ -830,7 +827,9 @@ def _run_frontier_sweep(
                 f"({entry['probes']} probe(s))"
             )
 
-    stats = runtime.stats_snapshot() if runtime is not None else None
+    stats = None
+    if args.cache_dir is not None:
+        stats = engine.runtime.stats_snapshot()
     report = CertificationReport(
         results=[],
         model_description=description,

@@ -41,7 +41,7 @@ import math
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -166,6 +166,44 @@ class CacheHit:
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
+
+
+def reanchor(
+    hit: CacheHit, amount: int, flips: int, log10_datasets: float
+) -> VerificationResult:
+    """Re-anchor a stored verdict to the budget the caller asked about.
+
+    The one rule for every verdict served without running the learner: a
+    cache hit, a journal restore, or a lease of another batch's in-flight
+    work.  The stored result may come from a different nominal amount (exact
+    hits share resolved budgets) or a different budget entirely (monotone
+    hits); the status and certificate carry over, while the reported
+    ``(amount, flips)`` pair and ``log10 |Δ(T)|`` reflect the current
+    query.  Class intervals survive only where they stay sound: a *robust*
+    verdict derived from a larger budget keeps its (wider, still
+    over-approximating) intervals, but an *unknown* verdict derived from a
+    smaller budget drops its intervals — they under-approximate what a
+    larger budget can reach.
+
+    ``elapsed_seconds`` / ``peak_memory_bytes`` deliberately keep their
+    stored values: per-point numbers describe what the *proof* cost when it
+    was computed (provenance), while the report's batch wall-clock describes
+    the serving run — a warm rerun shows seconds-long per-point proofs under
+    a near-zero batch wall-clock.
+    """
+    result = hit.result
+    changes: dict = {}
+    if result.poisoning_amount != amount:
+        changes["poisoning_amount"] = amount
+    if result.poisoning_flips != flips:
+        changes["poisoning_flips"] = flips
+    if result.log10_num_datasets != log10_datasets:
+        changes["log10_num_datasets"] = log10_datasets
+    if not hit.is_exact:
+        changes["message"] = f"derived from cached verdict at budget {hit.stored_budget}"
+        if not result.is_certified and result.class_intervals:
+            changes["class_intervals"] = ()
+    return replace(result, **changes) if changes else result
 
 
 class CertificationCache:

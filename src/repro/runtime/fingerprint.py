@@ -24,12 +24,16 @@ identity (``id()``) provides neither, so this module derives keys from
   key ends in a constant ``pool=default`` component, kept for compatibility
   so existing caches keep hitting.  ``timeout_seconds`` is excluded on
   purpose: timeouts are environment-dependent and are never cached.
+* :func:`row_keys` — the :class:`RowKey` of each row of a batch, built from
+  the four keys above.  It is the one identity the scheduler's in-flight
+  table, the verdict cache and the run journal share.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, Tuple, Union
+import weakref
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,11 +58,34 @@ _FINGERPRINT_ATTR = "_content_fingerprint"
 _SCHEMA = b"repro-runtime-v1"
 
 
+#: SHA-256 states after ``_SCHEMA`` and a read-only feature matrix, keyed by
+#: ``id(X)``; a finalizer drops the entry when X dies.  Every copy of a
+#: dataset (``replace``, ``dataclasses.replace``) shares its read-only X, so
+#: X is hashed once and each fingerprint finishes from a copy of the state.
+_MATRIX_STATES: "Dict[int, hashlib._Hash]" = {}
+
+
 def _hash_array(hasher: "hashlib._Hash", array: np.ndarray) -> None:
     hasher.update(str(array.dtype).encode())
     hasher.update(str(array.shape).encode())
     # A C-contiguous array is hashed through its buffer, without a copy.
     hasher.update(np.ascontiguousarray(array))
+
+
+def _matrix_hasher(X: np.ndarray) -> "hashlib._Hash":
+    """A fresh hasher that has consumed ``_SCHEMA`` and ``X``.
+
+    Only a read-only X is remembered: a writable one may change between
+    calls.
+    """
+    state = None if X.flags.writeable else _MATRIX_STATES.get(id(X))
+    if state is None:
+        state = hashlib.sha256(_SCHEMA)
+        _hash_array(state, X)
+        if not X.flags.writeable:
+            _MATRIX_STATES[id(X)] = state
+            weakref.finalize(X, _MATRIX_STATES.pop, id(X), None)
+    return state.copy()
 
 
 def fingerprint_dataset(dataset: Dataset) -> str:
@@ -67,13 +94,13 @@ def fingerprint_dataset(dataset: Dataset) -> str:
     The fingerprint covers ``X``, ``y``, ``n_classes``, and the feature
     kinds — everything that can influence a certification verdict — and
     nothing cosmetic.  It is memoized on the instance, so repeated calls are
-    O(1) after the first.
+    O(1) after the first, and a copy that shares the read-only ``X`` hashes
+    only the rest.
     """
     cached = getattr(dataset, _FINGERPRINT_ATTR, None)
     if cached is not None:
         return cached
-    hasher = hashlib.sha256(_SCHEMA)
-    _hash_array(hasher, dataset.X)
+    hasher = _matrix_hasher(dataset.X)
     _hash_array(hasher, dataset.y)
     hasher.update(str(dataset.n_classes).encode())
     hasher.update("|".join(kind.value for kind in dataset.feature_kinds).encode())
@@ -162,3 +189,34 @@ def engine_cache_key(engine) -> str:
         f"|impurity={engine.impurity}"
         "|pool=default"
     )
+
+
+class RowKey(NamedTuple):
+    """The content-addressed identity of one certification verdict.
+
+    Two rows with equal keys are guaranteed the same verdict: the scheduler
+    lets at most one of them run the learner, the runtime answers the rest
+    from the first, and the verdict cache and run journal store under it.
+    """
+
+    dataset: str
+    point: str
+    family: str
+    budget: BudgetKey
+    engine: str
+
+
+def row_keys(
+    engine, dataset: Dataset, model: PerturbationModel, rows: Sequence[np.ndarray]
+) -> List[RowKey]:
+    """The :class:`RowKey` of each row against one (dataset, model, engine).
+
+    ``model`` must already be class-count resolved.
+    """
+    fingerprint = fingerprint_dataset(dataset)
+    family, budget = model_cache_key(model, len(dataset))
+    engine_key = engine_cache_key(engine)
+    return [
+        RowKey(fingerprint, point_digest(row), family, budget, engine_key)
+        for row in rows
+    ]

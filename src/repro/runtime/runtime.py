@@ -17,15 +17,17 @@ certification traffic:
   cache, so their probes resolve from prior verdicts; they return the same
   result types as the engine's own searches.
 
-Attach a runtime to an engine with ``CertificationEngine(runtime=...)``.
-Process-pool workers never see it: under the fork start method they inherit
-the training set from the parent.
+Every engine certifies through a runtime: ``CertificationEngine(runtime=...)``
+attaches a shared one, and an engine given none builds its own cache-less
+runtime.  Process-pool workers never see the parent's: each starts from a
+fresh cache-less one, and under the fork start method inherits the training
+set from the parent.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -33,14 +35,13 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.poisoning.models import PerturbationModel, resolve_model_classes
-from repro.runtime.cache import CACHEABLE_STATUSES, CacheHit, CertificationCache
-from repro.runtime.fingerprint import (
-    engine_cache_key,
-    fingerprint_dataset,
-    model_cache_key,
-    monotone_in_budget,
-    point_digest,
+from repro.runtime.cache import (
+    CACHEABLE_STATUSES,
+    CacheHit,
+    CertificationCache,
+    reanchor,
 )
+from repro.runtime.fingerprint import RowKey, monotone_in_budget, row_keys
 from repro.runtime.journal import RunJournal, run_id
 from repro.telemetry import events, metrics
 from repro.verify import search
@@ -149,8 +150,9 @@ class CertificationRuntime:
     ----------
     cache_dir:
         Directory for the sqlite verdict cache and the run journals.  ``None``
-        disables both (the runtime then only deduplicates within batches and
-        runs searches).
+        disables both: the runtime then only deduplicates within batches and
+        runs searches.  An engine built without a runtime holds such a
+        cache-less one.
     resume:
         Whether :meth:`stream` replays a prior journal for the same run id
         (``False`` discards prior progress and starts fresh).
@@ -210,33 +212,40 @@ class CertificationRuntime:
         dataset: Dataset,
         model: PerturbationModel,
         rows: Sequence[np.ndarray],
+        keys: Sequence[RowKey],
         *,
         n_jobs: int = 1,
     ) -> Iterator[VerificationResult]:
         """Certify ``rows`` in order, answering from cache/journal when possible.
 
-        Only cache misses reach the engine's learners; computed verdicts are
-        written back to the cache and the journal as they arrive, so the
-        stream is resumable at per-point granularity.
+        ``keys`` are the rows' :func:`~repro.runtime.fingerprint.row_keys`,
+        as the scheduler built them.  Only cache misses reach the engine's
+        learners, and a row repeated within the batch reaches them once;
+        computed verdicts are written back to the cache and the journal as
+        they arrive, so the stream is resumable at per-point granularity.
         """
         stats = BatchStats(points=len(rows))
         self.last_batch_stats = stats
         before = engine.tally()
 
-        fp = fingerprint_dataset(dataset)
-        family, budget = model_cache_key(model, len(dataset))
-        engine_key = engine_cache_key(engine)
         amount = model.nominal_amount(len(dataset))
         flips = model.nominal_flip_amount(len(dataset))
         log10_datasets = model.log10_num_neighbors(len(dataset))
         monotone = monotone_in_budget(model)
-        digests = [point_digest(row) for row in rows]
 
         journal: Optional[RunJournal] = None
         restored: Dict[int, VerificationResult] = {}
-        if self.cache is not None:
+        if self.cache is not None and keys:
+            first = keys[0]
             journal = RunJournal(
-                self.cache.cache_dir, run_id(fp, digests, family, budget, engine_key)
+                self.cache.cache_dir,
+                run_id(
+                    first.dataset,
+                    [key.point for key in keys],
+                    first.family,
+                    first.budget,
+                    first.engine,
+                ),
             )
             if self.resume:
                 restored = journal.load()
@@ -245,12 +254,10 @@ class CertificationRuntime:
 
         pending_stores = 0
 
-        def store_chunked(digest: str, result: VerificationResult) -> None:
+        def store_chunked(key: RowKey, result: VerificationResult) -> None:
             nonlocal pending_stores
             assert self.cache is not None
-            if self.cache.store(
-                fp, digest, family, engine_key, budget, result, commit=False
-            ):
+            if self.cache.store(*_cache_args(key), result, commit=False):
                 pending_stores += 1
                 if pending_stores >= _STORE_CHUNK:
                     self.cache.commit()
@@ -261,38 +268,35 @@ class CertificationRuntime:
         # Duplicate rows within the batch (tiled/augmented test sets) share
         # one verdict: only the first occurrence reaches the learner, and
         # later occurrences copy its result as it lands.
-        first_miss_for: Dict[str, int] = {}
-        duplicate_of: Dict[int, str] = {}
+        first_miss_for: Dict[RowKey, int] = {}
+        duplicate_of: Dict[int, RowKey] = {}
         cutoff = len(rows)
-        for index in range(len(rows)):
+        for index, key in enumerate(keys):
             if index in restored:
                 # Journal entries are exact-budget verdicts, but the nominal
                 # amount may differ (run ids key on the *resolved* budget), so
                 # they are re-anchored like cache hits.  They are also written
                 # back to the verdict cache: the journal is discarded once the
                 # run completes, and a crash may have lost the original store.
-                resolved[index] = self._adapt_hit(
-                    CacheHit(restored[index], "exact", budget),
+                resolved[index] = reanchor(
+                    CacheHit(restored[index], "exact", key.budget),
                     amount,
                     flips,
                     log10_datasets,
                 )
                 stats.journal_restored += 1
                 _JOURNAL_RESTORED.inc()
-                if self.cache is not None:
-                    store_chunked(digests[index], resolved[index])
+                store_chunked(key, resolved[index])
                 continue
-            if digests[index] in first_miss_for:
-                duplicate_of[index] = digests[index]
+            if key in first_miss_for:
+                duplicate_of[index] = key
                 stats.deduplicated += 1
                 _DEDUPLICATED.inc()
                 continue
             if self.cache is not None:
-                hit = self.cache.lookup(
-                    fp, digests[index], family, engine_key, budget, monotone=monotone
-                )
+                hit = self.cache.lookup(*_cache_args(key), monotone=monotone)
                 if hit is not None:
-                    resolved[index] = self._adapt_hit(hit, amount, flips, log10_datasets)
+                    resolved[index] = reanchor(hit, amount, flips, log10_datasets)
                     if hit.is_exact:
                         stats.cache_hits += 1
                     else:
@@ -309,7 +313,7 @@ class CertificationRuntime:
                 cutoff = index
                 stats.truncated_at = index
                 break
-            first_miss_for[digests[index]] = index
+            first_miss_for[key] = index
             miss_indices.append(index)
         stats.points = cutoff
         # Without a cache there is nothing to miss — only report cache
@@ -332,7 +336,7 @@ class CertificationRuntime:
                 dataset, [rows[i] for i in miss_indices], model, n_jobs=n_jobs
             )
 
-        computed_by_digest: Dict[str, VerificationResult] = {}
+        computed_by_key: Dict[RowKey, VerificationResult] = {}
         try:
             for index in range(cutoff):
                 result = resolved.get(index)
@@ -341,13 +345,13 @@ class CertificationRuntime:
                     if duplicated is not None:
                         # The first occurrence is always at a smaller index,
                         # so its verdict has already landed.
-                        result = computed_by_digest[duplicated]
+                        result = computed_by_key[duplicated]
                     else:
                         result = next(computed)
                         stats.learner_invocations += 1
-                        computed_by_digest[digests[index]] = result
+                        computed_by_key[keys[index]] = result
                         if self.cache is not None:
-                            store_chunked(digests[index], result)
+                            store_chunked(keys[index], result)
                         if journal is not None and result.status in CACHEABLE_STATUSES:
                             # Timeouts / resource exhaustion are machine-
                             # dependent; a resumed run must re-attempt them,
@@ -389,19 +393,10 @@ class CertificationRuntime:
         # resolved here before their cache family key is computed.
         model = resolve_model_classes(model, dataset.n_classes)
         row = np.asarray(x, dtype=float)
-        fp = fingerprint_dataset(dataset)
-        family, budget = model_cache_key(model, len(dataset))
-        engine_key = engine_cache_key(engine)
-        amount = model.nominal_amount(len(dataset))
-        flips = model.nominal_flip_amount(len(dataset))
+        (key,) = row_keys(engine, dataset, model, [row])
         if self.cache is not None:
             hit = self.cache.lookup(
-                fp,
-                point_digest(row),
-                family,
-                engine_key,
-                budget,
-                monotone=monotone_in_budget(model),
+                *_cache_args(key), monotone=monotone_in_budget(model)
             )
             if hit is not None:
                 with self._stats_lock:
@@ -411,8 +406,11 @@ class CertificationRuntime:
                     else:
                         self.stats.cache_monotone_hits += 1
                         _CACHE_MONOTONE.inc()
-                return self._adapt_hit(
-                    hit, amount, flips, model.log10_num_neighbors(len(dataset))
+                return reanchor(
+                    hit,
+                    model.nominal_amount(len(dataset)),
+                    model.nominal_flip_amount(len(dataset)),
+                    model.log10_num_neighbors(len(dataset)),
                 )
         before = engine.tally()
         result = engine._certify_one(
@@ -422,13 +420,14 @@ class CertificationRuntime:
             now - then for now, then in zip(engine.tally(), before)
         )
         with self._stats_lock:
-            self.stats.cache_misses += 1
             self.stats.learner_invocations += 1
             self.stats.trace_steps += trace_steps
             self.stats.trace_reused += trace_reused
+            if self.cache is not None:
+                self.stats.cache_misses += 1
         if self.cache is not None:
             _CACHE_MISS.inc()
-            self.cache.store(fp, point_digest(row), family, engine_key, budget, result)
+            self.cache.store(*_cache_args(key), result)
         return result
 
     # ---------------------------------------------------------- budget search
@@ -484,74 +483,6 @@ class CertificationRuntime:
             model=model,
         )
 
-    def pareto_sweep(
-        self,
-        engine,
-        dataset: Dataset,
-        points: np.ndarray,
-        *,
-        max_remove: Optional[int] = None,
-        max_flip: Optional[int] = None,
-        model: Optional[PerturbationModel] = None,
-    ) -> List[search.ParetoFrontierResult]:
-        """Per-point cached Pareto frontiers for a batch of test points.
-
-        Serial by design: the value of the runtime path is that every probe
-        shares one verdict cache, so later points (and reruns) are answered
-        by dominance derivation.  For cache-less parallel fan-out use
-        :func:`repro.verify.search.pareto_sweep` with ``n_jobs``.
-        """
-        return [
-            self.pareto_frontier(
-                engine,
-                dataset,
-                row,
-                max_remove=max_remove,
-                max_flip=max_flip,
-                model=model,
-            )
-            for row in np.asarray(points, dtype=float)
-        ]
-
-    # ----------------------------------------------------------------- misc
-    @staticmethod
-    def _adapt_hit(
-        hit: CacheHit, amount: int, flips: int, log10_datasets: float
-    ) -> VerificationResult:
-        """Re-anchor a cached verdict to the budget the caller asked about.
-
-        The stored result may come from a different nominal amount (exact
-        hits share resolved budgets) or a different budget entirely (monotone
-        hits); the status and certificate carry over, while the reported
-        ``(amount, flips)`` pair and ``log10 |Δ(T)|`` reflect the current
-        query.  Class intervals survive only where they stay sound: a
-        *robust* verdict derived from a larger budget keeps its (wider,
-        still over-approximating) intervals, but an *unknown* verdict
-        derived from a smaller budget drops its intervals — they
-        under-approximate what a larger budget can reach.
-
-        ``elapsed_seconds`` / ``peak_memory_bytes`` deliberately keep their
-        stored values: per-point numbers describe what the *proof* cost when
-        it was computed (provenance), while the report's batch wall-clock
-        describes the serving run — a warm rerun shows seconds-long per-point
-        proofs under a near-zero batch wall-clock.
-        """
-        result = hit.result
-        changes: dict = {}
-        if result.poisoning_amount != amount:
-            changes["poisoning_amount"] = amount
-        if result.poisoning_flips != flips:
-            changes["poisoning_flips"] = flips
-        if result.log10_num_datasets != log10_datasets:
-            changes["log10_num_datasets"] = log10_datasets
-        if not hit.is_exact:
-            changes["message"] = (
-                f"derived from cached verdict at budget {hit.stored_budget}"
-            )
-            if not result.is_certified and result.class_intervals:
-                changes["class_intervals"] = ()
-        return _replace(result, **changes) if changes else result
-
     def record_coalesced(self, count: int) -> None:
         """Credit ``count`` points answered by another batch's in-flight work.
 
@@ -575,10 +506,10 @@ class CertificationRuntime:
             return self.stats.snapshot()
 
     def __getstate__(self) -> dict:
-        # Runtimes never travel to pool workers (the engine drops its
-        # reference when pickled), but stay safe if someone pickles one:
-        # neither the sqlite connection (the cache drops it) nor the locks
-        # survive.
+        # Runtimes never travel to pool workers (a pickled or forked engine
+        # starts from a fresh cache-less runtime), but stay safe if someone
+        # pickles one: neither the sqlite connection (the cache drops it) nor
+        # the locks survive.
         state = dict(self.__dict__)
         state["_stats_lock"] = None
         state["_batch_local"] = None
@@ -590,12 +521,17 @@ class CertificationRuntime:
         self._batch_local = threading.local()
 
 
+def _cache_args(key: RowKey) -> tuple:
+    """A row key in the argument order of the cache's ``lookup``/``store``."""
+    return key.dataset, key.point, key.family, key.engine, key.budget
+
+
 class _CacheBoundVerifier:
     """Adapter letting `repro.verify.search` attempt budgets through a runtime.
 
     It exposes the two methods the search protocol calls:
     ``certify_point(dataset, x, model)``, routed through the runtime's cache
-    whether or not the engine itself has this (or any) runtime attached, and
+    whether or not the engine itself holds this runtime, and
     ``tally()``, the bound engine's work totals, from which the search reads
     its learner invocations and trace counts.
     """

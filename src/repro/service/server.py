@@ -535,8 +535,7 @@ class CertificationServer(FrameServer):
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
         x = np.asarray(params["point"], dtype=float)
-        outcome = self.runtime.max_certified(
-            engine,
+        outcome = engine.max_certified(
             dataset,
             x,
             start=int(params.get("start", 1)),
@@ -551,8 +550,7 @@ class CertificationServer(FrameServer):
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
         x = np.asarray(params["point"], dtype=float)
-        outcome = self.runtime.pareto_frontier(
-            engine,
+        outcome = engine.pareto_frontier(
             dataset,
             x,
             max_remove=(
@@ -569,8 +567,8 @@ class CertificationServer(FrameServer):
         engine = self.engine_for(engine_config_from_wire(params.get("engine")))
         dataset = self.dataset_for(params["dataset"])
         points = np.asarray(params["points"], dtype=float)
-        outcomes = self.runtime.pareto_sweep(
-            engine,
+        # Serial: every probe shares the server's verdict cache.
+        outcomes = engine.pareto_sweep(
             dataset,
             points,
             max_remove=(
@@ -580,6 +578,7 @@ class CertificationServer(FrameServer):
                 None if params.get("max_flip") is None else int(params["max_flip"])
             ),
             model=model_from_wire(params.get("model")),
+            n_jobs=1,
         )
         return {"outcomes": [outcome.to_dict() for outcome in outcomes]}
 

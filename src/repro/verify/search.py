@@ -26,15 +26,15 @@ for *every* :class:`~repro.poisoning.models.PerturbationModel` family, via the
   the engine's process pool (``n_jobs``).
 
 All entry points run on the unified :class:`repro.api.CertificationEngine`
-(or anything with its ``certify_point``).  Engines with an attached
-:class:`~repro.runtime.CertificationRuntime` answer probes from the
-persistent verdict cache (scalar budget monotonicity for the one-dimensional
+(or anything with its ``certify_point``).  Engines whose
+:class:`~repro.runtime.CertificationRuntime` has a cache answer probes from
+the persistent verdict cache (scalar budget monotonicity for the one-dimensional
 families, componentwise ``(r, f)`` pair dominance for the composite family),
 so repeated or overlapping searches reuse prior verdicts.
 
 :class:`PoisoningSearchResult` and :class:`ParetoFrontierResult` are the one
 result type of each search, whatever path ran it: the engine (with or
-without a runtime), the runtime bound to an engine, the daemon, and the
+without a cache), the runtime bound to an engine, the daemon, and the
 client that decodes the daemon's reply.  Each carries its own
 ``learner_invocations`` and trace counts, read as a difference of the
 engine's running per-thread :meth:`~repro.api.CertificationEngine.tally`.
@@ -366,7 +366,7 @@ class _PairOracle:
     a dominating pair, or ``unknown`` at a dominated pair, decides the query
     without touching the engine — mirroring exactly the derivation rules of
     the runtime cache, so the frontier search stays cheap even on engines
-    with no runtime attached.  Timeout / resource-exhausted outcomes count as
+    whose runtime has no cache.  Timeout / resource-exhausted outcomes count as
     "not certified" for the probe that saw them but are never used to derive
     other pairs (they are environmental, not facts about the proof problem).
     """
@@ -537,8 +537,9 @@ def pareto_sweep(
     chunked dispatch, merged worker metrics, request-id-stamped ``worker.task``
     events); each worker runs the staircase descent for its
     points against a private engine copy and ships back the frontier summary
-    only.  Pool workers have no runtime attached, so cross-point cache sharing
-    only happens in the serial path — exactly as for batch certification.
+    only.  Each worker's engine holds a fresh cache-less runtime, so
+    cross-point cache sharing only happens in the serial path — exactly as
+    for batch certification.
     """
     template = _pair_template(model)
     rows = [np.asarray(row, dtype=float) for row in np.asarray(points, dtype=float)]

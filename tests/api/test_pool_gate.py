@@ -259,8 +259,10 @@ class TestWorkerEngine:
         assert engine._plan_cache and engine.scheduler is not None
         forked = engine._forked_worker()
         assert list(forked._plan_cache) == list(engine._plan_cache)
-        assert forked.runtime is None and forked._scheduler is None
+        assert forked.runtime.cache is None and forked.runtime is not engine.runtime
+        assert forked._scheduler is None
         assert forked._plan_lock is not engine._plan_lock
         pickled = pickle.loads(pickle.dumps(engine))
         assert not pickled._plan_cache
-        assert pickled.runtime is None and pickled._scheduler is None
+        assert pickled.runtime.cache is None and pickled.runtime is not engine.runtime
+        assert pickled._scheduler is None

@@ -93,7 +93,7 @@ class TestSubmit:
         def explode(*args, **kwargs):
             raise RuntimeError("boom")
 
-        engine._stream_rows = explode
+        engine.runtime.stream = explode
         submission = engine.submit(request)
         for future in submission.futures:
             with pytest.raises(RuntimeError, match="boom"):
@@ -235,7 +235,7 @@ class TestCrossBatchDedup:
             raise RuntimeError("owner died")
             yield  # pragma: no cover - makes this a generator
 
-        engine._stream_rows = exploding_stream
+        engine.runtime.stream = exploding_stream
         doomed = scheduler.submit(request)
         assert started.wait(timeout=60)
         follower = scheduler.submit(request)
@@ -243,7 +243,7 @@ class TestCrossBatchDedup:
         with pytest.raises(RuntimeError, match="owner died"):
             doomed.gather(timeout=120)
         # Restore the real compute path; leased failures fall back locally.
-        del engine._stream_rows
+        del engine.runtime.stream
         results = follower.gather(timeout=120)
         assert len(results) == 3
         assert all(isinstance(r, VerificationResult) for r in results)
@@ -315,7 +315,7 @@ class TestSchedulerTelemetry:
             raise RuntimeError("owner died")
             yield  # pragma: no cover - makes this a generator
 
-        engine._stream_rows = exploding_stream
+        engine.runtime.stream = exploding_stream
         tracing.clear_completed()
         tracing.enable_spans(True)
         before = metrics.get_registry().snapshot()
@@ -326,7 +326,7 @@ class TestSchedulerTelemetry:
             release.set()
             with pytest.raises(RuntimeError, match="owner died"):
                 doomed.gather(timeout=120)
-            del engine._stream_rows
+            del engine.runtime.stream
             results = follower.gather(timeout=120)
         finally:
             tracing.enable_spans(False)

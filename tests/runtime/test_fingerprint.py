@@ -1,5 +1,8 @@
 """Tests for the content-addressed keys of the runtime layer."""
 
+import dataclasses
+import gc
+
 import numpy as np
 
 from repro.core.dataset import Dataset, FeatureKind
@@ -10,12 +13,15 @@ from repro.poisoning.models import (
 )
 from repro.api import CertificationEngine
 from repro.runtime import (
+    RowKey,
     engine_cache_key,
     fingerprint_dataset,
     model_cache_key,
     monotone_in_budget,
     point_digest,
+    row_keys,
 )
+from repro.runtime import fingerprint
 
 
 def _dataset(**changes):
@@ -92,6 +98,74 @@ class TestDatasetFingerprint:
         first = fingerprint_dataset(dataset)
         assert getattr(dataset, "_content_fingerprint") == first
         assert fingerprint_dataset(dataset) is first
+
+
+class TestSharedMatrix:
+    """A copy that shares the read-only X hashes only the rest."""
+
+    def test_copy_sharing_x_does_not_hash_x_again(self, monkeypatch):
+        dataset = _dataset()
+        first = fingerprint_dataset(dataset)
+        hashed = []
+        original = fingerprint._hash_array
+
+        def recording(hasher, array):
+            hashed.append(array)
+            original(hasher, array)
+
+        monkeypatch.setattr(fingerprint, "_hash_array", recording)
+        copy = dataclasses.replace(dataset)
+        assert copy.X is dataset.X
+        assert fingerprint_dataset(copy) == first
+        assert [array is copy.y for array in hashed] == [True]
+
+    def test_same_matrix_with_other_labels_differs(self):
+        dataset = _dataset()
+        base = fingerprint_dataset(dataset)
+        labels = np.array([1, 1, 0, 1])
+        relabelled = dataclasses.replace(dataset, y=labels)
+        assert relabelled.X is dataset.X
+        assert fingerprint_dataset(relabelled) != base
+        # The same digest as a dataset that shares nothing with the first.
+        assert fingerprint_dataset(relabelled) == fingerprint_dataset(
+            _dataset(y=labels)
+        )
+
+    def test_writable_matrix_is_never_memoized(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        fingerprint._matrix_hasher(X)
+        assert id(X) not in fingerprint._MATRIX_STATES
+        X.setflags(write=False)
+        fingerprint._matrix_hasher(X)
+        assert id(X) in fingerprint._MATRIX_STATES
+
+    def test_entry_is_dropped_with_its_matrix(self):
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        X.setflags(write=False)
+        fingerprint._matrix_hasher(X)
+        key = id(X)
+        del X
+        gc.collect()
+        assert key not in fingerprint._MATRIX_STATES
+
+
+class TestRowKeys:
+    def test_one_key_per_row_from_the_four_keys(self):
+        dataset = _dataset()
+        engine = CertificationEngine(max_depth=1)
+        model = RemovalPoisoningModel(2)
+        rows = [np.array([0.5, 1.0]), np.array([2.5, 0.0])]
+        keys = row_keys(engine, dataset, model, rows)
+        assert keys == [
+            RowKey(
+                fingerprint_dataset(dataset),
+                point_digest(row),
+                "removal",
+                2,
+                engine_cache_key(engine),
+            )
+            for row in rows
+        ]
 
 
 class TestPointDigest:

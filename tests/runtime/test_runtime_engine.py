@@ -335,5 +335,5 @@ class TestParallelRuntime:
         engine = _engine(tmp_path)
         engine.verify(_request())
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.runtime is None
+        assert clone.runtime.cache is None and clone.runtime is not engine.runtime
         assert clone._plan_cache == {}

@@ -194,13 +194,9 @@ class TestRuntimeParetoFrontier:
         runtime = CertificationRuntime(tmp_path / "cache")
         engine = CertificationEngine(max_depth=1, domain="box", runtime=runtime)
         points = np.array([[0.5], [11.0]])
-        cold = runtime.pareto_sweep(
-            engine, dataset, points, max_remove=6, max_flip=6
-        )
+        cold = engine.pareto_sweep(dataset, points, max_remove=6, max_flip=6)
         assert sum(o.learner_invocations for o in cold) > 0
-        warm = runtime.pareto_sweep(
-            engine, dataset, points, max_remove=6, max_flip=6
-        )
+        warm = engine.pareto_sweep(dataset, points, max_remove=6, max_flip=6)
         assert [o.frontier for o in warm] == [o.frontier for o in cold]
         assert sum(o.learner_invocations for o in warm) == 0
 
