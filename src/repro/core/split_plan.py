@@ -20,16 +20,29 @@ be stable.  One exception: a tie of ``-0.0`` and ``+0.0`` could report
 either sign as a bound, so the plan turns every ``-0.0`` into ``+0.0``
 first, and tables depend only on the node's values.
 
-A node's table of all presorted features is built in one pass: one
-boundary mask over the node's ``(features, size)`` sorted matrices
-compresses every column of the table out of them at once (the values on
-either side, the prefix sizes and ``k - 1`` prefix class counts).  The plan
-keeps the orders as ``int32``, the sorted labels in the narrowest unsigned
-type and the sorted values, and no other copy of the matrix: the sides of
-a split compare the dataset's own column, as ``<``, ``<=`` and ``==`` do
-not see the sign of zero.  A table scores the concrete Gini of its rows
-once, on first use (:attr:`StackedCandidates.gini`); the concrete
-``bestSplit`` and the ``bestSplit#`` screen both read those scores.
+The plan presorts its columns, and builds a node's table of all presorted
+features, one feature block of about ``_FEATURE_BLOCK_CELLS`` node cells at
+a time.  In a block, one boundary mask over the node's ``(features, size)``
+sorted matrices compresses every column of the table out of them at once
+(the values on either side, the prefix sizes and ``k - 1`` prefix class
+counts).  A node of several blocks first gathers and counts every block,
+then allocates the table's columns once and writes each block's rows at its
+final offset: no full-size temporary and no concatenated copy.  Blocks are
+independent and their numpy calls release the GIL, so a build of several
+blocks maps them over one thread per usable CPU, in a pool that lives only
+for that build; a node of one block (every node of a small dataset) and a
+process with one usable CPU start no thread.  However a build is blocked,
+its tables are the same bit for bit.  Inside a table, sizes and class counts
+are ``int32`` (no node reaches 2³¹ rows), which halves the largest columns
+of a root table; the choices and selections read out of a table count in
+``int64``.  The plan keeps the orders as ``int32``, the sorted labels in the
+narrowest unsigned type and the sorted values, and no other copy of the
+matrix: the sides of a split compare the dataset's own column, as ``<``,
+``<=`` and ``==`` do not see the sign of zero.  A table scores the concrete
+Gini of its rows once, on first use and serially
+(:attr:`StackedCandidates.gini`), and scans those scores for their first
+minimum once (:attr:`StackedCandidates.gini_argmin`); the concrete
+``bestSplit`` and the ``bestSplit#`` screen both read them.
 
 Boolean columns are not sorted.  A boolean feature holds only 0 and 1 (the
 contract :class:`~repro.core.dataset.Dataset` enforces), so its table has at
@@ -63,11 +76,14 @@ drops.  Cache effectiveness is observable as
 from __future__ import annotations
 
 import math
+import os
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +114,10 @@ BEST_SPLIT_CACHE_SIZE = 4096
 #: Rows per block when a kernel walks a node's whole candidate table.  Root
 #: tables reach millions of rows; a block's temporaries fit in cache.
 _BLOCK_ROWS = 8192
+
+#: Node cells (features × node rows) per feature block when the plan
+#: presorts its columns or builds a node's presorted rows: 32 row blocks.
+_FEATURE_BLOCK_CELLS = 32 * _BLOCK_ROWS
 
 _SPLIT_TABLE_CACHE = metrics.counter(
     "split_table_cache_total",
@@ -136,10 +156,10 @@ class StackedCandidates:
     kinds: np.ndarray  # (n_features,) int8: *_ROW
     low: np.ndarray  # (c,)
     high: np.ndarray  # (c,)
-    left_sizes: np.ndarray  # (c,)
-    left_class_counts: np.ndarray  # (c, k)
+    left_sizes: np.ndarray  # (c,) int32
+    left_class_counts: np.ndarray  # (c, k) int32
     total_size: int
-    total_class_counts: np.ndarray  # (k,)
+    total_class_counts: np.ndarray  # (k,) int64
 
     @property
     def right_sizes(self) -> np.ndarray:
@@ -171,12 +191,49 @@ class StackedCandidates:
         scores.setflags(write=False)
         return scores
 
+    @cached_property
+    def gini_argmin(self) -> int:
+        """The first row of least :attr:`gini` score, scanned once per table."""
+        return int(np.argmin(self.gini))
+
 
 def row_blocks(n_rows: int) -> Iterator[slice]:
     """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering ``n_rows``."""
     return (
         slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS)
     )
+
+
+def _feature_blocks(n_features: int, size: int) -> List[slice]:
+    """Consecutive feature slices of about ``_FEATURE_BLOCK_CELLS`` cells of
+    ``size`` rows each."""
+    step = max(1, _FEATURE_BLOCK_CELLS // max(size, 1))
+    return [slice(start, start + step) for start in range(0, n_features, step)]
+
+
+@lru_cache(maxsize=None)
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, read once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _block_map(n_blocks: int) -> Iterator[Callable]:
+    """A ``map`` for ``n_blocks`` feature blocks, over one thread per usable CPU.
+
+    One block, or one usable CPU, maps inline and starts no thread; the
+    threads of a pool live only inside the ``with``.  Every block kernel
+    spends its time in numpy calls that release the GIL.
+    """
+    threads = min(n_blocks, _usable_cpus())
+    if threads < 2:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
 
 
 def class_sum(columns: np.ndarray) -> np.ndarray:
@@ -249,8 +306,69 @@ def predicate_row(predicate: Predicate) -> Tuple[int, float, float, int]:
 #: the rows of every feature of the dataset.
 _Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
+#: One feature block of a node: its ``(features, size)`` sorted values and
+#: labels, and the ``(features, size - 1)`` mask of where the values increase.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 #: The upper bound of a boolean feature's row ``x <= 0.5``.
 _ABOVE_HALF = math.nextafter(0.5, math.inf)
+
+
+def _compressed(
+    values: np.ndarray, labels: np.ndarray, boundary: np.ndarray, n_classes: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A feature block's rows ``(low, high, left_sizes, left_class_counts)``.
+
+    A row's true side is the prefix up to its boundary, so the one mask
+    compresses every column out of the block at once: the values on either
+    side, the prefix size and ``k - 1`` prefix class counts.  The last
+    class's count is the prefix size minus the other classes'.  Sizes and
+    counts are ``int32``.
+    """
+    low = values[:, :-1][boundary]
+    high = values[:, 1:][boundary]
+    left_sizes = np.broadcast_to(
+        np.arange(1, values.shape[1], dtype=np.int32), boundary.shape
+    )[boundary]
+    left_class_counts = np.empty((low.size, n_classes), dtype=np.int32)
+    last = left_class_counts[:, n_classes - 1]
+    last[:] = left_sizes
+    for label in range(n_classes - 1):
+        prefix = np.cumsum(labels[:, :-1] == label, axis=1, dtype=np.int32)
+        counts = prefix[boundary]
+        left_class_counts[:, label] = counts
+        last -= counts
+    return low, high, left_sizes, left_class_counts
+
+
+def _presorted(
+    X: np.ndarray, labels: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of ``X`` presorted: ``(orders, sorted values, sorted labels)``.
+
+    Each is one fresh C-ordered ``(n_features, N)`` matrix, filled a feature
+    block at a time.  A block copies its columns in, where ``+ 0.0`` turns
+    every -0.0 into +0.0; one unstable argsort orders its features (ties may
+    come out in any order), and sorting the block in place gives the values
+    in that order, since equal values are now indistinguishable.
+    """
+    shape = X.shape[::-1]
+    orders = np.empty(shape, dtype=np.int32)
+    values = np.empty(shape)
+    sorted_labels = np.empty(shape, dtype=labels.dtype)
+
+    def presort(features: slice) -> None:
+        block = values[features]
+        np.add(X[:, features].T, 0.0, out=block)
+        order = np.argsort(block, axis=1)
+        sorted_labels[features] = labels.take(order)
+        orders[features] = order
+        block.sort(axis=1)
+
+    blocks = _feature_blocks(*shape)
+    with _block_map(len(blocks)) as run:
+        list(run(presort, blocks))
+    return orders, values, sorted_labels
 
 
 def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
@@ -267,10 +385,10 @@ def _with_equality_rows(rows: StackedCandidates) -> StackedCandidates:
         sizes, counts = rows.left_sizes[part], rows.left_class_counts[part]
         if kind == EQUALITY_ROW and sizes.size:
             low = high = np.append(low, high[-1])
-            sizes = np.diff(sizes, prepend=0, append=rows.total_size)
+            sizes = np.diff(sizes, prepend=0, append=rows.total_size).astype(np.int32)
             counts = np.diff(
                 np.vstack((counts, rows.total_class_counts)), axis=0, prepend=0
-            )
+            ).astype(np.int32)
         pieces.append((low, high, sizes, counts))
     low, high, sizes, counts = (np.concatenate(column) for column in zip(*pieces))
     return StackedCandidates(
@@ -347,21 +465,10 @@ class SplitTablePlan:
         self._sorted_values: Optional[np.ndarray] = None
         self._sorted_labels: Optional[np.ndarray] = None
         if self._presorted.size or not self._boolean.size:
-            # The presorted columns as one fresh C-ordered (n_features, N)
-            # matrix in which ``+ 0.0`` turns every -0.0 into +0.0.  One
-            # unstable argsort orders every feature (ties may come out in any
-            # order), and sorting the matrix in place gives the values in
-            # that order, since equal values are now indistinguishable.  Only
-            # an all-boolean dataset skips both.
-            X = dataset.X[:, self._presorted] if self._boolean.size else dataset.X
-            columns = np.add(X.T, 0.0, order="C")
-            orders = np.argsort(columns, axis=1)
-            labels = dataset.y.astype(np.min_scalar_type(self._n_classes))
-            self._sorted_labels = labels.take(orders)
-            self._orders = orders.astype(np.int32)
-            del orders
-            columns.sort(axis=1)
-            self._sorted_values = columns
+            self._orders, self._sorted_values, self._sorted_labels = _presorted(
+                dataset.X[:, self._presorted] if self._boolean.size else dataset.X,
+                dataset.y.astype(np.min_scalar_type(self._n_classes)),
+            )
         self._bits: Optional[np.ndarray] = None
         if self._boolean.size:
             X = dataset.X if not self._presorted.size else dataset.X[:, self._boolean]
@@ -431,46 +538,62 @@ class SplitTablePlan:
         """The node's rows of every presorted (non-boolean) feature.
 
         Restricting the presorted orders to the node keeps them sorted, so
-        the node's rows of all these features form one ``(n_features,
-        size)`` matrix, gathered through the flat positions of the node's
-        rows; the whole dataset reads the presorted matrices as they are.
-        Which row of a tie lands where is unspecified and reaches no table
-        (see the module docstring).  A candidate sits wherever a
-        feature's sorted value strictly increases, and its true side is the
-        prefix up to it, so one boundary mask compresses every column of the
-        table out of the matrices at once: the values on either side, the
-        prefix size and ``k - 1`` prefix class counts.  The last class's
-        count is the prefix size minus the other classes'.
+        the node's rows of a block of these features form one
+        ``(features, size)`` matrix, gathered through the flat positions of
+        the node's rows; the whole dataset reads the presorted matrices as
+        they are.  Which row of a tie lands where is unspecified and reaches
+        no table (see the module docstring).  A candidate sits wherever a
+        feature's sorted value strictly increases, so each block's boundary
+        mask counts its rows and then compresses them (:func:`_compressed`).
+
+        A node of one feature block returns that block's columns.  A larger
+        node gathers and counts every block, allocates the table's columns
+        once, and writes each block's rows at its offset, both passes over
+        :func:`_block_map`.
         """
         orders, values, labels = self._orders, self._sorted_values, self._sorted_labels
         assert orders is not None and values is not None and labels is not None
-        n_classes = self._n_classes
-        n_features = orders.shape[0]
         size = int(indices.size)
+        mask = None
         if size != self._y.size:  # sorted unique indices: not the whole dataset
             mask = np.zeros(self._y.size, dtype=bool)
             mask[indices] = True
-            keep = np.flatnonzero(mask.take(orders))
-            values = values.reshape(-1).take(keep).reshape(n_features, size)
-            labels = labels.reshape(-1).take(keep).reshape(n_features, size)
-            del keep
-        boundary = values[:, 1:] > values[:, :-1]
-        low = values[:, :-1][boundary]
-        high = values[:, 1:][boundary]
-        left_sizes = np.broadcast_to(
-            np.arange(1, size, dtype=np.int64), boundary.shape
-        )[boundary]
-        left_class_counts = np.empty((low.size, n_classes), dtype=np.int64)
-        last = left_class_counts[:, n_classes - 1]
-        last[:] = left_sizes
-        for label in range(n_classes - 1):
-            prefix = np.cumsum(labels[:, :-1] == label, axis=1, dtype=np.int32)
-            counts = prefix[boundary]
-            left_class_counts[:, label] = counts
-            last -= counts
+
+        def gather(features: slice) -> _Block:
+            """The node's sorted values and labels of ``features``, and boundaries."""
+            node_values, node_labels = values[features], labels[features]
+            if mask is not None:
+                keep = np.flatnonzero(mask.take(orders[features]))
+                shape = (node_values.shape[0], size)
+                node_values = node_values.reshape(-1).take(keep).reshape(shape)
+                node_labels = node_labels.reshape(-1).take(keep).reshape(shape)
+            return node_values, node_labels, node_values[:, 1:] > node_values[:, :-1]
+
         per_feature = np.zeros(self._kinds.size, dtype=np.int64)
-        per_feature[self._presorted] = np.count_nonzero(boundary, axis=1)
-        return per_feature, low, high, left_sizes, left_class_counts
+        n_features = orders.shape[0]
+        if n_features * size <= _FEATURE_BLOCK_CELLS:
+            block = gather(slice(None))
+            per_feature[self._presorted] = np.count_nonzero(block[2], axis=1)
+            return (per_feature, *_compressed(*block, self._n_classes))
+        blocks = _feature_blocks(n_features, size)
+        with _block_map(len(blocks)) as run:
+            parts = list(run(gather, blocks))
+            counts = [np.count_nonzero(part[2], axis=1) for part in parts]
+            per_feature[self._presorted] = np.concatenate(counts)
+            ends = np.cumsum([block.sum() for block in counts]).tolist()
+            columns = (
+                np.empty(ends[-1]),
+                np.empty(ends[-1]),
+                np.empty(ends[-1], dtype=np.int32),
+                np.empty((ends[-1], self._n_classes), dtype=np.int32),
+            )
+
+            def write(part: _Block, start: int, end: int) -> None:
+                for column, rows in zip(columns, _compressed(*part, self._n_classes)):
+                    column[start:end] = rows
+
+            list(run(write, parts, [0, *ends[:-1]], ends))
+        return (per_feature, *columns)
 
     def _boolean_rows(
         self, indices: np.ndarray, labels: np.ndarray, total_class_counts: np.ndarray
@@ -484,11 +607,11 @@ class SplitTablePlan:
         """
         bits = self._bits
         assert bits is not None
-        ones = np.empty((bits.shape[1], self._n_classes), dtype=np.int64)
+        ones = np.empty((bits.shape[1], self._n_classes), dtype=np.int32)
         for label in range(self._n_classes):
             ones[:, label] = bits[indices[labels == label]].sum(axis=0, dtype=np.int32)
-        zeros = total_class_counts - ones
-        zero_sizes = zeros.sum(axis=1)
+        zeros = total_class_counts.astype(np.int32) - ones
+        zero_sizes = zeros.sum(axis=1, dtype=np.int32)
         split = (zero_sizes > 0) & (zero_sizes < indices.size)
         count = int(np.count_nonzero(split))
         per_feature = np.zeros(self._kinds.size, dtype=np.int64)

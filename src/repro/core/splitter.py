@@ -164,13 +164,17 @@ def best_split_at(
 def _best_row(
     rows: split_plan.StackedCandidates, impurity: str
 ) -> Optional[SplitChoice]:
-    """The first lowest-scoring row of a node's table, or ``None`` without rows."""
+    """The first lowest-scoring row of a node's table, or ``None`` without rows.
+
+    The counts of the choice are ``int64``, whatever the table's columns.
+    """
     if rows.low.size == 0:
         return None
     scores = _score_candidates(rows, impurity)
-    row = int(np.argmin(scores))
+    # The table's own scores have their first minimum cached with them.
+    row = rows.gini_argmin if scores is rows.gini else int(np.argmin(scores))
     feature = int(rows.features(np.asarray(row)))
-    left_counts = rows.left_class_counts[row].copy()
+    left_counts = rows.left_class_counts[row].astype(np.int64)
     left_size = int(rows.left_sizes[row])
     return SplitChoice(
         predicate=_row_predicate(rows, row, feature),

@@ -732,6 +732,7 @@ def _table_candidates(
             rows.total_size,
             rows.total_class_counts,
             rows.gini,
+            rows.gini_argmin,
             removals,
             flips,
         )
@@ -746,8 +747,9 @@ def _table_candidates(
             method,
         )
     feature = rows.features(keep)
-    left_sizes = rows.left_sizes[keep]
-    left_counts = rows.left_class_counts[keep]
+    # The side arrays are int64, whatever the table's columns.
+    left_sizes = rows.left_sizes[keep].astype(np.int64)
+    left_counts = rows.left_class_counts[keep].astype(np.int64)
     sizes = np.stack((left_sizes, rows.total_size - left_sizes), axis=1)
     return SplitCandidates(
         feature=feature,
@@ -810,13 +812,15 @@ def _screened_selection(
     total_size: int,
     total_class_counts: np.ndarray,
     scores: np.ndarray,
+    best: int,
     removals: int,
     flips: int,
 ) -> Tuple[np.ndarray, bool]:
     """:func:`_selection` under ``optimal``, bounding only rows that can reach the lub.
 
     ``scores`` holds each row's concrete Gini score
-    (:func:`~repro.core.split_plan.gini_scores`; a node table stores them).
+    (:func:`~repro.core.split_plan.gini_scores`) and ``best`` its first
+    minimum; a node table stores both.
     Take one side with size ``s`` and class count ``c``, ``n' = min(n, s)``,
     its clamped flip allocation ``f'`` and ``N = n' + f'``.  The kernel's
     lower-bound term of the class is ``(c − N)⁺ (s − c − N)⁺ / (s − n')``,
@@ -860,7 +864,6 @@ def _screened_selection(
         return sizes, left, total_size - sizes, total_class_counts - left
 
     budgets = (removals, flips, "optimal")
-    best = int(scores.argmin())
     if not universal[best]:
         best = int(np.argmin(np.where(universal, scores, np.inf)))
     _, upper = _split_score_bounds(*sides(slice(best, best + 1)), *budgets)

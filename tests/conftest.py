@@ -135,9 +135,11 @@ SMALL_BLOCKS = (1, 3, 7)
 
 @contextlib.contextmanager
 def block_rows(rows: int) -> Iterator[None]:
-    """Run the node-table kernels with ``rows`` rows per block."""
+    """Run the node-table kernels with ``rows`` rows per block, and build
+    plans and tables in feature blocks of ``32 * rows`` cells."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(split_plan, "_BLOCK_ROWS", rows)
+        patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 32 * rows)
         yield
 
 

@@ -2,6 +2,8 @@
 and their sides, lifetime, sharing."""
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -143,12 +145,11 @@ def _assert_matches_reference(dataset, indices, rows):
 
 
 def _assert_blocks_agree(dataset, indices, rows):
-    """Gathering in blocks of 1, 3 or 7 rows builds the same table."""
+    """Building in feature blocks of 32, 96 or 224 cells builds the same table."""
     for block in SMALL_BLOCKS:
         with block_rows(block):
             blocked = split_plan.SplitTablePlan(dataset).node_candidates(indices)
-        for name in ("offsets", "low", "high", "left_sizes", "left_class_counts"):
-            np.testing.assert_array_equal(getattr(blocked, name), getattr(rows, name))
+        _assert_same_table(blocked, rows)
 
 
 def _tie_heavy_dataset():
@@ -313,6 +314,33 @@ class TestNodeCandidates:
         assert sorted(kept) == ["_X", "_sorted_values"]
         many = Dataset(X=dataset.X[:300, :1], y=np.arange(300), n_classes=300)
         assert split_plan.SplitTablePlan(many)._sorted_labels.dtype == np.uint16
+        # Table sizes and class counts are int32 (the node's totals int64),
+        # built in one feature block or several, through every row kind.
+        subset = np.arange(0, len(dataset), 3)
+        for cells in (split_plan._FEATURE_BLOCK_CELLS, len(dataset)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", cells)
+                for indices in (np.arange(len(dataset)), subset):
+                    rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+                    assert rows.left_sizes.dtype == np.int32
+                    assert rows.left_class_counts.dtype == np.int32
+                    assert rows.total_class_counts.dtype == np.int64
+
+    def test_choices_and_selections_count_in_int64(self):
+        # The int32 columns stay inside the table: a concrete choice and
+        # every bestSplit# side array count in int64, screened or not.
+        dataset = _tie_heavy_dataset()
+        choice = best_split(dataset)
+        assert choice.left_class_counts.dtype == np.int64
+        assert choice.right_class_counts.dtype == np.int64
+        for block in (split_plan._BLOCK_ROWS, 3):  # 3: the screen runs
+            with block_rows(block):
+                selected = best_split_abstract(
+                    AbstractTrainingSet.full(dataset, 2), method="optimal"
+                )
+            for side in ("sizes", "class_counts", "removals", "flips"):
+                assert getattr(selected, side).dtype == np.int64, side
+            assert selected.sizes.shape[0] > 0
 
     def test_boolean_plan_keeps_no_float_matrix(self):
         dataset = load_dataset("mnist17-binary", 0.05).train
@@ -329,6 +357,134 @@ class TestNodeCandidates:
         plan = split_plan.SplitTablePlan(dataset)
         for indices in (root, root[goes_left], root[~goes_left]):
             _assert_matches_reference(dataset, indices, plan.node_candidates(indices))
+
+
+def _assert_same_table(rows, expected):
+    """Every column and score of ``rows`` equals ``expected``'s, bit for bit."""
+    for name in (
+        "offsets",
+        "kinds",
+        "low",
+        "high",
+        "left_sizes",
+        "left_class_counts",
+        "total_class_counts",
+        "gini",
+    ):
+        column, reference = getattr(rows, name), getattr(expected, name)
+        assert column.dtype == reference.dtype, name
+        assert column.shape == reference.shape, name
+        assert column.tobytes() == reference.tobytes(), name
+    assert rows.total_size == expected.total_size
+
+
+class TestFeatureBlocks:
+    """Plans and node tables built a feature block at a time, over threads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mixed_nodes(),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([1, 3]),
+    )
+    def test_blocked_build_is_the_one_block_build(self, node, cells, cpus):
+        # A few cells per block: every drawn plan and table of more than one
+        # feature spans several blocks, mapped inline (1 CPU) or over threads.
+        dataset, indices = node
+        root = np.arange(len(dataset), dtype=np.int64)
+        one_block = split_plan.SplitTablePlan(dataset)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", cells)
+            patch.setattr(split_plan, "_usable_cpus", lambda: cpus)
+            plan = split_plan.SplitTablePlan(dataset)
+            tables = [plan.node_candidates(nodes) for nodes in (root, indices)]
+        for name in ("_orders", "_sorted_values", "_sorted_labels"):
+            layout, reference = getattr(plan, name), getattr(one_block, name)
+            if reference is None:
+                assert layout is None
+            else:
+                assert layout.tobytes() == reference.tobytes(), name
+        for nodes, rows in zip((root, indices), tables):
+            _assert_same_table(rows, one_block.node_candidates(nodes))
+            _assert_matches_reference(dataset, nodes, rows)
+
+    def test_blocks_cover_the_features(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 100)
+            assert split_plan._feature_blocks(7, 30) == [
+                slice(0, 3),
+                slice(3, 6),
+                slice(6, 9),
+            ]
+            # A block holds one feature at least, however large the node.
+            assert split_plan._feature_blocks(2, 1000) == [slice(0, 1), slice(1, 2)]
+            assert split_plan._feature_blocks(5, 0) == [slice(0, 100)]
+
+    def test_threads_only_for_several_blocks_and_cpus(self, monkeypatch):
+        dataset = _tie_heavy_dataset()
+        indices = np.arange(0, len(dataset), 2)
+        expected = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        pools = []
+
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs)
+                raise AssertionError("a build started threads")
+
+        monkeypatch.setattr(split_plan, "ThreadPoolExecutor", Refused)
+        # One block: inline, however many CPUs.
+        monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 4)
+        rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        _assert_same_table(rows, expected)
+        # Many blocks on one usable CPU: inline too.
+        monkeypatch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 1000)
+        monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 1)
+        rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        _assert_same_table(rows, expected)
+        assert not pools
+        # Many blocks and CPUs: one thread per usable CPU.
+        monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 2)
+        with pytest.raises(AssertionError, match="started threads"):
+            split_plan.SplitTablePlan(dataset)
+        assert pools == [{"max_workers": 2}]
+
+    def test_many_threads_switching_often_build_the_same_tables(self, monkeypatch):
+        # More threads than cores, switching every microsecond: blocks write
+        # disjoint rows, so no interleaving changes a table.
+        dataset = _tie_heavy_dataset()
+        rng = np.random.default_rng(5)
+        nodes = [np.arange(len(dataset))] + [
+            np.sort(rng.choice(len(dataset), size, replace=False))
+            for size in (1500, 300, 40)
+        ]
+        one_block = split_plan.SplitTablePlan(dataset)
+        monkeypatch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 50)
+        monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            plan = split_plan.SplitTablePlan(dataset)
+            tables = [plan.node_candidates(indices) for indices in nodes]
+        finally:
+            sys.setswitchinterval(interval)
+        assert plan._orders.tobytes() == one_block._orders.tobytes()
+        for indices, rows in zip(nodes, tables):
+            _assert_same_table(rows, one_block.node_candidates(indices))
+
+    def test_no_thread_outlives_a_build(self, monkeypatch):
+        dataset = _tie_heavy_dataset()
+        monkeypatch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 1000)
+        monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        plan = split_plan.SplitTablePlan(dataset)
+        plan.node_candidates(np.arange(0, len(dataset), 2))
+        assert threading.active_count() == before
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        assert split_plan._usable_cpus() >= 1
+        monkeypatch.delattr(split_plan.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(split_plan.os, "cpu_count", lambda: 3)
+        assert split_plan._usable_cpus.__wrapped__() == 3
 
 
 def _two_feature_dataset():

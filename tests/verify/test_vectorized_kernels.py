@@ -223,9 +223,12 @@ def node_tables(draw):
     return left.sum(axis=1), left, int(totals.sum()), totals.astype(np.int64)
 
 
-def _full_selection(left_sizes, left_counts, total, totals, scores, removals, flips):
+def _full_selection(
+    left_sizes, left_counts, total, totals, scores, best, removals, flips
+):
     """The full-kernel ``_selection`` of a node table under ``optimal``; the
-    concrete ``scores`` the screen reads go unused."""
+    concrete ``scores`` and their first minimum ``best``, which the screen
+    reads, go unused."""
     return _selection(
         left_sizes,
         left_counts,
@@ -250,7 +253,8 @@ class TestScreenedSelection:
         st.sampled_from(SMALL_BLOCKS),
     )
     def test_matches_full_selection(self, table, removals, flips, rows):
-        table = (*table, split_plan.gini_scores(*table))
+        scores = split_plan.gini_scores(*table)
+        table = (*table, scores, int(scores.argmin()))
         expected, expected_null = _full_selection(*table, removals, flips)
         with block_rows(rows):
             keep, includes_null = _screened_selection(*table, removals, flips)
@@ -297,6 +301,7 @@ class TestScreenedSelection:
             rows.total_size,
             rows.total_class_counts,
             rows.gini,
+            rows.gini_argmin,
         )
         assert rows.left_sizes.size > 10 * split_plan._BLOCK_ROWS
         bounded = []
