@@ -554,7 +554,7 @@ class SplitTablePlan:
         orders, values, labels = self._orders, self._sorted_values, self._sorted_labels
         assert orders is not None and values is not None and labels is not None
         size = int(indices.size)
-        mask = None
+        mask: Optional[np.ndarray] = None
         if size != self._y.size:  # sorted unique indices: not the whole dataset
             mask = np.zeros(self._y.size, dtype=bool)
             mask[indices] = True
