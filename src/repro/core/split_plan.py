@@ -39,10 +39,14 @@ of a root table; the choices and selections read out of a table count in
 narrowest unsigned type and the sorted values, and no other copy of the
 matrix: the sides of a split compare the dataset's own column, as ``<``,
 ``<=`` and ``==`` do not see the sign of zero.  A table scores the concrete
-Gini of its rows once, on first use and serially
-(:attr:`StackedCandidates.gini`), and scans those scores for their first
-minimum once (:attr:`StackedCandidates.gini_argmin`); the concrete
-``bestSplit`` and the ``bestSplit#`` screen both read them.
+Gini of its rows once (:attr:`StackedCandidates.gini`) and finds their
+first minimum once (:attr:`StackedCandidates.gini_argmin`); the concrete
+``bestSplit`` and the ``bestSplit#`` screen both read them.  A table of
+several feature blocks is scored and scanned in its build threads, each
+block's thread right after it writes the block's rows, in sub-blocks of
+``_SCORE_ROWS`` rows; a table of one block is scored on first use, as most
+such tables never are.  A table that merges boolean rows in or trades
+categorical rows for equality rows is scored on first use too.
 
 Boolean columns are not sorted.  A boolean feature holds only 0 and 1 (the
 contract :class:`~repro.core.dataset.Dataset` enforces), so its table has at
@@ -81,7 +85,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -119,6 +123,11 @@ _BLOCK_ROWS = 8192
 #: presorts its columns or builds a node's presorted rows: 32 row blocks.
 _FEATURE_BLOCK_CELLS = 32 * _BLOCK_ROWS
 
+#: Rows per Gini sub-block when a feature block's build thread scores the
+#: rows it wrote: 8 row blocks, coarse enough that the threads' scoring
+#: calls do not queue on the GIL.
+_SCORE_ROWS = 8 * _BLOCK_ROWS
+
 _SPLIT_TABLE_CACHE = metrics.counter(
     "split_table_cache_total",
     "Per-node split-table derivations served from a SplitTablePlan cache "
@@ -126,6 +135,9 @@ _SPLIT_TABLE_CACHE = metrics.counter(
     labelnames=("result",),
 )
 
+
+#: A table's read-only Gini scores and the first row of least score.
+_Scored = Tuple[np.ndarray, int]
 
 #: Row kinds of :class:`StackedCandidates`: a REAL feature's symbolic
 #: ``x <= [a, b)``, a BOOLEAN feature's threshold ``x <= τ``, and a
@@ -160,6 +172,8 @@ class StackedCandidates:
     left_class_counts: np.ndarray  # (c, k) int32
     total_size: int
     total_class_counts: np.ndarray  # (k,) int64
+    #: ``(gini, gini_argmin)`` when the build already scored the rows.
+    _scored: Optional[_Scored] = field(default=None, repr=False, compare=False)
 
     @property
     def right_sizes(self) -> np.ndarray:
@@ -177,9 +191,14 @@ class StackedCandidates:
     def gini(self) -> np.ndarray:
         """The concrete Gini score of every row (:func:`gini_scores`), read-only.
 
-        Scored once per table, one :func:`row_blocks` block at a time, and
-        shared by the concrete ``bestSplit`` and the ``bestSplit#`` screen.
+        A table built in several feature blocks of presorted rows comes with
+        its scores, written by the build threads; any other table scores
+        once on first use, one :func:`row_blocks` block at a time.  Either
+        way the concrete ``bestSplit`` and the ``bestSplit#`` screen share
+        them.
         """
+        if self._scored is not None:
+            return self._scored[0]
         scores = np.empty(self.low.size)
         for block in row_blocks(scores.size):
             scores[block] = gini_scores(
@@ -193,7 +212,10 @@ class StackedCandidates:
 
     @cached_property
     def gini_argmin(self) -> int:
-        """The first row of least :attr:`gini` score, scanned once per table."""
+        """The first row of least :attr:`gini` score: found by the build
+        threads along with the scores, or else scanned once on first use."""
+        if self._scored is not None:
+            return self._scored[1]
         return int(np.argmin(self.gini))
 
 
@@ -505,21 +527,29 @@ class SplitTablePlan:
         The presorted and the boolean columns each give their rows feature
         by feature; with both kinds present the two tables are merged into
         feature order.  Categorical features then trade their threshold rows
-        for equality rows.
+        for equality rows.  A table of presorted rows alone, none of them
+        categorical, keeps its rows as built, so its build may score them
+        too (:meth:`_presorted_rows`).
         """
         labels = self._y[indices]
         total_class_counts = np.bincount(labels, minlength=self._n_classes).astype(
             np.int64
         )
+        kinds = self._kinds
+        categorical = bool((kinds == EQUALITY_ROW).any())
         tables: List[_Rows] = []
+        scored: Optional[_Scored] = None
         if self._orders is not None:
-            tables.append(self._presorted_rows(indices))
+            table, scored = self._presorted_rows(
+                indices,
+                total_class_counts if self._bits is None and not categorical else None,
+            )
+            tables.append(table)
         if self._bits is not None:
             tables.append(self._boolean_rows(indices, labels, total_class_counts))
         per_feature, low, high, left_sizes, left_class_counts = (
             tables[0] if len(tables) == 1 else _merged(*tables)
         )
-        kinds = self._kinds
         rows = StackedCandidates(
             offsets=np.concatenate(([0], np.cumsum(per_feature))),
             kinds=kinds,
@@ -529,13 +559,17 @@ class SplitTablePlan:
             left_class_counts=left_class_counts,
             total_size=int(indices.size),
             total_class_counts=total_class_counts,
+            _scored=scored,
         )
-        if (kinds == EQUALITY_ROW).any():
+        if categorical:
             rows = _with_equality_rows(rows)
         return rows
 
-    def _presorted_rows(self, indices: np.ndarray) -> _Rows:
-        """The node's rows of every presorted (non-boolean) feature.
+    def _presorted_rows(
+        self, indices: np.ndarray, totals: Optional[np.ndarray]
+    ) -> Tuple[_Rows, Optional[_Scored]]:
+        """The node's rows of every presorted (non-boolean) feature, and
+        their Gini scores if the build scored them.
 
         Restricting the presorted orders to the node keeps them sorted, so
         the node's rows of a block of these features form one
@@ -546,10 +580,16 @@ class SplitTablePlan:
         feature's sorted value strictly increases, so each block's boundary
         mask counts its rows and then compresses them (:func:`_compressed`).
 
-        A node of one feature block returns that block's columns.  A larger
-        node gathers and counts every block, allocates the table's columns
-        once, and writes each block's rows at its offset, both passes over
-        :func:`_block_map`.
+        A node of one feature block returns that block's columns, unscored:
+        most such tables are never scored.  A larger node gathers and counts
+        every block, allocates the table's columns once, and writes each
+        block's rows at its offset, both passes over :func:`_block_map`.
+        Given the node's class ``totals``, each block's thread then scores
+        the rows it wrote (:func:`gini_scores`, ``_SCORE_ROWS`` rows at a
+        time) and finds their first minimum; the least ``(score, row)`` over
+        the blocks is the table's first minimum.  Each row's score depends
+        on that row alone, so the scores are those of a later
+        :attr:`StackedCandidates.gini`, bit for bit.
         """
         orders, values, labels = self._orders, self._sorted_values, self._sorted_labels
         assert orders is not None and values is not None and labels is not None
@@ -574,7 +614,7 @@ class SplitTablePlan:
         if n_features * size <= _FEATURE_BLOCK_CELLS:
             block = gather(slice(None))
             per_feature[self._presorted] = np.count_nonzero(block[2], axis=1)
-            return (per_feature, *_compressed(*block, self._n_classes))
+            return (per_feature, *_compressed(*block, self._n_classes)), None
         blocks = _feature_blocks(n_features, size)
         with _block_map(len(blocks)) as run:
             parts = list(run(gather, blocks))
@@ -587,13 +627,34 @@ class SplitTablePlan:
                 np.empty(ends[-1], dtype=np.int32),
                 np.empty((ends[-1], self._n_classes), dtype=np.int32),
             )
+            scores = None if totals is None else np.empty(ends[-1])
 
-            def write(part: _Block, start: int, end: int) -> None:
+            def write(
+                part: _Block, start: int, end: int
+            ) -> Optional[Tuple[float, int]]:
+                """Write the block's rows at ``start:end``; if scored, score
+                them and return their first ``(least score, row)``."""
                 for column, rows in zip(columns, _compressed(*part, self._n_classes)):
                     column[start:end] = rows
+                if scores is None or totals is None:
+                    return None
+                minima: List[Tuple[float, int]] = []
+                for first in range(start, end, _SCORE_ROWS):
+                    sub = slice(first, min(first + _SCORE_ROWS, end))
+                    sub_scores = gini_scores(
+                        columns[2][sub], columns[3][sub], size, totals
+                    )
+                    scores[sub] = sub_scores
+                    row = int(np.argmin(sub_scores))
+                    minima.append((float(sub_scores[row]), first + row))
+                return min(minima, default=None)
 
-            list(run(write, parts, [0, *ends[:-1]], ends))
-        return (per_feature, *columns)
+            written = run(write, parts, [0, *ends[:-1]], ends)
+            block_minima = [least for least in written if least is not None]
+        if scores is None or not block_minima:  # unscored, or no rows at all
+            return (per_feature, *columns), None
+        scores.setflags(write=False)
+        return (per_feature, *columns), (scores, min(block_minima)[1])
 
     def _boolean_rows(
         self, indices: np.ndarray, labels: np.ndarray, total_class_counts: np.ndarray

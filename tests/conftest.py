@@ -135,11 +135,13 @@ SMALL_BLOCKS = (1, 3, 7)
 
 @contextlib.contextmanager
 def block_rows(rows: int) -> Iterator[None]:
-    """Run the node-table kernels with ``rows`` rows per block, and build
-    plans and tables in feature blocks of ``32 * rows`` cells."""
+    """Run the node-table kernels with ``rows`` rows per block, build plans
+    and tables in feature blocks of ``32 * rows`` cells, and score the rows
+    of a feature block in sub-blocks of ``8 * rows`` rows."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(split_plan, "_BLOCK_ROWS", rows)
         patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 32 * rows)
+        patch.setattr(split_plan, "_SCORE_ROWS", 8 * rows)
         yield
 
 

@@ -123,6 +123,37 @@ def mixed_nodes(draw):
     return dataset, indices
 
 
+@st.composite
+def tied_nodes(draw):
+    """A node of a dataset whose columns come twice: drawn columns (REAL
+    alone, or REAL, BOOLEAN and CATEGORICAL; some constant), then the same
+    columns again, so every least score of the node's table ties between a
+    feature and its copy.  Also how many features a feature block holds, at
+    most the drawn ones: a feature and its copy fall in two blocks."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n_rows = draw(st.integers(min_value=2, max_value=30))
+    kinds_of = draw(st.sampled_from([[FeatureKind.REAL], list(FeatureKind)]))
+    kinds = draw(st.lists(st.sampled_from(kinds_of), min_size=1, max_size=3))
+    highest = {FeatureKind.REAL: 6, FeatureKind.BOOLEAN: 1, FeatureKind.CATEGORICAL: 3}
+    columns = []
+    for kind in kinds:
+        values = st.integers(0, highest[kind])
+        if draw(st.booleans()):  # constant: no boundary row, maybe an empty block
+            columns.append([draw(values)] * n_rows)
+        else:
+            columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+    y = draw(st.lists(st.integers(0, k - 1), min_size=n_rows, max_size=n_rows))
+    dataset = Dataset(
+        X=np.array(columns * 2, dtype=float).T,
+        y=np.array(y),
+        n_classes=k,
+        feature_kinds=tuple(kinds) * 2,
+    )
+    chosen = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    per_block = draw(st.integers(min_value=1, max_value=len(kinds)))
+    return dataset, np.flatnonzero(chosen), per_block
+
+
 def _assert_matches_reference(dataset, indices, rows):
     expected = _reference_rows(dataset, indices)
     assert rows.low.size == len(expected)
@@ -176,6 +207,12 @@ def _tie_heavy_dataset():
         FeatureKind.REAL,
     )
     return Dataset(X=X, y=rng.integers(0, 3, n), n_classes=3, feature_kinds=kinds)
+
+
+def _tie_heavy_real_dataset():
+    """The real columns of :func:`_tie_heavy_dataset`."""
+    dataset = _tie_heavy_dataset()
+    return Dataset(X=dataset.X[:, [0, 1, 4]], y=dataset.y, n_classes=3)
 
 
 class TestNodeCandidates:
@@ -376,6 +413,8 @@ def _assert_same_table(rows, expected):
         assert column.shape == reference.shape, name
         assert column.tobytes() == reference.tobytes(), name
     assert rows.total_size == expected.total_size
+    if rows.low.size:
+        assert rows.gini_argmin == expected.gini_argmin
 
 
 class TestFeatureBlocks:
@@ -407,6 +446,69 @@ class TestFeatureBlocks:
         for nodes, rows in zip((root, indices), tables):
             _assert_same_table(rows, one_block.node_candidates(nodes))
             _assert_matches_reference(dataset, nodes, rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_nodes(), st.sampled_from([1, 3]))
+    def test_build_threads_score_their_rows(self, node, cpus):
+        # The scores and first minimum of a table of several feature blocks
+        # come from its build (threads at 3 CPUs), in sub-blocks of 2 rows;
+        # a least score tied across two blocks is found at the earlier row.
+        dataset, indices, per_block = node
+        size = indices.size
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", per_block * size)
+            patch.setattr(split_plan, "_SCORE_ROWS", 2)
+            patch.setattr(split_plan, "_usable_cpus", lambda: cpus)
+            rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+        scored = (
+            all(kind is FeatureKind.REAL for kind in dataset.feature_kinds)
+            and size > 0
+            and rows.low.size > 0
+        )
+        assert (rows._scored is not None) == scored
+        expected = split_plan.gini_scores(
+            rows.left_sizes,
+            rows.left_class_counts,
+            rows.total_size,
+            rows.total_class_counts,
+        )
+        assert not rows.gini.flags.writeable
+        assert rows.gini.tobytes() == expected.tobytes()
+        if rows.low.size:
+            assert rows.gini_argmin == int(np.argmin(rows.gini))
+            least = rows.features(np.flatnonzero(rows.gini == rows.gini.min()))
+            half = len(dataset.feature_kinds) // 2
+            assert least.min() < half <= least.max()
+
+    def test_which_tables_score_as_they_build(self):
+        dataset, real = _tie_heavy_dataset(), _tie_heavy_real_dataset()
+        indices = np.arange(0, len(dataset), 2)
+
+        def refuse(*args):
+            raise AssertionError("scored")
+
+        # One feature block: the build scores nothing; the first read does.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_plan, "gini_scores", refuse)
+            rows = split_plan.SplitTablePlan(real).node_candidates(indices)
+            with pytest.raises(AssertionError, match="scored"):
+                rows.gini
+        # Several feature blocks: the build threads score real columns, and
+        # no read scores again.  Boolean or categorical columns defer scoring
+        # to the first read, also when built in several feature blocks.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 1000)
+            patch.setattr(split_plan, "_usable_cpus", lambda: 2)
+            rows = split_plan.SplitTablePlan(real).node_candidates(indices)
+            patch.setattr(split_plan, "gini_scores", refuse)
+            mixed = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+            scores, least = rows.gini, rows.gini_argmin
+            with pytest.raises(AssertionError, match="scored"):
+                mixed.gini
+        expected = split_plan.SplitTablePlan(real).node_candidates(indices)
+        assert expected._scored is None
+        assert scores.tobytes() == expected.gini.tobytes()
+        assert least == expected.gini_argmin
 
     def test_blocks_cover_the_features(self):
         with pytest.MonkeyPatch.context() as patch:
@@ -450,26 +552,29 @@ class TestFeatureBlocks:
 
     def test_many_threads_switching_often_build_the_same_tables(self, monkeypatch):
         # More threads than cores, switching every microsecond: blocks write
-        # disjoint rows, so no interleaving changes a table.
-        dataset = _tie_heavy_dataset()
+        # and score disjoint rows, so no interleaving changes a table, its
+        # scores (the real columns' tables are scored by the build threads)
+        # or its first minimum.
         rng = np.random.default_rng(5)
-        nodes = [np.arange(len(dataset))] + [
-            np.sort(rng.choice(len(dataset), size, replace=False))
-            for size in (1500, 300, 40)
+        nodes = [np.arange(3000)] + [
+            np.sort(rng.choice(3000, size, replace=False)) for size in (1500, 300, 40)
         ]
-        one_block = split_plan.SplitTablePlan(dataset)
-        monkeypatch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 50)
         monkeypatch.setattr(split_plan, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            plan = split_plan.SplitTablePlan(dataset)
-            tables = [plan.node_candidates(indices) for indices in nodes]
-        finally:
-            sys.setswitchinterval(interval)
-        assert plan._orders.tobytes() == one_block._orders.tobytes()
-        for indices, rows in zip(nodes, tables):
-            _assert_same_table(rows, one_block.node_candidates(indices))
+        for dataset in (_tie_heavy_dataset(), _tie_heavy_real_dataset()):
+            one_block = split_plan.SplitTablePlan(dataset)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 50)
+                patch.setattr(split_plan, "_SCORE_ROWS", 64)
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    plan = split_plan.SplitTablePlan(dataset)
+                    tables = [plan.node_candidates(indices) for indices in nodes]
+                finally:
+                    sys.setswitchinterval(interval)
+            assert plan._orders.tobytes() == one_block._orders.tobytes()
+            for indices, rows in zip(nodes, tables):
+                _assert_same_table(rows, one_block.node_candidates(indices))
 
     def test_no_thread_outlives_a_build(self, monkeypatch):
         dataset = _tie_heavy_dataset()

@@ -41,19 +41,20 @@ def _values(kind, codes):
 
 
 @st.composite
-def datasets(draw, max_rows: int = 14):
-    """Mixed-kind datasets, some columns duplicated (possibly as another kind)."""
+def datasets(draw, max_rows: int = 14, kinds_of=st.sampled_from(list(FeatureKind))):
+    """Datasets of columns of the kinds ``kinds_of`` draws (mixed by default),
+    some duplicated (a non-boolean one possibly as another non-boolean kind)."""
     n_rows = draw(st.integers(min_value=1, max_value=max_rows))
     kinds, codes = [], []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        kind = draw(st.sampled_from(list(FeatureKind)))
+        kind = draw(kinds_of)
         kinds.append(kind)
         values = st.integers(0, _HIGHEST[kind])
         codes.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
     for source in draw(st.lists(st.integers(0, len(kinds) - 1), max_size=2)):
         kind = kinds[source]
         if kind is not FeatureKind.BOOLEAN:
-            kind = draw(st.sampled_from([FeatureKind.REAL, FeatureKind.CATEGORICAL]))
+            kind = draw(kinds_of.filter(lambda kind: kind is not FeatureKind.BOOLEAN))
         kinds.append(kind)
         codes.append(codes[source])
     k = draw(st.integers(min_value=2, max_value=3))
@@ -131,23 +132,36 @@ def test_tree_learner_matches_argsort_oracle(case, impurity, depth):
 
 
 @settings(max_examples=120, deadline=None)
-@given(datasets(), impurities, st.data())
+@given(
+    # Real columns alone, at up to 40 rows, make tables of several feature
+    # blocks that their build threads score.
+    st.one_of(datasets(), datasets(40, st.just(FeatureKind.REAL))),
+    impurities,
+    st.data(),
+)
 def test_score_candidates_matches_scalar_oracle(case, impurity, data):
     dataset, _ = case
     chosen = data.draw(
         st.lists(st.booleans(), min_size=len(dataset), max_size=len(dataset))
     )
-    rows = split_plan.SplitTablePlan(dataset).node_candidates(np.flatnonzero(chosen))
+    indices = np.flatnonzero(chosen)
+    rows = split_plan.SplitTablePlan(dataset).node_candidates(indices)
     vectorized = _score_candidates(rows, impurity)
     reference = _score_candidates_reference(
         rows.left_class_counts, rows.right_class_counts, impurity
     )
     assert vectorized.shape == reference.shape == rows.low.shape
     np.testing.assert_allclose(vectorized, reference, atol=TOL, rtol=0.0)
-    # Scoring in blocks of 1, 3 or 7 rows gives the same bits.
+    # A table built and scored in blocks of 1, 3 or 7 rows (feature blocks
+    # of 32, 96 or 224 cells, which its build threads may score) gives the
+    # same bits.
     for block in SMALL_BLOCKS:
         with block_rows(block):
-            np.testing.assert_array_equal(_score_candidates(rows, impurity), vectorized)
+            blocked = split_plan.SplitTablePlan(dataset).node_candidates(indices)
+            scores = _score_candidates(blocked, impurity)
+        assert scores.tobytes() == vectorized.tobytes()
+        if impurity == "gini" and scores.size:
+            assert blocked.gini_argmin == rows.gini_argmin
 
 
 def test_constant_node_scores_empty():
