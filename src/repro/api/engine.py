@@ -71,7 +71,7 @@ from repro.poisoning.models import (
     PerturbationModel,
     resolve_model_classes,
 )
-from repro.runtime.fingerprint import fingerprint_dataset, point_digest
+from repro.runtime.fingerprint import fingerprint_dataset
 from repro.runtime.runtime import CertificationRuntime
 from repro.telemetry import events, metrics, tracing
 from repro.telemetry import profiling
@@ -171,24 +171,6 @@ _WORKER_MERGE_SECONDS = metrics.histogram(
     "worker_merge_seconds",
     "Parent-side merge cost per worker metric delta.",
 )
-#: Filter steps of Box-domain runs, by how they were served: ``reused`` steps
-#: replayed a warm trace from a prior budget probe of the same (point,
-#: family) by pure budget arithmetic; ``replayed`` steps ran the closed-form
-#: ``filter#`` (first probe, or a step whose abstract decisions changed with
-#: the budget).
-_TRACE_WARMSTART = metrics.counter(
-    "trace_warmstart_total",
-    "Box-learner filter steps served from a warm ladder trace (result=reused) "
-    "versus computed by the closed-form filter# (result=replayed).",
-    labelnames=("result",),
-)
-_TRACE_REUSED = _TRACE_WARMSTART.labels(result="reused")
-_TRACE_REPLAYED = _TRACE_WARMSTART.labels(result="replayed")
-
-#: Engine-level bound on retained ladder traces (cleared wholesale on
-#: overflow, like the split-plan caches).
-_TRACE_CACHE_SIZE = 512
-
 
 @dataclass(frozen=True)
 class _RequestPlan:
@@ -255,12 +237,8 @@ class CertificationEngine:
     _scheduler: Optional[CertificationScheduler] = field(
         init=False, repr=False, default=None
     )
-    # Warm-start ladder traces, keyed (dataset fingerprint, point digest,
-    # family).  Plain dict under the GIL: values are immutable LadderTrace
-    # objects and a lost race merely recomputes one filter step.
-    _trace_cache: dict = field(init=False, repr=False, default_factory=dict)
-    # Per-thread running work totals read by :meth:`tally`.
-    _trace_local: threading.local = field(
+    # Per-thread running learner-run count read by :meth:`tally`.
+    _tally_local: threading.local = field(
         init=False, repr=False, default_factory=threading.local
     )
 
@@ -298,24 +276,21 @@ class CertificationEngine:
         """This engine's fields as a pool worker gets them.
 
         The runtime (sqlite handles), the scheduler (locks, in-flight
-        futures, thread pools), the plan lock and the per-thread trace
-        tallies are parent-only state and never reach a worker, which
-        starts from a fresh cache-less runtime instead.  The plan and trace
-        caches come along only when ``warm``: a forked worker inherits them
-        in memory, while pickling them would ship full abstract training
-        sets.
+        futures, thread pools), the plan lock and the per-thread tallies are
+        parent-only state and never reach a worker, which starts from a
+        fresh cache-less runtime instead.  The plan cache comes along only
+        when ``warm``: a forked worker inherits it in memory, while pickling
+        it would ship full abstract training sets.
         """
         state = dict(self.__dict__)
         state["_plan_cache"] = {}
-        state["_trace_cache"] = {}
         if warm:
             with self._plan_lock:
                 state["_plan_cache"] = OrderedDict(self._plan_cache)
-            state["_trace_cache"] = dict(self._trace_cache)
         state["runtime"] = None
         state["_scheduler"] = None
         state["_plan_lock"] = None
-        state["_trace_local"] = None
+        state["_tally_local"] = None
         return state
 
     def _forked_worker(self) -> "CertificationEngine":
@@ -332,7 +307,7 @@ class CertificationEngine:
         self.runtime = CertificationRuntime()
         self._plan_cache = OrderedDict(state["_plan_cache"])
         self._plan_lock = threading.Lock()
-        self._trace_local = threading.local()
+        self._tally_local = threading.local()
 
     @property
     def scheduler(self) -> CertificationScheduler:
@@ -676,7 +651,6 @@ class CertificationEngine:
 
     def _certify_one(
         self,
-        dataset: Dataset,
         x: np.ndarray,
         model: PerturbationModel,
         plan: _RequestPlan,
@@ -690,14 +664,10 @@ class CertificationEngine:
         """
         family = "flip" if isinstance(model, _FLIP_MODELS) else "removal"
         domains = _DOMAIN_LADDERS[family][self.domain]
-        # Warm-start key for the Box rungs: budget-independent on purpose, so
-        # the next probe of the same (dataset, point, family) at budget n+1
-        # (or the next (r, f) staircase step) finds this probe's trace.
-        trace_key = (fingerprint_dataset(dataset), point_digest(x), family)
         with tracing.span("engine.certify_one"):
             with profiling.phase("concrete_predict"):
-                # The plan's dataset, not ``dataset``: a fingerprint-equal
-                # copy then shares one split plan with the rungs.
+                # The plan's dataset: a fingerprint-equal copy of the
+                # request's then shares one split plan with the rungs.
                 predicted = int(self._trace_learner.predict(plan.trainset.dataset, x))
             watch = Stopwatch().start()
             budget = TimeBudget(self.timeout_seconds)
@@ -711,9 +681,7 @@ class CertificationEngine:
                 if tracemalloc.is_tracing():
                     scope.enter_context(memory)
                 for domain in domains:
-                    outcome = self._run_domain(
-                        domain, plan.trainset, x, budget, trace_key=trace_key
-                    )
+                    outcome = self._run_domain(domain, plan.trainset, x, budget)
                     result = self._build_result(
                         outcome,
                         domain=domain,
@@ -727,7 +695,8 @@ class CertificationEngine:
                         break
             assert last_result is not None
             elapsed = watch.elapsed()
-        self._thread_totals()[2] += 1
+        local = self._tally_local
+        local.runs = getattr(local, "runs", 0) + 1
         _LEARNER_INVOCATIONS.inc()
         _CERTIFY_SECONDS.observe(
             elapsed,
@@ -748,27 +717,13 @@ class CertificationEngine:
         trainset: AbstractTrainingSet,
         x: Sequence[float],
         budget: TimeBudget,
-        *,
-        trace_key: Optional[tuple] = None,
     ) -> "_DomainOutcome":
         """Run one rung of the domain ladder; same learners for every family."""
         is_box = domain not in ("disjuncts", FLIP_DISJUNCTS_DOMAIN)
         learner = self._box_learner if is_box else self._disjunctive_learner
         try:
             with profiling.ladder_stage(domain), tracing.span(f"ladder.{domain}"):
-                if is_box:
-                    warm = (
-                        self._trace_cache.get(trace_key)
-                        if trace_key is not None
-                        else None
-                    )
-                    run = learner.run(
-                        trainset, x, time_budget=budget, warm_trace=warm
-                    )
-                    if trace_key is not None:
-                        self._record_trace(trace_key, run)
-                else:
-                    run = learner.run(trainset, x, time_budget=budget)
+                run = learner.run(trainset, x, time_budget=budget)
         except TimeoutExceeded as error:
             return _DomainOutcome(run=None, failure=VerificationStatus.TIMEOUT, message=str(error))
         except (DisjunctBudgetExceeded, MemoryError) as error:
@@ -779,42 +734,15 @@ class CertificationEngine:
             )
         return _DomainOutcome(run=run, failure=None, message="")
 
-    def _record_trace(self, trace_key: tuple, run: AbstractRunResult) -> None:
-        """Retain a Box run's trace and account its warm-start effectiveness."""
-        if run.trace is not None:
-            if len(self._trace_cache) >= _TRACE_CACHE_SIZE:
-                self._trace_cache.clear()
-            self._trace_cache[trace_key] = run.trace
-        reused = run.trace_reused
-        computed = run.trace_steps - reused
-        if reused:
-            _TRACE_REUSED.inc(reused)
-        if computed:
-            _TRACE_REPLAYED.inc(computed)
-        totals = self._thread_totals()
-        totals[0] += run.trace_steps
-        totals[1] += reused
+    def tally(self) -> int:
+        """How many points ran the learners on this thread.
 
-    def _thread_totals(self) -> List[int]:
-        local = self._trace_local
-        totals = getattr(local, "totals", None)
-        if totals is None:
-            totals = local.totals = [0, 0, 0]
-        return totals
-
-    def tally(self) -> Tuple[int, int, int]:
-        """This thread's running ``(filter_steps, warm_reused, learner_runs)``.
-
-        ``filter_steps`` counts the Box-learner filter steps run on this
-        thread, ``warm_reused`` those served from a prior probe's ladder
-        trace, and ``learner_runs`` the points that ran the learners.  The
-        totals are never reset: a reader (a runtime batch's stats, a budget
-        search's result) takes the difference of two readings, so nested
-        readers do not zero each other and concurrent threads on a shared
-        engine do not see each other's work.
+        The count is never reset: a reader (a budget search's result) takes
+        the difference of two readings, so nested readers do not zero each
+        other and concurrent threads on a shared engine do not see each
+        other's work.
         """
-        steps, reused, runs = self._thread_totals()
-        return steps, reused, runs
+        return getattr(self._tally_local, "runs", 0)
 
     def _build_result(
         self,
@@ -946,7 +874,7 @@ class _CertifyRows:
 
     def bind(self, engine: CertificationEngine, dataset: Dataset) -> Callable:
         plan = engine._plan_for(dataset, self.model)
-        return lambda row: engine._certify_one(dataset, row, self.model, plan)
+        return lambda row: engine._certify_one(row, self.model, plan)
 
     @staticmethod
     def status(output: VerificationResult) -> Optional[str]:

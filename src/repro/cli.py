@@ -715,11 +715,7 @@ def _run_scalar_sweep(
         outcome = searcher.max_certified(
             dataset, x, model=template, start=args.start, max_budget=args.max_n
         )
-        row = {
-            "index": index,
-            **outcome.to_dict(),
-            "trace_reuse_fraction": outcome.trace_reuse_fraction,
-        }
+        row = {"index": index, **outcome.to_dict()}
         outcomes.append(row)
         if not args.quiet:
             print(
@@ -739,13 +735,6 @@ def _run_scalar_sweep(
         table.add_row(["mean max budget", f"{sum(budgets) / len(budgets):.2f}"])
         table.add_row(["largest max budget", max(budgets)])
     table.add_row(["total probes", sum(row["attempts"] for row in outcomes)])
-    trace_steps = sum(row["trace_steps"] for row in outcomes)
-    trace_reused = sum(row["trace_reused"] for row in outcomes)
-    if trace_steps:
-        table.add_row(
-            ["trace reuse",
-             f"{trace_reused}/{trace_steps} ({trace_reused / trace_steps:.1%})"]
-        )
     table.add_row(
         ["learner invocations", sum(row["learner_invocations"] for row in outcomes)]
     )
@@ -772,10 +761,9 @@ def _run_scalar_sweep(
         )
         print(f"[sweep JSON written to {args.json}]", file=sys.stderr)
     if args.csv:
-        lines = ["index,max_certified_n,attempts,trace_steps,trace_reused"]
+        lines = ["index,max_certified_n,attempts"]
         lines += [
-            f"{row['index']},{row['max_certified_n']},{row['attempts']},"
-            f"{row['trace_steps']},{row['trace_reused']}"
+            f"{row['index']},{row['max_certified_n']},{row['attempts']}"
             for row in outcomes
         ]
         Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")

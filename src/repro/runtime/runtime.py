@@ -81,12 +81,6 @@ class BatchStats:
     deduplicated: int = 0
     learner_invocations: int = 0
     truncated_at: Optional[int] = None
-    # Box-learner filter steps of this batch's serial learner runs, and how
-    # many were warm-started from a prior probe's ladder trace.  Pool workers
-    # account their steps in `trace_warmstart_total` via the metric merge
-    # plane, not here.
-    trace_steps: int = 0
-    trace_reused: int = 0
 
     @property
     def answered_without_learner(self) -> int:
@@ -103,12 +97,6 @@ class BatchStats:
             return None
         return self.answered_without_learner / self.points
 
-    @property
-    def trace_reuse_fraction(self) -> float:
-        if self.trace_steps == 0:
-            return 0.0
-        return self.trace_reused / self.trace_steps
-
     def add(self, other: "BatchStats") -> None:
         self.points += other.points
         self.cache_hits += other.cache_hits
@@ -117,8 +105,6 @@ class BatchStats:
         self.journal_restored += other.journal_restored
         self.deduplicated += other.deduplicated
         self.learner_invocations += other.learner_invocations
-        self.trace_steps += other.trace_steps
-        self.trace_reused += other.trace_reused
 
     def snapshot(self) -> dict:
         return {
@@ -131,9 +117,6 @@ class BatchStats:
             "learner_invocations": self.learner_invocations,
             "hit_rate": self.hit_rate,
             "truncated_at": self.truncated_at,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
-            "trace_reuse_fraction": self.trace_reuse_fraction,
         }
 
 
@@ -226,7 +209,6 @@ class CertificationRuntime:
         """
         stats = BatchStats(points=len(rows))
         self.last_batch_stats = stats
-        before = engine.tally()
 
         amount = model.nominal_amount(len(dataset))
         flips = model.nominal_flip_amount(len(dataset))
@@ -361,11 +343,6 @@ class CertificationRuntime:
         finally:
             if self.cache is not None:
                 self.cache.commit()
-            steps, reused, _ = (
-                now - then for now, then in zip(engine.tally(), before)
-            )
-            stats.trace_steps += steps
-            stats.trace_reused += reused
             with self._stats_lock:
                 self.stats.add(stats)
             events.emit("runtime.batch", **stats.snapshot())
@@ -412,17 +389,9 @@ class CertificationRuntime:
                     model.nominal_flip_amount(len(dataset)),
                     model.log10_num_neighbors(len(dataset)),
                 )
-        before = engine.tally()
-        result = engine._certify_one(
-            dataset, row, model, engine._plan_for(dataset, model)
-        )
-        trace_steps, trace_reused, _ = (
-            now - then for now, then in zip(engine.tally(), before)
-        )
+        result = engine._certify_one(row, model, engine._plan_for(dataset, model))
         with self._stats_lock:
             self.stats.learner_invocations += 1
-            self.stats.trace_steps += trace_steps
-            self.stats.trace_reused += trace_reused
             if self.cache is not None:
                 self.stats.cache_misses += 1
         if self.cache is not None:
@@ -532,8 +501,8 @@ class _CacheBoundVerifier:
     It exposes the two methods the search protocol calls:
     ``certify_point(dataset, x, model)``, routed through the runtime's cache
     whether or not the engine itself holds this runtime, and
-    ``tally()``, the bound engine's work totals, from which the search reads
-    its learner invocations and trace counts.
+    ``tally()``, the bound engine's learner-run count, from which the search
+    reads its learner invocations.
     """
 
     def __init__(self, runtime: CertificationRuntime, bound_engine) -> None:

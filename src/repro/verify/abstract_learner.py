@@ -22,14 +22,14 @@ single class interval dominates all others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.domains.interval import Interval, dominating_component, join_interval_vectors
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
 from repro.utils.timing import TimeBudget
-from repro.verify.trace import LadderTrace, TraceStep, filter_abstract_traced
+from repro.verify.trace import filter_abstract_traced
 from repro.verify.transformers import (
     best_split_abstract,
     cprob_intervals,
@@ -57,22 +57,12 @@ class AbstractRunResult:
         Number of loop iterations actually interpreted.
     max_disjuncts:
         Peak number of simultaneously live disjuncts (1 for the Box domain).
-    trace:
-        The :class:`~repro.verify.trace.LadderTrace` of this run's filter
-        steps (Box runs only) — the warm-start input for the next budget
-        probe of the same (point, family).
-    trace_steps / trace_reused:
-        How many filter steps the run executed, and how many of those were
-        served by replaying a warm trace instead of the closed-form filter#.
     """
 
     class_intervals: Tuple[Interval, ...]
     exit_count: int
     iterations: int
     max_disjuncts: int = 1
-    trace: Optional[LadderTrace] = field(default=None, repr=False, compare=False)
-    trace_steps: int = 0
-    trace_reused: int = 0
 
     @property
     def robust_class(self) -> Optional[int]:
@@ -109,7 +99,6 @@ class BoxAbstractLearner:
         x: Sequence[float],
         *,
         time_budget: Optional[TimeBudget] = None,
-        warm_trace: Optional[LadderTrace] = None,
     ) -> AbstractRunResult:
         """Abstractly interpret ``DTrace(T', x)`` for every ``T' ∈ γ(⟨T, n⟩)``.
 
@@ -117,25 +106,13 @@ class BoxAbstractLearner:
         the classification of an exit is all the learner needs, and the pure
         exits of elements with label flips only exist as interval vectors
         (see :func:`~repro.verify.transformers.pure_exit_vector`).
-
-        ``warm_trace`` is the :class:`~repro.verify.trace.LadderTrace` of a
-        prior run on the same (dataset, point, family) at a different budget.
-        Each filter step whose abstract decisions are unchanged — same entry
-        row set, same ``bestSplit#`` candidate rows — is replayed from the
-        trace by pure budget arithmetic instead of re-running the closed-form
-        filter#; the first divergent step falls back to the real ``filter#``
-        (and every exit/score computation always runs at the current budget),
-        so the result is identical to a cold run by construction.
         """
         budget = time_budget or TimeBudget.unlimited()
         exits: List[Tuple[Interval, ...]] = []
         state = trainset
         iterations = 0
-        steps: List[TraceStep] = []
-        trace_steps = 0
-        trace_reused = 0
 
-        for depth in range(self.max_depth):
+        for _ in range(self.max_depth):
             if state is None:
                 break
             budget.check()
@@ -162,17 +139,7 @@ class BoxAbstractLearner:
                 break
 
             # --- T <- filter#(T, Ψ, x) -----------------------------------------
-            trace_steps += 1
-            warm_step = (
-                warm_trace.step_at(depth) if warm_trace is not None else None
-            )
-            if warm_step is not None and warm_step.matches(state, candidates):
-                state = warm_step.apply(state)
-                trace_reused += 1
-                steps.append(warm_step)
-            else:
-                state, step = filter_abstract_traced(state, candidates, x)
-                steps.append(step)
+            state = filter_abstract_traced(state, candidates, x)
 
         if state is not None:
             with profiling.phase("cprob_exit"):
@@ -184,9 +151,6 @@ class BoxAbstractLearner:
             exit_count=len(exits),
             iterations=iterations,
             max_disjuncts=1,
-            trace=LadderTrace(tuple(steps)),
-            trace_steps=trace_steps,
-            trace_reused=trace_reused,
         )
 
     def _join_exit_intervals(

@@ -36,8 +36,8 @@ so repeated or overlapping searches reuse prior verdicts.
 result type of each search, whatever path ran it: the engine (with or
 without a cache), the runtime bound to an engine, the daemon, and the
 client that decodes the daemon's reply.  Each carries its own
-``learner_invocations`` and trace counts, read as a difference of the
-engine's running per-thread :meth:`~repro.api.CertificationEngine.tally`.
+``learner_invocations``, read as a difference of the engine's running
+per-thread :meth:`~repro.api.CertificationEngine.tally`.
 ``to_dict`` / ``from_dict`` are the wire form; per-probe ``results`` stay
 in-process, and a decoded result has none.
 """
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ClassVar,
     Dict,
     List,
     Mapping,
@@ -101,21 +102,10 @@ def _pair_template(model: ModelTemplate) -> PerturbationModel:
     return model
 
 
-#: A search's work as a difference of two engine tallies:
-#: ``(trace_steps, trace_reused, learner_invocations)``.
-_Work = Tuple[int, int, int]
-
-
-def _tally(engine) -> _Work:
-    """The engine's running per-thread work totals (zeros if it keeps none)."""
+def _tally(engine) -> int:
+    """The engine's running per-thread learner-run count (0 if it keeps none)."""
     tally = getattr(engine, "tally", None)
-    return tally() if tally is not None else (0, 0, 0)
-
-
-def _work_since(engine, before: _Work) -> dict:
-    """The search-result work fields accumulated since the ``before`` tally."""
-    steps, reused, runs = (now - then for now, then in zip(_tally(engine), before))
-    return {"learner_invocations": runs, "trace_steps": steps, "trace_reused": reused}
+    return tally() if tally is not None else 0
 
 
 @dataclass(frozen=True)
@@ -125,10 +115,8 @@ class PoisoningSearchResult:
     ``attempts`` counts the probes, one per budget the search decided;
     ``results`` maps each of those budgets to its verdict.
     ``learner_invocations`` counts the probes that ran the learner rather
-    than being answered by a runtime cache.  ``trace_steps`` /
-    ``trace_reused`` count the Box-learner filter steps those runs executed
-    and how many were warm-started from the previous probe's ladder trace
-    (zero for an engine that keeps no :meth:`tally`).
+    than being answered by a runtime cache (zero for an engine that keeps
+    no :meth:`tally`).
 
     :meth:`to_dict` / :meth:`from_dict` are the wire form; ``results`` is
     in-process only, and a decoded result has it empty.
@@ -138,12 +126,9 @@ class PoisoningSearchResult:
     attempts: int
     results: Dict[int, VerificationResult] = field(repr=False, default_factory=dict)
     learner_invocations: int = 0
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
+    # Read on every pass by certbench/workloads.py::_sweep_pass.
+    trace_steps: ClassVar[int] = 0
+    trace_reused: ClassVar[int] = 0
 
     @property
     def ever_certified(self) -> bool:
@@ -155,8 +140,6 @@ class PoisoningSearchResult:
             "max_certified_n": self.max_certified_n,
             "attempts": self.attempts,
             "learner_invocations": self.learner_invocations,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
         }
 
     @classmethod
@@ -165,8 +148,6 @@ class PoisoningSearchResult:
             max_certified_n=int(payload["max_certified_n"]),
             attempts=int(payload["attempts"]),
             learner_invocations=int(payload["learner_invocations"]),
-            trace_steps=int(payload.get("trace_steps", 0)),
-            trace_reused=int(payload.get("trace_reused", 0)),
         )
 
 
@@ -207,7 +188,7 @@ def max_certified_poisoning(
         max_certified_n=best,
         attempts=len(results),
         results=results,
-        **_work_since(engine, before),
+        learner_invocations=_tally(engine) - before,
     )
 
 
@@ -305,8 +286,7 @@ class ParetoFrontierResult:
     *decided* to its outcome; ``probes`` counts how many of those actually
     queried the engine (the rest were derived from pair dominance locally),
     and ``learner_invocations`` how many probes ran the learner rather than
-    being answered by a runtime cache.  The trace counts are those of
-    :class:`PoisoningSearchResult`.
+    being answered by a runtime cache.
 
     :meth:`to_dict` / :meth:`from_dict` are the wire form (``attempts``
     travels as ``[r, f, certified]`` rows); ``results`` is in-process only,
@@ -318,12 +298,9 @@ class ParetoFrontierResult:
     probes: int
     results: Dict[Tuple[int, int], VerificationResult] = field(repr=False, default_factory=dict)
     learner_invocations: int = 0
-    trace_steps: int = 0
-    trace_reused: int = 0
-
-    @property
-    def trace_reuse_fraction(self) -> float:
-        return self.trace_reused / self.trace_steps if self.trace_steps else 0.0
+    # Read on every pass by certbench/workloads.py::_sweep_pass.
+    trace_steps: ClassVar[int] = 0
+    trace_reused: ClassVar[int] = 0
 
     @property
     def ever_certified(self) -> bool:
@@ -341,8 +318,6 @@ class ParetoFrontierResult:
             "attempted_pairs": len(self.attempts),
             "attempts": [[r, f, ok] for (r, f), ok in self.attempts.items()],
             "learner_invocations": self.learner_invocations,
-            "trace_steps": self.trace_steps,
-            "trace_reused": self.trace_reused,
         }
 
     @classmethod
@@ -354,8 +329,6 @@ class ParetoFrontierResult:
             },
             probes=int(payload["probes"]),
             learner_invocations=int(payload["learner_invocations"]),
-            trace_steps=int(payload.get("trace_steps", 0)),
-            trace_reused=int(payload.get("trace_reused", 0)),
         )
 
 
@@ -516,7 +489,7 @@ def pareto_frontier(
         attempts=dict(oracle.attempts),
         probes=oracle.probes,
         results=dict(oracle.results),
-        **_work_since(engine, before),
+        learner_invocations=_tally(engine) - before,
     )
 
 

@@ -32,10 +32,10 @@ its leaves with one :func:`exit_bounds` call and builds its inner children
 with :meth:`SplitCandidates.child`, and the Box learner filters with
 :func:`filter_closed_form`.
 
-``filter#`` has a closed form (:func:`filter_closed_form`), which the Box
-learner runs through :mod:`repro.verify.trace`; the sequential fold of split
-pieces (:func:`filter_abstract`) over a predicate set is kept as its scalar
-oracle.
+``filter#`` has a closed form (:func:`filter_closed_form`), from which
+:func:`repro.verify.trace.filter_abstract_traced` builds the Box learner's
+filtered element; the sequential fold of split pieces
+(:func:`filter_abstract`) over a predicate set is kept as its scalar oracle.
 
 ``cprob#`` is one formula for every element: with ``m = |T| − n`` rows
 left, class ``i`` keeps ``[max(0, c_i − n − f), min(c_i + f, m)] / m``.

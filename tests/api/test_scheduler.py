@@ -154,11 +154,11 @@ class TestCrossBatchDedup:
         original = CertificationEngine._certify_one
         calls = []
 
-        def gated(self, ds, x, model, plan):
+        def gated(self, x, model, plan):
             calls.append(tuple(np.asarray(x)))
             started.set()
             assert release.wait(timeout=60), "gate never released"
-            return original(self, ds, x, model, plan)
+            return original(self, x, model, plan)
 
         engine._certify_one = gated.__get__(engine)
         first = scheduler.submit(request)
@@ -200,10 +200,10 @@ class TestCrossBatchDedup:
         started = threading.Event()
         original = CertificationEngine._certify_one
 
-        def gated(self, ds, x, model, plan):
+        def gated(self, x, model, plan):
             started.set()
             assert release.wait(timeout=60)
-            return original(self, ds, x, model, plan)
+            return original(self, x, model, plan)
 
         engine._certify_one = gated.__get__(engine)
         owner = engine.submit(request)
@@ -265,10 +265,10 @@ class TestSchedulerTelemetry:
         started = threading.Event()
         original = CertificationEngine._certify_one
 
-        def gated(self, ds, x, model, plan):
+        def gated(self, x, model, plan):
             started.set()
             assert release.wait(timeout=60)
-            return original(self, ds, x, model, plan)
+            return original(self, x, model, plan)
 
         engine._certify_one = gated.__get__(engine)
         before = metrics.get_registry().snapshot()
@@ -368,10 +368,10 @@ class TestSchedulerBookkeeping:
         started = threading.Event()
         original = CertificationEngine._certify_one
 
-        def gated(self, ds, x, model, plan):
+        def gated(self, x, model, plan):
             started.set()
             assert release.wait(timeout=60)
-            return original(self, ds, x, model, plan)
+            return original(self, x, model, plan)
 
         engine._certify_one = gated.__get__(engine)
         first = scheduler.submit(request)

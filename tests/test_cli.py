@@ -301,10 +301,12 @@ class TestSweepCommand:
         payload = json_module.loads(json_path.read_text())
         assert payload["family"] == "removal"
         assert len(payload["outcomes"]) == 2
-        assert all("max_certified_n" in row for row in payload["outcomes"])
-        assert all("trace_reuse_fraction" in row for row in payload["outcomes"])
+        assert all(
+            set(row) == {"index", "max_certified_n", "attempts", "learner_invocations"}
+            for row in payload["outcomes"]
+        )
         header = csv_path.read_text().splitlines()[0]
-        assert header == "index,max_certified_n,attempts,trace_steps,trace_reused"
+        assert header == "index,max_certified_n,attempts"
 
     def test_label_flip_family_sweep(self, capsys):
         code = main(self.SWEEP + ["--model", "label-flip", "--max-n", "2", "--points", "1"])

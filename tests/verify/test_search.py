@@ -318,7 +318,7 @@ class TestRobustnessSweepEdgeCases:
 class TestSearchWorkTally:
     def test_concurrent_searches_on_a_shared_engine_count_their_own_work(self):
         split = load_dataset("iris", scale=1.0, seed=0)
-        points = split.test.X[:8]  # distinct rows: no shared ladder traces
+        points = split.test.X[:8]  # distinct rows: no two searches probe one point
         solo = CertificationEngine(max_depth=1)
         expected = [
             solo.max_certified(split.train, x, max_budget=16).to_dict()

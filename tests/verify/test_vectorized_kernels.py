@@ -22,12 +22,9 @@ pinned to the sequential fold of split pieces it replaces (`filter_abstract`,
 over the rows' predicates): same rows, same budgets, on random nodes and
 predicate sets and on every filter step of Box runs over the UCI-like
 datasets.  The disjunctive learner's children, built from a row and a side,
-are pinned to ``split_down`` of the row's predicate.  The warm-start layer
-gets the same treatment: a replayed :class:`~repro.verify.trace.TraceStep`
-must reproduce ``filter#`` exactly at *every* budget (the replay is pure
-budget arithmetic over three recorded sizes), a warm Box ladder must equal
-its cold runs, and an engine that warm-starts across a budget ladder must
-report verdicts identical to fresh cold runs.
+are pinned to ``split_down`` of the row's predicate.  One engine reused
+along a budget ladder must report verdicts identical to a fresh engine per
+budget.
 """
 
 import dataclasses
@@ -56,7 +53,7 @@ from repro.poisoning.models import (
 )
 from repro.verify import abstract_learner, transformers
 from repro.verify.abstract_learner import BoxAbstractLearner
-from repro.verify.trace import FilterReplay, filter_abstract_traced
+from repro.verify.trace import filter_abstract_traced
 from repro.verify.transformers import (
     SplitCandidates,
     _RowComplement,
@@ -606,12 +603,8 @@ def _rows(predicates):
 
 def _closed(state, predicates, x):
     """``filter#`` by the closed form: ``(rows, budgets)`` or ``None``."""
-    closed = filter_closed_form(state, _rows(predicates), x)
-    if closed is None:
-        return None
-    rows, tight, largest = closed
-    replay = FilterReplay(int(rows.size), tight, largest)
-    return tuple(rows), replay.replay(state.n, state.flips)
+    result = filter_abstract_traced(state, _rows(predicates), x)
+    return None if result is None else (tuple(result.indices), _budgets(result))
 
 
 class TestClosedFormFilter:
@@ -666,6 +659,7 @@ class TestClosedFormFilter:
         ]
         x = np.array([0.0])
         assert _fold(state, predicates, x) is None
+        assert filter_closed_form(state, _rows(predicates), x) is None
         assert _closed(state, predicates, x) is None
 
     @pytest.mark.parametrize(
@@ -676,7 +670,7 @@ class TestClosedFormFilter:
         checked = []
 
         def traced(state, candidates, x):
-            result, step = filter_abstract_traced(state, candidates, x)
+            result = filter_abstract_traced(state, candidates, x)
             expected = filter_abstract(
                 state, AbstractPredicateSet.of(row_predicates(candidates)), x
             )
@@ -685,7 +679,7 @@ class TestClosedFormFilter:
                 tuple(expected.indices), _budgets(expected)
             )
             checked.append(got == want)
-            return result, step
+            return result
 
         monkeypatch.setattr(abstract_learner, "filter_abstract_traced", traced)
         learner = BoxAbstractLearner(max_depth=2)
@@ -698,117 +692,6 @@ class TestClosedFormFilter:
             ):
                 learner.run(state, x)
         assert checked and all(checked)
-
-
-def _removal_state(dataset, budget):
-    return AbstractTrainingSet.from_indices(
-        dataset, np.arange(len(dataset)), budget
-    )
-
-
-def _flip_state(dataset, removals, flips):
-    return FlipAbstractTrainingSet(
-        dataset, np.arange(len(dataset)), removals, flips
-    )
-
-
-class TestTraceReplayMatchesFilter:
-    """A recorded TraceStep replays ``filter#`` exactly at every other budget.
-
-    The replay never re-runs ``filter#`` — it is pure budget arithmetic over
-    three recorded sizes — so agreement here is the soundness argument for
-    warm-started probes.
-    """
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_removal_replay_all_budgets(self, seed):
-        rng = np.random.default_rng(seed)
-        dataset = random_small_dataset(rng)
-        x = random_test_point(rng, dataset)
-        state = _removal_state(dataset, int(rng.integers(0, 4)))
-        candidates = best_split_abstract(state, method="optimal")
-        if not candidates.feature.size:
-            pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, candidates, x)
-        for budget in range(0, 7):
-            probe = _removal_state(dataset, budget)
-            assert step.matches(probe, candidates)
-            replayed = step.apply(probe)
-            expected, _ = filter_abstract_traced(probe, candidates, x)
-            if expected is None:
-                assert replayed is None
-            else:
-                assert replayed is not None
-                np.testing.assert_array_equal(replayed.indices, expected.indices)
-                assert replayed.n == expected.n
-
-    @pytest.mark.parametrize("seed", range(12, 24))
-    def test_flip_replay_all_budget_pairs(self, seed):
-        rng = np.random.default_rng(seed)
-        dataset = random_small_dataset(rng)
-        x = random_test_point(rng, dataset)
-        state = _flip_state(dataset, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-        candidates = best_split_abstract(state, method="optimal")
-        if not candidates.feature.size:
-            pytest.skip("bestSplit# returned only ⋄ for this draw")
-        _, step = filter_abstract_traced(state, candidates, x)
-        for removals in range(0, 4):
-            for flips in range(0, 4):
-                probe = _flip_state(dataset, removals, flips)
-                assert step.matches(probe, candidates)
-                replayed = step.apply(probe)
-                expected, _ = filter_abstract_traced(probe, candidates, x)
-                if expected is None:
-                    assert replayed is None
-                else:
-                    assert replayed is not None
-                    np.testing.assert_array_equal(
-                        replayed.indices, expected.indices
-                    )
-                    assert replayed.n == expected.n
-                    assert replayed.flips == expected.flips
-
-    @pytest.mark.parametrize("name, points", [("iris", 6), ("mammography", 4)])
-    def test_box_ladder_warm_equals_cold(self, name, points):
-        # Each probe of the ladder n = 0..4 warm-starts from the previous
-        # probe's trace, whose steps are keyed on entry rows and row bytes.
-        split = load_dataset(name)
-        learner = BoxAbstractLearner(max_depth=2)
-        reused = 0
-        for x in split.test.X[:points]:
-            trace = None
-            for budget in range(5):
-                state = AbstractTrainingSet.full(split.train, budget)
-                cold = learner.run(state, x)
-                warm = learner.run(state, x, warm_trace=trace)
-                assert warm.class_intervals == cold.class_intervals
-                assert warm.exit_count == cold.exit_count
-                reused += warm.trace_reused
-                trace = warm.trace
-        assert reused > 0
-
-    def test_step_matches_only_its_node_and_rows(self):
-        split = load_dataset("iris")
-        x = split.test.X[0]
-        state = AbstractTrainingSet.full(split.train, 1)
-        candidates = best_split_abstract(state)
-        _, step = filter_abstract_traced(state, candidates, x)
-        assert step.matches(AbstractTrainingSet.full(split.train, 3), candidates)
-        # A different node: one side of the first row.
-        child = candidates.child(state, 0, 0)
-        assert not step.matches(child, candidates)
-        # A different row set at the same node.
-        fewer = dataclasses.replace(
-            candidates,
-            feature=candidates.feature[1:],
-            low=candidates.low[1:],
-            high=candidates.high[1:],
-            kind=candidates.kind[1:],
-        )
-        assert not step.matches(state, fewer)
-        # The same rows with one bound moved.
-        moved = dataclasses.replace(candidates, high=candidates.high + 1.0)
-        assert not step.matches(state, moved)
 
 
 @st.composite
@@ -846,14 +729,14 @@ def _verdict(result):
     )
 
 
-class TestWarmStartVerdictIdentity:
-    """Warm-started staircase probes report identical verdicts to cold runs.
+class TestReusedEngineVerdictIdentity:
+    """An engine reused along a budget ladder reports a fresh engine's verdicts.
 
-    One engine walks the whole ladder (its trace cache warm-starts every probe
-    after the first); the oracle certifies each budget on a fresh engine with
-    an empty trace cache.  Status, certified class, and the class intervals
-    must agree exactly — warm-starting is an optimization, never a semantic
-    change.
+    One engine walks the whole ladder and keeps its request plans from probe
+    to probe; the oracle certifies each budget on a fresh engine.  Both read
+    the dataset's split plan, whose ``bestSplit#`` memo the ladder fills.
+    Status, certified class, and the class intervals must agree exactly:
+    what an engine keeps across budgets never changes a verdict.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -861,26 +744,26 @@ class TestWarmStartVerdictIdentity:
         rng = np.random.default_rng(100 + seed)
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
-        warm_engine = CertificationEngine(max_depth=2, domain="either")
+        ladder_engine = CertificationEngine(max_depth=2, domain="either")
         for budget in range(0, 6):
             model = RemovalPoisoningModel(budget)
-            warm = warm_engine.certify_point(dataset, x, model)
-            cold = CertificationEngine(max_depth=2, domain="either").certify_point(
+            reused = ladder_engine.certify_point(dataset, x, model)
+            fresh = CertificationEngine(max_depth=2, domain="either").certify_point(
                 dataset, x, model
             )
-            assert _verdict(warm) == _verdict(cold), f"budget={budget}"
+            assert _verdict(reused) == _verdict(fresh), f"budget={budget}"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_composite_staircase(self, seed):
         rng = np.random.default_rng(200 + seed)
         dataset = random_small_dataset(rng)
         x = random_test_point(rng, dataset)
-        warm_engine = CertificationEngine(max_depth=2, domain="either")
+        ladder_engine = CertificationEngine(max_depth=2, domain="either")
         for removals in range(0, 3):
             for flips in range(0, 3):
                 model = CompositePoisoningModel(removals, flips)
-                warm = warm_engine.certify_point(dataset, x, model)
-                cold = CertificationEngine(
+                reused = ladder_engine.certify_point(dataset, x, model)
+                fresh = CertificationEngine(
                     max_depth=2, domain="either"
                 ).certify_point(dataset, x, model)
-                assert _verdict(warm) == _verdict(cold), f"(r,f)=({removals},{flips})"
+                assert _verdict(reused) == _verdict(fresh), f"(r,f)=({removals},{flips})"
