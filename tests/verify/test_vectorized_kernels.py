@@ -22,9 +22,11 @@ pinned to the sequential fold of split pieces it replaces (`filter_abstract`,
 over the rows' predicates): same rows, same budgets, on random nodes and
 predicate sets and on every filter step of Box runs over the UCI-like
 datasets.  The disjunctive learner's children, built from a row and a side,
-are pinned to ``split_down`` of the row's predicate.  One engine reused
-along a budget ladder must report verdicts identical to a fresh engine per
-budget.
+are pinned to ``split_down`` of the row's predicate.  The closed form's
+sizes, found at one budget, must give ``filter#`` at every other budget, and
+a Box ladder over one dataset's filled split plan must equal runs on a fresh
+copy.  One engine reused along a budget ladder must report verdicts identical
+to a fresh engine per budget.
 """
 
 import dataclasses
@@ -692,6 +694,101 @@ class TestClosedFormFilter:
             ):
                 learner.run(state, x)
         assert checked and all(checked)
+
+
+def _removal_state(dataset, budget):
+    return AbstractTrainingSet.from_indices(
+        dataset, np.arange(len(dataset)), budget
+    )
+
+
+def _flip_state(dataset, removals, flips):
+    return FlipAbstractTrainingSet(
+        dataset, np.arange(len(dataset)), removals, flips
+    )
+
+
+def _replayed(closed, state):
+    """``filter#`` at ``state``'s budgets from closed-form sizes found at another."""
+    if closed is None:
+        return None
+    rows, tight, largest = closed
+    budgets = (int(rows.size) - max(0, tight - state.n), min(state.flips, largest))
+    return tuple(rows), budgets
+
+
+def _filter_both_ways(state, candidates, x):
+    """``filter#`` by :func:`filter_abstract_traced` and by the fold, as pairs."""
+    traced = filter_abstract_traced(state, candidates, x)
+    fold = filter_abstract(
+        state, AbstractPredicateSet.of(row_predicates(candidates)), x
+    )
+    return tuple(
+        None if result is None else (tuple(result.indices), _budgets(result))
+        for result in (traced, fold)
+    )
+
+
+class TestTraceReplayMatchesFilter:
+    """The closed form's sizes, found at one budget, give ``filter#`` at all.
+
+    ``filter_closed_form``'s rows ``U``, tight count ``s_min`` and largest
+    piece do not depend on the budgets, so ``n' = |U| − max(0, s_min − n)``
+    and ``f' = min(f, largest)`` replayed from one budget's sizes must equal
+    :func:`filter_abstract_traced` and the ``filter_abstract`` fold at every
+    other budget, here over ``bestSplit#``'s own candidate rows.
+    """
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_removal_replay_all_budgets(self, seed):
+        rng = np.random.default_rng(seed)
+        dataset = random_small_dataset(rng)
+        x = random_test_point(rng, dataset)
+        state = _removal_state(dataset, int(rng.integers(0, 4)))
+        candidates = best_split_abstract(state, method="optimal")
+        if not candidates.feature.size:
+            pytest.skip("bestSplit# returned only ⋄ for this draw")
+        closed = filter_closed_form(state, candidates, x)
+        for budget in range(0, 7):
+            probe = _removal_state(dataset, budget)
+            traced, fold = _filter_both_ways(probe, candidates, x)
+            assert traced == fold, f"budget={budget}"
+            assert _replayed(closed, probe) == traced, f"budget={budget}"
+
+    @pytest.mark.parametrize("seed", range(12, 24))
+    def test_flip_replay_all_budget_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        dataset = random_small_dataset(rng)
+        x = random_test_point(rng, dataset)
+        state = _flip_state(dataset, int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+        candidates = best_split_abstract(state, method="optimal")
+        if not candidates.feature.size:
+            pytest.skip("bestSplit# returned only ⋄ for this draw")
+        closed = filter_closed_form(state, candidates, x)
+        for removals in range(0, 4):
+            for flips in range(0, 4):
+                probe = _flip_state(dataset, removals, flips)
+                traced, fold = _filter_both_ways(probe, candidates, x)
+                assert traced == fold, f"(r,f)=({removals},{flips})"
+                assert _replayed(closed, probe) == traced, f"(r,f)=({removals},{flips})"
+
+    @pytest.mark.parametrize("name, points", [("iris", 6), ("mammography", 4)])
+    def test_box_ladder_reused_plan_equals_fresh(self, name, points):
+        # One dataset walks the ladder n = 0..4 twice, so its split plan's
+        # bestSplit# memo answers the second walk; each run must equal a run
+        # on a fresh copy of the dataset, whose plan starts empty.
+        split = load_dataset(name)
+        learner = BoxAbstractLearner(max_depth=2)
+        for x in split.test.X[:points]:
+            for budget in range(5):
+                fresh = learner.run(
+                    AbstractTrainingSet.full(dataclasses.replace(split.train), budget), x
+                )
+                for _ in range(2):
+                    reused = learner.run(AbstractTrainingSet.full(split.train, budget), x)
+                    assert reused.class_intervals == fresh.class_intervals
+                    assert reused.exit_count == fresh.exit_count
+        assert split_plan.plan_for(split.train)._best_split_cache
 
 
 @st.composite
