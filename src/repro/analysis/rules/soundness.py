@@ -94,6 +94,18 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
     ),
     KernelSpec(
         "repro/verify/transformers.py",
+        "_table_selections",
+        "_selection",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "_table_selections",
+        "_screened_selection",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
         "filter_closed_form",
         "filter_abstract",
         "tests/verify/test_vectorized_kernels.py",
@@ -114,6 +126,24 @@ DEFAULT_KERNELS: Tuple[KernelSpec, ...] = (
         "repro/verify/transformers.py",
         "exit_bounds",
         "cprob_box",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "state_exits",
+        "cprob_intervals",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "state_exits",
+        "entropy_is_definitely_zero",
+        "tests/verify/test_vectorized_kernels.py",
+    ),
+    KernelSpec(
+        "repro/verify/transformers.py",
+        "state_exits",
+        "pure_exit_vector",
         "tests/verify/test_vectorized_kernels.py",
     ),
     KernelSpec(

@@ -25,17 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.domains.interval import Interval, dominating_component, join_interval_vectors
+import numpy as np
+
+from repro.domains.interval import Interval, dominating_component
 from repro.domains.trainingset import AbstractTrainingSet
 from repro.telemetry import profiling
 from repro.utils.timing import TimeBudget
 from repro.verify.trace import filter_abstract_traced
-from repro.verify.transformers import (
-    best_split_abstract,
-    cprob_intervals,
-    entropy_is_definitely_zero,
-    pure_exit_vector,
-)
+from repro.verify.transformers import best_split_abstract, exit_bounds, level_exits
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,17 @@ class BoxAbstractLearner:
     ) -> AbstractRunResult:
         """Abstractly interpret ``DTrace(T', x)`` for every ``T' ∈ γ(⟨T, n⟩)``.
 
-        Exits are collected as their ``cprob#`` vectors rather than as states:
+        Exits are collected as their ``cprob#`` bounds rather than as states:
         the classification of an exit is all the learner needs, and the pure
-        exits of elements with label flips only exist as interval vectors
-        (see :func:`~repro.verify.transformers.pure_exit_vector`).
+        exits of elements with label flips only exist as bounds (see
+        :func:`~repro.verify.transformers.state_exits`).  Every step runs
+        the disjunctive learner's kernels on one state.
         """
         budget = time_budget or TimeBudget.unlimited()
-        exits: List[Tuple[Interval, ...]] = []
-        state = trainset
+        method = self.cprob_method
+        # Exit bounds, one (k,) lower/upper pair per exit.
+        exits: List[Tuple[np.ndarray, np.ndarray]] = []
+        state: Optional[AbstractTrainingSet] = trainset
         iterations = 0
 
         for _ in range(self.max_depth):
@@ -119,21 +119,20 @@ class BoxAbstractLearner:
             iterations += 1
 
             # --- conditional: ent(T) = 0 -------------------------------------
-            pure = pure_exit_vector(state, self.cprob_method)
-            if pure is not None:
-                exits.append(pure)
-            if entropy_is_definitely_zero(state, self.cprob_method):
+            found = level_exits([state], method)
+            if found.pure[0]:
+                exits.append((found.pure_lower[0], found.pure_upper[0]))
+            if found.zero_entropy[0]:
                 # The else branch is infeasible: every concretization is pure.
                 state = None
                 break
 
             # --- φ <- bestSplit#(T) ------------------------------------------
-            candidates = best_split_abstract(state, method=self.cprob_method)
+            candidates = best_split_abstract(state, method=method)
 
             # --- conditional: φ = ⋄ --------------------------------------------
             if candidates.includes_null:
-                with profiling.phase("cprob_exit"):
-                    exits.append(cprob_intervals(state, self.cprob_method))
+                exits.append((found.cprob_lower[0], found.cprob_upper[0]))
             if not candidates.feature.size:
                 state = None
                 break
@@ -143,24 +142,31 @@ class BoxAbstractLearner:
 
         if state is not None:
             with profiling.phase("cprob_exit"):
-                exits.append(cprob_intervals(state, self.cprob_method))
+                lower, upper = exit_bounds(
+                    [state.size],
+                    [state.class_counts()],
+                    [state.n],
+                    [state.flips],
+                    method,
+                )
+            exits.append((lower[0], upper[0]))
 
-        intervals = self._join_exit_intervals(exits, trainset.dataset.n_classes)
+        n_classes = trainset.dataset.n_classes
+        if exits:
+            joined = tuple(
+                Interval(lo, hi)
+                for lo, hi in zip(
+                    np.min([lower for lower, _ in exits], axis=0).tolist(),
+                    np.max([upper for _, upper in exits], axis=0).tolist(),
+                )
+            )
+        else:
+            # No feasible exit: should be unreachable, but returning the full
+            # [0, 1] vector keeps the result sound.
+            joined = tuple(Interval.unit() for _ in range(n_classes))
         return AbstractRunResult(
-            class_intervals=intervals,
+            class_intervals=joined,
             exit_count=len(exits),
             iterations=iterations,
             max_disjuncts=1,
         )
-
-    def _join_exit_intervals(
-        self, exits: List[Tuple[Interval, ...]], n_classes: int
-    ) -> Tuple[Interval, ...]:
-        if not exits:
-            # No feasible exit: should be unreachable, but returning the full
-            # [0, 1] vector keeps the result sound.
-            return tuple(Interval.unit() for _ in range(n_classes))
-        joined = exits[0]
-        for vector in exits[1:]:
-            joined = join_interval_vectors(joined, vector)
-        return joined

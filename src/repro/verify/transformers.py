@@ -16,21 +16,26 @@ Two variants of ``cprob#`` are provided:
 * ``"optimal"`` — the optimal transformer of footnote 6, which the paper's
   implementation uses.  It is both tighter and cheaper.
 
-``bestSplit#`` (:func:`best_split_abstract`) bounds every candidate of a
-node at once from the node's stacked split table (threshold rows for real
-and boolean features, equality rows for categorical ones).  One score kernel
-(:func:`_split_score_bounds`) ranges over the ``f + 1`` ways of sharing the
-flip budget between a split's two sides, which is a single allocation when
-``f = 0``.  Under ``optimal`` ``cprob#``, a table that spans more than one
-row block is first screened by each row's concrete Gini score
-(:func:`_screened_selection`), and the kernel bounds only the rows that can
-reach the lub; the selection is the full kernel's.  It returns the selected
-candidates Ψ as rows (:class:`SplitCandidates`): each row's feature, bounds
-and kind, with the size, class counts and budgets of both of its sides.
-Both learners read Ψ in that form only: the disjunctive learner classifies
-its leaves with one :func:`exit_bounds` call and builds its inner children
-with :meth:`SplitCandidates.child`, and the Box learner filters with
-:func:`filter_closed_form`.
+``bestSplit#`` bounds every candidate of a node at once from the node's
+stacked split table (threshold rows for real and boolean features, equality
+rows for categorical ones), and :func:`best_splits` bounds those of many
+elements at once: the rows of every table not memoized go through one call
+of the score kernel (:func:`_split_score_bounds`) per flip budget, each row
+at its own element's removal budget (:func:`_table_selections`, whose
+one-table oracles are :func:`_selection` and :func:`_screened_selection`).
+The kernel ranges over the ``f + 1`` ways of sharing the flip budget
+between a split's two sides, which is a single allocation when ``f = 0``.
+Under ``optimal`` ``cprob#``, a table of more than ``_SCREEN_ROWS`` rows is
+first screened by each row's concrete Gini score (:func:`_screen_rows`),
+and the kernel bounds only the rows that can reach the lub; the selection
+is the full kernel's.  :func:`best_split_abstract` is the one-element case.
+The selected candidates Ψ are rows (:class:`SplitCandidates`): each row's
+feature, bounds and kind, with the size, class counts and budgets of both
+of its sides.  The learners read Ψ in that form only: the disjunctive
+learner stacks the results of a chunk of states (:func:`stack_candidates`),
+classifies its leaves with one :func:`exit_bounds` call and builds its
+inner children with :meth:`SplitCandidates.child`, and the Box learner
+filters with :func:`filter_closed_form`.
 
 ``filter#`` has a closed form (:func:`filter_closed_form`), from which
 :func:`repro.verify.trace.filter_abstract_traced` builds the Box learner's
@@ -42,14 +47,18 @@ left, class ``i`` keeps ``[max(0, c_i − n − f), min(c_i + f, m)] / m``.
 Only the ``ent(T) = 0`` exit (:func:`pure_exit_vector`) branches on ``f``:
 a pure concretization of ``⟨T, n, f⟩`` may have flipped rows into its
 class, so for ``f > 0`` it has no element form and the exit is the join of
-the point vectors of the feasible classes.
+the point vectors of the feasible classes.  Both learners take each
+element's ``cprob#``, ``ent(T) = 0`` test and pure exit from its class
+counts, for many elements at once (:func:`state_exits`);
+:func:`cprob_intervals`, :func:`entropy_is_definitely_zero` and
+:func:`pure_exit_vector` are its scalar oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -382,7 +391,7 @@ def _split_score_bounds(
     left_class_counts: np.ndarray,
     right_sizes: np.ndarray,
     right_class_counts,
-    removals: int,
+    removals,
     flips: int,
     method: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -390,9 +399,11 @@ def _split_score_bounds(
 
     ``score#`` is ``|left| · ent#(left) + |right| · ent#(right)`` (§4.6),
     each side's ``cprob#`` as in :func:`cprob_optimal` / :func:`cprob_box`.
-    Sizes have shape ``(c,)`` and class counts ``(c, k)``; each side keeps
-    the full removal budget (clamped to its size).  The right class counts
-    may also be a :class:`_RowComplement` of a node table.
+    Sizes have shape ``(c,)`` and class counts ``(c, k)``.  The removal
+    budget is one int or one per row (``(c,)``, rows of several nodes
+    scored together); each side keeps its row's full budget, clamped to its
+    size.  The right class counts may also be a :class:`_RowComplement` of
+    a node table.
 
     A flipped label lives on exactly one side, so the flip budget is not
     granted to both sides at once (which would double-count every flip):
@@ -476,18 +487,20 @@ def _split_score_bounds(
     allocations = np.arange(flips + 1, dtype=np.float64)
     lower = np.empty(left_sizes.shape[0])
     upper = np.empty(left_sizes.shape[0])
+    per_row = isinstance(removals, np.ndarray)
     for block in split_plan.row_blocks(lower.size):
+        budgets = removals[block] if per_row else removals
         # The left side gets f_l = 0..f flips, the right side the rest.
         left_lower, left_upper = side(
             left_sizes[block],
             left_class_counts[block],
-            removals,
+            budgets,
             allocations,
         )
         right_lower, right_upper = side(
             right_sizes[block],
             right_class_counts[block],
-            removals,
+            budgets,
             allocations[::-1],
         )
         left_lower += right_lower
@@ -670,6 +683,19 @@ class SplitCandidates:
         )
 
 
+#: The row arrays of :class:`SplitCandidates`, in field order.
+ROW_COLUMNS = (
+    "feature",
+    "low",
+    "high",
+    "kind",
+    "sizes",
+    "class_counts",
+    "removals",
+    "flips",
+)
+
+
 def _no_split(k: int) -> SplitCandidates:
     """``bestSplit#`` = ``{⋄}``: no candidate is non-trivial."""
     empty = np.empty(0)
@@ -687,6 +713,23 @@ def _no_split(k: int) -> SplitCandidates:
     )
 
 
+def stack_candidates(parts: Sequence[SplitCandidates], k: int) -> SplitCandidates:
+    """The rows of several ``bestSplit#`` results, in order, as one table.
+
+    ``k`` is the class count; the table has ``⋄`` when some result has.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    everything = (_no_split(k), *parts)
+    return SplitCandidates(
+        *(
+            np.concatenate([getattr(part, column) for part in everything])
+            for column in ROW_COLUMNS
+        ),
+        includes_null=any(part.includes_null for part in parts),
+    )
+
+
 def best_split_abstract(
     trainset: AbstractTrainingSet, *, method: str = "optimal"
 ) -> SplitCandidates:
@@ -696,56 +739,66 @@ def best_split_abstract(
     achievable score, plus ``⋄`` (``includes_null``) when some
     concretization might admit no non-trivial split at all.  The candidates
     are every split of the node's table (equality splits for categorical
-    features).  The result is memoized on the dataset's split plan, since it
-    depends only on the node rows, the budgets and ``method``.
+    features).  This is :func:`best_splits` of the one element.
     """
+    return best_splits([trainset], method)[0]
+
+
+def best_splits(
+    states: Sequence[AbstractTrainingSet], method: str = "optimal"
+) -> List[SplitCandidates]:
+    """``bestSplit#`` of every element of ``states``, all over one dataset.
+
+    Each result is memoized on the dataset's split plan, since it depends
+    only on the node rows, the budgets and ``method``.  Memo hits are
+    answered element by element; the node tables of the misses are built
+    (and cached) one node at a time, and their rows are selected together
+    by :func:`_table_selections`.  Elements with the same rows and budgets
+    are selected once.
+    """
+    if not states:
+        return []
     with profiling.phase("best_split"):
-        if trainset.size == 0:
-            return _no_split(trainset.dataset.n_classes)
-        plan = split_plan.plan_for(trainset.dataset)
-        key = (trainset.indices.tobytes(), trainset.n, trainset.flips, method)
-        result = plan.cached_best_split(key)
-        if result is None:
-            result = _table_candidates(
-                plan.node_candidates(trainset.indices),
-                trainset.n,
-                trainset.flips,
+        plan = split_plan.plan_for(states[0].dataset)
+        results: List[Optional[SplitCandidates]] = [None] * len(states)
+        misses: Dict[tuple, List[int]] = {}
+        for i, state in enumerate(states):
+            if state.size == 0:
+                results[i] = _no_split(state.dataset.n_classes)
+                continue
+            key = (state.indices.tobytes(), state.n, state.flips, method)
+            results[i] = plan.cached_best_split(key)
+            if results[i] is None:
+                misses.setdefault(key, []).append(i)
+        if misses:
+            first = [states[group[0]] for group in misses.values()]
+            tables = [plan.node_candidates(state.indices) for state in first]
+            selections = _table_selections(
+                tables,
+                [state.n for state in first],
+                [state.flips for state in first],
                 method,
             )
-            plan.store_best_split(key, result)
-        return result
+            for (key, group), state, rows, (keep, includes_null) in zip(
+                misses.items(), first, tables, selections
+            ):
+                result = _table_candidates(
+                    rows, keep, includes_null, state.n, state.flips
+                )
+                plan.store_best_split(key, result)
+                for i in group:
+                    results[i] = result
+        return results  # type: ignore[return-value]
 
 
 def _table_candidates(
-    rows: split_plan.StackedCandidates, removals: int, flips: int, method: str
+    rows: split_plan.StackedCandidates,
+    keep: np.ndarray,
+    includes_null: bool,
+    removals: int,
+    flips: int,
 ) -> SplitCandidates:
-    """The selected rows of a node's candidate table.
-
-    A table that spans more than one row block is screened under
-    ``optimal`` (:func:`_screened_selection`); a one-block table is a
-    single kernel pass already.
-    """
-    if method == "optimal" and rows.left_sizes.size > split_plan._BLOCK_ROWS:
-        keep, includes_null = _screened_selection(
-            rows.left_sizes,
-            rows.left_class_counts,
-            rows.total_size,
-            rows.total_class_counts,
-            rows.gini,
-            rows.gini_argmin,
-            removals,
-            flips,
-        )
-    else:
-        keep, includes_null = _selection(
-            rows.left_sizes,
-            rows.left_class_counts,
-            rows.right_sizes,
-            _RowComplement(rows.total_class_counts, rows.left_class_counts),
-            removals,
-            flips,
-            method,
-        )
+    """The rows ``keep`` of a node's candidate table, with both of their sides."""
     feature = rows.features(keep)
     # The side arrays are int64, whatever the table's columns.
     left_sizes = rows.left_sizes[keep].astype(np.int64)
@@ -764,6 +817,95 @@ def _table_candidates(
         flips=np.minimum(flips, sizes),
         includes_null=includes_null,
     )
+
+
+#: Tables of more rows than this are screened under ``optimal`` before the
+#: score kernel bounds them (:func:`_table_selections`).  On a 2-CPU x86_64
+#: host the screen (a one-row kernel call, the table's concrete Gini scores
+#: and a pass over them) costs about as much as bounding ~1,300 rows in a
+#: kernel call of their own and ~1,700 rows in a shared batch; it saves
+#: ~0.5 ms on a 6,800-row wdbc table.
+_SCREEN_ROWS = 2048
+
+
+def _table_selections(
+    tables: Sequence[split_plan.StackedCandidates],
+    removals: Sequence[int],
+    flips: Sequence[int],
+    method: str,
+) -> List[Tuple[np.ndarray, bool]]:
+    """:func:`_selection` of many node tables, one kernel call per flip budget.
+
+    Table ``j`` is selected at the budgets ``removals[j]`` and ``flips[j]``.
+    A table with no universal row keeps every row and ``⋄``, unscored.
+    Under ``optimal``, a table of more than ``_SCREEN_ROWS`` rows is first
+    screened (:func:`_screen_rows`), and only its survivors are bounded:
+    its selection is :func:`_screened_selection`'s.  The other tables join
+    one batch per flip budget.  The score kernel bounds every row on its
+    own, each at its table's removal budget, so a table's bounds in a batch
+    are those of a call of its own, bit for bit; its lub is the least upper
+    bound of its universal rows, a segmented min over the batch.  A table
+    whose bounded rows span more than one row block is bounded alone,
+    with its right sides computed block by block (:class:`_RowComplement`),
+    so a batch never copies more than one block of rows per table.
+    """
+    selections: List[Optional[Tuple[np.ndarray, bool]]] = [None] * len(tables)
+    batches: Dict[tuple, list] = {}
+    for j, rows in enumerate(tables):
+        n, f = int(removals[j]), int(flips[j])
+        left = rows.left_sizes
+        universal = (left > n) & (left < rows.total_size - n)
+        if not universal.any():
+            selections[j] = (np.arange(left.size), True)
+            continue
+        counts = rows.left_class_counts
+        index: Optional[np.ndarray] = None
+        if method == "optimal" and left.size > _SCREEN_ROWS:
+            index = _screen_rows(
+                left,
+                counts,
+                rows.total_size,
+                rows.total_class_counts,
+                rows.gini,
+                rows.gini_argmin,
+                universal,
+                n,
+                f,
+            )
+            left, counts, universal = left[index], counts[index], universal[index]
+        # A batch per flip budget, and one for each table bounded alone.
+        alone = left.size > split_plan._BLOCK_ROWS
+        batches.setdefault((f, j if alone else -1), []).append(
+            (j, index, left, counts, universal)
+        )
+
+    for (f, _), parts in batches.items():
+        lengths = [part[2].size for part in parts]
+        if len(parts) == 1:
+            j, _, left, counts, universal = parts[0]
+            right = tables[j].total_size - left
+            right_counts = _RowComplement(tables[j].total_class_counts, counts)
+            budget = removals[j]
+        else:
+            left = np.concatenate([part[2] for part in parts])
+            counts = np.concatenate([part[3] for part in parts])
+            universal = np.concatenate([part[4] for part in parts])
+            totals = [tables[part[0]] for part in parts]
+            right = np.repeat([rows.total_size for rows in totals], lengths) - left
+            right_counts = np.concatenate(
+                [rows.total_class_counts - part[3] for rows, part in zip(totals, parts)]
+            )
+            budget = np.repeat([removals[part[0]] for part in parts], lengths)
+        lower, upper = _split_score_bounds(
+            left, counts, right, right_counts, budget, f, method
+        )
+        ends = np.cumsum(lengths)
+        lub = np.minimum.reduceat(np.where(universal, upper, np.inf), ends - lengths)
+        selected = lower <= np.repeat(lub, lengths) + SCORE_TOLERANCE
+        for (j, index, *_), end, length in zip(parts, ends.tolist(), lengths):
+            kept = np.flatnonzero(selected[end - length : end])
+            selections[j] = (kept if index is None else index[kept], False)
+    return selections  # type: ignore[return-value]
 
 
 def _selection(
@@ -853,23 +995,64 @@ def _screened_selection(
     universal = (left_sizes > removals) & (left_sizes < total_size - removals)
     if not universal.any():
         return np.arange(left_sizes.shape[0]), True
+    rows = _screen_rows(
+        left_sizes,
+        left_class_counts,
+        total_size,
+        total_class_counts,
+        scores,
+        best,
+        universal,
+        removals,
+        flips,
+    )
+    left = left_class_counts[rows]
+    sizes = left_sizes[rows]
+    keep, _ = _selection(
+        sizes,
+        left,
+        total_size - sizes,
+        total_class_counts - left,
+        removals,
+        flips,
+        "optimal",
+    )
+    return rows[keep], False
+
+
+def _screen_rows(
+    left_sizes: np.ndarray,
+    left_class_counts: np.ndarray,
+    total_size: int,
+    total_class_counts: np.ndarray,
+    scores: np.ndarray,
+    best: int,
+    universal: np.ndarray,
+    removals: int,
+    flips: int,
+) -> np.ndarray:
+    """The rows of a node table that :func:`_screened_selection` bounds.
+
+    ``universal`` marks the table's universal rows, of which there is one
+    at least.  The margin and the proof are :func:`_screened_selection`'s.
+    """
     # n'_L + n'_R ≤ 2n: one margin for every row.
     margin = total_class_counts.shape[0] * (2 * removals + flips)
     margin += _SCREEN_ROUNDING * total_size
-
-    def sides(index):
-        """The kernel's four side arguments for the rows ``index``."""
-        left = left_class_counts[index]
-        sizes = left_sizes[index]
-        return sizes, left, total_size - sizes, total_class_counts - left
-
-    budgets = (removals, flips, "optimal")
     if not universal[best]:
         best = int(np.argmin(np.where(universal, scores, np.inf)))
-    _, upper = _split_score_bounds(*sides(slice(best, best + 1)), *budgets)
-    rows = np.flatnonzero(scores <= float(upper[0]) + SCORE_TOLERANCE + margin)
-    keep, _ = _selection(*sides(rows), *budgets)
-    return rows[keep], False
+    left = left_class_counts[best : best + 1]
+    sizes = left_sizes[best : best + 1]
+    _, upper = _split_score_bounds(
+        sizes,
+        left,
+        total_size - sizes,
+        total_class_counts - left,
+        removals,
+        flips,
+        "optimal",
+    )
+    return np.flatnonzero(scores <= float(upper[0]) + SCORE_TOLERANCE + margin)
 
 
 # ---------------------------------------------------------------------------
@@ -900,18 +1083,110 @@ def exit_bounds(
     remaining = sizes - removals
     positive = remaining > 0
     safe_remaining = np.where(positive, remaining, 1.0)
-    numerator_lo = np.maximum(0.0, counts - removals - flips)
+    lower = np.maximum(counts - removals - flips, 0.0)
     if method == "optimal":
-        lower = np.minimum(numerator_lo / safe_remaining, 1.0)
-        upper = np.minimum(
-            np.minimum(counts + flips, remaining) / safe_remaining, 1.0
-        )
+        # Both stay within [0, 1]: c − r − f ≤ m and min(c + f, m) ≤ m.
+        lower /= safe_remaining
+        upper = np.minimum(counts + flips, remaining)
     elif method == "box":
         # Interval division by [m, |T|] with non-negative numerators.
-        lower = numerator_lo / np.maximum(sizes, 1.0)
-        upper = np.minimum(counts + flips, sizes) / safe_remaining
+        lower /= np.maximum(sizes, 1.0)
+        upper = np.minimum(counts + flips, sizes)
     else:
         raise ValueError(
             f"unknown cprob method {method!r}; expected one of {CPROB_METHODS}"
         )
-    return np.where(positive, lower, 0.0), np.where(positive, upper, 1.0)
+    upper /= safe_remaining
+    if not positive.all():
+        lower[~positive[:, 0]] = 0.0
+        upper[~positive[:, 0]] = 1.0
+    return lower, upper
+
+
+class StateExits(NamedTuple):
+    """The exits of ``S`` elements' ``ent(T) = 0`` and ``φ = ⋄`` tests."""
+
+    #: ``(S, k)`` ``cprob#`` bounds of each element: its ``⋄`` exit.
+    cprob_lower: np.ndarray
+    cprob_upper: np.ndarray
+    #: ``(S,)``: every concretization is pure (the else branch is infeasible).
+    zero_entropy: np.ndarray
+    #: ``(S,)``: some concretization is pure, so the element has a pure exit.
+    pure: np.ndarray
+    #: ``(S, k)`` bounds of the pure exit, where ``pure``.
+    pure_lower: np.ndarray
+    pure_upper: np.ndarray
+
+
+def state_exits(
+    sizes: np.ndarray,
+    class_counts: np.ndarray,
+    removals: np.ndarray,
+    flips: np.ndarray,
+    method: str = "optimal",
+) -> StateExits:
+    """The exits of ``S`` elements ``⟨T_i, n_i, f_i⟩`` from their class counts.
+
+    Row ``i`` equals the scalar transformers of the element, which are its
+    oracles: :func:`cprob_intervals` (through :func:`exit_bounds`),
+    :func:`entropy_is_definitely_zero` and :func:`pure_exit_vector`.
+
+    * ``ent#`` sums ``ι_j (1 − ι_j)`` over the classes.  Each ``ι_j =
+      [lo, hi]`` has ``0 ≤ lo ≤ min(1, hi)`` under either method, so the
+      largest of the interval product's four products is ``hi (1 − lo) ≥
+      0``, and the sum of these is 0 exactly when every one is.
+    * Class ``j`` can be made pure when the rows of the other classes fit
+      in ``n + f``.  For ``f = 0`` the pure exit is ``cprob#`` of the join
+      of every such class's restriction ``⟨T_j, n − (|T| − c_j)⟩``: their
+      rows are disjoint and each keeps ``|T_j| − n_j = |T| − n``, so by
+      Definition 4.1 the join is ``⟨U, |U| − (|T| − n)⟩`` for the union
+      ``U`` of their rows, of size ``Σ c_j``.  For ``f > 0`` it is the
+      join of the feasible classes' point vectors.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = np.asarray(class_counts, dtype=np.int64)
+    removals = np.asarray(removals, dtype=np.int64)
+    flips = np.asarray(flips, dtype=np.int64)
+    feasible = (sizes[:, None] - counts) <= (removals + flips)[:, None]
+    pure_counts = np.where(feasible, counts, 0)
+    union = pure_counts.sum(axis=1)
+    # Each element's cprob# rows, then its f = 0 pure exit's, in one call.
+    lower, upper = exit_bounds(
+        np.concatenate((sizes, union)),
+        np.concatenate((counts, pure_counts)),
+        np.concatenate((removals, np.maximum(union - (sizes - removals), 0))),
+        np.concatenate((flips, np.zeros_like(flips))),
+        method,
+    )
+    cprob_lower, pure_lower = lower[: sizes.size], lower[sizes.size :]
+    cprob_upper, pure_upper = upper[: sizes.size], upper[sizes.size :]
+    flipped = (flips > 0)[:, None]
+    if flipped.any():
+        single = (feasible.sum(axis=1) == 1)[:, None]
+        pure_lower = np.where(flipped, feasible & single, pure_lower)
+        pure_upper = np.where(flipped, feasible, pure_upper)
+    return StateExits(
+        cprob_lower,
+        cprob_upper,
+        ~(cprob_upper * (1.0 - cprob_lower)).any(axis=1),
+        feasible.any(axis=1),
+        pure_lower,
+        pure_upper,
+    )
+
+
+def level_exits(
+    states: Sequence[AbstractTrainingSet], method: str = "optimal"
+) -> StateExits:
+    """:func:`state_exits` of elements over one dataset, from their rows."""
+    with profiling.phase("pure_exit"):
+        dataset = states[0].dataset
+        k = dataset.n_classes
+        sizes = np.array([state.size for state in states], dtype=np.int64)
+        owners = np.repeat(np.arange(0, sizes.size * k, k), sizes)
+        labels = dataset.y[np.concatenate([state.indices for state in states])]
+        counts = np.bincount(owners + labels, minlength=sizes.size * k)
+        removals, flips = np.array(
+            [(state.n, state.flips) for state in states], dtype=np.int64
+        ).T
+        return state_exits(sizes, counts.reshape(-1, k), removals, flips, method)

@@ -82,6 +82,45 @@ def random_small_dataset(
     return Dataset(X=X, y=y, n_classes=n_classes, feature_kinds=kinds, name="random-small")
 
 
+def mixed_dataset(rng: np.random.Generator) -> Dataset:
+    """A small dataset mixing REAL, BOOLEAN and CATEGORICAL columns."""
+    n_samples = int(rng.integers(6, 13))
+    kinds = tuple(
+        rng.choice([FeatureKind.REAL, FeatureKind.BOOLEAN, FeatureKind.CATEGORICAL])
+        for _ in range(int(rng.integers(1, 4)))
+    )
+    columns = []
+    for kind in kinds:
+        if kind is FeatureKind.BOOLEAN:
+            columns.append(rng.integers(0, 2, size=n_samples))
+        elif kind is FeatureKind.CATEGORICAL:
+            columns.append(rng.integers(0, 3, size=n_samples))
+        else:
+            columns.append(rng.integers(0, 5, size=n_samples) * 0.5)
+    n_classes = int(rng.integers(2, 4))
+    y = rng.integers(0, n_classes, size=n_samples)
+    y[0], y[1] = 0, 1
+    return Dataset(
+        X=np.column_stack(columns).astype(float),
+        y=y,
+        n_classes=n_classes,
+        feature_kinds=kinds,
+    )
+
+
+def mixed_test_point(rng: np.random.Generator, dataset: Dataset) -> list:
+    """A point for :func:`mixed_dataset`; real values fall between the
+    observed ones too, so symbolic splits are *maybe*."""
+    point = []
+    for kind in dataset.feature_kinds:
+        if kind is FeatureKind.REAL:
+            point.append(float(rng.integers(0, 9)) * 0.25)
+        else:
+            values = 3 if kind is FeatureKind.CATEGORICAL else 2
+            point.append(float(rng.integers(0, values)))
+    return point
+
+
 def well_separated_dataset(per_class: int = 20) -> Dataset:
     """A 1-D two-cluster dataset with a wide margin between the classes.
 
@@ -136,12 +175,17 @@ SMALL_BLOCKS = (1, 3, 7)
 @contextlib.contextmanager
 def block_rows(rows: int) -> Iterator[None]:
     """Run the node-table kernels with ``rows`` rows per block, build plans
-    and tables in feature blocks of ``32 * rows`` cells, and score the rows
-    of a feature block in sub-blocks of ``8 * rows`` rows."""
+    and tables in feature blocks of ``32 * rows`` cells, score the rows of a
+    feature block in sub-blocks of ``8 * rows`` rows, and screen the
+    ``bestSplit#`` tables of more than ``rows // 4`` rows (the defaults'
+    ratio)."""
+    from repro.verify import transformers
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(split_plan, "_BLOCK_ROWS", rows)
         patch.setattr(split_plan, "_FEATURE_BLOCK_CELLS", 32 * rows)
         patch.setattr(split_plan, "_SCORE_ROWS", 8 * rows)
+        patch.setattr(transformers, "_SCREEN_ROWS", rows // 4)
         yield
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dataset import Dataset, FeatureKind
 from repro.core.predicates import point_satisfies
 from repro.core.trace_learner import TraceLearner
 from repro.datasets.toy import figure2_dataset, tiny_boolean_dataset
@@ -13,6 +12,7 @@ from repro.domains.trainingset import AbstractTrainingSet
 from repro.poisoning.label_flip import FlipAbstractTrainingSet
 from repro.utils.timing import TimeBudget, TimeoutExceeded
 from repro.verify.abstract_learner import BoxAbstractLearner
+from repro.verify import disjunctive_learner
 from repro.verify.disjunctive_learner import (
     DisjunctBudgetExceeded,
     DisjunctiveAbstractLearner,
@@ -23,7 +23,7 @@ from repro.verify.transformers import (
     entropy_is_definitely_zero,
     pure_exit_vector,
 )
-from tests.conftest import row_predicates
+from tests.conftest import mixed_dataset, mixed_test_point, row_predicates
 
 
 class TestBasicBehaviour:
@@ -184,45 +184,10 @@ def _state_path_run(learner, trainset, x):
     }
 
 
-def _mixed_dataset(rng):
-    """A small dataset mixing REAL, BOOLEAN and CATEGORICAL columns."""
-    n_samples = int(rng.integers(6, 13))
-    kinds = tuple(
-        rng.choice([FeatureKind.REAL, FeatureKind.BOOLEAN, FeatureKind.CATEGORICAL])
-        for _ in range(int(rng.integers(1, 4)))
-    )
-    columns = []
-    for kind in kinds:
-        if kind is FeatureKind.BOOLEAN:
-            columns.append(rng.integers(0, 2, size=n_samples))
-        elif kind is FeatureKind.CATEGORICAL:
-            columns.append(rng.integers(0, 3, size=n_samples))
-        else:
-            columns.append(rng.integers(0, 5, size=n_samples) * 0.5)
-    n_classes = int(rng.integers(2, 4))
-    y = rng.integers(0, n_classes, size=n_samples)
-    y[0], y[1] = 0, 1
-    return Dataset(
-        X=np.column_stack(columns).astype(float),
-        y=y,
-        n_classes=n_classes,
-        feature_kinds=kinds,
-    )
-
-
-def _test_point(rng, dataset):
-    point = []
-    for kind in dataset.feature_kinds:
-        if kind is FeatureKind.REAL:
-            # Half-steps between observed values make symbolic splits *maybe*.
-            point.append(float(rng.integers(0, 9)) * 0.25)
-        else:
-            point.append(float(rng.integers(0, 3 if kind is FeatureKind.CATEGORICAL else 2)))
-    return point
-
-
 class TestArrayLastLevelParity:
-    """The array-shaped last level equals building every leaf as a state."""
+    """The level-at-once learner equals a state-by-state walk with every
+    leaf built as a state: every result field, and where the cap is crossed,
+    the count in the exception, whatever the chunk sizes."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -230,11 +195,13 @@ class TestArrayLastLevelParity:
         family=st.sampled_from(["removal", "flip", "composite"]),
         method=st.sampled_from(["optimal", "box"]),
         depth=st.integers(min_value=1, max_value=3),
+        chunk=st.sampled_from([1, 2, 16]),
+        cap_share=st.floats(min_value=0.0, max_value=1.0),
     )
-    def test_matches_state_path(self, seed, family, method, depth):
+    def test_matches_state_path(self, seed, family, method, depth, chunk, cap_share):
         rng = np.random.default_rng(seed)
-        dataset = _mixed_dataset(rng)
-        x = _test_point(rng, dataset)
+        dataset = mixed_dataset(rng)
+        x = mixed_test_point(rng, dataset)
         if family == "flip":
             trainset = FlipAbstractTrainingSet.full(dataset, 0, int(rng.integers(0, 3)))
         elif family == "composite":
@@ -246,17 +213,36 @@ class TestArrayLastLevelParity:
         learner = DisjunctiveAbstractLearner(
             max_depth=depth, cprob_method=method, max_disjuncts=10**9
         )
-        expected = _state_path_run(learner, trainset, x)
-        run = learner.run(trainset, x)
-        assert run.class_intervals == expected["class_intervals"]
-        assert run.exit_count == expected["exit_count"]
-        assert run.max_disjuncts == expected["max_disjuncts"]
-        assert run.iterations == expected["iterations"]
-        assert run.exit_robust_classes == expected["exit_robust_classes"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(disjunctive_learner, "_FIRST_CHUNK", chunk)
+            patch.setattr(disjunctive_learner, "_CHUNK_STATES", 2 * chunk)
+            expected = _state_path_run(learner, trainset, x)
+            assert _batched_run(learner, trainset, x) == expected
+            peak = expected["max_disjuncts"]
+            for cap in {peak, peak - 1, int(cap_share * (peak - 1))}:
+                learner.max_disjuncts = cap
+                walked = _outcome(_state_path_run, learner, trainset, x)
+                assert _outcome(_batched_run, learner, trainset, x) == walked
+            learner.max_disjuncts = peak - 1
+            with pytest.raises(DisjunctBudgetExceeded):
+                learner.run(trainset, x)
 
-        peak = expected["max_disjuncts"]
-        learner.max_disjuncts = peak
-        assert learner.run(trainset, x).max_disjuncts == peak
-        learner.max_disjuncts = peak - 1
-        with pytest.raises(DisjunctBudgetExceeded):
-            learner.run(trainset, x)
+
+def _batched_run(learner, trainset, x):
+    """The learner's result as :func:`_state_path_run`'s fields."""
+    run = learner.run(trainset, x)
+    return {
+        "class_intervals": run.class_intervals,
+        "exit_count": run.exit_count,
+        "max_disjuncts": run.max_disjuncts,
+        "iterations": run.iterations,
+        "exit_robust_classes": run.exit_robust_classes,
+    }
+
+
+def _outcome(run, learner, trainset, x):
+    """A run's fields, or the message of the cap it exceeded."""
+    try:
+        return run(learner, trainset, x)
+    except DisjunctBudgetExceeded as error:
+        return str(error)

@@ -15,7 +15,12 @@ The screened selection (`_screened_selection`, which bounds only the rows
 whose concrete Gini score can reach the lub) is pinned to the full-kernel
 `_selection` on random node tables split into tiny row blocks, and end to
 end: a cold mnist17-real batch makes the same selections and verdict rows
-with the screen as without it.
+with the screen as without it.  The many-table selection
+(`_table_selections`, one kernel call per flip budget at per-row removal
+budgets) is pinned to those two one-table oracles, and `best_splits` to
+per-element candidate rows, bit for bit.  The count-based exits
+(`state_exits`) are pinned to `cprob_intervals`,
+`entropy_is_definitely_zero` and `pure_exit_vector` element by element.
 
 The closed-form ``filter#`` (`filter_closed_form`, over candidate rows) is
 pinned to the sequential fold of split pieces it replaces (`filter_abstract`,
@@ -29,6 +34,7 @@ copy.  One engine reused along a budget ladder must report verdicts identical
 to a fresh engine per budget.
 """
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -57,6 +63,7 @@ from repro.verify import abstract_learner, transformers
 from repro.verify.abstract_learner import BoxAbstractLearner
 from repro.verify.trace import filter_abstract_traced
 from repro.verify.transformers import (
+    ROW_COLUMNS,
     SplitCandidates,
     _RowComplement,
     _flip_split_score_bounds_reference,
@@ -64,17 +71,25 @@ from repro.verify.transformers import (
     _selection,
     _side_score_bounds_reference,
     _split_score_bounds,
+    _table_candidates,
+    _table_selections,
     best_split_abstract,
+    best_splits,
     cprob_box,
     cprob_intervals,
     cprob_optimal,
+    entropy_is_definitely_zero,
     exit_bounds,
     filter_abstract,
     filter_closed_form,
+    level_exits,
+    pure_exit_vector,
+    state_exits,
 )
 from tests.conftest import (
     SMALL_BLOCKS,
     block_rows,
+    mixed_dataset,
     random_small_dataset,
     random_test_point,
     row_predicates,
@@ -188,6 +203,29 @@ class TestSplitScoreBounds:
             )
         np.testing.assert_array_equal(lower, expected[0])
         np.testing.assert_array_equal(upper, expected[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        candidate_tables(max_candidates=20),
+        candidate_tables(max_candidates=20),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=20, max_size=20),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(["optimal", "box"]),
+        st.sampled_from([*SMALL_BLOCKS, None]),
+    )
+    def test_per_row_removals_match_one_call_per_budget(
+        self, left, right, removals, flips, method, rows
+    ):
+        # Rows of several nodes share one call at their own removal budgets.
+        sides = _split(left, right)
+        budgets = np.asarray(removals[: sides[0].size])
+        with block_rows(rows) if rows else contextlib.nullcontext():
+            lower, upper = _split_score_bounds(*sides, budgets, flips, method)
+        for budget in set(budgets.tolist()):
+            expected = _split_score_bounds(*sides, budget, flips, method)
+            mine = budgets == budget
+            np.testing.assert_array_equal(lower[mine], expected[0][mine])
+            np.testing.assert_array_equal(upper[mine], expected[1][mine])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -356,7 +394,7 @@ class TestScreenedVerdictIdentity:
         ids=["n1", "n8", "flip1"],
     )
     def test_rows_equal_the_unscreened_run(self, monkeypatch, model, depth):
-        screen = transformers._screened_selection
+        screen = transformers._screen_rows
         calls = []
 
         def counted(*args):
@@ -364,11 +402,11 @@ class TestScreenedVerdictIdentity:
             return screen(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(transformers, "_screened_selection", counted)
+            patch.setattr(transformers, "_screen_rows", counted)
             screened = _selections(patch)
             rows = _mnist_rows(model, max_depth=depth)
         with monkeypatch.context() as patch:
-            patch.setattr(transformers, "_screened_selection", _full_selection)
+            patch.setattr(transformers, "_SCREEN_ROWS", np.inf)
             unscreened = _selections(patch)
             expected = _mnist_rows(model, max_depth=depth)
         assert calls
@@ -379,15 +417,15 @@ class TestScreenedVerdictIdentity:
         def refuse(*args):
             raise AssertionError("box cprob# must not be screened")
 
-        selection = transformers._selection
+        bounds = transformers._split_score_bounds
         table_rows = []
 
         def full(left_sizes, *args):
             table_rows.append(left_sizes.shape[0])
-            return selection(left_sizes, *args)
+            return bounds(left_sizes, *args)
 
-        monkeypatch.setattr(transformers, "_screened_selection", refuse)
-        monkeypatch.setattr(transformers, "_selection", full)
+        monkeypatch.setattr(transformers, "_screen_rows", refuse)
+        monkeypatch.setattr(transformers, "_split_score_bounds", full)
         rows = _mnist_rows(RemovalPoisoningModel(1), max_depth=1, cprob_method="box")
         assert len(rows) == 4
         # The full kernel scored a table of many blocks.
@@ -446,6 +484,189 @@ class TestExitBounds:
                 flip_element = _element_with_counts(counts[i], removals[i], 0)
                 assert cprob_intervals(flip_element, method) == expected
             assert tuple(Interval(lo, hi) for lo, hi in zip(lower[i], upper[i])) == expected
+
+
+def _elements(rng, dataset, family):
+    """Random elements over ``dataset``: row subsets (some empty) with removal
+    and flip budgets of ``family``; some budgets reach the size (m = 0)."""
+    elements = []
+    for _ in range(int(rng.integers(1, 7))):
+        size = int(rng.integers(0, len(dataset) + 1))
+        indices = np.sort(rng.choice(len(dataset), size, replace=False))
+        removals = 0 if family == "flip" else int(rng.integers(0, size + 2))
+        flips = 0 if family == "removal" else int(rng.integers(0, 3))
+        elements.append(AbstractTrainingSet(dataset, indices, removals, flips))
+    return elements
+
+
+def _vector(lower, upper):
+    return tuple(Interval(lo, hi) for lo, hi in zip(lower.tolist(), upper.tolist()))
+
+
+class TestStateExits:
+    """Every element's exits from its class counts equal the scalar
+    transformers: ``cprob#``, the ``ent(T) = 0`` test and the pure exit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["removal", "flip", "composite"]),
+        st.sampled_from(["optimal", "box"]),
+    )
+    def test_matches_scalar_transformers(self, seed, family, method):
+        rng = np.random.default_rng(seed)
+        dataset = mixed_dataset(rng)
+        elements = _elements(rng, dataset, family)
+        exits = level_exits(elements, method)
+        direct = state_exits(
+            [element.size for element in elements],
+            [element.class_counts() for element in elements],
+            [element.n for element in elements],
+            [element.flips for element in elements],
+            method,
+        )
+        for got, expected in zip(exits, direct):
+            np.testing.assert_array_equal(got, expected)
+        for i, element in enumerate(elements):
+            assert _vector(exits.cprob_lower[i], exits.cprob_upper[i]) == (
+                cprob_intervals(element, method)
+            )
+            assert bool(exits.zero_entropy[i]) == entropy_is_definitely_zero(
+                element, method
+            )
+            pure = pure_exit_vector(element, method)
+            assert bool(exits.pure[i]) == (pure is not None)
+            if pure is not None:
+                assert _vector(exits.pure_lower[i], exits.pure_upper[i]) == pure
+
+    def test_covers_every_case(self):
+        # Elements with no remaining row, with only pure concretizations,
+        # with flips, and with no pure exit at all.
+        dataset = Dataset(
+            X=np.zeros((6, 1)), y=np.array([0, 0, 0, 0, 1, 2]), n_classes=3
+        )
+        rows = np.arange(6, dtype=np.int64)
+        elements = [
+            AbstractTrainingSet(dataset, rows, 6),
+            AbstractTrainingSet(dataset, rows[:4], 1),
+            AbstractTrainingSet(dataset, rows, 2, 1),
+            AbstractTrainingSet(dataset, rows, 0),
+        ]
+        exits = level_exits(elements)
+        assert exits.zero_entropy.tolist() == [False, True, False, False]
+        assert exits.pure.tolist() == [True, True, True, False]
+        for i, element in enumerate(elements):
+            assert bool(exits.zero_entropy[i]) == entropy_is_definitely_zero(element)
+            assert (pure_exit_vector(element) is not None) == bool(exits.pure[i])
+
+
+def _one_by_one(table, removals, flips, method):
+    """The selection of one node table by its one-table oracle."""
+    if method == "optimal" and table.left_sizes.size > transformers._SCREEN_ROWS:
+        return _screened_selection(
+            table.left_sizes,
+            table.left_class_counts,
+            table.total_size,
+            table.total_class_counts,
+            table.gini,
+            table.gini_argmin,
+            removals,
+            flips,
+        )
+    return _selection(
+        table.left_sizes,
+        table.left_class_counts,
+        table.right_sizes,
+        table.right_class_counts,
+        removals,
+        flips,
+        method,
+    )
+
+
+class TestTableSelections:
+    """Many tables selected at once, at mixed budgets, equal each table's
+    own selection bit for bit, screened or not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["removal", "flip", "composite"]),
+        st.sampled_from(["optimal", "box"]),
+        st.sampled_from([*SMALL_BLOCKS, None]),
+    )
+    def test_matches_one_table_at_a_time(self, seed, family, method, rows):
+        rng = np.random.default_rng(seed)
+        dataset = mixed_dataset(rng)
+        elements = [e for e in _elements(rng, dataset, family) if e.size]
+        with block_rows(rows) if rows else contextlib.nullcontext():
+            plan = split_plan.SplitTablePlan(dataset)
+            tables = [plan.node_candidates(e.indices) for e in elements]
+            budgets = ([e.n for e in elements], [e.flips for e in elements])
+            selections = _table_selections(tables, *budgets, method)
+            expected = [
+                _one_by_one(table, e.n, e.flips, method)
+                for table, e in zip(tables, elements)
+            ]
+        for (keep, null), (expected_keep, expected_null) in zip(selections, expected):
+            np.testing.assert_array_equal(keep, expected_keep)
+            assert keep.dtype == expected_keep.dtype
+            assert null == expected_null
+
+        # best_splits answers each element with the rows of its own selection.
+        split_plan.clear_plans()
+        with block_rows(rows) if rows else contextlib.nullcontext():
+            results = best_splits(elements, method)
+        for result, table, e, (keep, null) in zip(results, tables, elements, expected):
+            reference = _table_candidates(table, keep, null, e.n, e.flips)
+            for column in ROW_COLUMNS:
+                got, want = getattr(result, column), getattr(reference, column)
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+            assert result.includes_null == reference.includes_null
+            assert result.key == best_split_abstract(e, method=method).key
+
+    def test_screens_tables_past_the_screen_size(self, monkeypatch):
+        # wdbc nodes of a few thousand rows: tables past _SCREEN_ROWS are
+        # screened, smaller ones are not, and both select as one at a time.
+        dataset = load_dataset("wdbc", seed=1).train
+        plan = split_plan.plan_for(dataset)
+        rng = np.random.default_rng(0)
+        tables = [
+            plan.node_candidates(np.sort(rng.choice(len(dataset), size, replace=False)))
+            for size in (40, 100, 200, 250)
+        ]
+        sizes = [table.left_sizes.size for table in tables]
+        assert min(sizes) <= transformers._SCREEN_ROWS < max(sizes)
+        assert max(sizes) <= split_plan._BLOCK_ROWS
+        screened = []
+        screen = transformers._screen_rows
+
+        def spy(left_sizes, *args):
+            screened.append(left_sizes.size)
+            return screen(left_sizes, *args)
+
+        monkeypatch.setattr(transformers, "_screen_rows", spy)
+        for removals, flips in ((1, 0), (2, 0), (1, 1)):
+            screened.clear()
+            selections = _table_selections(
+                tables, [removals] * 4, [flips] * 4, "optimal"
+            )
+            assert screened == [s for s in sizes if s > transformers._SCREEN_ROWS]
+            for table, (keep, null) in zip(tables, selections):
+                expected, expected_null = _one_by_one(table, removals, flips, "optimal")
+                np.testing.assert_array_equal(keep, expected)
+                assert null == expected_null
+                full, _ = _selection(
+                    table.left_sizes,
+                    table.left_class_counts,
+                    table.right_sizes,
+                    table.right_class_counts,
+                    removals,
+                    flips,
+                    "optimal",
+                )
+                np.testing.assert_array_equal(keep, full)
 
 
 #: Bounds the dominance cases draw from: few values, so ties are common.
